@@ -34,7 +34,6 @@ from .modelspace import (
     BasisError,
     KThetaElement,
     OrthonormalBasis,
-    QuadratureConvergenceError,
     conjugate,
     conjugation_residual,
     gram_matrix,

@@ -13,6 +13,10 @@ and suitably phased, normalized boundary kernels at those points form an
 orthonormal basis fixed by the canonical conjugation.  The phase convention
 is the half-argument square root: for unimodular w with arg w = gamma taken
 in [0, 2*pi), its root is exp(i*gamma/2).
+
+The matrix of U is exact: S_t is the Moebius function
+(A_z - t)(I - conj(t) A_z)^-1 of the compressed shift A_z, and the rank-one
+part needs only point values.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ import numpy as np
 from .blaschke import BlaschkeProduct, boundary_kernel_norm_sq, level_set
 from .config import DEFAULT, NumericConfig
 from .modelspace import (
-    KThetaElement,
     OrthonormalBasis,
-    circle_grid,
+    compressed_shift,
     conjugate,
+    coordinates,
     kernel_element,
     norm,
 )
@@ -149,7 +153,7 @@ def modified_clark_basis(
     )
 
     for i, e in enumerate(elements):
-        fixed_residual = norm(conjugate(e) - e, config=config)
+        fixed_residual = norm(conjugate(e) - e)
         if fixed_residual >= config.basis_tol:
             raise ConjugationSymmetryError(
                 "element %d moved by %.3e under conjugation; the phase "
@@ -170,22 +174,17 @@ def modified_clark_basis(
     )
 
 
-def clark_operator_matrix(
-    b: BlaschkeProduct,
-    params: ClarkParams,
-    basis: OrthonormalBasis,
-    *,
-    config: NumericConfig = DEFAULT,
-):
+def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: OrthonormalBasis):
     """Matrix of the unitary U = S_t + (alpha + B(t)) (k^_t (x) C k^_t) w.r.t. ``basis``.
 
     Here k^_t is the NORMALIZED kernel at t: writing the perturbation with
     the raw kernel requires dividing by ||k_t||^2 = (1-|B(t)|^2)/(1-|t|^2),
     otherwise the operator fails to be unitary whenever the kernel norm
-    differs from 1 (checked against a quadrature oracle).
+    differs from 1.
 
-    Entry (i, j) is <U v_j, v_i>.  The compressed-multiplier part is a
-    circle quadrature (with the usual doubling cross-check); the rank-one
+    Entry (i, j) is <U v_j, v_i>.  The compressed-multiplier part is
+    (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus,
+    taken between the orthonormal coordinates of the basis; the rank-one
     part evaluates in closed form since <v, C k_t> = conj((C v)(t)).
     The result is checked to be unitary within 1e-8.
     """
@@ -193,23 +192,11 @@ def clark_operator_matrix(
     bt = b(t)
     k = len(basis.elements)
 
-    def compressed(npts):
-        z = circle_grid(npts)
-        vals = np.stack([e(z) for e in basis.elements])
-        mobius = (z - t) / (1.0 - np.conj(t) * z)
-        weighted = vals * mobius
-        # entry (i, j) = mean(mobius * v_j * conj(v_i))
-        return np.conj(vals) @ weighted.T / npts
-
-    n = config.quadrature_points
-    m = compressed(n)
-    if config.quadrature_check:
-        m2 = compressed(2 * n)
-        if np.linalg.norm(m2 - m) > config.quadrature_drift:
-            raise RuntimeError(
-                "compressed-multiplier quadrature did not converge at %d points" % n
-            )
-        m = m2
+    z = compressed_shift(b)
+    eye = np.eye(len(z))
+    mobius = np.linalg.solve(eye - np.conj(t) * z, z - t * eye)
+    x = coordinates(b, basis.elements)
+    m = np.conj(x.T) @ mobius @ x
 
     v_at_t = np.array([e(t) for e in basis.elements])
     cv_at_t = np.array([conjugate(e)(t) for e in basis.elements])
@@ -221,7 +208,7 @@ def clark_operator_matrix(
     defect = np.linalg.norm(np.conj(u.T) @ u - np.eye(k))
     if defect > 1e-8:
         raise RuntimeError(
-            "operator matrix is not unitary (defect %.3e); basis or "
-            "quadrature is inconsistent" % defect
+            "operator matrix is not unitary (defect %.3e); the basis is not "
+            "an orthonormal basis of the model space" % defect
         )
     return u

@@ -22,7 +22,6 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
-from .config import DEFAULT
 from .modelspace import conjugation_residual
 from .repcheck import (
     Sym3,
@@ -49,7 +48,6 @@ _OPTION_DEFAULTS = {
     "tol": 1e-8,
     "seed": 0,
     "starts": 100,
-    "quadrature_points": DEFAULT.quadrature_points,
     "variant": "general",
 }
 
@@ -155,13 +153,11 @@ def parse_problem(obj) -> Problem:
     _require_keys(options, _OPTION_DEFAULTS, "options")
     if "tol" in options and not (_is_number(options["tol"]) and options["tol"] > 0):
         raise ProblemError("options.tol: expected a positive number")
-    for key in ("seed", "starts", "quadrature_points"):
+    for key in ("seed", "starts"):
         if key in options and not (isinstance(options[key], int) and not isinstance(options[key], bool)):
             raise ProblemError(f"options.{key}: expected an integer")
     if "starts" in options and options["starts"] < 1:
         raise ProblemError("options.starts: expected a positive integer")
-    if "quadrature_points" in options and options["quadrature_points"] < 64:
-        raise ProblemError("options.quadrature_points: expected at least 64")
     if "variant" in options and options["variant"] not in ("paper", "general"):
         raise ProblemError("options.variant: expected 'paper' or 'general'")
 
@@ -201,18 +197,17 @@ def _config_block(eff: dict) -> dict:
         "tol": _round12(eff["tol"]),
         "seed": int(eff["seed"]),
         "starts": int(eff["starts"]),
-        "quadrature_points": int(eff["quadrature_points"]),
         "variant": eff["variant"],
     }
 
 
-def _run_clark_basis(problem, eff, numcfg):
-    cb = modified_clark_basis(problem.theta, problem.clark, config=numcfg)
+def _run_clark_basis(problem, eff):
+    cb = modified_clark_basis(problem.theta, problem.clark)
     level_residual = max(abs(problem.theta(e) - cb.omega) for e in cb.etas)
     core = {
         "residuals": {
             "gram": _round12(cb.basis.gram_residual),
-            "conjugation": _round12(conjugation_residual(cb.basis, config=numcfg)),
+            "conjugation": _round12(conjugation_residual(cb.basis)),
             "level_set": _round12(level_residual),
         },
         "basis": _basis_block(cb),
@@ -221,9 +216,9 @@ def _run_clark_basis(problem, eff, numcfg):
     return True, core
 
 
-def _run_tto_matrix(problem, eff, numcfg):
-    cb = modified_clark_basis(problem.theta, problem.clark, config=numcfg)
-    m = tto_matrix_from_symbol(problem.theta, Symbol.shift(), cb.basis, config=numcfg)
+def _run_tto_matrix(problem, eff):
+    cb = modified_clark_basis(problem.theta, problem.clark)
+    m = tto_matrix_from_symbol(problem.theta, Symbol.shift(), cb.basis)
     s = Sym3.from_array(m.array, tol=1e-7)
     core = {
         "residuals": {"symmetry": _round12(m.symmetry_defect())},
@@ -233,10 +228,10 @@ def _run_tto_matrix(problem, eff, numcfg):
     return True, core
 
 
-def _run_check_detthm(problem, eff, numcfg):
-    cb = modified_clark_basis(problem.theta, problem.clark, config=numcfg)
+def _run_check_detthm(problem, eff):
+    cb = modified_clark_basis(problem.theta, problem.clark)
     pc = default_points(problem.theta)
-    result = detthm_test(problem.matrix, cb.basis, pc, tol=eff["tol"], config=numcfg)
+    result = detthm_test(problem.matrix, cb.basis, pc, tol=eff["tol"])
     core = {
         "residuals": {
             "determinant": _round12(abs(result.det_value)),
@@ -249,11 +244,9 @@ def _run_check_detthm(problem, eff, numcfg):
     return bool(result.is_rep), core
 
 
-def _run_check_clark_s6(problem, eff, numcfg):
-    cb = modified_clark_basis(problem.theta, problem.clark, config=numcfg)
-    result = clark_s6_test(
-        problem.matrix, cb, variant=eff["variant"], tol=eff["tol"], config=numcfg
-    )
+def _run_check_clark_s6(problem, eff):
+    cb = modified_clark_basis(problem.theta, problem.clark)
+    result = clark_s6_test(problem.matrix, cb, variant=eff["variant"], tol=eff["tol"])
     gap = abs(problem.matrix.s6 - result.predicted_s6)
     core = {
         "residuals": {"gap": _round12(gap)},
@@ -266,15 +259,14 @@ def _run_check_clark_s6(problem, eff, numcfg):
     return bool(result.is_rep), core
 
 
-def _run_solve_so3(problem, eff, numcfg):
-    cb = modified_clark_basis(problem.theta, problem.clark, config=numcfg)
+def _run_solve_so3(problem, eff):
+    cb = modified_clark_basis(problem.theta, problem.clark)
     report = solve(
         problem.matrix,
         cb,
         SolverConfig(
             starts=eff["starts"], tol=eff["tol"], seed=eff["seed"], variant=eff["variant"]
         ),
-        numeric=numcfg,
     )
     verdict = True if report.found else "not-found-within-budget"
     core = {
@@ -313,7 +305,7 @@ def _match_family(s: Sym3):
     return family, a, b, c
 
 
-def _run_corollary(problem, eff, numcfg):
+def _run_corollary(problem, eff):
     family, a, b, c = _match_family(problem.matrix)
     co = counterexample_report(
         family,
@@ -323,16 +315,14 @@ def _run_corollary(problem, eff, numcfg):
         trials=100,
         seed=eff["seed"],
         variant=eff["variant"],
-        config=numcfg,
     )
-    cb = modified_clark_basis(problem.theta, problem.clark, config=numcfg)
+    cb = modified_clark_basis(problem.theta, problem.clark)
     rep = solve(
         problem.matrix,
         cb,
         SolverConfig(
             starts=eff["starts"], tol=eff["tol"], seed=eff["seed"], variant=eff["variant"]
         ),
-        numeric=numcfg,
     )
     verdict = bool(co.all_rejected and rep.found)
     core = {
@@ -366,9 +356,8 @@ _RUNNERS = {
 
 
 def run_task(problem: Problem, eff: dict) -> dict:
-    numcfg = DEFAULT.with_points(eff["quadrature_points"])
     start = time.perf_counter()
-    verdict, core = _RUNNERS[problem.task](problem, eff, numcfg)
+    verdict, core = _RUNNERS[problem.task](problem, eff)
     elapsed = time.perf_counter() - start
     return {
         "task": problem.task,
@@ -491,7 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--starts", type=int)
-        p.add_argument("--quadrature-points", dest="quadrature_points", type=int)
         p.add_argument("--variant", choices=("paper", "general"))
     fx = sub.add_parser("fixtures")
     fx.add_argument("--dir", default="fixtures")

@@ -1,13 +1,13 @@
-"""Shared numeric configuration: quadrature sizes and tolerance defaults."""
+"""Shared numeric configuration: the tolerance defaults."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Tolerances and quadrature settings shared across the library.
+    """Tolerances shared across the library.
 
     The defaults are the ones the test suite pins down: level-set roots
     refined to 1e-10, point distinctness above 1e-8, orthonormality and
@@ -15,9 +15,6 @@ class NumericConfig:
     floor of 1e-10 below which verdicts are refused as indeterminate.
     """
 
-    quadrature_points: int = 4096
-    quadrature_check: bool = True     # cross-check every integral on a doubled grid
-    quadrature_drift: float = 1e-9    # doubling drift that counts as non-convergence
     root_tol: float = 1e-10           # |theta(eta) - omega| after polishing
     distinct_tol: float = 1e-8        # minimum gap between points meant to differ
     basis_tol: float = 1e-8           # Gram / conjugation-fixedness residuals
@@ -25,10 +22,6 @@ class NumericConfig:
     sv_floor: float = 1e-10           # absolute floor before "indeterminate"
     pole_tol: float = 1e-14           # evaluation this close to a pole is an error
     division_tol: float = 1e-10       # synthetic-division remainder, relative
-
-    def with_points(self, n: int) -> "NumericConfig":
-        """Copy of this config with a different base quadrature grid size."""
-        return replace(self, quadrature_points=int(n))
 
 
 DEFAULT = NumericConfig()

@@ -6,8 +6,15 @@ Every element of the space is a rational function
 
 over the fixed denominator built from the zeros w_i of the product B, so the
 space is parametrized by the n numerator coefficients.  The inner product is
-the boundary L^2 pairing, computed by uniform circle quadrature (which is
-geometrically accurate for these rational integrands).  The two structural
+the boundary L^2 pairing, evaluated exactly in coefficient space: the
+Takenaka-Malmquist-Walsh functions
+
+    e_k(z) = sqrt(1 - |w_k|^2) / (1 - conj(w_k) z) * prod_{j<k} (z - w_j) / (1 - conj(w_j) z)
+
+are an orthonormal basis (repeated zeros allowed), so solving for an element's
+coordinates in it turns every pairing into a dot product.  In the same
+coordinates the compressed shift f -> P(z f) is the companion matrix of
+prod_i (z - w_i) brought over by the change of basis.  The two structural
 players are the reproducing kernel
 
     k_lam(z) = (1 - conj(B(lam)) B(z)) / (1 - conj(lam) z)
@@ -19,7 +26,6 @@ and the canonical conjugation, whose action in coefficient form is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +35,6 @@ from .config import DEFAULT, NumericConfig
 __all__ = [
     "KThetaElement",
     "OrthonormalBasis",
-    "QuadratureConvergenceError",
     "DivisionRemainderError",
     "BasisError",
     "inner_product",
@@ -39,12 +44,9 @@ __all__ = [
     "reference_onb",
     "gram_matrix",
     "conjugation_residual",
-    "circle_grid",
+    "coordinates",
+    "compressed_shift",
 ]
-
-
-class QuadratureConvergenceError(ArithmeticError):
-    """Doubling the quadrature grid moved the result by more than allowed."""
 
 
 class DivisionRemainderError(ArithmeticError):
@@ -53,14 +55,6 @@ class DivisionRemainderError(ArithmeticError):
 
 class BasisError(ValueError):
     """A set of elements failed an orthonormality or conjugation check."""
-
-
-@lru_cache(maxsize=16)
-def circle_grid(n: int):
-    """n-th roots of unity as a read-only complex array."""
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    z.flags.writeable = False
-    return z
 
 
 @dataclass(frozen=True)
@@ -110,38 +104,57 @@ class KThetaElement:
         return KThetaElement(self.theta, tuple(s * a for a in self.numerator))
 
 
-def _values_on_grid(elements, n: int):
-    """Stack of element evaluations over the n-point circle grid, shape (k, n)."""
-    z = circle_grid(n)
-    return np.stack([e(z) for e in elements])
+def _tmw_numerators(b: BlaschkeProduct) -> np.ndarray:
+    """Columns: ascending numerator coefficients of the orthonormal e_k over the denominator."""
+    n = b.order
+    t = np.zeros((n, n), dtype=complex)
+    for k, wk in enumerate(b.zeros):
+        col = np.array([np.sqrt(1.0 - abs(wk) ** 2)], dtype=complex)
+        for j, w in enumerate(b.zeros):
+            if j < k:
+                col = np.convolve(col, [-w, 1.0])
+            elif j > k:
+                col = np.convolve(col, [1.0, -np.conj(w)])
+        t[:, k] = col
+    return t
 
 
-def inner_product(f: KThetaElement, g: KThetaElement, *, config: NumericConfig = DEFAULT):
-    """Boundary pairing (1/2pi) * integral of f * conj(g), conjugate-linear in g.
+def coordinates(b: BlaschkeProduct, elements) -> np.ndarray:
+    """Orthonormal coordinates of elements of K_b, one column per element.
 
-    Computed on the configured uniform grid and cross-checked on a doubled
-    grid; a drift above ``config.quadrature_drift`` raises
-    QuadratureConvergenceError instead of returning a silently wrong value.
+    Column j holds x with elements[j] = sum_k x[k] e_k, so <f, g> is
+    x_f . conj(x_g) exactly.
     """
-    if f.theta != g.theta:
+    if any(e.theta != b for e in elements):
         raise ValueError("elements live in different model spaces")
-    n = config.quadrature_points
-    z = circle_grid(n)
-    first = np.mean(f(z) * np.conj(g(z)))
-    if not config.quadrature_check:
-        return complex(first)
-    z2 = circle_grid(2 * n)
-    second = np.mean(f(z2) * np.conj(g(z2)))
-    if abs(second - first) > config.quadrature_drift:
-        raise QuadratureConvergenceError(
-            "inner product moved by %.3e when doubling the grid"
-            % abs(second - first)
-        )
-    return complex(second)
+    numerators = np.array([e.numerator for e in elements], dtype=complex).T
+    return np.linalg.solve(_tmw_numerators(b), numerators)
 
 
-def norm(f: KThetaElement, *, config: NumericConfig = DEFAULT) -> float:
-    return float(np.sqrt(max(np.real(inner_product(f, f, config=config)), 0.0)))
+def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
+    """Matrix of A_z f = P(z f) in the orthonormal coordinates of ``coordinates``.
+
+    On numerators A_z multiplies by z and reduces modulo prod_i (z - w_i):
+    the part removed is a constant times B, which is orthogonal to K_b.
+    That is the companion matrix S of prod_i (z - w_i); the result is
+    T^-1 S T for the numerator matrix T of the orthonormal basis.
+    """
+    n = b.order
+    num, _ = polynomial_pair(b)
+    s = np.eye(n, k=-1, dtype=complex)
+    s[:, -1] = -num[:n]
+    t = _tmw_numerators(b)
+    return np.linalg.solve(t, s @ t)
+
+
+def inner_product(f: KThetaElement, g: KThetaElement):
+    """Boundary pairing (1/2pi) * integral of f * conj(g), conjugate-linear in g."""
+    x = coordinates(f.theta, (f, g))
+    return complex(x[:, 0] @ np.conj(x[:, 1]))
+
+
+def norm(f: KThetaElement) -> float:
+    return float(np.linalg.norm(coordinates(f.theta, (f,))))
 
 
 def kernel_element(b: BlaschkeProduct, lam, *, config: NumericConfig = DEFAULT) -> KThetaElement:
@@ -187,24 +200,11 @@ def conjugate(f: KThetaElement) -> KThetaElement:
     return KThetaElement(f.theta, coeffs)
 
 
-def gram_matrix(elements, *, config: NumericConfig = DEFAULT):
+def gram_matrix(elements):
     """Matrix of pairwise inner products, entry (i, j) = <v_i, v_j>."""
-    thetas = {e.theta for e in elements}
-    if len(thetas) != 1:
-        raise ValueError("elements live in different model spaces")
-    n = config.quadrature_points
-    vals = _values_on_grid(elements, n)
-    first = vals @ np.conj(vals.T) / n
-    if not config.quadrature_check:
-        return first
-    vals2 = _values_on_grid(elements, 2 * n)
-    second = vals2 @ np.conj(vals2.T) / (2 * n)
-    if np.linalg.norm(second - first) > config.quadrature_drift:
-        raise QuadratureConvergenceError(
-            "Gram matrix moved by %.3e when doubling the grid"
-            % np.linalg.norm(second - first)
-        )
-    return second
+    elements = tuple(elements)
+    x = coordinates(elements[0].theta, elements)
+    return x.T @ np.conj(x)
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ class OrthonormalBasis:
     @classmethod
     def from_elements(cls, elements, *, config: NumericConfig = DEFAULT, tag: str = "onb"):
         elements = tuple(elements)
-        g = gram_matrix(elements, config=config)
+        g = gram_matrix(elements)
         residual = float(np.linalg.norm(g - np.eye(len(elements))))
         if residual >= config.basis_tol:
             raise BasisError(
@@ -251,15 +251,13 @@ def reference_onb(b: BlaschkeProduct, *, config: NumericConfig = DEFAULT) -> Ort
         v = e
         for _ in range(2):  # re-orthogonalize for round-off hygiene
             for u in basis:
-                v = v - inner_product(v, u, config=config) * u
-        v = (1.0 / norm(v, config=config)) * v
+                v = v - inner_product(v, u) * u
+        v = (1.0 / norm(v)) * v
         basis.append(v)
     return OrthonormalBasis.from_elements(basis, config=config, tag="reference")
 
 
-def conjugation_residual(basis: OrthonormalBasis, *, config: NumericConfig = DEFAULT) -> float:
+def conjugation_residual(basis: OrthonormalBasis) -> float:
     """max_i || C v_i - v_i ||: how far the basis is from being conjugation-fixed."""
-    worst = 0.0
-    for e in basis.elements:
-        worst = max(worst, norm(conjugate(e) - e, config=config))
-    return worst
+    moved = [conjugate(e) - e for e in basis.elements]
+    return float(np.linalg.norm(coordinates(basis.theta, moved), axis=0).max())

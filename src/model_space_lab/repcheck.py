@@ -115,8 +115,10 @@ class PointConfig:
         for group in (boundary, interior):
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    if abs(group[i] - group[j]) <= 1e-8:
-                        raise ValueError("points must be pairwise distinct (gap > 1e-8)")
+                    if abs(group[i] - group[j]) <= DEFAULT.distinct_tol:
+                        raise ValueError(
+                            f"points must be pairwise distinct (gap > {DEFAULT.distinct_tol:g})"
+                        )
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "interior", interior)
 
@@ -150,7 +152,7 @@ class S6Result(NamedTuple):
 
 
 def _check_creal(basis: OrthonormalBasis, config: NumericConfig) -> None:
-    defect = conjugation_residual(basis, config=config)
+    defect = conjugation_residual(basis)
     if defect > config.basis_tol:
         raise ValueError(
             f"basis is not conjugation-fixed (defect {defect:.3e}); "

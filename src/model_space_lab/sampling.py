@@ -1,7 +1,6 @@
 """Seeded random draws of products, parameters, bases, and matrices.
 
-Radii are capped away from the circle so quadrature stays well inside its
-geometric convergence regime and level sets stay well separated.
+Radii are capped away from the circle so level sets stay well separated.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Truncated Toeplitz operators: matrices from symbols and rank-one generators.
 
-A trigonometric-polynomial symbol phi acts as f -> P(phi * f); its matrix
-w.r.t. an orthonormal basis has entries <A v_j, v_i> computed by circle
-quadrature.  Two families of rank-one operators are the building blocks of
-the whole operator space at order 3:
+A trigonometric-polynomial symbol phi = sum_k c_k z^k acts as
+f -> P(phi * f).  By Sarason's functional calculus A_{z^k} = A_z^k and
+A_{conj(z)^k} = (A_z^*)^k, so its matrix w.r.t. an orthonormal basis, with
+entries <A v_j, v_i>, is exact polynomial arithmetic on the compressed shift.
+Two families of rank-one operators are the building blocks of the whole
+operator space at order 3:
 
     k_t (x) k_t          for a circle point t,
     k_lam (x) C k_lam    for an interior point lam,
@@ -20,12 +22,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, level_set
 from .config import DEFAULT, NumericConfig
-from .modelspace import (
-    OrthonormalBasis,
-    QuadratureConvergenceError,
-    circle_grid,
-    conjugate,
-)
+from .modelspace import OrthonormalBasis, compressed_shift, conjugate, coordinates
 
 __all__ = [
     "Symbol",
@@ -104,33 +101,18 @@ class TTOMatrix:
         return float(np.linalg.norm(m - m.T))
 
 
-def tto_matrix_from_symbol(
-    b: BlaschkeProduct,
-    phi: Symbol,
-    basis: OrthonormalBasis,
-    *,
-    config: NumericConfig = DEFAULT,
-) -> TTOMatrix:
-    """Matrix with entries <P(phi v_j), v_i> by circle quadrature."""
+def tto_matrix_from_symbol(b: BlaschkeProduct, phi: Symbol, basis: OrthonormalBasis) -> TTOMatrix:
+    """Matrix with entries <P(phi v_j), v_i>.
 
-    def block(npts):
-        z = circle_grid(npts)
-        vals = np.stack([e(z) for e in basis.elements])
-        weighted = vals * phi(z)
-        # entry (i, j) = mean(phi * v_j * conj(v_i))
-        return np.conj(vals) @ weighted.T / npts
-
-    n = config.quadrature_points
-    m = block(n)
-    if config.quadrature_check:
-        m2 = block(2 * n)
-        if np.linalg.norm(m2 - m) > config.quadrature_drift:
-            raise QuadratureConvergenceError(
-                "symbol quadrature moved by %.3e when doubling the grid"
-                % np.linalg.norm(m2 - m)
-            )
-        m = m2
-    return TTOMatrix.from_array(m, basis.tag)
+    sum_{k>=0} c_k Z^k + sum_{k<0} c_k (Z^H)^|k| is the operator in the
+    orthonormal coordinates, where Z is the compressed shift.
+    """
+    z = compressed_shift(b)
+    op = np.zeros_like(z)
+    for k, c in phi.coeffs:
+        op += c * np.linalg.matrix_power(z if k >= 0 else np.conj(z.T), abs(k))
+    x = coordinates(b, basis.elements)
+    return TTOMatrix.from_array(np.conj(x.T) @ op @ x, basis.tag)
 
 
 def rank_one_boundary(

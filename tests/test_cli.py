@@ -143,6 +143,18 @@ def test_unknown_option_rejected(tmp_path):
     assert code == 2 and report is None
 
 
+def test_quadrature_points_option_rejected(tmp_path):
+    # Inner products are exact, so there is no grid size to set: both the
+    # problem-file option and the command-line flag are invalid input.
+    problem = shift_problem("clark-basis")
+    problem["options"] = {"quadrature_points": 4096}
+    code, report, _ = run_cli(tmp_path, problem)
+    assert code == 2 and report is None
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, shift_problem("clark-basis"), extra=("--quadrature-points", "512"))
+    assert exc.value.code == 2
+
+
 def test_task_subcommand_mismatch(tmp_path):
     code, report, _ = run_cli(tmp_path, shift_problem("clark-basis"), task="tto-matrix")
     assert code == 2 and report is None
@@ -169,20 +181,32 @@ def test_invalid_parameters_exit_2(tmp_path):
 
 
 def test_indeterminate_exits_3_with_report(tmp_path):
-    # A zero far out near the boundary starves a 64-point grid, so the
-    # quadrature cross-check trips and the run is declared indeterminate.
+    # A triple zero this close to the circle makes B turn almost all of its
+    # argument in a tiny arc, so level-set refinement cannot reach its
+    # tolerance and the run is declared indeterminate.
     problem = {
         "task": "clark-basis",
-        "theta": {"zeros": [[0.97, 0.0], [0.0, 0.0], [0.0, 0.0]], "constant": [1.0, 0.0]},
+        "theta": {"zeros": [[0.999999, 0.0]] * 3, "constant": [1.0, 0.0]},
         "clark": CLARK0,
-        "options": {"quadrature_points": 64},
+        "options": {},
     }
     code, report, _ = run_cli(tmp_path, problem)
     assert code == 3
     assert report is not None
     assert report["verdict"] == "indeterminate"
-    assert report["details"]["reason"]
+    assert "level-set" in report["details"]["reason"]
     validate_report(report)
+
+
+def test_zero_near_circle_is_decided(tmp_path):
+    # Valid input with a zero at 0.999 gets a basis, not an indeterminate verdict.
+    problem = shift_problem("clark-basis")
+    problem["theta"] = {"zeros": [[0.999, 0.0], [0.0, 0.0], [0.0, 0.0]], "constant": [1.0, 0.0]}
+    code, report, _ = run_cli(tmp_path, problem)
+    assert code == 0
+    validate_report(report)
+    assert report["verdict"] is True
+    assert report["residuals"]["gram"] < 1e-8
 
 
 # -- option precedence ---------------------------------------------------------
@@ -217,13 +241,6 @@ def test_variant_flag_echoed(tmp_path, az_matrix):
     assert report["config"]["variant"] == "paper"
     assert report["details"]["variant"] == "paper"
     assert report["verdict"] is True  # equal norms: variants coincide on this fixture
-
-
-def test_quadrature_points_override(tmp_path):
-    _, report, _ = run_cli(
-        tmp_path, shift_problem("clark-basis"), extra=("--quadrature-points", "512")
-    )
-    assert report["config"]["quadrature_points"] == 512
 
 
 # -- report hygiene -------------------------------------------------------------

@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_space_lab.blaschke import BlaschkeProduct
-from model_space_lab.config import DEFAULT
 from model_space_lab.modelspace import (
     BasisError,
     KThetaElement,
     OrthonormalBasis,
-    QuadratureConvergenceError,
     conjugate,
     conjugation_residual,
     gram_matrix,
@@ -63,6 +61,16 @@ def test_geometric_series_norm():
     assert inner_product(f, f) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
+def test_near_circle_zero_norm_exact():
+    # f = 1/(1 - w z) with w = 0.999 has <f, f> = 1/(1 - w^2). The zero sits
+    # close enough to the circle that a uniform grid of a few thousand points
+    # does not resolve the integrand; the exact inner product must still agree.
+    w = 0.999
+    b = BlaschkeProduct(zeros=(w, 0.0, 0.0))
+    f = KThetaElement(b, (1, 0, 0))
+    assert inner_product(f, f) == pytest.approx(1.0 / (1.0 - w * w), abs=1e-12)
+
+
 def test_inner_product_matches_oracle(f2):
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -76,16 +84,6 @@ def test_inner_product_conjugate_linear_in_second_argument(f2):
     g = KThetaElement(f2, (0.5, -1, 3))
     lhs = inner_product(f, (2 - 1j) * g)
     assert lhs == pytest.approx(np.conj(2 - 1j) * inner_product(f, g))
-
-
-def test_quadrature_nonconvergence_raises():
-    # A zero close to the circle needs far more than 64 points; the doubling
-    # check must refuse rather than return garbage.
-    b = BlaschkeProduct(zeros=(0.9, 0.0, 0.0))
-    f = KThetaElement(b, (1, 0, 0))
-    small = DEFAULT.with_points(64)
-    with pytest.raises(QuadratureConvergenceError):
-        inner_product(f, f, config=small)
 
 
 # -- reproducing kernels -----------------------------------------------------

@@ -21,6 +21,8 @@ from model_space_lab.tto import (
     tto_matrix_from_symbol,
 )
 
+from conftest import oracle_circle_mean
+
 W3 = np.exp(2j * np.pi / 3)
 
 
@@ -62,41 +64,57 @@ def test_f1_golden_shift_matrix(f1, f1_clark):
     assert m[1, 2] == pytest.approx(1 / 3, abs=1e-10)
 
 
+def oracle_block(basis, symbol):
+    """Entries mean(symbol * v_j * conj(v_i)) over the circle, by quadrature."""
+    v = basis.elements
+    return np.array(
+        [[oracle_circle_mean(lambda z: symbol(z) * v[j](z) * np.conj(v[i](z))) for j in range(3)]
+         for i in range(3)]
+    )
+
+
 def test_symbol_matrix_symmetric_in_clark_basis():
     rng = np.random.default_rng(7)
     for _ in range(5):
         cb = random_clark_basis(rng)
-        phi = Symbol(tuple((k, rng.standard_normal() + 1j * rng.standard_normal()) for k in range(-2, 3)))
-        m = tto_matrix_from_symbol(cb.theta, phi, cb.basis)
+        coeffs = tuple((k, rng.standard_normal() + 1j * rng.standard_normal()) for k in range(-2, 3))
+        m = tto_matrix_from_symbol(cb.theta, Symbol(coeffs), cb.basis)
         assert m.symmetry_defect() < 1e-8
+        oracle = oracle_block(cb.basis, lambda z: sum(c * z**k for k, c in coeffs))
+        np.testing.assert_allclose(m.array, oracle, atol=1e-10)
 
 
-def test_moebius_symbol_matches_operator_block():
+def test_moebius_symbol_matches_operator_block(f1):
     # (z-t)/(1-conj(t)z) expands on the circle into a geometric trig series;
     # truncating far beyond machine precision must reproduce the compressed
-    # block inside the Clark operator matrix.
+    # block inside the Clark operator matrix, and both must match quadrature.
     from model_space_lab.clark import clark_operator_matrix
 
     rng = np.random.default_rng(19)
-    cb = random_clark_basis(rng)
-    b, p = cb.theta, cb.params
-    t = p.t
-    # (z - t) * sum_k conj(t)^k z^k
-    coeffs = {}
-    for k in range(140):
-        c = np.conj(t) ** k
-        coeffs[k + 1] = coeffs.get(k + 1, 0) + c
-        coeffs[k] = coeffs.get(k, 0) - t * c
-    phi = Symbol.from_dict(coeffs)
-    block = tto_matrix_from_symbol(b, phi, cb.basis).array
+    bases = [modified_clark_basis(f1, ClarkParams(0.3 - 0.2j, np.exp(0.7j)))]
+    bases += [random_clark_basis(rng) for _ in range(3)]
+    for cb in bases:
+        b, p = cb.theta, cb.params
+        t = p.t
+        # (z - t) * sum_k conj(t)^k z^k
+        coeffs = {}
+        for k in range(140):
+            c = np.conj(t) ** k
+            coeffs[k + 1] = coeffs.get(k + 1, 0) + c
+            coeffs[k] = coeffs.get(k, 0) - t * c
+        phi = Symbol.from_dict(coeffs)
+        block = tto_matrix_from_symbol(b, phi, cb.basis).array
 
-    u = clark_operator_matrix(b, p, cb.basis)
-    bt = b(t)
-    v_at = np.array([e(t) for e in cb.basis.elements])
-    cv_at = np.array([conjugate(e)(t) for e in cb.basis.elements])
-    weight = (p.alpha + bt) * (1 - abs(t) ** 2) / (1 - abs(bt) ** 2)
-    s_block = u - weight * np.outer(np.conj(v_at), np.conj(cv_at))
-    np.testing.assert_allclose(block, s_block, atol=1e-9)
+        u = clark_operator_matrix(b, p, cb.basis)
+        bt = b(t)
+        v_at = np.array([e(t) for e in cb.basis.elements])
+        cv_at = np.array([conjugate(e)(t) for e in cb.basis.elements])
+        weight = (p.alpha + bt) * (1 - abs(t) ** 2) / (1 - abs(bt) ** 2)
+        s_block = u - weight * np.outer(np.conj(v_at), np.conj(cv_at))
+        np.testing.assert_allclose(block, s_block, atol=1e-9)
+        oracle = oracle_block(cb.basis, lambda z: (z - t) / (1 - np.conj(t) * z))
+        np.testing.assert_allclose(s_block, oracle, atol=1e-10)
+        np.testing.assert_allclose(block, oracle, atol=1e-10)
 
 
 # -- rank-one pieces ---------------------------------------------------------
