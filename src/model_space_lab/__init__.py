@@ -29,7 +29,6 @@ from .clark import (
     half_arg_root,
     modified_clark_basis,
 )
-from .config import DEFAULT, NumericConfig
 from .modelspace import (
     BasisError,
     KThetaElement,
@@ -66,17 +65,6 @@ from .so3solver import (
     solve,
     spectral_shortcut,
 )
-from .tto import (
-    GeneratorRankError,
-    Symbol,
-    TTOMatrix,
-    default_generator_points,
-    generator_singular_values,
-    random_tto,
-    rank_one_boundary,
-    rank_one_conjugate,
-    tto_generators,
-    tto_matrix_from_symbol,
-)
+from .tto import Symbol, TTOMatrix, random_tto, tto_matrix_from_symbol
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
+from .config import DISTINCT_TOL, POLE_TOL, ROOT_TOL
 
 __all__ = [
     "BlaschkeProduct",
@@ -80,27 +80,27 @@ class BlaschkeProduct:
     def order(self) -> int:
         return len(self.zeros)
 
-    def __call__(self, z, *, config: NumericConfig = DEFAULT):
+    def __call__(self, z):
         """Evaluate the product at z (scalar or array), guarding the poles."""
         z = np.asarray(z, dtype=complex)
         out = np.full(z.shape, self.front_constant, dtype=complex)
         for w in self.zeros:
             den = 1.0 - np.conj(w) * z
-            if np.any(np.abs(den) < config.pole_tol):
+            if np.any(np.abs(den) < POLE_TOL):
                 raise PoleEvaluationError(
                     "evaluation point too close to the pole 1/conj(%r)" % w
                 )
             out = out * (z - w) / den
         return out if out.shape else complex(out)
 
-    def derivative(self, z, *, config: NumericConfig = DEFAULT):
+    def derivative(self, z):
         """B'(z) by the product rule; robust at the zeros of B."""
         z = np.asarray(z, dtype=complex)
         factors = []
         dfactors = []
         for w in self.zeros:
             den = 1.0 - np.conj(w) * z
-            if np.any(np.abs(den) < config.pole_tol):
+            if np.any(np.abs(den) < POLE_TOL):
                 raise PoleEvaluationError(
                     "evaluation point too close to the pole 1/conj(%r)" % w
                 )
@@ -139,15 +139,15 @@ def _angular_speed(b: BlaschkeProduct, eta):
     return speed
 
 
-def level_set(b: BlaschkeProduct, omega, *, config: NumericConfig = DEFAULT):
+def level_set(b: BlaschkeProduct, omega):
     """All circle solutions of B(eta) = omega, sorted by argument in [0, 2*pi).
 
     Clearing denominators turns the equation into a degree-n polynomial whose
     roots are found as companion-matrix eigenvalues; each root is projected
     radially onto the circle and polished with one Newton step on the boundary
     argument of B.  The polished roots must satisfy |B(eta) - omega| below
-    ``config.root_tol`` and be pairwise separated by more than
-    ``config.distinct_tol``.
+    ``ROOT_TOL`` and be pairwise separated by more than
+    ``DISTINCT_TOL``.
     """
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-12:
@@ -170,13 +170,13 @@ def level_set(b: BlaschkeProduct, omega, *, config: NumericConfig = DEFAULT):
     eta = np.exp(1j * phi)
 
     residual = np.abs(b(eta) - omega)
-    if np.any(residual > config.root_tol):
+    if np.any(residual > ROOT_TOL):
         raise LevelSetError(
             "level-set refinement failed, residuals %s" % residual.tolist()
         )
     for i in range(len(eta)):
         for j in range(i + 1, len(eta)):
-            if abs(eta[i] - eta[j]) <= config.distinct_tol:
+            if abs(eta[i] - eta[j]) <= DISTINCT_TOL:
                 raise DegenerateRootError(
                     "level-set points %r and %r are numerically coincident"
                     % (eta[i], eta[j])

@@ -22,6 +22,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
+from .config import REP_TOL
 from .modelspace import conjugation_residual
 from .repcheck import (
     Sym3,
@@ -45,7 +46,7 @@ TASKS = (
 ENV_SEED = "MODEL_SPACE_LAB_SEED"
 
 _OPTION_DEFAULTS = {
-    "tol": 1e-8,
+    "tol": REP_TOL,
     "seed": 0,
     "starts": 100,
     "variant": "general",
@@ -148,6 +149,8 @@ def parse_problem(obj) -> Problem:
         matrix = Sym3(*(_parse_complex(v, "matrix.s") for v in entries))
     if matrix is None and task in ("check-detthm", "check-clark-s6", "solve-so3", "corollary"):
         raise ProblemError(f"matrix: required for task {task}")
+    if task == "corollary":
+        _match_family(matrix)
 
     options = obj.get("options", {})
     _require_keys(options, _OPTION_DEFAULTS, "options")
@@ -201,91 +204,72 @@ def _config_block(eff: dict) -> dict:
     }
 
 
-def _run_clark_basis(problem, eff):
-    cb = modified_clark_basis(problem.theta, problem.clark)
+def _solver_config(eff: dict) -> SolverConfig:
+    return SolverConfig(
+        starts=eff["starts"], tol=eff["tol"], seed=eff["seed"], variant=eff["variant"]
+    )
+
+
+# Each runner takes (problem, eff, cb) and returns (verdict, residuals,
+# certificate, details); run_task builds the Clark basis cb and its report block.
+
+
+def _run_clark_basis(problem, eff, cb):
     level_residual = max(abs(problem.theta(e) - cb.omega) for e in cb.etas)
-    core = {
-        "residuals": {
-            "gram": _round12(cb.basis.gram_residual),
-            "conjugation": _round12(conjugation_residual(cb.basis)),
-            "level_set": _round12(level_residual),
-        },
-        "basis": _basis_block(cb),
-        "details": {"omega": _cpair(cb.omega)},
+    residuals = {
+        "gram": _round12(cb.basis.gram_residual),
+        "conjugation": _round12(conjugation_residual(cb.basis)),
+        "level_set": _round12(level_residual),
     }
-    return True, core
+    return True, residuals, {}, {"omega": _cpair(cb.omega)}
 
 
-def _run_tto_matrix(problem, eff):
-    cb = modified_clark_basis(problem.theta, problem.clark)
+def _run_tto_matrix(problem, eff, cb):
     m = tto_matrix_from_symbol(problem.theta, Symbol.shift(), cb.basis)
     s = Sym3.from_array(m.array, tol=1e-7)
-    core = {
-        "residuals": {"symmetry": _round12(m.symmetry_defect())},
-        "basis": _basis_block(cb),
-        "details": {"s": [_cpair(v) for v in s.vector]},
-    }
-    return True, core
+    residuals = {"symmetry": _round12(m.symmetry_defect())}
+    return True, residuals, {}, {"s": [_cpair(v) for v in s.vector]}
 
 
-def _run_check_detthm(problem, eff):
-    cb = modified_clark_basis(problem.theta, problem.clark)
+def _run_check_detthm(problem, eff, cb):
     pc = default_points(problem.theta)
     result = detthm_test(problem.matrix, cb.basis, pc, tol=eff["tol"])
-    core = {
-        "residuals": {
-            "determinant": _round12(abs(result.det_value)),
-            "certificate": _round12(result.certificate.residual),
-        },
-        "certificate": {"mu": [_cpair(v) for v in result.certificate.mu]},
-        "basis": _basis_block(cb),
-        "details": {"det_value": _cpair(result.det_value)},
+    residuals = {
+        "determinant": _round12(abs(result.det_value)),
+        "certificate": _round12(result.certificate.residual),
     }
-    return bool(result.is_rep), core
+    certificate = {"mu": [_cpair(v) for v in result.certificate.mu]}
+    details = {"det_value": _cpair(result.det_value)}
+    return bool(result.is_rep), residuals, certificate, details
 
 
-def _run_check_clark_s6(problem, eff):
-    cb = modified_clark_basis(problem.theta, problem.clark)
+def _run_check_clark_s6(problem, eff, cb):
     result = clark_s6_test(problem.matrix, cb, variant=eff["variant"], tol=eff["tol"])
     gap = abs(problem.matrix.s6 - result.predicted_s6)
-    core = {
-        "residuals": {"gap": _round12(gap)},
-        "basis": _basis_block(cb),
-        "details": {
-            "predicted_s6": _cpair(result.predicted_s6),
-            "variant": eff["variant"],
-        },
+    details = {
+        "predicted_s6": _cpair(result.predicted_s6),
+        "variant": eff["variant"],
     }
-    return bool(result.is_rep), core
+    return bool(result.is_rep), {"gap": _round12(gap)}, {}, details
 
 
-def _run_solve_so3(problem, eff):
-    cb = modified_clark_basis(problem.theta, problem.clark)
-    report = solve(
-        problem.matrix,
-        cb,
-        SolverConfig(
-            starts=eff["starts"], tol=eff["tol"], seed=eff["seed"], variant=eff["variant"]
-        ),
-    )
+def _run_solve_so3(problem, eff, cb):
+    report = solve(problem.matrix, cb, _solver_config(eff))
     verdict = True if report.found else "not-found-within-budget"
-    core = {
-        "residuals": {
-            "relation": _round12(report.best_residual),
-            "certificate": _round12(report.certificate.residual),
-        },
-        "certificate": {
-            "orthogonal": [_round12(x) for x in report.best_matrix.r],
-            "mu": [_cpair(v) for v in report.certificate.mu],
-        },
-        "basis": _basis_block(cb),
-        "details": {
-            "starts_used": report.starts_used,
-            "message": report.message,
-            "conjugated": [_cpair(v) for v in report.conjugated.vector],
-        },
+    residuals = {
+        "relation": _round12(report.best_residual),
+        "certificate": _round12(report.certificate.residual),
     }
-    return verdict, core
+    certificate = {
+        "orthogonal": [_round12(x) for x in report.best_matrix.r],
+        "mu": [_cpair(v) for v in report.certificate.mu],
+    }
+    details = {
+        "starts_used": report.starts_used,
+        "message": report.message,
+        "conjugated": [_cpair(v) for v in report.conjugated.vector],
+    }
+    return verdict, residuals, certificate, details
 
 
 def _match_family(s: Sym3):
@@ -305,7 +289,7 @@ def _match_family(s: Sym3):
     return family, a, b, c
 
 
-def _run_corollary(problem, eff):
+def _run_corollary(problem, eff, cb):
     family, a, b, c = _match_family(problem.matrix)
     co = counterexample_report(
         family,
@@ -316,33 +300,23 @@ def _run_corollary(problem, eff):
         seed=eff["seed"],
         variant=eff["variant"],
     )
-    cb = modified_clark_basis(problem.theta, problem.clark)
-    rep = solve(
-        problem.matrix,
-        cb,
-        SolverConfig(
-            starts=eff["starts"], tol=eff["tol"], seed=eff["seed"], variant=eff["variant"]
-        ),
-    )
+    rep = solve(problem.matrix, cb, _solver_config(eff))
     verdict = bool(co.all_rejected and rep.found)
-    core = {
-        "residuals": {
-            "normality": _round12(co.normal_defect),
-            "relation": _round12(rep.best_residual),
-        },
-        "certificate": {"orthogonal": [_round12(x) for x in rep.best_matrix.r]},
-        "basis": _basis_block(cb),
-        "details": {
-            "description": "fails Clark test, representable via SO(3)",
-            "family": co.family,
-            "diagonal": [_round12(a), _round12(b), _round12(c)],
-            "trials": co.trials,
-            "rejections": co.rejections,
-            "min_gap": _round12(co.min_gap),
-            "solver_starts_used": rep.starts_used,
-        },
+    residuals = {
+        "normality": _round12(co.normal_defect),
+        "relation": _round12(rep.best_residual),
     }
-    return verdict, core
+    certificate = {"orthogonal": [_round12(x) for x in rep.best_matrix.r]}
+    details = {
+        "description": "fails Clark test, representable via SO(3)",
+        "family": co.family,
+        "diagonal": [_round12(a), _round12(b), _round12(c)],
+        "trials": co.trials,
+        "rejections": co.rejections,
+        "min_gap": _round12(co.min_gap),
+        "solver_starts_used": rep.starts_used,
+    }
+    return verdict, residuals, certificate, details
 
 
 _RUNNERS = {
@@ -357,15 +331,16 @@ _RUNNERS = {
 
 def run_task(problem: Problem, eff: dict) -> dict:
     start = time.perf_counter()
-    verdict, core = _RUNNERS[problem.task](problem, eff)
+    cb = modified_clark_basis(problem.theta, problem.clark)
+    verdict, residuals, certificate, details = _RUNNERS[problem.task](problem, eff, cb)
     elapsed = time.perf_counter() - start
     return {
         "task": problem.task,
         "verdict": verdict,
-        "residuals": core.get("residuals", {}),
-        "certificate": core.get("certificate", {}),
-        "basis": core.get("basis", {}),
-        "details": core.get("details", {}),
+        "residuals": residuals,
+        "certificate": certificate,
+        "basis": _basis_block(cb),
+        "details": details,
         "timing": {"seconds": _round12(elapsed)},
         "config": _config_block(eff),
     }

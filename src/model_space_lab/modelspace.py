@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, polynomial_pair
-from .config import DEFAULT, NumericConfig
+from .config import BASIS_TOL, DIVISION_TOL
 
 __all__ = [
     "KThetaElement",
@@ -157,7 +157,7 @@ def norm(f: KThetaElement) -> float:
     return float(np.linalg.norm(coordinates(f.theta, (f,))))
 
 
-def kernel_element(b: BlaschkeProduct, lam, *, config: NumericConfig = DEFAULT) -> KThetaElement:
+def kernel_element(b: BlaschkeProduct, lam) -> KThetaElement:
     """Reproducing kernel at ``lam`` (closed disc) in coefficient form.
 
     The numerator of 1 - conj(B(lam)) B(z) over the common denominator is a
@@ -179,10 +179,10 @@ def kernel_element(b: BlaschkeProduct, lam, *, config: NumericConfig = DEFAULT) 
         a[j] = q[j] + lam_bar * a[j - 1]
     remainder = q[n] + lam_bar * a[n - 1]
     scale = max(float(np.max(np.abs(q))), 1e-300)
-    if abs(remainder) > config.division_tol * scale:
+    if abs(remainder) > DIVISION_TOL * scale:
         raise DivisionRemainderError(
             "kernel division remainder %.3e exceeds %.1e of coefficient scale"
-            % (abs(remainder), config.division_tol)
+            % (abs(remainder), DIVISION_TOL)
         )
     return KThetaElement(b, tuple(a))
 
@@ -216,13 +216,13 @@ class OrthonormalBasis:
     tag: str = "onb"
 
     @classmethod
-    def from_elements(cls, elements, *, config: NumericConfig = DEFAULT, tag: str = "onb"):
+    def from_elements(cls, elements, *, tag: str = "onb"):
         elements = tuple(elements)
         g = gram_matrix(elements)
         residual = float(np.linalg.norm(g - np.eye(len(elements))))
-        if residual >= config.basis_tol:
+        if residual >= BASIS_TOL:
             raise BasisError(
-                "Gram residual %.3e is not below %.1e" % (residual, config.basis_tol)
+                "Gram residual %.3e is not below %.1e" % (residual, BASIS_TOL)
             )
         return cls(elements=elements, gram_residual=residual, tag=tag)
 
@@ -234,7 +234,7 @@ class OrthonormalBasis:
         return len(self.elements)
 
 
-def reference_onb(b: BlaschkeProduct, *, config: NumericConfig = DEFAULT) -> OrthonormalBasis:
+def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:
     """Orthonormal basis from Gram-Schmidt on the monomial numerators.
 
     Modified Gram-Schmidt run twice keeps the final Gram residual at
@@ -254,7 +254,7 @@ def reference_onb(b: BlaschkeProduct, *, config: NumericConfig = DEFAULT) -> Ort
                 v = v - inner_product(v, u) * u
         v = (1.0 / norm(v)) * v
         basis.append(v)
-    return OrthonormalBasis.from_elements(basis, config=config, tag="reference")
+    return OrthonormalBasis.from_elements(basis, tag="reference")
 
 
 def conjugation_residual(basis: OrthonormalBasis) -> float:

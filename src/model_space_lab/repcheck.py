@@ -9,6 +9,11 @@ basis:
 * a single closed-form relation that predicts the (2,3) entry from the (1,2)
   and (1,3) entries when the basis is a modified Clark basis.
 
+``build_columns`` is the library's one implementation of the generator span:
+the determinant test and ``tto.random_tto`` both draw on it, through one rank
+test that refuses a near-degenerate point configuration as indeterminate.
+``PointConfig`` is the one place where generator points are validated.
+
 The module also packages the family of normal matrices that always fail the
 Clark-basis relation while still being unitarily equivalent to such an
 operator.
@@ -19,8 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
-from .config import DEFAULT, NumericConfig
+from .config import BASIS_TOL, DISTINCT_TOL, REP_TOL, SV_FLOOR
 from .modelspace import OrthonormalBasis, conjugation_residual
 from .sampling import random_clark_basis
 
@@ -115,9 +121,9 @@ class PointConfig:
         for group in (boundary, interior):
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    if abs(group[i] - group[j]) <= DEFAULT.distinct_tol:
+                    if abs(group[i] - group[j]) <= DISTINCT_TOL:
                         raise ValueError(
-                            f"points must be pairwise distinct (gap > {DEFAULT.distinct_tol:g})"
+                            f"points must be pairwise distinct (gap > {DISTINCT_TOL:g})"
                         )
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "interior", interior)
@@ -125,10 +131,7 @@ class PointConfig:
 
 def default_points(b) -> PointConfig:
     """Level set of 1 on the boundary plus two fixed interior points."""
-    from .tto import default_generator_points
-
-    boundary, interior = default_generator_points(b)
-    return PointConfig(tuple(boundary), tuple(interior))
+    return PointConfig(tuple(level_set(b, 1.0)), (0.0, 0.41 + 0.13j))
 
 
 @dataclass(frozen=True)
@@ -151,26 +154,28 @@ class S6Result(NamedTuple):
     predicted_s6: complex
 
 
-def _check_creal(basis: OrthonormalBasis, config: NumericConfig) -> None:
+def _check_creal(basis: OrthonormalBasis) -> None:
     defect = conjugation_residual(basis)
-    if defect > config.basis_tol:
+    if defect > BASIS_TOL:
         raise ValueError(
             f"basis is not conjugation-fixed (defect {defect:.3e}); "
             "the determinant test is only valid for conjugation-fixed bases"
         )
 
 
-def build_columns(
-    basis: OrthonormalBasis, pc: PointConfig, config: NumericConfig = DEFAULT
-) -> np.ndarray:
+def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     """Vectorize the five rank-one generators as columns of a 6x5 matrix.
 
-    Row order is (1,1),(2,2),(3,3),(1,2),(1,3),(2,3).  For a boundary point t
-    the row (a,b) holds v_a(t)*conj(v_b(t)); for an interior point lam it holds
-    conj(v_a(lam)*v_b(lam)).  Both expressions are symmetric in (a,b) exactly
-    when the basis is conjugation-fixed, which is validated up front.
+    The generators are k_t (x) k_t at the three circle points and
+    k_lam (x) C k_lam at the two disc points; distinct points give a spanning
+    set of the 5-dimensional space of truncated Toeplitz operators at order 3
+    (Cima-Ross-Wogen).  Row order is (1,1),(2,2),(3,3),(1,2),(1,3),(2,3).  For
+    a boundary point t the row (a,b) holds v_a(t)*conj(v_b(t)); for an
+    interior point lam it holds conj(v_a(lam)*v_b(lam)).  Both expressions
+    are symmetric in (a,b) exactly when the basis is conjugation-fixed, which
+    is validated up front.
     """
-    _check_creal(basis, config)
+    _check_creal(basis)
     cols = []
     for t in pc.boundary:
         vals = np.array([e(t) for e in basis.elements])
@@ -185,12 +190,25 @@ def build_columns(
 _FROBENIUS_WEIGHTS = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
 
 
+def _spanning_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
+    """build_columns plus the one rank test of the generator span.
+
+    Raises IndeterminateError when the fifth singular value is below
+    SV_FLOOR: the points are then too close to degenerate for the span to
+    mean anything.
+    """
+    cols = build_columns(basis, pc)
+    sv = np.linalg.svd(cols, compute_uv=False)
+    if sv[4] < SV_FLOOR:
+        raise IndeterminateError(
+            f"fifth singular value {sv[4]:.3e} below floor {SV_FLOOR:.1e}; "
+            "choose better-separated points"
+        )
+    return cols
+
+
 def detthm_test(
-    s: Sym3,
-    basis: OrthonormalBasis,
-    pc: PointConfig,
-    tol: float = None,
-    config: NumericConfig = DEFAULT,
+    s: Sym3, basis: OrthonormalBasis, pc: PointConfig, tol: float = REP_TOL
 ) -> DetThmResult:
     """Determinant membership test for the span of the five generators.
 
@@ -202,18 +220,9 @@ def detthm_test(
     between the reconstruction and the input.
 
     Raises IndeterminateError when the fifth singular value of the column
-    matrix drops below the configured floor: the points are then too close to
-    degenerate for the determinant to mean anything.
+    matrix drops below SV_FLOOR.
     """
-    if tol is None:
-        tol = config.rep_tol
-    cols = build_columns(basis, pc, config)
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[4] < config.sv_floor:
-        raise IndeterminateError(
-            f"fifth singular value {sv[4]:.3e} below floor {config.sv_floor:.1e}; "
-            "choose better-separated points"
-        )
+    cols = _spanning_columns(basis, pc)
     stilde = s.vector
     square = np.column_stack([cols, stilde])
     det_value = complex(np.linalg.det(square))
@@ -253,15 +262,9 @@ def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
 
 
 def clark_s6_test(
-    s: Sym3,
-    cb: ClarkBasis,
-    variant: str = "general",
-    tol: float = None,
-    config: NumericConfig = DEFAULT,
+    s: Sym3, cb: ClarkBasis, variant: str = "general", tol: float = REP_TOL
 ) -> S6Result:
     """Single-relation representability test for a modified Clark basis."""
-    if tol is None:
-        tol = config.rep_tol
     c4, c5 = relation_coefficients(cb, variant)
     eta1, eta2, eta3 = cb.etas
     predicted = (c4 * s.s4 + c5 * s.s5) / (eta3 - eta2)
@@ -307,7 +310,6 @@ def counterexample_report(
     trials: int = 100,
     seed: int = 0,
     variant: str = "general",
-    config: NumericConfig = DEFAULT,
 ) -> CounterexampleReport:
     """Test one counterexample matrix against many random Clark bases.
 
@@ -327,8 +329,8 @@ def counterexample_report(
     rejections = 0
     min_gap = np.inf
     for _ in range(trials):
-        cb = random_clark_basis(rng, config=config)
-        result = clark_s6_test(s, cb, variant=variant, config=config)
+        cb = random_clark_basis(rng)
+        result = clark_s6_test(s, cb, variant=variant)
         gap = abs(s.s6 - result.predicted_s6) / (1.0 + abs(s.s6))
         min_gap = min(min_gap, gap)
         if not result.is_rep:

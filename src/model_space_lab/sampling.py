@@ -9,7 +9,6 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, LevelSetError
 from .clark import ClarkBasis, ClarkParams, ClarkTargetError, modified_clark_basis
-from .config import DEFAULT, NumericConfig
 
 __all__ = [
     "random_unimodular",
@@ -40,14 +39,12 @@ def random_clark_params(rng, tmax: float = 0.6) -> ClarkParams:
     return ClarkParams(t=random_disc(rng, tmax), alpha=random_unimodular(rng))
 
 
-def random_clark_basis(
-    rng, *, config: NumericConfig = DEFAULT, rmax: float = 0.85, tmax: float = 0.6
-) -> ClarkBasis:
+def random_clark_basis(rng, *, rmax: float = 0.85, tmax: float = 0.6) -> ClarkBasis:
     """Clark basis of a random order-3 product; retries the rare bad draw."""
     for _ in range(8):
         try:
             b = random_blaschke(rng, order=3, rmax=rmax)
-            return modified_clark_basis(b, random_clark_params(rng, tmax), config=config)
+            return modified_clark_basis(b, random_clark_params(rng, tmax))
         except (LevelSetError, ClarkTargetError):
             continue
     raise RuntimeError("could not draw a usable Clark basis in 8 attempts")

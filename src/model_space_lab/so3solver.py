@@ -20,7 +20,6 @@ from scipy.optimize import least_squares
 from scipy.spatial.transform import Rotation
 
 from .clark import ClarkBasis
-from .config import DEFAULT, NumericConfig
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -152,7 +151,6 @@ def solve(
     s: Sym3,
     cb: ClarkBasis,
     config: SolverConfig = SolverConfig(),
-    numeric: NumericConfig = DEFAULT,
 ) -> SolveReport:
     """Multistart search over SO(3) for a conjugation satisfying the relation.
 
@@ -209,9 +207,7 @@ def solve(
     residual, _, rotvec = best
     u = OrthMatrix3.from_array(Rotation.from_rotvec(rotvec).as_matrix())
     conjugated = conjugate_representation(s, u)
-    cert = detthm_test(
-        conjugated, cb.basis, default_points(cb.theta), config=numeric
-    ).certificate
+    cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual < config.tol
     message = (
         "solution found"

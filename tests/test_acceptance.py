@@ -20,7 +20,10 @@ from model_space_lab.modelspace import (
     reference_onb,
 )
 from model_space_lab.repcheck import (
+    _FROBENIUS_WEIGHTS,
+    PointConfig,
     Sym3,
+    build_columns,
     clark_s6_test,
     counterexample_family,
     default_points,
@@ -39,12 +42,7 @@ from model_space_lab.so3solver import (
     conjugate_representation,
     solve,
 )
-from model_space_lab.tto import (
-    generator_singular_values,
-    random_tto,
-    rank_one_boundary,
-    tto_generators,
-)
+from model_space_lab.tto import random_tto
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -187,11 +185,16 @@ def test_criterion_05_generator_rank_five(basis_pool_small):
                 )
                 if abs(interior[0] - interior[1]) > 0.05:
                     break
-            gens = tto_generators(cb.theta, boundary, interior, cb.basis)
-            sv = generator_singular_values(gens)
+            # Weighted rows give each column the Frobenius norm of its
+            # symmetric matrix, so these are the singular values of the
+            # stacked 3x3 generator matrices.
+            w = _FROBENIUS_WEIGHTS[:, None]
+            gens = w * build_columns(cb.basis, PointConfig(boundary, interior))
+            sv = np.linalg.svd(gens, compute_uv=False)
             assert sv[4] > 1e-8 * sv[0]
-            extra = rank_one_boundary(cb.theta, extra_pt, cb.basis)
-            sv6 = generator_singular_values(list(gens) + [extra])
+            other = PointConfig((extra_pt,) + boundary[1:], interior)
+            extra = w * build_columns(cb.basis, other)[:, :1]
+            sv6 = np.linalg.svd(np.hstack([gens, extra]), compute_uv=False)
             assert sv6[5] < 1e-8 * sv6[0]
             checked += 1
     assert checked == 50

@@ -179,6 +179,12 @@ def test_invalid_parameters_exit_2(tmp_path):
     code, report, _ = run_cli(tmp_path, bad_family, name="p4")
     assert code == 2 and report is None
 
+    # The family is checked before the Clark basis is built, so a product
+    # whose level set cannot be refined does not turn invalid input into exit 3.
+    bad_family["theta"] = {"zeros": [[0.999999, 0.0]] * 3, "constant": [1.0, 0.0]}
+    code, report, _ = run_cli(tmp_path, bad_family, name="p5")
+    assert code == 2 and report is None
+
 
 def test_indeterminate_exits_3_with_report(tmp_path):
     # A triple zero this close to the circle makes B turn almost all of its
@@ -199,14 +205,20 @@ def test_indeterminate_exits_3_with_report(tmp_path):
 
 
 def test_zero_near_circle_is_decided(tmp_path):
-    # Valid input with a zero at 0.999 gets a basis, not an indeterminate verdict.
-    problem = shift_problem("clark-basis")
-    problem["theta"] = {"zeros": [[0.999, 0.0], [0.0, 0.0], [0.0, 0.0]], "constant": [1.0, 0.0]}
-    code, report, _ = run_cli(tmp_path, problem)
-    assert code == 0
-    validate_report(report)
-    assert report["verdict"] is True
-    assert report["residuals"]["gram"] < 1e-8
+    # Valid input with zeros at 0.999 gets a basis, not an indeterminate
+    # verdict.  With a triple zero there the kernel norms are 30-77, so an
+    # absolute vanishing test at the other level-set points would refuse it.
+    single = {"zeros": [[0.999, 0.0], [0.0, 0.0], [0.0, 0.0]], "constant": [1.0, 0.0]}
+    triple = {"zeros": [[0.999, 0.0]] * 3, "constant": [1.0, 0.0]}
+    cases = ((single, CLARK0), (triple, {"t": [0.1, 0.2], "alpha": [1.0, 0.0]}))
+    for k, (theta, clark) in enumerate(cases):
+        problem = shift_problem("clark-basis")
+        problem["theta"], problem["clark"] = theta, clark
+        code, report, _ = run_cli(tmp_path, problem, name=f"p{k}")
+        assert code == 0
+        validate_report(report)
+        assert report["verdict"] is True
+        assert report["residuals"]["gram"] < 1e-8
 
 
 # -- option precedence ---------------------------------------------------------

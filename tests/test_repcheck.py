@@ -23,13 +23,9 @@ from model_space_lab.sampling import (
     random_special_orthogonal,
     random_unimodular,
 )
-from model_space_lab.tto import (
-    Symbol,
-    random_tto,
-    rank_one_boundary,
-    rank_one_conjugate,
-    tto_matrix_from_symbol,
-)
+from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
+
+from conftest import oracle_inner, oracle_kernel_values
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +108,23 @@ def test_columns_clark_basis_at_level_points(f1, f1_clark):
         np.testing.assert_allclose(cols[:, i], expected, atol=1e-10)
 
 
-def test_columns_match_rank_one_vectorization(f1, f1_clark):
-    pc = default_points(f1)
-    cols = build_columns(f1_clark.basis, pc)
-    mats = [rank_one_boundary(f1, t, f1_clark.basis).array for t in pc.boundary]
-    mats += [rank_one_conjugate(f1, lam, f1_clark.basis).array for lam in pc.interior]
-    for k, m in enumerate(mats):
-        vec = np.array([(m[a, b] + m[b, a]) / 2 for a, b in ROW_INDEX])
-        np.testing.assert_allclose(cols[:, k], vec, atol=1e-8)
+def test_columns_match_quadrature_oracle(f2_clark):
+    # Interior column (a,b) is the (a,b) entry <v_b, C k_lam> <k_lam, v_a> of
+    # k_lam (x) C k_lam, with both pairings done by circle quadrature on the
+    # defining formulas (C f = B conj(z f) on the circle).
+    rng = np.random.default_rng(23)
+    for cb in (f2_clark, random_clark_basis(rng)):
+        b, v = cb.theta, cb.basis.elements
+        pc = default_points(b)
+        cols = build_columns(cb.basis, pc)
+        for k, lam in enumerate(pc.interior):
+            kernel = lambda z, lam=lam: oracle_kernel_values(b, lam, z)
+            conj_kernel = lambda z, kernel=kernel: b(z) * np.conj(z * kernel(z))
+            oracle = [
+                oracle_inner(v[bb], conj_kernel) * oracle_inner(kernel, v[a])
+                for a, bb in ROW_INDEX
+            ]
+            np.testing.assert_allclose(cols[:, 3 + k], oracle, atol=1e-10)
 
 
 def test_columns_handmade_creal_basis(f1):

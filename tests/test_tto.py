@@ -2,24 +2,10 @@ import numpy as np
 import pytest
 
 from model_space_lab.clark import ClarkParams, modified_clark_basis
-from model_space_lab.modelspace import (
-    conjugate,
-    inner_product,
-    kernel_element,
-    reference_onb,
-)
+from model_space_lab.modelspace import conjugate, reference_onb
+from model_space_lab.repcheck import PointConfig, Sym3, build_columns, default_points
 from model_space_lab.sampling import random_clark_basis
-from model_space_lab.tto import (
-    GeneratorRankError,
-    Symbol,
-    default_generator_points,
-    generator_singular_values,
-    random_tto,
-    rank_one_boundary,
-    rank_one_conjugate,
-    tto_generators,
-    tto_matrix_from_symbol,
-)
+from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_circle_mean
 
@@ -117,99 +103,37 @@ def test_moebius_symbol_matches_operator_block(f1):
         np.testing.assert_allclose(block, oracle, atol=1e-10)
 
 
-# -- rank-one pieces ---------------------------------------------------------
-
-
-def test_rank_one_boundary_monomials(f1):
-    onb = reference_onb(f1)
-    m = rank_one_boundary(f1, 1.0, onb)
-    np.testing.assert_allclose(m.array, np.ones((3, 3)), atol=1e-12)
-
-
-def test_rank_one_boundary_clark_basis(f1, f1_clark):
-    m = rank_one_boundary(f1, 1.0, f1_clark.basis).array
-    expected = np.zeros((3, 3), dtype=complex)
-    expected[0, 0] = 3.0
-    np.testing.assert_allclose(m, expected, atol=1e-10)
-
-
-def test_rank_one_boundary_rejects_interior_point(f1):
-    onb = reference_onb(f1)
-    with pytest.raises(ValueError):
-        rank_one_boundary(f1, 0.5, onb)
-
-
-def test_rank_one_conjugate_monomials(f1):
-    # By definition entry (i,j) = <v_j, C k_0> <k_0, v_i>; for monomials
-    # C k_0 = z^2 and k_0 = 1, so the single nonzero entry is (1,3) = 1.
-    onb = reference_onb(f1)
-    m = rank_one_conjugate(f1, 0.0, onb).array
-    expected = np.zeros((3, 3), dtype=complex)
-    expected[0, 2] = 1.0
-    np.testing.assert_allclose(m, expected, atol=1e-12)
-
-
-def test_rank_one_conjugate_matches_quadrature_oracle(f2):
-    onb = reference_onb(f2)
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        m = rank_one_conjugate(f2, lam, onb).array
-        k = kernel_element(f2, lam)
-        ck = conjugate(k)
-        oracle = np.empty((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                oracle[i, j] = inner_product(onb.elements[j], ck) * inner_product(
-                    k, onb.elements[i]
-                )
-        np.testing.assert_allclose(m, oracle, atol=1e-10)
-
-
-def test_rank_one_conjugate_creal_reduction():
-    # For a conjugation-fixed basis the entries collapse to conj(v_i v_j).
-    rng = np.random.default_rng(29)
-    cb = random_clark_basis(rng)
-    lam = 0.3 - 0.2j
-    m = rank_one_conjugate(cb.theta, lam, cb.basis).array
-    vals = np.array([e(lam) for e in cb.basis.elements])
-    np.testing.assert_allclose(m, np.conj(np.outer(vals, vals)), atol=1e-8)
-    assert np.linalg.norm(m - m.T) < 1e-8
-
-
-# -- generators --------------------------------------------------------------
+# -- generator span ----------------------------------------------------------
 
 
 def test_generators_have_rank_five(f1, f1_clark):
-    boundary, interior = default_generator_points(f1)
-    gens = tto_generators(f1, boundary, interior, f1_clark.basis)
-    assert len(gens) == 5
-    sv = generator_singular_values(gens)
+    cols = build_columns(f1_clark.basis, default_points(f1))
+    assert cols.shape == (6, 5)
+    sv = np.linalg.svd(cols, compute_uv=False)
     assert sv[4] > 1e-8 * sv[0]
 
 
 def test_sixth_generator_stays_in_span(f1, f1_clark):
-    boundary, interior = default_generator_points(f1)
-    gens = tto_generators(f1, boundary, interior, f1_clark.basis)
-    extra = rank_one_boundary(f1, np.exp(0.77j), f1_clark.basis)
-    sv = generator_singular_values(list(gens) + [extra])
+    pc = default_points(f1)
+    cols = build_columns(f1_clark.basis, pc)
+    other = PointConfig((np.exp(0.77j),) + pc.boundary[1:], pc.interior)
+    extra = build_columns(f1_clark.basis, other)[:, :1]
+    sv = np.linalg.svd(np.hstack([cols, extra]), compute_uv=False)
     assert sv[5] < 1e-8 * sv[0]
 
 
 def test_identity_is_in_generator_span(f1, f1_clark):
-    boundary, interior = default_generator_points(f1)
-    gens = tto_generators(f1, boundary, interior, f1_clark.basis)
-    stack = np.stack([g.array.reshape(9) for g in gens]).T
-    target = np.eye(3, dtype=complex).reshape(9)
-    mu, *_ = np.linalg.lstsq(stack, target, rcond=None)
-    assert np.linalg.norm(stack @ mu - target) < 1e-10
+    cols = build_columns(f1_clark.basis, default_points(f1))
+    target = Sym3(1, 1, 1, 0, 0, 0).vector
+    mu, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    assert np.linalg.norm(cols @ mu - target) < 1e-10
 
 
 def test_generator_distinctness_enforced(f1, f1_clark):
-    boundary, interior = default_generator_points(f1)
-    bad = (boundary[0], boundary[0] + 1e-12, boundary[2])
+    pc = default_points(f1)
+    bad = (pc.boundary[0], pc.boundary[0] + 1e-12, pc.boundary[2])
     with pytest.raises(ValueError):
-        tto_generators(f1, bad, interior, f1_clark.basis)
+        random_tto(f1, f1_clark.basis, seed=0, points=(bad, pc.interior))
 
 
 def test_random_tto_deterministic_and_symmetric():
@@ -219,7 +143,10 @@ def test_random_tto_deterministic_and_symmetric():
     mu2, m2 = random_tto(cb.theta, cb.basis, seed=1234)
     np.testing.assert_array_equal(mu1, mu2)
     np.testing.assert_array_equal(m1.array, m2.array)
-    assert m1.symmetry_defect() < 1e-8
+    assert isinstance(m1, Sym3)
+    np.testing.assert_array_equal(m1.array, m1.array.T)
+    cols = build_columns(cb.basis, default_points(cb.theta))
+    np.testing.assert_allclose(m1.vector, cols @ mu1, atol=1e-12)
     mu3, _ = random_tto(cb.theta, cb.basis, seed=99)
     assert not np.allclose(mu1, mu3)
 
