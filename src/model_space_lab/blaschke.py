@@ -1,4 +1,4 @@
-"""Finite Blaschke products: evaluation, derivatives, and circle level sets.
+"""Finite Blaschke products: evaluation, boundary angular speed, and circle level sets.
 
 A finite Blaschke product of order n is
 
@@ -91,29 +91,6 @@ class BlaschkeProduct:
                     "evaluation point too close to the pole 1/conj(%r)" % w
                 )
             out = out * (z - w) / den
-        return out if out.shape else complex(out)
-
-    def derivative(self, z):
-        """B'(z) by the product rule; robust at the zeros of B."""
-        z = np.asarray(z, dtype=complex)
-        factors = []
-        dfactors = []
-        for w in self.zeros:
-            den = 1.0 - np.conj(w) * z
-            if np.any(np.abs(den) < POLE_TOL):
-                raise PoleEvaluationError(
-                    "evaluation point too close to the pole 1/conj(%r)" % w
-                )
-            factors.append((z - w) / den)
-            dfactors.append((1.0 - abs(w) ** 2) / den**2)
-        total = np.zeros(z.shape, dtype=complex)
-        for i in range(len(self.zeros)):
-            term = dfactors[i]
-            for j, f in enumerate(factors):
-                if j != i:
-                    term = term * f
-            total = total + term
-        out = self.front_constant * total
         return out if out.shape else complex(out)
 
 

@@ -31,8 +31,6 @@ from .modelspace import (
     OrthonormalBasis,
     compressed_shift,
     conjugate,
-    conjugation_residual,
-    coordinates,
     kernel_element,
 )
 
@@ -144,26 +142,23 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
         ]
     )
     norms = np.array([np.sqrt(boundary_kernel_norm_sq(b, e)) for e in etas])
-    kernels = [kernel_element(b, e) for e in etas]
-    elements = [
-        (phases[i] / norms[i]) * kernels[i] for i in range(3)
-    ]
     basis = OrthonormalBasis.from_elements(
-        elements, tag="clark(t=%s, alpha=%s)" % (params.t, params.alpha)
+        ((p / n) * kernel_element(b, e) for p, n, e in zip(phases, norms, etas)),
+        tag="clark(t=%s, alpha=%s)" % (params.t, params.alpha),
     )
 
-    fixed_residual = conjugation_residual(basis)
-    if fixed_residual >= BASIS_TOL:
+    if basis.conj_residual >= BASIS_TOL:
         raise ConjugationSymmetryError(
             "an element moved by %.3e under conjugation; the phase "
-            "convention must square to conj(eta) * omega" % fixed_residual
+            "convention must square to conj(eta) * omega" % basis.conj_residual
         )
-    for i, e in enumerate(elements):
-        for j in range(3):
-            if j != i and abs(e(etas[j])) >= BASIS_TOL * norms[j]:
-                raise ConjugationSymmetryError(
-                    "element %d does not vanish at level-set point %d" % (i, j)
-                )
+    off_point = np.abs(basis(etas))  # entry (i, j) is |e_i(eta_j)|
+    np.fill_diagonal(off_point, 0.0)
+    missed = np.argwhere(off_point >= BASIS_TOL * norms)
+    if missed.size:
+        raise ConjugationSymmetryError(
+            "element %d does not vanish at level-set point %d" % tuple(missed[0])
+        )
     return ClarkBasis(
         params=params,
         omega=omega,
@@ -188,6 +183,8 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     part evaluates in closed form since <v, C k_t> = conj((C v)(t)).
     The result is checked to be unitary within 1e-8.
     """
+    if basis.theta != b:
+        raise ValueError("basis lives in a different model space")
     t, alpha = params.t, params.alpha
     bt = b(t)
     k = len(basis.elements)
@@ -195,10 +192,10 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     z = compressed_shift(b)
     eye = np.eye(len(z))
     mobius = np.linalg.solve(eye - np.conj(t) * z, z - t * eye)
-    x = coordinates(b, basis.elements)
+    x = basis.coords
     m = np.conj(x.T) @ mobius @ x
 
-    v_at_t = np.array([e(t) for e in basis.elements])
+    v_at_t = basis(t)
     cv_at_t = np.array([conjugate(e)(t) for e in basis.elements])
     kernel_norm_sq = (1.0 - abs(bt) ** 2) / (1.0 - abs(t) ** 2)
     weight = (alpha + bt) / kernel_norm_sq

@@ -23,7 +23,6 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
 from .config import REP_TOL
-from .modelspace import conjugation_residual
 from .repcheck import (
     Sym3,
     clark_s6_test,
@@ -218,7 +217,7 @@ def _run_clark_basis(problem, eff, cb):
     level_residual = max(abs(problem.theta(e) - cb.omega) for e in cb.etas)
     residuals = {
         "gram": _round12(cb.basis.gram_residual),
-        "conjugation": _round12(conjugation_residual(cb.basis)),
+        "conjugation": _round12(cb.basis.conj_residual),
         "level_set": _round12(level_residual),
     }
     return True, residuals, {}, {"omega": _cpair(cb.omega)}

@@ -25,7 +25,7 @@ and the canonical conjugation, whose action in coefficient form is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class DivisionRemainderError(ArithmeticError):
     """Synthetic division left a non-negligible remainder."""
 
 
-class BasisError(ValueError):
-    """A set of elements failed an orthonormality or conjugation check."""
+class BasisError(ArithmeticError):
+    """A set of elements failed the orthonormality check of ``OrthonormalBasis``."""
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,7 @@ class KThetaElement:
             )
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        num = np.zeros(z.shape, dtype=complex)
-        for a in reversed(self.numerator):
-            num = num * z + a
-        den = np.ones(z.shape, dtype=complex)
-        for w in self.theta.zeros:
-            den = den * (1.0 - np.conj(w) * z)
-        out = num / den
+        out = _values(self.theta, np.array(self.numerator)[:, None], z)[0]
         return out if out.shape else complex(out)
 
     def __add__(self, other: "KThetaElement") -> "KThetaElement":
@@ -102,6 +95,17 @@ class KThetaElement:
     def __rmul__(self, scalar) -> "KThetaElement":
         s = complex(scalar)
         return KThetaElement(self.theta, tuple(s * a for a in self.numerator))
+
+
+def _values(b: BlaschkeProduct, numerators: np.ndarray, z) -> np.ndarray:
+    """Values at z of the elements whose numerators are the columns of ``numerators``.
+
+    The result has shape ``(k,) + np.shape(z)`` for k columns.
+    """
+    z = np.asarray(z, dtype=complex)[..., None]
+    den = np.prod(1.0 - np.conj(np.array(b.zeros)) * z, axis=-1)
+    num = (z ** np.arange(b.order)) @ numerators
+    return np.moveaxis(num / den[..., None], -1, 0)
 
 
 def _tmw_numerators(b: BlaschkeProduct) -> np.ndarray:
@@ -207,54 +211,69 @@ def gram_matrix(elements):
     return x.T @ np.conj(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """Tuple of elements together with the Gram residual recorded when built."""
+    """Orthonormal elements of one model space and what is known of them once built.
+
+    ``coords`` holds the orthonormal coordinates of the elements, one column
+    each; ``gram_residual`` is ||Gram - I||_F, which must be below BASIS_TOL
+    (else BasisError); ``conj_residual`` is ``conjugation_residual`` of the
+    basis.  Calling the basis at points z gives all element values, one row
+    per element.
+    """
 
     elements: tuple
-    gram_residual: float
     tag: str = "onb"
+    coords: np.ndarray = field(init=False, repr=False)
+    gram_residual: float = field(init=False)
+    conj_residual: float = field(init=False)
 
-    @classmethod
-    def from_elements(cls, elements, *, tag: str = "onb"):
-        elements = tuple(elements)
-        g = gram_matrix(elements)
-        residual = float(np.linalg.norm(g - np.eye(len(elements))))
+    def __post_init__(self):
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
+        x = coordinates(elements[0].theta, elements)
+        residual = float(np.linalg.norm(x.T @ np.conj(x) - np.eye(len(elements))))
         if residual >= BASIS_TOL:
             raise BasisError(
                 "Gram residual %.3e is not below %.1e" % (residual, BASIS_TOL)
             )
-        return cls(elements=elements, gram_residual=residual, tag=tag)
+        object.__setattr__(self, "coords", x)
+        object.__setattr__(self, "gram_residual", residual)
+        object.__setattr__(self, "conj_residual", conjugation_residual(self))
+
+    @classmethod
+    def from_elements(cls, elements, *, tag: str = "onb"):
+        return cls(elements, tag)
 
     @property
     def theta(self) -> BlaschkeProduct:
         return self.elements[0].theta
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    @property
+    def numerators(self) -> np.ndarray:
+        """Column j holds the numerator coefficients of ``elements[j]``."""
+        return np.array([e.numerator for e in self.elements], dtype=complex).T
+
+    def __call__(self, z) -> np.ndarray:
+        """Values of every element at z, shape ``(len(elements),) + np.shape(z)``."""
+        return _values(self.theta, self.numerators, z)
 
 
 def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:
     """Orthonormal basis from Gram-Schmidt on the monomial numerators.
 
-    Modified Gram-Schmidt run twice keeps the final Gram residual at
-    round-off level (well below 1e-12 for well-conditioned denominators).
+    The monomials have coordinates T^-1 (T the numerator matrix of the
+    orthonormal Takenaka-Malmquist-Walsh basis).  Gram-Schmidt on those
+    columns is their QR factorization with a positive diagonal in R, so the
+    phases of numpy's diagonal are divided out of Q.
     """
-    n = b.order
-    raw = []
-    for j in range(n):
-        coeffs = [0.0] * n
-        coeffs[j] = 1.0
-        raw.append(KThetaElement(b, tuple(coeffs)))
-    basis = []
-    for e in raw:
-        v = e
-        for _ in range(2):  # re-orthogonalize for round-off hygiene
-            for u in basis:
-                v = v - inner_product(v, u) * u
-        v = (1.0 / norm(v)) * v
-        basis.append(v)
-    return OrthonormalBasis.from_elements(basis, tag="reference")
+    t = _tmw_numerators(b)
+    q, r = np.linalg.qr(np.linalg.inv(t))
+    d = np.diag(r)
+    q = q * (d / np.abs(d))
+    return OrthonormalBasis.from_elements(
+        (KThetaElement(b, tuple(col)) for col in (t @ q).T), tag="reference"
+    )
 
 
 def conjugation_residual(basis: OrthonormalBasis) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
 from .config import BASIS_TOL, DISTINCT_TOL, REP_TOL, SV_FLOOR
-from .modelspace import OrthonormalBasis, conjugation_residual
+from .modelspace import OrthonormalBasis
 from .sampling import random_clark_basis
 
 __all__ = [
@@ -154,15 +154,6 @@ class S6Result(NamedTuple):
     predicted_s6: complex
 
 
-def _check_creal(basis: OrthonormalBasis) -> None:
-    defect = conjugation_residual(basis)
-    if defect > BASIS_TOL:
-        raise ValueError(
-            f"basis is not conjugation-fixed (defect {defect:.3e}); "
-            "the determinant test is only valid for conjugation-fixed bases"
-        )
-
-
 def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     """Vectorize the five rank-one generators as columns of a 6x5 matrix.
 
@@ -172,18 +163,19 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     (Cima-Ross-Wogen).  Row order is (1,1),(2,2),(3,3),(1,2),(1,3),(2,3).  For
     a boundary point t the row (a,b) holds v_a(t)*conj(v_b(t)); for an
     interior point lam it holds conj(v_a(lam)*v_b(lam)).  Both expressions
-    are symmetric in (a,b) exactly when the basis is conjugation-fixed, which
-    is validated up front.
+    are symmetric in (a,b) exactly when the basis is conjugation-fixed, so a
+    basis whose recorded conjugation residual exceeds BASIS_TOL is refused
+    with ValueError.
     """
-    _check_creal(basis)
-    cols = []
-    for t in pc.boundary:
-        vals = np.array([e(t) for e in basis.elements])
-        cols.append([vals[a] * np.conj(vals[b]) for a, b in ROW_INDEX])
-    for lam in pc.interior:
-        vals = np.array([e(lam) for e in basis.elements])
-        cols.append([np.conj(vals[a] * vals[b]) for a, b in ROW_INDEX])
-    return np.array(cols, dtype=complex).T
+    if basis.conj_residual > BASIS_TOL:
+        raise ValueError(
+            f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
+            "the determinant test is only valid for conjugation-fixed bases"
+        )
+    vals = basis(np.array(pc.boundary + pc.interior))  # (3 elements, 5 points)
+    rows_a, rows_b = np.array(ROW_INDEX).T
+    va, vb = vals[rows_a], vals[rows_b]
+    return np.hstack([va[:, :3] * np.conj(vb[:, :3]), np.conj(va[:, 3:] * vb[:, 3:])])
 
 
 # Off-diagonal rows count twice in the Frobenius norm of a symmetric matrix.
@@ -264,11 +256,17 @@ def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
 def clark_s6_test(
     s: Sym3, cb: ClarkBasis, variant: str = "general", tol: float = REP_TOL
 ) -> S6Result:
-    """Single-relation representability test for a modified Clark basis."""
+    """Single-relation representability test for a modified Clark basis.
+
+    Declares the input representable when |s6 - predicted| <= tol * ||S||_F.
+    The threshold scales with S, so the verdict is invariant under rescaling
+    of S, and the zero matrix passes (both sides vanish), as it does in
+    ``detthm_test``.
+    """
     c4, c5 = relation_coefficients(cb, variant)
     eta1, eta2, eta3 = cb.etas
     predicted = (c4 * s.s4 + c5 * s.s5) / (eta3 - eta2)
-    is_rep = abs(s.s6 - predicted) < tol * (1.0 + abs(s.s6))
+    is_rep = abs(s.s6 - predicted) <= tol * np.linalg.norm(s.array)
     return S6Result(bool(is_rep), complex(predicted))
 
 

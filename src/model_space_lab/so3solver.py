@@ -20,7 +20,7 @@ from scipy.optimize import least_squares
 from scipy.spatial.transform import Rotation
 
 from .clark import ClarkBasis
-from .modelspace import OrthonormalBasis
+from .modelspace import KThetaElement, OrthonormalBasis
 from .repcheck import (
     Certificate,
     Sym3,
@@ -95,13 +95,11 @@ def creal_basis_from_orthogonal(cb: ClarkBasis, u: OrthMatrix3) -> OrthonormalBa
     of U keeps the family orthonormal; this parametrizes all conjugation-fixed
     bases once one Clark basis is in hand.
     """
-    m = u.array
-    elems = []
-    for i in range(3):
-        e = m[0, i] * cb.basis.elements[0] + m[1, i] * cb.basis.elements[1]
-        e = e + m[2, i] * cb.basis.elements[2]
-        elems.append(e)
-    return OrthonormalBasis.from_elements(tuple(elems), tag=f"{cb.basis.tag}+rot")
+    numerators = cb.basis.numerators @ u.array
+    return OrthonormalBasis.from_elements(
+        (KThetaElement(cb.theta, tuple(col)) for col in numerators.T),
+        tag=f"{cb.basis.tag}+rot",
+    )
 
 
 def conjugate_representation(s: Sym3, u: OrthMatrix3) -> Sym3:
@@ -159,9 +157,13 @@ def solve(
     from (config.seed, index), so the outcome is independent of scheduling.
     The first start reaching the tolerance wins and later starts are skipped;
     ties are impossible because the winner is (residual, start index).
+
+    The tolerance is config.tol * min(1, ||S||_F), relative for a small S
+    and never looser than config.tol; the zero matrix is solved at start 0.
     """
     c4, c5 = relation_coefficients(cb, config.variant)
     etas = cb.etas
+    target = config.tol * min(1.0, float(np.linalg.norm(s.array)))
 
     def fun(x):
         u_mat = Rotation.from_rotvec(x).as_matrix()
@@ -186,7 +188,7 @@ def solve(
         starts_used += 1
         x0 = seed_for(index)
         res0 = float(np.linalg.norm(fun(x0)))
-        if res0 < config.tol:
+        if res0 <= target:
             best = (res0, index, x0)
             break
         fit = least_squares(
@@ -201,14 +203,14 @@ def solve(
         res = float(np.linalg.norm(fun(fit.x)))
         if best is None or res < best[0]:
             best = (res, index, fit.x)
-        if res < config.tol:
+        if res <= target:
             break
 
     residual, _, rotvec = best
     u = OrthMatrix3.from_array(Rotation.from_rotvec(rotvec).as_matrix())
     conjugated = conjugate_representation(s, u)
     cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
-    found = residual < config.tol
+    found = residual <= target
     message = (
         "solution found"
         if found

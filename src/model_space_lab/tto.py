@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .modelspace import OrthonormalBasis, compressed_shift, coordinates
+from .modelspace import OrthonormalBasis, compressed_shift
 from .repcheck import PointConfig, Sym3, _spanning_columns, default_points
 
 __all__ = [
@@ -92,11 +92,13 @@ def tto_matrix_from_symbol(b: BlaschkeProduct, phi: Symbol, basis: OrthonormalBa
     sum_{k>=0} c_k Z^k + sum_{k<0} c_k (Z^H)^|k| is the operator in the
     orthonormal coordinates, where Z is the compressed shift.
     """
+    if basis.theta != b:
+        raise ValueError("basis lives in a different model space")
     z = compressed_shift(b)
     op = np.zeros_like(z)
     for k, c in phi.coeffs:
         op += c * np.linalg.matrix_power(z if k >= 0 else np.conj(z.T), abs(k))
-    x = coordinates(b, basis.elements)
+    x = basis.coords
     return TTOMatrix.from_array(np.conj(x.T) @ op @ x)
 
 

@@ -63,15 +63,6 @@ def test_unimodular_on_circle(phis, radii, arg):
     assert abs(abs(b(z)) - 1.0) < 1e-10
 
 
-def test_derivative_against_finite_differences(f2):
-    rng = np.random.default_rng(7)
-    h = 1e-6
-    for _ in range(20):
-        z = 0.8 * (rng.random() * 2 - 1 + 1j * (rng.random() * 2 - 1))
-        fd = (f2(z + h) - f2(z - h)) / (2 * h)
-        assert f2.derivative(z) == pytest.approx(fd, abs=1e-7)
-
-
 def test_polynomial_pair_reproduces_product(f2):
     num, den = polynomial_pair(f2)
     rng = np.random.default_rng(3)

@@ -114,6 +114,12 @@ def test_f1_operator_fixes_kernel_span(f1):
     np.testing.assert_allclose(u @ x, x, atol=1e-10)
 
 
+def test_operator_rejects_basis_from_another_space(f1, f2):
+    f1_basis = modified_clark_basis(f1, ClarkParams(0.0, 1.0)).basis
+    with pytest.raises(ValueError, match="different model space"):
+        clark_operator_matrix(f2, ClarkParams(0.0, 1.0), f1_basis)
+
+
 def test_operator_unitary_random_draws():
     rng = np.random.default_rng(99)
     for _ in range(6):

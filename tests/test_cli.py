@@ -204,6 +204,33 @@ def test_indeterminate_exits_3_with_report(tmp_path):
     validate_report(report)
 
 
+def test_gram_failure_exits_3_with_report(tmp_path):
+    # Zeros crowding the circle leave the library's own Clark basis with a
+    # Gram residual of 1.07e-8, just above BASIS_TOL.  The input is valid, so
+    # the run is indeterminate (exit 3), not invalid (exit 2).
+    problem = {
+        "task": "clark-basis",
+        "theta": {
+            "zeros": [
+                [-0.20999638132814988, -0.9777011403440635],
+                [-0.997203711151543, 0.07471785908730219],
+                [-0.19248560865844017, -0.9812987773661953],
+            ],
+            "constant": [-0.3428893266294106, 0.9393758085471594],
+        },
+        "clark": {
+            "t": [-0.1762958309807192, -0.39977471654740204],
+            "alpha": [-0.6220064241390778, -0.7830121380475003],
+        },
+        "options": {},
+    }
+    code, report, _ = run_cli(tmp_path, problem)
+    assert code == 3
+    assert report["verdict"] == "indeterminate"
+    assert "Gram residual" in report["details"]["reason"]
+    validate_report(report)
+
+
 def test_zero_near_circle_is_decided(tmp_path):
     # Valid input with zeros at 0.999 gets a basis, not an indeterminate
     # verdict.  With a triple zero there the kernel norms are 30-77, so an

@@ -10,12 +10,15 @@ from model_space_lab.modelspace import (
     OrthonormalBasis,
     conjugate,
     conjugation_residual,
+    coordinates,
     gram_matrix,
     inner_product,
     kernel_element,
     norm,
     reference_onb,
 )
+
+from model_space_lab.sampling import random_blaschke
 
 from conftest import oracle_inner, oracle_kernel_values
 
@@ -197,6 +200,55 @@ def test_reference_onb_f2_gram_residual(f2):
     assert onb.gram_residual < 1e-12
     g = gram_matrix(onb.elements)
     np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
+
+
+def rational(b, numerator):
+    """Evaluation callable of numerator(z) / prod(1 - conj(w_i) z) from the formula."""
+    num = np.asarray(numerator, dtype=complex)
+    return lambda z: np.polyval(num[::-1], z) / np.prod(
+        [1.0 - np.conj(w) * z for w in b.zeros], axis=0
+    )
+
+
+def oracle_gram_schmidt(b):
+    """Numerators of Gram-Schmidt on the monomials, inner products by quadrature."""
+    out = []
+    for j in range(b.order):
+        v = np.eye(b.order, dtype=complex)[j]
+        for u in out:
+            v = v - oracle_inner(rational(b, v), rational(b, u)) * u
+        out.append(v / np.sqrt(oracle_inner(rational(b, v), rational(b, v)).real))
+    return out
+
+
+@pytest.mark.parametrize("case", ["f2", "random-1", "random-2"])
+def test_reference_onb_matches_quadrature_gram_schmidt(f2, case):
+    b = f2 if case == "f2" else random_blaschke(np.random.default_rng(int(case[-1])))
+    onb = reference_onb(b)
+    for e, expected in zip(onb.elements, oracle_gram_schmidt(b)):
+        np.testing.assert_allclose(e.numerator, expected, atol=1e-10)
+
+
+def test_basis_values_at_points(f2):
+    onb = reference_onb(f2)
+    rng = np.random.default_rng(71)
+    z = 0.9 * (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / 2
+    vals = onb(z)
+    assert vals.shape == (3, 7)
+    np.testing.assert_allclose(vals, [e(z) for e in onb.elements], atol=1e-14)
+    np.testing.assert_allclose(
+        vals, [rational(f2, e.numerator)(z) for e in onb.elements], atol=1e-12
+    )
+    np.testing.assert_allclose(onb(z[0]), vals[:, 0], atol=1e-14)
+
+
+def test_basis_records_coordinates_and_residuals(f2):
+    onb = reference_onb(f2)
+    np.testing.assert_array_equal(onb.coords, coordinates(f2, onb.elements))
+    assert onb.gram_residual == pytest.approx(
+        np.linalg.norm(gram_matrix(onb.elements) - np.eye(3)), abs=1e-15
+    )
+    assert onb.conj_residual == conjugation_residual(onb)
 
 
 def test_basis_constructor_rejects_non_orthonormal(f2):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, modified_clark_basis
@@ -354,6 +356,40 @@ def test_completeness_random_matrices(f1, f1_clark):
             continue  # accidentally inside the span; draw again
         assert not result.is_rep
         rejected += 1
+
+
+@pytest.fixture(scope="module")
+def scale_bases(f1_clark, f2_clark):
+    return {"f1": f1_clark, "f2": f2_clark, "random": random_clark_basis(np.random.default_rng(59))}
+
+
+def scale_matrix(kind, cb):
+    if kind == "tto":
+        return random_tto(cb.theta, cb.basis, seed=61)[1]
+    if kind == "identity":
+        return Sym3(1, 1, 1, 0, 0, 0)
+    if kind == "random":
+        return random_sym3(np.random.default_rng(67))
+    return Sym3(0, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("basis_name", ["f1", "f2", "random"])
+@pytest.mark.parametrize("kind", ["tto", "identity", "random", "zero"])
+@settings(max_examples=25, deadline=None)
+@given(e=st.floats(min_value=-12, max_value=12))
+def test_verdicts_invariant_under_scaling(scale_bases, basis_name, kind, e):
+    # verdict(cS) = verdict(S) for c = 10^e, in both procedures; the
+    # span members (a TTO draw, the identity, zero) pass and a random
+    # symmetric matrix fails at every scale.
+    cb = scale_bases[basis_name]
+    pc = default_points(cb.theta)
+    s = scale_matrix(kind, cb)
+    scaled = Sym3(*(10.0**e * s.vector))
+    expected = kind != "random"
+    assert detthm_test(s, cb.basis, pc).is_rep == expected
+    assert clark_s6_test(s, cb).is_rep == expected
+    assert detthm_test(scaled, cb.basis, pc).is_rep == expected
+    assert clark_s6_test(scaled, cb).is_rep == expected
 
 
 def test_detthm_and_s6_agree_on_clark_bases():

@@ -199,6 +199,25 @@ def test_solve_diagonal_found_at_identity(f1_clark):
     np.testing.assert_allclose(report.best_matrix.array, np.eye(3), atol=1e-12)
 
 
+def test_solve_tiny_matrix_meets_relative_tolerance(f1_clark):
+    # On 1e-9 * X every rotation already leaves a residual below the absolute
+    # 1e-8, so an absolute tolerance would accept the identity unoptimised.
+    rng = np.random.default_rng(31)
+    x = random_sym3(rng)
+    assert not clark_s6_test(x, f1_clark).is_rep
+    s = Sym3(*(1e-9 * x.vector))
+    report = solve(s, f1_clark)
+    assert report.found
+    assert report.best_residual <= 1e-8 * min(1.0, np.linalg.norm(s.array))
+
+
+def test_solve_zero_matrix_found_at_identity(f1_clark):
+    report = solve(Sym3(0, 0, 0, 0, 0, 0), f1_clark)
+    assert report.found
+    assert report.starts_used == 1
+    assert report.best_residual == 0.0
+
+
 def test_solve_round_trip_recovery():
     rng = np.random.default_rng(19)
     cb = random_clark_basis(rng)

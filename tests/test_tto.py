@@ -31,6 +31,11 @@ def test_shift_symbol_on_monomials(f1):
     np.testing.assert_allclose(m.array, expected, atol=1e-12)
 
 
+def test_basis_from_another_space_rejected(f2, f1_clark):
+    with pytest.raises(ValueError, match="different model space"):
+        tto_matrix_from_symbol(f2, Symbol.shift(), f1_clark.basis)
+
+
 def test_f1_golden_shift_matrix(f1, f1_clark):
     # Independent oracle: for B = z^3 the kernels are geometric sums, and
     # <z k_{eta_j}, k_{eta_i}> = eta_i + eta_i^2 conj(eta_j) by hand.
