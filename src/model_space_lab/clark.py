@@ -27,12 +27,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, boundary_kernel_norm_sq, level_set
 from .config import BASIS_TOL
-from .modelspace import (
-    OrthonormalBasis,
-    compressed_shift,
-    conjugate,
-    kernel_element,
-)
+from .modelspace import OrthonormalBasis, _values, compressed_shift, kernel_element
 
 __all__ = [
     "ClarkParams",
@@ -196,7 +191,8 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     m = np.conj(x.T) @ mobius @ x
 
     v_at_t = basis(t)
-    cv_at_t = np.array([conjugate(e)(t) for e in basis.elements])
+    # C reverses and conjugates each numerator and multiplies by the front constant.
+    cv_at_t = _values(b, b.front_constant * np.conj(basis.numerators[::-1]), t)
     kernel_norm_sq = (1.0 - abs(bt) ** 2) / (1.0 - abs(t) ** 2)
     weight = (alpha + bt) / kernel_norm_sq
     rank_one = weight * np.outer(np.conj(v_at_t), np.conj(cv_at_t))

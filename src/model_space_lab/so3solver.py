@@ -2,22 +2,23 @@
 
 A complex symmetric 3x3 matrix M is the matrix of a truncated Toeplitz
 operator with respect to *some* conjugation-fixed basis exactly when an
-orthogonal U exists with U M U^T satisfying the Clark-basis relation.
-Orthogonality contributes six real constraints, the relation one complex
-equation in the conjugated off-diagonal entries.  We enforce the former
-exactly by parametrizing SO(3) with rotation vectors and run a seeded
-multistart local search on the latter.  Negating U leaves U M U^T unchanged,
-so searching the rotation group alone loses nothing.
+orthogonal U exists with U M U^T satisfying the Clark-basis relation
+r(U) = sum K o (U M U^T) = 0, one complex equation weighted by a fixed
+matrix K.  The search moves on SO(3) itself: a step d in so(3) updates
+U <- exp([d]x) U, so every iterate is exactly a rotation, and the derivative
+of r along each generator G is sum K o (G A - A G) with A = U M U^T.  A
+seeded multistart Gauss-Newton iteration with minimum-norm steps (two real
+equations, three unknowns) drives r to zero.  Negating U leaves U M U^T
+unchanged, so searching the rotation group alone loses nothing.
 
 A miss is a budget statement, not a proof: the report says so explicitly.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.spatial.transform import Rotation
 
 from .clark import ClarkBasis
 from .modelspace import KThetaElement, OrthonormalBasis
@@ -73,8 +74,7 @@ class SolverConfig:
     tol: float = 1e-8
     seed: int = 0
     variant: str = "general"
-    max_evals: int = 500
-    step_tol: float = 1e-12
+    max_evals: int = 500  # evaluations of the relation and its Jacobian per start
 
 
 @dataclass(frozen=True)
@@ -110,21 +110,78 @@ def conjugate_representation(s: Sym3, u: OrthMatrix3) -> Sym3:
     return Sym3(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
 
 
-def _relation_value(s: Sym3, u_mat: np.ndarray, etas, c4, c5) -> complex:
-    prod = u_mat @ s.array @ u_mat.T
-    a4 = prod[0, 1]
-    a5 = prod[0, 2]
-    a6 = prod[1, 2]
-    return (etas[2] - etas[1]) * a6 - c4 * a4 - c5 * a5
+def _hat(w) -> np.ndarray:
+    """[w]x, the skew matrix with [w]x v = w x v."""
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+_GENERATORS = np.array([_hat(e) for e in np.eye(3)])
+
+
+def _rotation(w) -> np.ndarray:
+    """exp([w]x) by Rodrigues' formula, written without a branch at w = 0."""
+    k = _hat(w)
+    theta = np.linalg.norm(w)
+    return (
+        np.eye(3)
+        + np.sinc(theta / np.pi) * k
+        + 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2 * (k @ k)
+    )
+
+
+def _relation_weight(cb: ClarkBasis, variant: str) -> np.ndarray:
+    """K with r(U) = sum K o (U S U^T) = (eta3 - eta2) a6 - c4 a4 - c5 a5."""
+    c4, c5 = relation_coefficients(cb, variant)
+    k = np.zeros((3, 3), dtype=complex)
+    k[1, 2] = cb.etas[2] - cb.etas[1]
+    k[0, 1] = -c4
+    k[0, 2] = -c5
+    return k
+
+
+def _relation(weight: np.ndarray, m: np.ndarray, u: np.ndarray):
+    """(Re r, Im r) at U and its 2x3 Jacobian along U <- exp([d]x) U.
+
+    With A = U M U^T, r = sum K o A and the derivative along the k-th
+    generator G_k is sum K o (G_k A - A G_k).
+    """
+    a = u @ m @ u.T
+    r = np.sum(weight * a)
+    dr = np.sum(weight * (_GENERATORS @ a - a @ _GENERATORS), axis=(1, 2))
+    return np.array([r.real, r.imag]), np.array([dr.real, dr.imag])
 
 
 def residuals(s: Sym3, u: OrthMatrix3, cb: ClarkBasis, variant: str = "general"):
     """(orthogonality defect, relation defect) for a candidate conjugator."""
     m = u.array
     orth = float(np.linalg.norm(m @ m.T - np.eye(3)))
-    c4, c5 = relation_coefficients(cb, variant)
-    rel = abs(_relation_value(s, m, cb.etas, c4, c5))
-    return orth, float(rel)
+    f, _ = _relation(_relation_weight(cb, variant), s.array, m)
+    return orth, float(np.linalg.norm(f))
+
+
+def least_squares(fun, u0: np.ndarray, max_evals: int) -> np.ndarray:
+    """Gauss-Newton on SO(3) from the rotation u0; returns the best rotation seen.
+
+    ``fun(U)`` returns the real residual vector f and its Jacobian J along
+    the generators of so(3).  The step is the minimum-norm solution of
+    J d = -f, which stays well defined when J loses rank, and it is halved
+    until ||f|| decreases.  The loop stops after ``max_evals`` calls of
+    ``fun`` or when halving cannot move the rotation any more.
+    """
+    u = u0
+    f, jac = fun(u)
+    step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+    for _ in range(max_evals - 1):
+        if np.linalg.norm(step) < np.finfo(float).eps:
+            break
+        trial = _rotation(step) @ u
+        f_trial, jac = fun(trial)
+        if np.linalg.norm(f_trial) < np.linalg.norm(f):
+            u, f = trial, f_trial
+            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        else:
+            step /= 2.0
+    return u
 
 
 def spectral_shortcut(s: Sym3) -> Optional[OrthMatrix3]:
@@ -150,64 +207,49 @@ def solve(
     cb: ClarkBasis,
     config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
-    """Multistart search over SO(3) for a conjugation satisfying the relation.
+    """Multistart Gauss-Newton search over SO(3) for a conjugation satisfying the relation.
 
     Start 0 is the identity, start 1 is the spectral diagonalizer when the
     input is real; the rest are random rotations with per-start seeds derived
     from (config.seed, index), so the outcome is independent of scheduling.
-    The first start reaching the tolerance wins and later starts are skipped;
-    ties are impossible because the winner is (residual, start index).
+    A start that misses the tolerance is refined by ``least_squares``, which
+    spends at most config.max_evals evaluations of the relation.  The first
+    start reaching the tolerance wins and later starts are skipped; ties are
+    impossible because the winner is (residual, start index).
 
     The tolerance is config.tol * min(1, ||S||_F), relative for a small S
     and never looser than config.tol; the zero matrix is solved at start 0.
     """
-    c4, c5 = relation_coefficients(cb, config.variant)
-    etas = cb.etas
-    target = config.tol * min(1.0, float(np.linalg.norm(s.array)))
+    m = s.array
+    fun = partial(_relation, _relation_weight(cb, config.variant), m)
+    target = config.tol * min(1.0, float(np.linalg.norm(m)))
 
-    def fun(x):
-        u_mat = Rotation.from_rotvec(x).as_matrix()
-        val = _relation_value(s, u_mat, etas, c4, c5)
-        return np.array([val.real, val.imag])
-
-    def seed_for(index: int) -> np.ndarray:
+    def start(index: int) -> np.ndarray:
         if index == 0:
-            return np.zeros(3)
+            return np.eye(3)
         if index == 1:
             shortcut = spectral_shortcut(s)
             if shortcut is not None:
-                return Rotation.from_matrix(shortcut.array).as_rotvec()
+                return shortcut.array
         rng = np.random.default_rng((config.seed, index))
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        return axis * (np.pi * rng.random())
+        return _rotation(axis * (np.pi * rng.random()))
 
-    best = None  # (residual, index, rotvec)
-    starts_used = 0
+    best = None  # (residual, rotation)
     for index in range(config.starts):
-        starts_used += 1
-        x0 = seed_for(index)
-        res0 = float(np.linalg.norm(fun(x0)))
-        if res0 <= target:
-            best = (res0, index, x0)
-            break
-        fit = least_squares(
-            fun,
-            x0,
-            method="trf",
-            max_nfev=config.max_evals,
-            xtol=config.step_tol,
-            ftol=None,
-            gtol=None,
-        )
-        res = float(np.linalg.norm(fun(fit.x)))
+        u = start(index)
+        if np.linalg.norm(fun(u)[0]) > target:
+            u = least_squares(fun, u, config.max_evals)
+        res = float(np.linalg.norm(fun(u)[0]))
         if best is None or res < best[0]:
-            best = (res, index, fit.x)
+            best = (res, u)
         if res <= target:
             break
 
-    residual, _, rotvec = best
-    u = OrthMatrix3.from_array(Rotation.from_rotvec(rotvec).as_matrix())
+    starts_used = index + 1
+    residual, u_mat = best
+    u = OrthMatrix3.from_array(u_mat)
     conjugated = conjugate_representation(s, u)
     cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual <= target

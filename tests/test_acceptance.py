@@ -248,9 +248,6 @@ def test_criterion_06_cross_procedure_agreement(basis_pool_small):
     )
 
 
-# scipy's trust-region solver divides by the gradient norm while polishing a
-# residual that has already hit exactly zero; the verdicts are unaffected.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_criterion_07_counterexample_reproduction(basis_pool_large):
     rng = np.random.default_rng(700)
     solved = 0

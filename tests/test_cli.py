@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -403,3 +406,36 @@ def test_committed_fixtures_match_regeneration(generated_fixtures):
             fresh = json.loads((generated_fixtures / f"{name}.{kind}.json").read_text())
             stored = json.loads(repo_file.read_text())
             assert_tree_close(stored, fresh, where=f"{name}.{kind}")
+
+
+# Run in a fresh interpreter where every scipy import fails.
+_NO_SCIPY = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None
+from model_space_lab.cli import run
+out = Path(sys.argv[1])
+for path in map(Path, sys.argv[2:]):
+    task = json.loads(path.read_text())["task"]
+    code = run([task, "--in", str(path), "--out", str(out / path.name)])
+    if code != 0:
+        sys.exit(f"{path.name}: exit {code}")
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: every committed problem, which
+    # together cover all six tasks, still reaches a decision.
+    root = Path(__file__).resolve().parents[1]
+    problems = sorted(str(p) for p in (root / "fixtures").glob("*.problem.json"))
+    tasks = {json.loads(Path(p).read_text())["task"] for p in problems}
+    assert len(tasks) == 6
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path), *problems],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

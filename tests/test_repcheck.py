@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, modified_clark_basis
+from model_space_lab.config import REP_TOL
 from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, reference_onb
 from model_space_lab.repcheck import (
     Certificate,
@@ -430,6 +431,14 @@ def test_counterexample_report_family3():
     assert report.all_rejected
     assert report.rejections == 100
     assert report.min_gap > 1e-6
+
+
+@pytest.mark.parametrize("a", [1.0, 1e6, 1e8, 1e9])
+def test_counterexample_min_gap_explains_verdict(a):
+    # The reported gap is the quantity clark_s6_test compares with REP_TOL,
+    # so every trial is rejected exactly when even the smallest gap exceeds it.
+    report = counterexample_report(1, a, 0.5, -0.25, trials=20, seed=0)
+    assert report.all_rejected == (report.min_gap > REP_TOL)
 
 
 def test_counterexample_report_other_families():
