@@ -1,4 +1,4 @@
-"""Finite Blaschke products: evaluation, boundary angular speed, and circle level sets.
+"""Finite Blaschke products, the TMW coordinates of their model spaces, and circle level sets.
 
 A finite Blaschke product of order n is
 
@@ -9,6 +9,11 @@ front constant c.  On the unit circle |B| = 1 and the boundary argument is
 strictly increasing, so every unimodular target value is attained at exactly
 n distinct circle points -- the "level set" that drives the Clark-basis
 construction downstream.
+
+Model-space elements are coordinates in the orthonormal Takenaka-Malmquist-
+Walsh (TMW) basis; its closed-form primitives live here: the values e(z),
+the coordinates of k_lam and C k_lam, the compressed shift, and Clark's
+unitary, whose eigenvalues are the level set.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ __all__ = [
     "cubic_coefficients",
     "boundary_kernel_norm_sq",
     "polynomial_pair",
+    "circle_angle",
+    "tmw_values",
+    "conjugate_kernel_coords",
+    "compressed_shift",
+    "clark_unitary",
 ]
 
 
@@ -36,11 +46,11 @@ class PoleEvaluationError(ZeroDivisionError):
 
 
 class LevelSetError(RuntimeError):
-    """Level-set root finding broke down numerically."""
+    """The computed level set missed its accuracy check."""
 
 
 class DegenerateRootError(LevelSetError):
-    """Two polished level-set roots are numerically coincident."""
+    """Two level-set points are numerically coincident."""
 
 
 @dataclass(frozen=True)
@@ -108,48 +118,93 @@ def polynomial_pair(b: BlaschkeProduct):
     return num, den
 
 
-def _angular_speed(b: BlaschkeProduct, eta):
-    """d/dphi of arg B(e^{i phi}); equals |B'| on the circle and is > 0."""
-    speed = np.zeros(np.shape(eta), dtype=float)
-    for w in b.zeros:
-        speed += (1.0 - abs(w) ** 2) / np.abs(1.0 - np.conj(w) * eta) ** 2
-    return speed
+def circle_angle(z):
+    """Argument of z in [0, 2*pi), but angles within 1e-9 below 2*pi count as just below 0.
+
+    This one rule orders level sets and fixes the branch of every Clark-basis
+    phase, so a point computed as 1 - 1e-16i is treated as the point 1.
+    """
+    angle = np.angle(z) % (2.0 * np.pi)
+    return np.where(angle >= 2.0 * np.pi - 1e-9, angle - 2.0 * np.pi, angle)
+
+
+def _tmw(zeros, z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    prefix = np.ones(z.shape, dtype=complex)
+    values = []
+    for w in zeros:
+        den = 1.0 - np.conj(w) * z
+        values.append(np.sqrt(1.0 - abs(w) ** 2) * prefix / den)
+        prefix = prefix * (z - w) / den
+    return np.array(values)
+
+
+def tmw_values(b: BlaschkeProduct, z) -> np.ndarray:
+    """e(z): the n values e_k(z) of the orthonormal TMW basis, shape ``(n,) + np.shape(z)``.
+
+    e_k(z) = sqrt(1 - |w_k|^2) / (1 - conj(w_k) z) * prod_{j<k} (z - w_j) / (1 - conj(w_j) z).
+    The kernel k_lam = sum_k conj(e_k(lam)) e_k has coordinates conj(e(lam)).
+    """
+    return _tmw(b.zeros, z)
+
+
+def conjugate_kernel_coords(b: BlaschkeProduct, lam) -> np.ndarray:
+    """Coordinates of C k_lam, shape ``(n,) + np.shape(lam)``.
+
+    C maps e_k to c times the TMW function of the reversed zeros at the
+    mirrored index, so <C k_lam, e_k> = (C e_k)(lam) needs no division.
+    """
+    return b.front_constant * _tmw(b.zeros[::-1], lam)[::-1]
+
+
+def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
+    """Matrix of A_z f = P(z f) in TMW coordinates.
+
+    It is lower triangular: entry (i, i) is w_i and, for i > j, entry (i, j) is
+    sqrt(1 - |w_i|^2) sqrt(1 - |w_j|^2) prod_{j<k<i} (-conj(w_k)).
+    """
+    w = np.array(b.zeros)
+    r = np.sqrt(1.0 - np.abs(w) ** 2)
+    z = np.diag(w)
+    for i in range(len(w)):
+        p = 1.0
+        for j in range(i - 1, -1, -1):
+            z[i, j] = r[i] * r[j] * p
+            p *= -np.conj(w[j])
+    return z
+
+
+def clark_unitary(b: BlaschkeProduct, omega) -> np.ndarray:
+    """Clark's unitary A_z + k_0 (x) C k_0 / conj(omega - B(0)) in TMW coordinates.
+
+    Its eigenvalues are exactly the circle points where B equals omega, and
+    its eigenvectors are the kernels there (Clark, 1972).
+    """
+    rank_one = np.outer(np.conj(tmw_values(b, 0.0)), np.conj(conjugate_kernel_coords(b, 0.0)))
+    return compressed_shift(b) + rank_one / np.conj(omega - b(0.0))
 
 
 def level_set(b: BlaschkeProduct, omega):
-    """All circle solutions of B(eta) = omega, sorted by argument in [0, 2*pi).
+    """All circle solutions of B(eta) = omega, sorted by ``circle_angle``.
 
-    Clearing denominators turns the equation into a degree-n polynomial whose
-    roots are found as companion-matrix eigenvalues; each root is projected
-    radially onto the circle and polished with one Newton step on the boundary
-    argument of B.  The polished roots must satisfy |B(eta) - omega| below
-    ``ROOT_TOL`` and be pairwise separated by more than
-    ``DISTINCT_TOL``.
+    They are the eigenvalues of ``clark_unitary``, a normal matrix, so each is
+    accurate to round-off in position.  |B'| multiplies that error in the
+    residual, so one Newton step on the boundary argument of B, which is
+    evaluated to full relative precision, follows.  The points must satisfy
+    |B(eta) - omega| below ``ROOT_TOL`` and be pairwise separated by more
+    than ``DISTINCT_TOL``.
     """
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-12:
         raise ValueError("level-set target must be unimodular, got %r" % omega)
-    num, den = polynomial_pair(b)
-    poly = b.front_constant * num - omega * den  # ascending, exact degree n
-    roots = np.roots(poly[::-1])
-    if len(roots) != b.order:
-        raise LevelSetError(
-            "expected %d roots, found %d" % (b.order, len(roots))
-        )
-
-    # Radial projection keeps only the argument; one Newton step on
-    # psi(phi) = arg B(e^{i phi}) then restores full accuracy since the
-    # companion-matrix roots are already close.
-    phi = np.angle(roots)
+    phi = np.angle(np.linalg.eigvals(clark_unitary(b, omega)))
     eta = np.exp(1j * phi)
-    err = np.angle(b(eta) * np.conj(omega))
-    phi = phi - err / _angular_speed(b, eta)
+    phi = phi - np.angle(b(eta) * np.conj(omega)) / boundary_kernel_norm_sq(b, eta)
     eta = np.exp(1j * phi)
-
     residual = np.abs(b(eta) - omega)
     if np.any(residual > ROOT_TOL):
         raise LevelSetError(
-            "level-set refinement failed, residuals %s" % residual.tolist()
+            "level-set residuals %s exceed %.1e" % (residual.tolist(), ROOT_TOL)
         )
     for i in range(len(eta)):
         for j in range(i + 1, len(eta)):
@@ -158,11 +213,7 @@ def level_set(b: BlaschkeProduct, omega):
                     "level-set points %r and %r are numerically coincident"
                     % (eta[i], eta[j])
                 )
-
-    key = np.angle(eta) % (2.0 * np.pi)
-    # A point computed as e.g. exp(-1e-16j) belongs at the front, not at 2*pi.
-    key[key >= 2.0 * np.pi - 1e-9] -= 2.0 * np.pi
-    return eta[np.argsort(key)]
+    return eta[np.argsort(circle_angle(eta))]
 
 
 def cubic_coefficients(b: BlaschkeProduct):
@@ -191,14 +242,18 @@ def cubic_coefficients(b: BlaschkeProduct):
     return complex(k0), complex(k1), complex(k2), complex(k3)
 
 
-def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta) -> float:
-    """Squared norm of the reproducing kernel at a circle point.
+def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta):
+    """Squared norm of the reproducing kernel at circle points (scalar or array).
 
     The limit of (1 - conj(B(zeta)) B(z)) / (1 - conj(zeta) z) as z -> zeta
-    equals |B'(zeta)|, which for a finite Blaschke product is the manifestly
-    positive sum of (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2.
+    equals |B'(zeta)|, the angular speed of B on the circle, which for a
+    finite Blaschke product is the manifestly positive sum of
+    (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2.
     """
-    zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-10:
-        raise ValueError("boundary kernel norm needs a circle point, got %r" % zeta)
-    return float(_angular_speed(b, zeta))
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(np.abs(np.abs(zeta) - 1.0) > 1e-10):
+        raise ValueError("boundary kernel norm needs circle points, got %r" % zeta)
+    speed = np.zeros(zeta.shape)
+    for w in b.zeros:
+        speed += (1.0 - abs(w) ** 2) / np.abs(1.0 - np.conj(w) * zeta) ** 2
+    return speed if speed.shape else float(speed)

@@ -12,11 +12,12 @@ points where B equals the target
 and suitably phased, normalized boundary kernels at those points form an
 orthonormal basis fixed by the canonical conjugation.  The phase convention
 is the half-argument square root: for unimodular w with arg w = gamma taken
-in [0, 2*pi), its root is exp(i*gamma/2).
+by ``blaschke.circle_angle``, its root is exp(i*gamma/2).
 
-The matrix of U is exact: S_t is the Moebius function
-(A_z - t)(I - conj(t) A_z)^-1 of the compressed shift A_z, and the rank-one
-part needs only point values.
+Everything is built in TMW coordinates from closed forms: the basis is the
+coordinate matrix of the phased kernels, conj(e(eta_i)) * phase_i / norm_i,
+and the matrix of U is the Moebius function (A_z - t)(I - conj(t) A_z)^-1 of
+the compressed shift A_z plus a rank-one term from the kernel coordinates.
 """
 
 from __future__ import annotations
@@ -25,9 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, boundary_kernel_norm_sq, level_set
+from .blaschke import (
+    BlaschkeProduct,
+    boundary_kernel_norm_sq,
+    circle_angle,
+    compressed_shift,
+    conjugate_kernel_coords,
+    level_set,
+    tmw_values,
+)
 from .config import BASIS_TOL
-from .modelspace import OrthonormalBasis, _values, compressed_shift, kernel_element
+from .modelspace import OrthonormalBasis
 
 __all__ = [
     "ClarkParams",
@@ -41,8 +50,11 @@ __all__ = [
 ]
 
 
-class ClarkTargetError(ValueError):
-    """The (t, alpha) pair makes the unimodular target numerically undefined."""
+class ClarkTargetError(ArithmeticError):
+    """The (t, alpha) pair makes the unimodular target numerically undefined.
+
+    |1 + conj(B(t)) alpha| >= 1 - |B(t)| > 0 for every valid pair: this is round-off.
+    """
 
 
 class ConjugationSymmetryError(RuntimeError):
@@ -66,14 +78,14 @@ class ClarkParams:
 
 
 def half_arg_root(w) -> complex:
-    """Square root of w with argument arg(w)/2, arg taken in [0, 2*pi).
+    """Square root of w with argument arg(w)/2, arg taken by ``circle_angle``.
 
     This is the branch used throughout the Clark-basis phases; for a
-    unimodular w it returns exp(i * gamma / 2) with gamma in [0, 2*pi).
+    unimodular w it returns exp(i * gamma / 2) with gamma in [0, 2*pi), and
+    w = 1 +- 1e-16i both give 1.
     """
     w = complex(w)
-    gamma = np.angle(w) % (2.0 * np.pi)
-    return complex(np.sqrt(abs(w)) * np.exp(0.5j * gamma))
+    return complex(np.sqrt(abs(w)) * np.exp(0.5j * circle_angle(w)))
 
 
 def clark_target(b: BlaschkeProduct, params: ClarkParams) -> complex:
@@ -129,18 +141,9 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
         raise ValueError("the Clark basis construction here is order-3 only")
     omega = clark_target(b, params)
     etas = level_set(b, omega)
-    delta2 = np.angle(omega) % (2.0 * np.pi)
-    phases = np.array(
-        [
-            np.exp(0.5j * ((np.angle(np.conj(e)) % (2.0 * np.pi)) + delta2))
-            for e in etas
-        ]
-    )
-    norms = np.array([np.sqrt(boundary_kernel_norm_sq(b, e)) for e in etas])
-    basis = OrthonormalBasis.from_elements(
-        ((p / n) * kernel_element(b, e) for p, n, e in zip(phases, norms, etas)),
-        tag="clark(t=%s, alpha=%s)" % (params.t, params.alpha),
-    )
+    phases = np.exp(0.5j * (circle_angle(np.conj(etas)) + circle_angle(omega)))
+    norms = np.sqrt(boundary_kernel_norm_sq(b, etas))
+    basis = OrthonormalBasis(b, np.conj(tmw_values(b, etas)) * (phases / norms))
 
     if basis.conj_residual >= BASIS_TOL:
         raise ConjugationSymmetryError(
@@ -173,32 +176,25 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     differs from 1.
 
     Entry (i, j) is <U v_j, v_i>.  The compressed-multiplier part is
-    (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus,
-    taken between the orthonormal coordinates of the basis; the rank-one
-    part evaluates in closed form since <v, C k_t> = conj((C v)(t)).
-    The result is checked to be unitary within 1e-8.
+    (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus; the
+    rank-one part is k_t (x) C k_t from the closed-form kernel coordinates.
+    Both are taken between the orthonormal coordinates of the basis.  The
+    result is checked to be unitary within 1e-8.
     """
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
     t, alpha = params.t, params.alpha
     bt = b(t)
-    k = len(basis.elements)
 
     z = compressed_shift(b)
     eye = np.eye(len(z))
     mobius = np.linalg.solve(eye - np.conj(t) * z, z - t * eye)
-    x = basis.coords
-    m = np.conj(x.T) @ mobius @ x
-
-    v_at_t = basis(t)
-    # C reverses and conjugates each numerator and multiplies by the front constant.
-    cv_at_t = _values(b, b.front_constant * np.conj(basis.numerators[::-1]), t)
     kernel_norm_sq = (1.0 - abs(bt) ** 2) / (1.0 - abs(t) ** 2)
-    weight = (alpha + bt) / kernel_norm_sq
-    rank_one = weight * np.outer(np.conj(v_at_t), np.conj(cv_at_t))
-    u = m + rank_one
+    rank_one = np.outer(np.conj(tmw_values(b, t)), np.conj(conjugate_kernel_coords(b, t)))
+    x = basis.coords
+    u = np.conj(x.T) @ (mobius + (alpha + bt) / kernel_norm_sq * rank_one) @ x
 
-    defect = np.linalg.norm(np.conj(u.T) @ u - np.eye(k))
+    defect = np.linalg.norm(np.conj(u.T) @ u - np.eye(x.shape[1]))
     if defect > 1e-8:
         raise RuntimeError(
             "operator matrix is not unitary (defect %.3e); the basis is not "

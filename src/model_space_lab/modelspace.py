@@ -1,26 +1,26 @@
 """Order-n model space attached to a finite Blaschke product.
 
-Every element of the space is a rational function
-
-    f(z) = (a_0 + a_1 z + ... + a_{n-1} z^{n-1}) / prod_i (1 - conj(w_i) z)
-
-over the fixed denominator built from the zeros w_i of the product B, so the
-space is parametrized by the n numerator coefficients.  The inner product is
-the boundary L^2 pairing, evaluated exactly in coefficient space: the
-Takenaka-Malmquist-Walsh functions
-
-    e_k(z) = sqrt(1 - |w_k|^2) / (1 - conj(w_k) z) * prod_{j<k} (z - w_j) / (1 - conj(w_j) z)
-
-are an orthonormal basis (repeated zeros allowed), so solving for an element's
-coordinates in it turns every pairing into a dot product.  In the same
-coordinates the compressed shift f -> P(z f) is the companion matrix of
-prod_i (z - w_i) brought over by the change of basis.  The two structural
-players are the reproducing kernel
+The space is represented by coordinates in its orthonormal
+Takenaka-Malmquist-Walsh basis e_0, ..., e_{n-1} (``blaschke.tmw_values``):
+an orthonormal basis is its (n, k) coordinate matrix, so every inner product
+is a dot product, and its values at z are coords^T e(z).  The two structural
+players have closed-form coordinates: the reproducing kernel
 
     k_lam(z) = (1 - conj(B(lam)) B(z)) / (1 - conj(lam) z)
 
-and the canonical conjugation, whose action in coefficient form is
-"conjugate and reverse" times the front constant.
+has coordinates conj(e(lam)), and its image under the canonical conjugation
+C f = B conj(z f) (on the circle) has ``conjugate_kernel_coords``.
+
+``KThetaElement`` is the other view of an element: a rational function
+
+    f(z) = (a_0 + a_1 z + ... + a_{n-1} z^{n-1}) / prod_i (1 - conj(w_i) z)
+
+over the fixed denominator, stored by its numerator; in that view the
+conjugation is "conjugate and reverse" times the front constant.  The
+functions that take elements (``coordinates``, ``inner_product``, ``norm``,
+``gram_matrix``, ``kernel_element``, ``OrthonormalBasis.from_elements`` and
+``OrthonormalBasis.elements``) bridge the two views through the matrix T of
+the TMW numerators; nothing else goes through T.
 """
 
 from __future__ import annotations
@@ -29,13 +29,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, polynomial_pair
-from .config import BASIS_TOL, DIVISION_TOL
+from .blaschke import (
+    BlaschkeProduct,
+    boundary_kernel_norm_sq,
+    clark_unitary,
+    conjugate_kernel_coords,
+    polynomial_pair,
+    tmw_values,
+)
+from .config import BASIS_TOL
 
 __all__ = [
     "KThetaElement",
     "OrthonormalBasis",
-    "DivisionRemainderError",
     "BasisError",
     "inner_product",
     "norm",
@@ -45,12 +51,7 @@ __all__ = [
     "gram_matrix",
     "conjugation_residual",
     "coordinates",
-    "compressed_shift",
 ]
-
-
-class DivisionRemainderError(ArithmeticError):
-    """Synthetic division left a non-negligible remainder."""
 
 
 class BasisError(ArithmeticError):
@@ -78,7 +79,9 @@ class KThetaElement:
             )
 
     def __call__(self, z):
-        out = _values(self.theta, np.array(self.numerator)[:, None], z)[0]
+        z = np.asarray(z, dtype=complex)
+        _, den = polynomial_pair(self.theta)
+        out = np.polyval(self.numerator[::-1], z) / np.polyval(den[::-1], z)
         return out if out.shape else complex(out)
 
     def __add__(self, other: "KThetaElement") -> "KThetaElement":
@@ -95,17 +98,6 @@ class KThetaElement:
     def __rmul__(self, scalar) -> "KThetaElement":
         s = complex(scalar)
         return KThetaElement(self.theta, tuple(s * a for a in self.numerator))
-
-
-def _values(b: BlaschkeProduct, numerators: np.ndarray, z) -> np.ndarray:
-    """Values at z of the elements whose numerators are the columns of ``numerators``.
-
-    The result has shape ``(k,) + np.shape(z)`` for k columns.
-    """
-    z = np.asarray(z, dtype=complex)[..., None]
-    den = np.prod(1.0 - np.conj(np.array(b.zeros)) * z, axis=-1)
-    num = (z ** np.arange(b.order)) @ numerators
-    return np.moveaxis(num / den[..., None], -1, 0)
 
 
 def _tmw_numerators(b: BlaschkeProduct) -> np.ndarray:
@@ -135,22 +127,6 @@ def coordinates(b: BlaschkeProduct, elements) -> np.ndarray:
     return np.linalg.solve(_tmw_numerators(b), numerators)
 
 
-def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
-    """Matrix of A_z f = P(z f) in the orthonormal coordinates of ``coordinates``.
-
-    On numerators A_z multiplies by z and reduces modulo prod_i (z - w_i):
-    the part removed is a constant times B, which is orthogonal to K_b.
-    That is the companion matrix S of prod_i (z - w_i); the result is
-    T^-1 S T for the numerator matrix T of the orthonormal basis.
-    """
-    n = b.order
-    num, _ = polynomial_pair(b)
-    s = np.eye(n, k=-1, dtype=complex)
-    s[:, -1] = -num[:n]
-    t = _tmw_numerators(b)
-    return np.linalg.solve(t, s @ t)
-
-
 def inner_product(f: KThetaElement, g: KThetaElement):
     """Boundary pairing (1/2pi) * integral of f * conj(g), conjugate-linear in g."""
     x = coordinates(f.theta, (f, g))
@@ -162,33 +138,14 @@ def norm(f: KThetaElement) -> float:
 
 
 def kernel_element(b: BlaschkeProduct, lam) -> KThetaElement:
-    """Reproducing kernel at ``lam`` (closed disc) in coefficient form.
+    """Reproducing kernel at ``lam`` (closed disc) as a ``KThetaElement``.
 
-    The numerator of 1 - conj(B(lam)) B(z) over the common denominator is a
-    degree-n polynomial exactly divisible by (1 - conj(lam) z); synthetic
-    division produces the n kernel coefficients, and the remainder is
-    asserted to vanish relative to the coefficient scale.
+    Its coordinates are conj(e(lam)); the numerator is T times them.
     """
     lam = complex(lam)
     if abs(lam) > 1.0 + 1e-12:
         raise ValueError("kernel point must lie in the closed disc, got %r" % lam)
-    value = b(lam)
-    num, den = polynomial_pair(b)
-    q = den - np.conj(value) * b.front_constant * num  # ascending, length n+1
-    n = b.order
-    a = np.zeros(n, dtype=complex)
-    a[0] = q[0]
-    lam_bar = np.conj(lam)
-    for j in range(1, n):
-        a[j] = q[j] + lam_bar * a[j - 1]
-    remainder = q[n] + lam_bar * a[n - 1]
-    scale = max(float(np.max(np.abs(q))), 1e-300)
-    if abs(remainder) > DIVISION_TOL * scale:
-        raise DivisionRemainderError(
-            "kernel division remainder %.3e exceeds %.1e of coefficient scale"
-            % (abs(remainder), DIVISION_TOL)
-        )
-    return KThetaElement(b, tuple(a))
+    return KThetaElement(b, tuple(_tmw_numerators(b) @ np.conj(tmw_values(b, lam))))
 
 
 def conjugate(f: KThetaElement) -> KThetaElement:
@@ -213,50 +170,46 @@ def gram_matrix(elements):
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """Orthonormal elements of one model space and what is known of them once built.
+    """Orthonormal elements of one model space, given by their TMW coordinates.
 
-    ``coords`` holds the orthonormal coordinates of the elements, one column
-    each; ``gram_residual`` is ||Gram - I||_F, which must be below BASIS_TOL
-    (else BasisError); ``conj_residual`` is ``conjugation_residual`` of the
-    basis.  Calling the basis at points z gives all element values, one row
-    per element.
+    ``coords`` holds the coordinates of the elements, one column each;
+    ``gram_residual`` is ||Gram - I||_F, which must be below BASIS_TOL (else
+    BasisError); ``conj_residual`` is ``conjugation_residual`` of the basis.
+    Calling the basis at points z gives all element values, one row per
+    element.
     """
 
-    elements: tuple
-    tag: str = "onb"
-    coords: np.ndarray = field(init=False, repr=False)
+    theta: BlaschkeProduct
+    coords: np.ndarray = field(repr=False)
     gram_residual: float = field(init=False)
     conj_residual: float = field(init=False)
 
     def __post_init__(self):
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
-        x = coordinates(elements[0].theta, elements)
-        residual = float(np.linalg.norm(x.T @ np.conj(x) - np.eye(len(elements))))
+        x = np.array(self.coords, dtype=complex)
+        x.setflags(write=False)  # the residuals below are recorded once
+        object.__setattr__(self, "coords", x)
+        residual = float(np.linalg.norm(x.T @ np.conj(x) - np.eye(x.shape[1])))
         if residual >= BASIS_TOL:
             raise BasisError(
                 "Gram residual %.3e is not below %.1e" % (residual, BASIS_TOL)
             )
-        object.__setattr__(self, "coords", x)
         object.__setattr__(self, "gram_residual", residual)
         object.__setattr__(self, "conj_residual", conjugation_residual(self))
 
     @classmethod
-    def from_elements(cls, elements, *, tag: str = "onb"):
-        return cls(elements, tag)
+    def from_elements(cls, elements):
+        elements = tuple(elements)
+        theta = elements[0].theta
+        return cls(theta, coordinates(theta, elements))
 
     @property
-    def theta(self) -> BlaschkeProduct:
-        return self.elements[0].theta
-
-    @property
-    def numerators(self) -> np.ndarray:
-        """Column j holds the numerator coefficients of ``elements[j]``."""
-        return np.array([e.numerator for e in self.elements], dtype=complex).T
+    def elements(self) -> tuple:
+        numerators = _tmw_numerators(self.theta) @ self.coords
+        return tuple(KThetaElement(self.theta, tuple(col)) for col in numerators.T)
 
     def __call__(self, z) -> np.ndarray:
         """Values of every element at z, shape ``(len(elements),) + np.shape(z)``."""
-        return _values(self.theta, self.numerators, z)
+        return np.tensordot(self.coords.T, tmw_values(self.theta, z), axes=1)
 
 
 def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:
@@ -267,16 +220,22 @@ def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:
     columns is their QR factorization with a positive diagonal in R, so the
     phases of numpy's diagonal are divided out of Q.
     """
-    t = _tmw_numerators(b)
-    q, r = np.linalg.qr(np.linalg.inv(t))
+    q, r = np.linalg.qr(np.linalg.inv(_tmw_numerators(b)))
     d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return OrthonormalBasis.from_elements(
-        (KThetaElement(b, tuple(col)) for col in (t @ q).T), tag="reference"
-    )
+    return OrthonormalBasis(b, q * (d / np.abs(d)))
 
 
 def conjugation_residual(basis: OrthonormalBasis) -> float:
-    """max_i || C v_i - v_i ||: how far the basis is from being conjugation-fixed."""
-    moved = [conjugate(e) - e for e in basis.elements]
-    return float(np.linalg.norm(coordinates(basis.theta, moved), axis=0).max())
+    """max_i || C v_i - v_i ||: how far the basis is from being conjugation-fixed.
+
+    C v = J conj(x) for the coordinates x of v.  With K the coordinates of the
+    normalized kernels at a level set of B (the eigenvalues of Clark's unitary
+    for the target 1), K is unitary, so J = F K^T, where F holds the
+    coordinates of their conjugates; no solve is needed.
+    """
+    b = basis.theta
+    eta = np.linalg.eigvals(clark_unitary(b, 1.0))
+    scale = 1.0 / np.sqrt(boundary_kernel_norm_sq(b, eta))
+    j = (conjugate_kernel_coords(b, eta) * scale) @ (np.conj(tmw_values(b, eta)) * scale).T
+    x = basis.coords
+    return float(np.linalg.norm(j @ np.conj(x) - x, axis=0).max())

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .clark import ClarkBasis
-from .modelspace import KThetaElement, OrthonormalBasis
+from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
     Sym3,
@@ -95,11 +95,7 @@ def creal_basis_from_orthogonal(cb: ClarkBasis, u: OrthMatrix3) -> OrthonormalBa
     of U keeps the family orthonormal; this parametrizes all conjugation-fixed
     bases once one Clark basis is in hand.
     """
-    numerators = cb.basis.numerators @ u.array
-    return OrthonormalBasis.from_elements(
-        (KThetaElement(cb.theta, tuple(col)) for col in numerators.T),
-        tag=f"{cb.basis.tag}+rot",
-    )
+    return OrthonormalBasis(cb.theta, cb.basis.coords @ u.array)
 
 
 def conjugate_representation(s: Sym3, u: OrthMatrix3) -> Sym3:

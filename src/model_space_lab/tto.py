@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
-from .modelspace import OrthonormalBasis, compressed_shift
+from .blaschke import BlaschkeProduct, compressed_shift
+from .modelspace import OrthonormalBasis
 from .repcheck import PointConfig, Sym3, _spanning_columns, default_points
 
 __all__ = [
@@ -63,27 +63,20 @@ class Symbol:
         return out if out.shape else complex(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TTOMatrix:
     """Matrix of a truncated Toeplitz operator given by its symbol."""
 
-    entries: tuple  # tuple of row tuples
-
-    def __post_init__(self):
-        rows = tuple(tuple(complex(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    array: np.ndarray
 
     @classmethod
     def from_array(cls, m) -> "TTOMatrix":
-        return cls(tuple(tuple(row) for row in np.asarray(m, dtype=complex)))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex)
+        m = np.array(m, dtype=complex)
+        m.setflags(write=False)
+        return cls(m)
 
     def symmetry_defect(self) -> float:
-        m = self.array
-        return float(np.linalg.norm(m - m.T))
+        return float(np.linalg.norm(self.array - self.array.T))
 
 
 def tto_matrix_from_symbol(b: BlaschkeProduct, phi: Symbol, basis: OrthonormalBasis) -> TTOMatrix:

@@ -57,7 +57,7 @@ def rotate_basis(basis, q):
         e = q[0, i] * basis.elements[0] + q[1, i] * basis.elements[1]
         e = e + q[2, i] * basis.elements[2]
         elems.append(e)
-    return OrthonormalBasis.from_elements(tuple(elems), tag="rotated")
+    return OrthonormalBasis.from_elements(tuple(elems))
 
 
 @pytest.fixture(scope="module")

@@ -11,9 +11,10 @@ from model_space_lab.blaschke import (
     cubic_coefficients,
     level_set,
     polynomial_pair,
+    tmw_values,
 )
 
-from conftest import oracle_circle_mean, oracle_kernel_values
+from conftest import oracle_circle_mean, oracle_inner, oracle_kernel_values
 
 
 def test_f1_point_values(f1):
@@ -70,6 +71,25 @@ def test_polynomial_pair_reproduces_product(f2):
         z = 0.7 * (rng.random() + 1j * rng.random())
         ratio = np.polyval(num[::-1], z) / np.polyval(den[::-1], z)
         assert ratio == pytest.approx(f2(z))
+
+
+def test_tmw_values_orthonormal_and_reproducing(f2):
+    # Quadrature oracle: the e_k are orthonormal, and conj(e(lam)) are the
+    # coordinates of the kernel k_lam, i.e. sum_k conj(e_k(lam)) e_k(z) = k_lam(z).
+    b = BlaschkeProduct((0.5, 0.5, -0.3j), front_constant=np.exp(0.4j))
+    for prod in (f2, b):
+        gram = [
+            [oracle_inner(lambda z: tmw_values(prod, z)[i], lambda z: tmw_values(prod, z)[j])
+             for j in range(3)]
+            for i in range(3)
+        ]
+        np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
+        lam, z = 0.3 - 0.6j, np.array([0.0, 0.4j, -0.7 + 0.1j])
+        np.testing.assert_allclose(
+            np.conj(tmw_values(prod, lam)) @ tmw_values(prod, z),
+            oracle_kernel_values(prod, lam, z),
+            atol=1e-12,
+        )
 
 
 # -- level sets --------------------------------------------------------------

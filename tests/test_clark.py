@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import (
     ClarkParams,
     ClarkTargetError,
@@ -17,6 +18,8 @@ from model_space_lab.modelspace import (
 )
 from model_space_lab.sampling import random_clark_basis
 
+from conftest import oracle_clark_mp
+
 W3 = np.exp(2j * np.pi / 3)
 
 
@@ -25,6 +28,13 @@ def test_half_arg_root_convention():
     # arg(-i) taken in [0, 2*pi) is 3*pi/2, so the root is exp(3i*pi/4).
     assert half_arg_root(-1j) == pytest.approx(np.exp(0.75j * np.pi))
     assert half_arg_root(np.conj(W3)) == pytest.approx(W3)
+
+
+def test_half_arg_root_continuous_at_branch_cut():
+    # A level-set point computed as 1 - 1e-16i is the point 1, not the end of
+    # [0, 2*pi): its root is 1, as on the other side of the axis, not -1.
+    assert half_arg_root(1 - 1e-16j) == pytest.approx(1.0)
+    assert half_arg_root(1 + 1e-16j) == pytest.approx(1.0)
 
 
 def test_clark_target_trivial(f1):
@@ -88,11 +98,31 @@ def test_clark_basis_invariants_random_draws():
 
 
 def test_clark_basis_requires_order_three(f2):
-    from model_space_lab.blaschke import BlaschkeProduct
-
     b = BlaschkeProduct(zeros=(0.3, 0.1))
     with pytest.raises(ValueError):
         modified_clark_basis(b, ClarkParams(0.0, 1.0))
+
+
+@pytest.mark.parametrize("radius", [0.999, 0.9999])
+def test_near_circle_triple_zero_matches_mpmath_oracle(radius):
+    # Near the circle the kernels vary on arcs of length 1 - radius, which a
+    # uniform quadrature grid cannot resolve; the 50-digit oracle can.  Level
+    # sets are compared to 1e-10 (where |B'| ~ 1e-3 an input round-off of
+    # 1e-16 in omega already moves eta by 1e-13), norms relatively to 1e-9,
+    # and element values at interior points to 1e-10.
+    rng = np.random.default_rng(int(radius * 1e4) + 1)
+    z = np.array([0.0, 0.5, -0.3 + 0.4j, 0.6j, 0.9 * np.exp(1j)])
+    for _ in range(10):
+        w = radius * np.exp(2j * np.pi * rng.random())
+        b = BlaschkeProduct((w, w, w), np.exp(2j * np.pi * rng.random()))
+        params = ClarkParams(
+            0.3 * np.exp(2j * np.pi * rng.random()), np.exp(2j * np.pi * rng.random())
+        )
+        cb = modified_clark_basis(b, params)
+        etas, norms, values = oracle_clark_mp(b, params.t, params.alpha, z)
+        np.testing.assert_allclose(cb.etas, etas, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(cb.norms, norms, rtol=1e-9)
+        np.testing.assert_allclose(cb.basis(z), values, rtol=0, atol=1e-10)
 
 
 # -- the perturbed shift -----------------------------------------------------

@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from model_space_lab import cli
 from model_space_lab.cli import run, validate_report
+from model_space_lab.config import BASIS_TOL, ROOT_TOL
+from model_space_lab.modelspace import BasisError
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -183,19 +186,19 @@ def test_invalid_parameters_exit_2(tmp_path):
     assert code == 2 and report is None
 
     # The family is checked before the Clark basis is built, so a product
-    # whose level set cannot be refined does not turn invalid input into exit 3.
-    bad_family["theta"] = {"zeros": [[0.999999, 0.0]] * 3, "constant": [1.0, 0.0]}
+    # whose level set misses ROOT_TOL does not turn invalid input into exit 3.
+    bad_family["theta"] = {"zeros": [[0.99999999, 0.0]] * 3, "constant": [1.0, 0.0]}
     code, report, _ = run_cli(tmp_path, bad_family, name="p5")
     assert code == 2 and report is None
 
 
 def test_indeterminate_exits_3_with_report(tmp_path):
-    # A triple zero this close to the circle makes B turn almost all of its
-    # argument in a tiny arc, so level-set refinement cannot reach its
-    # tolerance and the run is declared indeterminate.
+    # A triple zero this close to the circle makes |B'| reach 6e8 at the
+    # level set, so round-off alone puts |B(eta) - omega| at 6e-9, above
+    # ROOT_TOL, and the run is declared indeterminate.
     problem = {
         "task": "clark-basis",
-        "theta": {"zeros": [[0.999999, 0.0]] * 3, "constant": [1.0, 0.0]},
+        "theta": {"zeros": [[0.99999999, 0.0]] * 3, "constant": [1.0, 0.0]},
         "clark": CLARK0,
         "options": {},
     }
@@ -207,40 +210,57 @@ def test_indeterminate_exits_3_with_report(tmp_path):
     validate_report(report)
 
 
-def test_gram_failure_exits_3_with_report(tmp_path):
-    # Zeros crowding the circle leave the library's own Clark basis with a
-    # Gram residual of 1.07e-8, just above BASIS_TOL.  The input is valid, so
-    # the run is indeterminate (exit 3), not invalid (exit 2).
-    problem = {
-        "task": "clark-basis",
-        "theta": {
-            "zeros": [
-                [-0.20999638132814988, -0.9777011403440635],
-                [-0.997203711151543, 0.07471785908730219],
-                [-0.19248560865844017, -0.9812987773661953],
-            ],
-            "constant": [-0.3428893266294106, 0.9393758085471594],
-        },
-        "clark": {
-            "t": [-0.1762958309807192, -0.39977471654740204],
-            "alpha": [-0.6220064241390778, -0.7830121380475003],
-        },
-        "options": {},
-    }
-    code, report, _ = run_cli(tmp_path, problem)
+def test_gram_failure_exits_3_with_report(tmp_path, monkeypatch):
+    # A Clark basis that misses BASIS_TOL is numerical indeterminacy: the run
+    # writes a report naming the Gram residual and exits 3, not 2.  The input
+    # that once did this (zeros crowding the circle) is now decided and lives
+    # in test_zero_near_circle_is_decided, so the failure is injected here.
+    def failing_basis(theta, params):
+        raise BasisError("Gram residual 1.070e-08 is not below 1.0e-08")
+
+    monkeypatch.setattr(cli, "modified_clark_basis", failing_basis)
+    code, report, _ = run_cli(tmp_path, shift_problem("clark-basis"))
     assert code == 3
     assert report["verdict"] == "indeterminate"
     assert "Gram residual" in report["details"]["reason"]
     validate_report(report)
 
 
+def test_clark_target_round_off_exits_3(tmp_path):
+    # |1 + conj(B(t)) alpha| >= 1 - |B(t)| > 0 for every t in the disc, so
+    # a target that vanishes numerically is indeterminacy, not invalid input.
+    problem = shift_problem("clark-basis")
+    problem["clark"] = {"t": [0.9999999999999, 0.0], "alpha": [-1.0, 0.0]}
+    code, report, _ = run_cli(tmp_path, problem)
+    assert code == 3
+    assert report["verdict"] == "indeterminate"
+    assert "numerically zero" in report["details"]["reason"]
+
+
 def test_zero_near_circle_is_decided(tmp_path):
-    # Valid input with zeros at 0.999 gets a basis, not an indeterminate
-    # verdict.  With a triple zero there the kernel norms are 30-77, so an
-    # absolute vanishing test at the other level-set points would refuse it.
+    # Valid input with zeros near the circle gets a basis, not an
+    # indeterminate verdict.  With a triple zero at 0.999 the kernel norms
+    # are 30-77, so an absolute vanishing test at the other level-set points
+    # would refuse it; the crowded zeros once left a Gram residual of 1.07e-8.
     single = {"zeros": [[0.999, 0.0], [0.0, 0.0], [0.0, 0.0]], "constant": [1.0, 0.0]}
     triple = {"zeros": [[0.999, 0.0]] * 3, "constant": [1.0, 0.0]}
-    cases = ((single, CLARK0), (triple, {"t": [0.1, 0.2], "alpha": [1.0, 0.0]}))
+    crowded = {
+        "zeros": [
+            [-0.20999638132814988, -0.9777011403440635],
+            [-0.997203711151543, 0.07471785908730219],
+            [-0.19248560865844017, -0.9812987773661953],
+        ],
+        "constant": [-0.3428893266294106, 0.9393758085471594],
+    }
+    crowded_clark = {
+        "t": [-0.1762958309807192, -0.39977471654740204],
+        "alpha": [-0.6220064241390778, -0.7830121380475003],
+    }
+    cases = (
+        (single, CLARK0),
+        (triple, {"t": [0.1, 0.2], "alpha": [1.0, 0.0]}),
+        (crowded, crowded_clark),
+    )
     for k, (theta, clark) in enumerate(cases):
         problem = shift_problem("clark-basis")
         problem["theta"], problem["clark"] = theta, clark
@@ -248,7 +268,28 @@ def test_zero_near_circle_is_decided(tmp_path):
         assert code == 0
         validate_report(report)
         assert report["verdict"] is True
-        assert report["residuals"]["gram"] < 1e-8
+        assert report["residuals"]["gram"] < BASIS_TOL
+        assert report["residuals"]["conjugation"] < BASIS_TOL
+
+
+@pytest.mark.parametrize("radius", [0.999, 0.9999])
+def test_near_circle_triple_zeros_are_decided(tmp_path, radius):
+    # A triple zero at a random angle with random t (|t| = 0.3) and alpha:
+    # the level set comes from a normal matrix and the basis from closed-form
+    # kernel coordinates, so every draw gets a basis within BASIS_TOL.
+    rng = np.random.default_rng(int(radius * 1e4))
+    for k in range(50):
+        w = radius * np.exp(2j * np.pi * rng.random())
+        t = 0.3 * np.exp(2j * np.pi * rng.random())
+        alpha = np.exp(2j * np.pi * rng.random())
+        problem = shift_problem("clark-basis")
+        problem["theta"] = {"zeros": [[w.real, w.imag]] * 3, "constant": [1.0, 0.0]}
+        problem["clark"] = {"t": [t.real, t.imag], "alpha": [alpha.real, alpha.imag]}
+        code, report, _ = run_cli(tmp_path, problem, name=f"draw{k}")
+        assert code == 0, report
+        assert report["residuals"]["gram"] < BASIS_TOL
+        assert report["residuals"]["conjugation"] < BASIS_TOL
+        assert report["residuals"]["level_set"] < ROOT_TOL
 
 
 # -- option precedence ---------------------------------------------------------

@@ -53,7 +53,7 @@ def rotate_basis(basis, q):
         e = q[0, i] * basis.elements[0] + q[1, i] * basis.elements[1]
         e = e + q[2, i] * basis.elements[2]
         elems.append(e)
-    return OrthonormalBasis.from_elements(tuple(elems), tag="rotated")
+    return OrthonormalBasis.from_elements(tuple(elems))
 
 
 # -- Sym3 / PointConfig ------------------------------------------------------
@@ -137,7 +137,7 @@ def test_columns_handmade_creal_basis(f1):
         KThetaElement(f1, (0.0, 1.0, 0.0)),
         KThetaElement(f1, (1j * s, 0.0, -1j * s)),
     )
-    basis = OrthonormalBasis.from_elements(elems, tag="handmade")
+    basis = OrthonormalBasis.from_elements(elems)
     pc = default_points(f1)
     cols = build_columns(basis, pc)
     lam = pc.interior[1]
