@@ -11,7 +11,6 @@ SO(3) search for basis changes, and a JSON command line.
 
 from .blaschke import (
     BlaschkeProduct,
-    DegenerateRootError,
     LevelSetError,
     PoleEvaluationError,
     boundary_kernel_norm_sq,
@@ -23,12 +22,12 @@ from .clark import (
     ClarkBasis,
     ClarkParams,
     ClarkTargetError,
-    ConjugationSymmetryError,
     clark_operator_matrix,
     clark_target,
     half_arg_root,
     modified_clark_basis,
 )
+from .config import Indeterminate
 from .modelspace import (
     BasisError,
     KThetaElement,
@@ -53,6 +52,7 @@ from .repcheck import (
     counterexample_report,
     default_points,
     detthm_test,
+    match_counterexample_family,
     relation_coefficients,
 )
 from .so3solver import (

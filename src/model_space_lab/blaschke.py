@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DISTINCT_TOL, POLE_TOL, ROOT_TOL
+from .config import DISTINCT_TOL, POLE_TOL, ROOT_TOL, Indeterminate
 
 __all__ = [
     "BlaschkeProduct",
     "PoleEvaluationError",
     "LevelSetError",
-    "DegenerateRootError",
     "level_set",
     "cubic_coefficients",
     "boundary_kernel_norm_sq",
@@ -41,16 +40,12 @@ __all__ = [
 ]
 
 
-class PoleEvaluationError(ZeroDivisionError):
+class PoleEvaluationError(Indeterminate):
     """An evaluation point collided with a pole at 1/conj(zero)."""
 
 
-class LevelSetError(RuntimeError):
-    """The computed level set missed its accuracy check."""
-
-
-class DegenerateRootError(LevelSetError):
-    """Two level-set points are numerically coincident."""
+class LevelSetError(Indeterminate):
+    """The computed level set missed its accuracy or separation check."""
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,9 @@ class BlaschkeProduct:
                 "zeros must lie strictly inside the unit disc, got moduli %s"
                 % radii.tolist()
             )
-        if abs(abs(self.front_constant) - 1.0) > 1e-12:
-            raise ValueError(
-                "front constant must be unimodular, got |c| = %r"
-                % abs(self.front_constant)
-            )
+        modulus = float(np.abs(self.front_constant))  # inf where abs() overflows
+        if abs(modulus - 1.0) > 1e-12:
+            raise ValueError("front constant must be unimodular, got |c| = %r" % modulus)
 
     @property
     def order(self) -> int:
@@ -209,7 +202,7 @@ def level_set(b: BlaschkeProduct, omega):
     for i in range(len(eta)):
         for j in range(i + 1, len(eta)):
             if abs(eta[i] - eta[j]) <= DISTINCT_TOL:
-                raise DegenerateRootError(
+                raise LevelSetError(
                     "level-set points %r and %r are numerically coincident"
                     % (eta[i], eta[j])
                 )

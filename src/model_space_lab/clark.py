@@ -35,14 +35,13 @@ from .blaschke import (
     level_set,
     tmw_values,
 )
-from .config import BASIS_TOL
-from .modelspace import OrthonormalBasis
+from .config import BASIS_TOL, Indeterminate
+from .modelspace import BasisError, OrthonormalBasis
 
 __all__ = [
     "ClarkParams",
     "ClarkBasis",
     "ClarkTargetError",
-    "ConjugationSymmetryError",
     "half_arg_root",
     "clark_target",
     "modified_clark_basis",
@@ -50,15 +49,11 @@ __all__ = [
 ]
 
 
-class ClarkTargetError(ArithmeticError):
+class ClarkTargetError(Indeterminate):
     """The (t, alpha) pair makes the unimodular target numerically undefined.
 
     |1 + conj(B(t)) alpha| >= 1 - |B(t)| > 0 for every valid pair: this is round-off.
     """
-
-
-class ConjugationSymmetryError(RuntimeError):
-    """A constructed Clark basis failed its conjugation-fixedness check."""
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,10 @@ class ClarkParams:
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "alpha", complex(self.alpha))
-        if abs(self.t) >= 1.0:
+        # np.abs gives inf where abs() of a huge complex overflows
+        if np.abs(self.t) >= 1.0:
             raise ValueError("anchor point t must lie in the open disc")
-        if abs(abs(self.alpha) - 1.0) > 1e-12:
+        if abs(np.abs(self.alpha) - 1.0) > 1e-12:
             raise ValueError("alpha must be unimodular")
 
 
@@ -89,7 +85,10 @@ def half_arg_root(w) -> complex:
 
 
 def clark_target(b: BlaschkeProduct, params: ClarkParams) -> complex:
-    """Unimodular level-set target omega = (alpha + B(t)) / (1 + conj(B(t)) alpha)."""
+    """Unimodular level-set target omega = (alpha + B(t)) / (1 + conj(B(t)) alpha).
+
+    |omega| = 1 exactly (a Moebius map of the circle); the eps/|den| round-off is divided out.
+    """
     bt = b(params.t)
     den = 1.0 + np.conj(bt) * params.alpha
     if abs(den) < 1e-12:
@@ -98,7 +97,7 @@ def clark_target(b: BlaschkeProduct, params: ClarkParams) -> complex:
             % (params.t, params.alpha)
         )
     omega = (params.alpha + bt) / den
-    return complex(omega)
+    return complex(omega / abs(omega))
 
 
 @dataclass(frozen=True)
@@ -131,11 +130,12 @@ class ClarkBasis:
 def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
     """Construct the conjugation-fixed eigenbasis for (t, alpha) at order 3.
 
-    Raises if the construction violates any of its contracts: level-set
-    accuracy, orthonormality, conjugation-fixedness, or vanishing of each
-    element at the other level-set points.  Vanishing is measured against the
-    normalized kernel, |e_i(eta_j)| / ||k_{eta_j}|| = |<e_i, k^_{eta_j}>|, so
-    it stays scale-free when the kernel norms are large near the circle.
+    Raises ``LevelSetError`` if the level set misses its accuracy check and
+    ``BasisError`` if the basis misses orthonormality, conjugation-fixedness,
+    or vanishing of each element at the other level-set points.  Vanishing is
+    measured against the normalized kernel, |e_i(eta_j)| / ||k_{eta_j}|| =
+    |<e_i, k^_{eta_j}>|, so it stays scale-free when the kernel norms are
+    large near the circle.
     """
     if b.order != 3:
         raise ValueError("the Clark basis construction here is order-3 only")
@@ -146,7 +146,7 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
     basis = OrthonormalBasis(b, np.conj(tmw_values(b, etas)) * (phases / norms))
 
     if basis.conj_residual >= BASIS_TOL:
-        raise ConjugationSymmetryError(
+        raise BasisError(
             "an element moved by %.3e under conjugation; the phase "
             "convention must square to conj(eta) * omega" % basis.conj_residual
         )
@@ -154,7 +154,7 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
     np.fill_diagonal(off_point, 0.0)
     missed = np.argwhere(off_point >= BASIS_TOL * norms)
     if missed.size:
-        raise ConjugationSymmetryError(
+        raise BasisError(
             "element %d does not vanish at level-set point %d" % tuple(missed[0])
         )
     return ClarkBasis(
@@ -179,7 +179,7 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus; the
     rank-one part is k_t (x) C k_t from the closed-form kernel coordinates.
     Both are taken between the orthonormal coordinates of the basis.  The
-    result is checked to be unitary within 1e-8.
+    result is checked to be unitary within 1e-8 (else ``BasisError``).
     """
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
@@ -196,7 +196,7 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
 
     defect = np.linalg.norm(np.conj(u.T) @ u - np.eye(x.shape[1]))
     if defect > 1e-8:
-        raise RuntimeError(
+        raise BasisError(
             "operator matrix is not unitary (defect %.3e); the basis is not "
             "an orthonormal basis of the model space" % defect
         )

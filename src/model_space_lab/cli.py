@@ -8,7 +8,11 @@ and reports are strict JSON with every complex number as a two-element
 
 Exit codes: 0 = a decision was made (whatever the verdict), 2 = the input was
 invalid (no report written), 3 = the computation was numerically indeterminate
-(report written with verdict "indeterminate").
+(report written with verdict "indeterminate").  Each has one source: exit 2
+comes only from the parse stage (reading the file, ``parse_problem`` and
+``merge_config``), which runs before any computation, and exit 3 only from
+``run_task`` catching ``Indeterminate``.  Any other error is a bug and
+crashes with a traceback.
 """
 
 import argparse
@@ -17,18 +21,18 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
-from .config import REP_TOL
+from .config import Indeterminate
 from .repcheck import (
     Sym3,
     clark_s6_test,
     counterexample_report,
     default_points,
     detthm_test,
+    match_counterexample_family,
 )
 from .so3solver import SolverConfig, solve
 from .tto import Symbol, tto_matrix_from_symbol
@@ -44,12 +48,8 @@ TASKS = (
 
 ENV_SEED = "MODEL_SPACE_LAB_SEED"
 
-_OPTION_DEFAULTS = {
-    "tol": REP_TOL,
-    "seed": 0,
-    "starts": 100,
-    "variant": "general",
-}
+# The SolverConfig fields a problem file or a flag may set; max_evals is not one.
+_OPTIONS = ("tol", "seed", "starts", "variant")
 
 _REPORT_KEYS = (
     "task",
@@ -75,7 +75,7 @@ class ProblemError(ValueError):
 def _round12(x) -> float:
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("non-finite value in report")
+        raise Indeterminate("non-finite value in report")
     return float(f"{x:.12g}")
 
 
@@ -85,7 +85,10 @@ def _cpair(z) -> list:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite JSON number; comparing with the float maximum also refuses huge ints."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return abs(v) <= sys.float_info.max
 
 
 def _parse_complex(v, where: str) -> complex:
@@ -106,12 +109,12 @@ def _require_keys(obj, allowed, where: str) -> None:
 
 
 class Problem:
-    def __init__(self, task, theta, clark, matrix, options):
+    def __init__(self, task, theta, clark, matrix, config):
         self.task = task
         self.theta = theta
         self.clark = clark
         self.matrix = matrix
-        self.options = options
+        self.config = config  # defaults updated by the problem's options
 
 
 def parse_problem(obj) -> Problem:
@@ -123,8 +126,8 @@ def parse_problem(obj) -> Problem:
     tobj = obj.get("theta")
     _require_keys(tobj, ("zeros", "constant"), "theta")
     zeros_raw = tobj.get("zeros")
-    if not isinstance(zeros_raw, list) or not zeros_raw:
-        raise ProblemError("theta.zeros: expected a non-empty list")
+    if not isinstance(zeros_raw, list) or len(zeros_raw) != 3:
+        raise ProblemError("theta.zeros: expected exactly 3 zeros (the lab works at order 3)")
     zeros = tuple(_parse_complex(z, "theta.zeros") for z in zeros_raw)
     constant = _parse_complex(tobj.get("constant", [1.0, 0.0]), "theta.constant")
     theta = BlaschkeProduct(zeros=zeros, front_constant=constant)
@@ -149,38 +152,22 @@ def parse_problem(obj) -> Problem:
     if matrix is None and task in ("check-detthm", "check-clark-s6", "solve-so3", "corollary"):
         raise ProblemError(f"matrix: required for task {task}")
     if task == "corollary":
-        _match_family(matrix)
+        match_counterexample_family(matrix)
 
     options = obj.get("options", {})
-    _require_keys(options, _OPTION_DEFAULTS, "options")
-    if "tol" in options and not (_is_number(options["tol"]) and options["tol"] > 0):
-        raise ProblemError("options.tol: expected a positive number")
-    for key in ("seed", "starts"):
-        if key in options and not (isinstance(options[key], int) and not isinstance(options[key], bool)):
-            raise ProblemError(f"options.{key}: expected an integer")
-    if "starts" in options and options["starts"] < 1:
-        raise ProblemError("options.starts: expected a positive integer")
-    if "variant" in options and options["variant"] not in ("paper", "general"):
-        raise ProblemError("options.variant: expected 'paper' or 'general'")
-
-    return Problem(task, theta, clark, matrix, dict(options))
+    _require_keys(options, _OPTIONS, "options")
+    return Problem(task, theta, clark, matrix, replace(SolverConfig(), **options))
 
 
-def effective_options(problem_options: dict, args) -> dict:
-    """Merge defaults, problem options, environment, and flags (in that order)."""
-    eff = dict(_OPTION_DEFAULTS)
-    eff.update(problem_options)
+def merge_config(config: SolverConfig, args) -> SolverConfig:
+    """The problem's config, then MODEL_SPACE_LAB_SEED, then the flags set in ``args``."""
     env = os.environ.get(ENV_SEED)
     if env is not None:
-        try:
-            eff["seed"] = int(env)
-        except ValueError:
+        if not env.strip().lstrip("-").isdecimal():
             raise ProblemError(f"{ENV_SEED} must be an integer, got {env!r}")
-    for key in _OPTION_DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            eff[key] = flag
-    return eff
+        config = replace(config, seed=int(env))
+    flags = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None}
+    return replace(config, **flags)
 
 
 # -- report assembly -----------------------------------------------------------
@@ -194,26 +181,20 @@ def _basis_block(cb) -> dict:
     }
 
 
-def _config_block(eff: dict) -> dict:
+def _config_block(config: SolverConfig) -> dict:
     return {
-        "tol": _round12(eff["tol"]),
-        "seed": int(eff["seed"]),
-        "starts": int(eff["starts"]),
-        "variant": eff["variant"],
+        "tol": _round12(config.tol),
+        "seed": config.seed,
+        "starts": config.starts,
+        "variant": config.variant,
     }
 
 
-def _solver_config(eff: dict) -> SolverConfig:
-    return SolverConfig(
-        starts=eff["starts"], tol=eff["tol"], seed=eff["seed"], variant=eff["variant"]
-    )
-
-
-# Each runner takes (problem, eff, cb) and returns (verdict, residuals,
+# Each runner takes (problem, config, cb) and returns (verdict, residuals,
 # certificate, details); run_task builds the Clark basis cb and its report block.
 
 
-def _run_clark_basis(problem, eff, cb):
+def _run_clark_basis(problem, config, cb):
     level_residual = max(abs(problem.theta(e) - cb.omega) for e in cb.etas)
     residuals = {
         "gram": _round12(cb.basis.gram_residual),
@@ -223,16 +204,16 @@ def _run_clark_basis(problem, eff, cb):
     return True, residuals, {}, {"omega": _cpair(cb.omega)}
 
 
-def _run_tto_matrix(problem, eff, cb):
+def _run_tto_matrix(problem, config, cb):
     m = tto_matrix_from_symbol(problem.theta, Symbol.shift(), cb.basis)
     s = Sym3.from_array(m.array, tol=1e-7)
     residuals = {"symmetry": _round12(m.symmetry_defect())}
     return True, residuals, {}, {"s": [_cpair(v) for v in s.vector]}
 
 
-def _run_check_detthm(problem, eff, cb):
+def _run_check_detthm(problem, config, cb):
     pc = default_points(problem.theta)
-    result = detthm_test(problem.matrix, cb.basis, pc, tol=eff["tol"])
+    result = detthm_test(problem.matrix, cb.basis, pc, tol=config.tol)
     residuals = {
         "determinant": _round12(abs(result.det_value)),
         "certificate": _round12(result.certificate.residual),
@@ -242,18 +223,18 @@ def _run_check_detthm(problem, eff, cb):
     return bool(result.is_rep), residuals, certificate, details
 
 
-def _run_check_clark_s6(problem, eff, cb):
-    result = clark_s6_test(problem.matrix, cb, variant=eff["variant"], tol=eff["tol"])
+def _run_check_clark_s6(problem, config, cb):
+    result = clark_s6_test(problem.matrix, cb, variant=config.variant, tol=config.tol)
     gap = abs(problem.matrix.s6 - result.predicted_s6)
     details = {
         "predicted_s6": _cpair(result.predicted_s6),
-        "variant": eff["variant"],
+        "variant": config.variant,
     }
     return bool(result.is_rep), {"gap": _round12(gap)}, {}, details
 
 
-def _run_solve_so3(problem, eff, cb):
-    report = solve(problem.matrix, cb, _solver_config(eff))
+def _run_solve_so3(problem, config, cb):
+    report = solve(problem.matrix, cb, config)
     verdict = True if report.found else "not-found-within-budget"
     residuals = {
         "relation": _round12(report.best_residual),
@@ -271,35 +252,18 @@ def _run_solve_so3(problem, eff, cb):
     return verdict, residuals, certificate, details
 
 
-def _match_family(s: Sym3):
-    """Recognize which of the three counterexample patterns the matrix is."""
-    vec = s.vector
-    if np.abs(vec.imag).max() > 1e-12:
-        raise ProblemError("corollary: matrix entries must be real")
-    a, b, c, s4, s5, s6 = vec.real
-    off = {"s4": s4, "s5": s5, "s6": s6}
-    ones = [k for k, v in off.items() if abs(v - 1.0) < 1e-12]
-    zeros = [k for k, v in off.items() if abs(v) < 1e-12]
-    if len(ones) != 1 or len(zeros) != 2:
-        raise ProblemError(
-            "corollary: off-diagonal entries must be a single 1 and two 0s"
-        )
-    family = {"s5": 1, "s4": 2, "s6": 3}[ones[0]]
-    return family, a, b, c
-
-
-def _run_corollary(problem, eff, cb):
-    family, a, b, c = _match_family(problem.matrix)
+def _run_corollary(problem, config, cb):
+    family, a, b, c = match_counterexample_family(problem.matrix)
     co = counterexample_report(
         family,
         a,
         b,
         c,
         trials=100,
-        seed=eff["seed"],
-        variant=eff["variant"],
+        seed=config.seed,
+        variant=config.variant,
     )
-    rep = solve(problem.matrix, cb, _solver_config(eff))
+    rep = solve(problem.matrix, cb, config)
     verdict = bool(co.all_rejected and rep.found)
     residuals = {
         "normality": _round12(co.normal_defect),
@@ -328,21 +292,35 @@ _RUNNERS = {
 }
 
 
-def run_task(problem: Problem, eff: dict) -> dict:
+def run_task(problem: Problem, config: SolverConfig) -> dict:
+    """Run one task and build its report.
+
+    ``Indeterminate`` from any stage gives verdict "indeterminate" with
+    ``details.reason``; the report keeps its timing, and its basis block once
+    the Clark basis is built.
+    """
     start = time.perf_counter()
-    cb = modified_clark_basis(problem.theta, problem.clark)
-    verdict, residuals, certificate, details = _RUNNERS[problem.task](problem, eff, cb)
-    elapsed = time.perf_counter() - start
-    return {
+    report = {
         "task": problem.task,
-        "verdict": verdict,
-        "residuals": residuals,
-        "certificate": certificate,
-        "basis": _basis_block(cb),
-        "details": details,
-        "timing": {"seconds": _round12(elapsed)},
-        "config": _config_block(eff),
+        "verdict": "indeterminate",
+        "residuals": {},
+        "certificate": {},
+        "basis": {},
+        "details": {},
+        "timing": {},
+        "config": _config_block(config),
     }
+    try:
+        cb = modified_clark_basis(problem.theta, problem.clark)
+        report["basis"] = _basis_block(cb)
+        verdict, residuals, certificate, details = _RUNNERS[problem.task](problem, config, cb)
+        report.update(
+            verdict=verdict, residuals=residuals, certificate=certificate, details=details
+        )
+    except Indeterminate as exc:
+        report["details"] = {"reason": str(exc)}
+    report["timing"]["seconds"] = _round12(time.perf_counter() - start)
+    return report
 
 
 def validate_report(obj) -> None:
@@ -426,9 +404,7 @@ def write_fixtures(directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     for name, problem_obj in _fixture_problems():
         problem = parse_problem(problem_obj)
-        eff = dict(_OPTION_DEFAULTS)
-        eff.update(problem.options)
-        report = run_task(problem, eff)
+        report = run_task(problem, problem.config)
         validate_report(report)
         with open(os.path.join(directory, f"{name}.problem.json"), "w") as fh:
             json.dump(problem_obj, fh, indent=2)
@@ -468,42 +444,23 @@ def run(argv=None) -> int:
 
     try:
         with open(args.infile) as fh:
-            raw = json.load(fh)
-        problem = parse_problem(raw)
+            problem = parse_problem(json.load(fh))
         if problem.task != args.command:
             raise ProblemError(
                 f"problem file task {problem.task!r} does not match subcommand {args.command!r}"
             )
-        eff = effective_options(problem.options, args)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+        config = merge_config(problem.config, args)
+    except (ValueError, OSError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        report = run_task(problem, eff)
-    except (ValueError, TypeError, KeyError) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, RuntimeError) as exc:
-        report = {
-            "task": problem.task,
-            "verdict": "indeterminate",
-            "residuals": {},
-            "certificate": {},
-            "basis": {},
-            "details": {"reason": str(exc)},
-            "timing": {"seconds": 0.0},
-            "config": _config_block(eff),
-        }
-        with open(args.outfile, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"error: indeterminate: {exc}", file=sys.stderr)
-        return 3
-
+    report = run_task(problem, config)
     with open(args.outfile, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    if report["verdict"] == "indeterminate":
+        print(f"error: indeterminate: {report['details']['reason']}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -37,7 +37,7 @@ from .blaschke import (
     polynomial_pair,
     tmw_values,
 )
-from .config import BASIS_TOL
+from .config import BASIS_TOL, Indeterminate
 
 __all__ = [
     "KThetaElement",
@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 
-class BasisError(ArithmeticError):
-    """A set of elements failed the orthonormality check of ``OrthonormalBasis``."""
+class BasisError(Indeterminate):
+    """A basis missed BASIS_TOL: orthonormality, conjugation-fixedness or vanishing."""
 
 
 @dataclass(frozen=True)

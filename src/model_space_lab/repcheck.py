@@ -26,7 +26,7 @@ import numpy as np
 
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
-from .config import BASIS_TOL, DISTINCT_TOL, REP_TOL, SV_FLOOR
+from .config import BASIS_TOL, DISTINCT_TOL, REP_TOL, SV_FLOOR, Indeterminate
 from .modelspace import OrthonormalBasis
 from .sampling import random_clark_basis
 
@@ -43,6 +43,7 @@ __all__ = [
     "relation_coefficients",
     "clark_s6_test",
     "counterexample_family",
+    "match_counterexample_family",
     "counterexample_report",
     "default_points",
 ]
@@ -51,7 +52,7 @@ __all__ = [
 ROW_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-class IndeterminateError(ArithmeticError):
+class IndeterminateError(Indeterminate):
     """The generator columns are too ill-conditioned to decide either way."""
 
 
@@ -284,6 +285,18 @@ def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:
     if family == 3:
         return Sym3(a, b, c, 0.0, 0.0, 1.0)
     raise ValueError("family must be 1, 2 or 3")
+
+
+def match_counterexample_family(s: Sym3):
+    """(family, a, b, c) with s equal to ``counterexample_family(family, a, b, c)``.
+
+    Entries match within 1e-12; any other matrix raises ValueError.
+    """
+    a, b, c = s.vector.real[:3]
+    for family in (1, 2, 3):
+        if np.abs(counterexample_family(family, a, b, c).vector - s.vector).max() < 1e-12:
+            return family, a, b, c
+    raise ValueError("not a counterexample family: need real entries, off-diagonal 1, 0, 0")
 
 
 @dataclass(frozen=True)

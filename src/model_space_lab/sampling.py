@@ -40,14 +40,14 @@ def random_clark_params(rng, tmax: float = 0.6) -> ClarkParams:
 
 
 def random_clark_basis(rng, *, rmax: float = 0.85, tmax: float = 0.6) -> ClarkBasis:
-    """Clark basis of a random order-3 product; retries the rare bad draw."""
+    """Clark basis of a random order-3 product; after 8 bad draws the last error is raised."""
     for _ in range(8):
         try:
             b = random_blaschke(rng, order=3, rmax=rmax)
             return modified_clark_basis(b, random_clark_params(rng, tmax))
-        except (LevelSetError, ClarkTargetError):
-            continue
-    raise RuntimeError("could not draw a usable Clark basis in 8 attempts")
+        except (LevelSetError, ClarkTargetError) as exc:
+            error = exc
+    raise error
 
 
 def random_special_orthogonal(rng) -> np.ndarray:

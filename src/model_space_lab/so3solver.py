@@ -14,6 +14,7 @@ unchanged, so searching the rotation group alone loses nothing.
 A miss is a budget statement, not a proof: the report says so explicitly.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -21,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .clark import ClarkBasis
+from .config import REP_TOL
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -70,11 +72,29 @@ class OrthMatrix3:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Options of a run; the first four are the CLI's options, checked here once.
+
+    ValueError unless ``starts`` is an int >= 1, ``tol`` a finite number > 0,
+    ``seed`` an int >= 0 (bools refused) and ``variant`` "paper" or "general".
+    """
+
     starts: int = 100
-    tol: float = 1e-8
+    tol: float = REP_TOL
     seed: int = 0
     variant: str = "general"
     max_evals: int = 500  # evaluations of the relation and its Jacobian per start
+
+    def __post_init__(self):
+        for name, low in (("starts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name}: expected an integer >= {low}, got {value!r}")
+        # comparisons, not float(), so that a huge int is refused instead of overflowing
+        positive = isinstance(self.tol, (int, float)) and 0 < self.tol <= sys.float_info.max
+        if isinstance(self.tol, bool) or not positive:
+            raise ValueError(f"tol: expected a finite number > 0, got {self.tol!r}")
+        if self.variant not in ("paper", "general"):
+            raise ValueError(f"variant: expected 'paper' or 'general', got {self.variant!r}")
 
 
 @dataclass(frozen=True)

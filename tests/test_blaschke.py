@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from model_space_lab.blaschke import (
     BlaschkeProduct,
-    DegenerateRootError,
     PoleEvaluationError,
     boundary_kernel_norm_sq,
     cubic_coefficients,

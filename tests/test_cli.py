@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,11 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from model_space_lab import cli
+from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.cli import run, validate_report
 from model_space_lab.config import BASIS_TOL, ROOT_TOL
 from model_space_lab.modelspace import BasisError
+from model_space_lab.repcheck import IndeterminateError
+from model_space_lab.so3solver import SolverConfig
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -192,6 +198,102 @@ def test_invalid_parameters_exit_2(tmp_path):
     assert code == 2 and report is None
 
 
+@pytest.fixture
+def no_computation(monkeypatch):
+    # Invalid input is decided before any computation: building the Clark
+    # basis, the first step of every task, fails the test.
+    def refuse(theta, params):
+        pytest.fail("the computation started on invalid input")
+
+    monkeypatch.setattr(cli, "modified_clark_basis", refuse)
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--starts=0", "--starts=-3", "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf", "--seed=-1"],
+)
+def test_invalid_flag_exits_2_before_computation(tmp_path, no_computation, flag):
+    code, report, _ = run_cli(tmp_path, shift_problem("solve-so3", FAMILY3), extra=(flag,))
+    assert code == 2 and report is None
+
+
+def test_invalid_problem_exits_2_before_computation(tmp_path, no_computation):
+    # An order other than 3, an int beyond float range and a pair whose
+    # modulus overflows are invalid input.
+    huge = [1.7e308, 1.7e308]
+    edits = (
+        ("theta", "zeros", [[0.0, 0.0]] * 2),
+        ("theta", "zeros", [huge] * 3),
+        ("theta", "constant", huge),
+        ("clark", "t", [10**400, 0]),
+        ("clark", "t", huge),
+        ("clark", "alpha", huge),
+    )
+    for k, (block, field, value) in enumerate(edits):
+        problem = shift_problem("clark-basis")
+        problem[block] = dict(problem[block], **{field: value})
+        code, report, _ = run_cli(tmp_path, problem, name=f"p{k}")
+        assert code == 2 and report is None, (block, field)
+
+
+OPTIONS = ("tol", "seed", "starts", "variant")
+BAD_VALUES = (
+    None, True, False, "x", [], [1.0, 0.0, 2.0], {}, {"a": 1}, 10**400, -(10**400), 1e308, -1e308
+)
+FIELDS = (
+    ("task",),
+    ("theta",),
+    ("theta", "zeros"),
+    ("theta", "zeros", 0),
+    ("theta", "zeros", 1, 0),
+    ("theta", "constant"),
+    ("theta", "constant", 1),
+    ("clark",),
+    ("clark", "t"),
+    ("clark", "t", 0),
+    ("clark", "alpha"),
+    ("clark", "alpha", 1),
+    ("matrix",),
+    ("matrix", "s"),
+    ("matrix", "s", 5),
+    ("matrix", "s", 0, 0),
+    ("options",),
+) + tuple(("options", key) for key in OPTIONS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # at most one edit per top-level field, so every path exists when applied
+    edits=st.lists(
+        st.tuples(st.sampled_from(FIELDS), st.sampled_from(BAD_VALUES)),
+        max_size=3,
+        unique_by=lambda edit: edit[0][0],
+    ),
+    flags=st.dictionaries(
+        st.sampled_from(OPTIONS), st.sampled_from(BAD_VALUES + (3, 1e-6, "paper"))
+    ),
+)
+def test_parse_stage_raises_only_value_error(edits, flags):
+    # The parse stage (parse_problem, then merge_config) is the only source of
+    # exit 2, and the CLI maps only ValueError there, so no malformed field,
+    # option or flag may escape as another exception.
+    problem = shift_problem("corollary", FAMILY3)
+    problem["options"] = {"tol": 1e-6, "seed": 1, "starts": 5, "variant": "general"}
+    problem = json.loads(json.dumps(problem))
+    for path, value in edits:
+        parent = problem
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    args = argparse.Namespace(**{key: flags.get(key) for key in OPTIONS})
+    try:
+        problem = cli.parse_problem(json.loads(json.dumps(problem)))
+        config = cli.merge_config(problem.config, args)
+    except ValueError:
+        return
+    assert isinstance(config, SolverConfig)
+
+
 def test_indeterminate_exits_3_with_report(tmp_path):
     # A triple zero this close to the circle makes |B'| reach 6e8 at the
     # level set, so round-off alone puts |B(eta) - omega| at 6e-9, above
@@ -235,6 +337,53 @@ def test_clark_target_round_off_exits_3(tmp_path):
     assert code == 3
     assert report["verdict"] == "indeterminate"
     assert "numerically zero" in report["details"]["reason"]
+
+
+def test_indeterminate_report_keeps_basis_and_timing(tmp_path, monkeypatch, az_matrix):
+    def ill_conditioned(*args, **kwargs):
+        raise IndeterminateError("fifth singular value 1.000e-11 below floor 1.0e-10")
+
+    monkeypatch.setattr(cli, "detthm_test", ill_conditioned)
+    code, report, _ = run_cli(tmp_path, shift_problem("check-detthm", az_matrix))
+    assert code == 3
+    validate_report(report)
+    assert report["verdict"] == "indeterminate"
+    assert "fifth singular value" in report["details"]["reason"]
+    assert len(report["basis"]["etas"]) == 3
+    assert report["timing"]["seconds"] > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_exits_3_with_report(tmp_path):
+    # Entries of 1e200 are valid input, but the determinant of the 6x6
+    # column matrix overflows: that is indeterminacy, not invalid input.
+    matrix = {"s": [[1e200, 0.0]] * 6}
+    code, report, _ = run_cli(tmp_path, shift_problem("check-detthm", matrix))
+    assert code == 3
+    validate_report(report)
+    assert report["verdict"] == "indeterminate"
+    assert "non-finite" in report["details"]["reason"]
+
+
+@pytest.mark.parametrize("radius", [0.99999, 0.999999])
+def test_near_degenerate_clark_target_is_decided(tmp_path, radius):
+    # alpha = -B(t)/|B(t)| makes 1 + conj(B(t)) alpha small but above the
+    # ClarkTargetError guard.  omega is unimodular exactly; round-off of
+    # about eps/|den| in |omega| must not turn valid input into exit 2.
+    rng = np.random.default_rng(1)
+    for k in range(40):
+        zeros = 0.5 * np.sqrt(rng.random(3)) * np.exp(2j * np.pi * rng.random(3))
+        t = radius * np.exp(2j * np.pi * rng.random())
+        bt = BlaschkeProduct(tuple(zeros))(t)
+        alpha = -bt / abs(bt)
+        problem = shift_problem("clark-basis")
+        problem["theta"] = {"zeros": [[w.real, w.imag] for w in zeros], "constant": [1.0, 0.0]}
+        problem["clark"] = {"t": [t.real, t.imag], "alpha": [alpha.real, alpha.imag]}
+        code, report, _ = run_cli(tmp_path, problem, name=f"draw{k}")
+        assert code == 0, report
+        assert report["residuals"]["gram"] < BASIS_TOL
+        assert report["residuals"]["conjugation"] < BASIS_TOL
+        assert report["residuals"]["level_set"] < ROOT_TOL
 
 
 def test_zero_near_circle_is_decided(tmp_path):

@@ -19,6 +19,7 @@ from model_space_lab.repcheck import (
     counterexample_report,
     default_points,
     detthm_test,
+    match_counterexample_family,
     relation_coefficients,
 )
 from model_space_lab.sampling import (
@@ -423,6 +424,19 @@ def test_counterexample_family_layouts():
     )
     with pytest.raises(ValueError):
         counterexample_family(4, 0, 0, 0)
+
+
+def test_match_counterexample_family_inverts_layouts():
+    for family in (1, 2, 3):
+        s = counterexample_family(family, 1.5, -2.0, 0.0)
+        assert match_counterexample_family(s) == (family, 1.5, -2.0, 0.0)
+    for s in (
+        Sym3(0, 0, 0, 1, 1, 0),  # two units
+        Sym3(0, 0, 0, 0, 0, 2),  # a unit of the wrong size
+        Sym3(1j, 0, 0, 0, 0, 1),  # a complex diagonal
+    ):
+        with pytest.raises(ValueError):
+            match_counterexample_family(s)
 
 
 def test_counterexample_report_family3():
