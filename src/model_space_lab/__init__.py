@@ -54,6 +54,7 @@ from .repcheck import (
     detthm_test,
     match_counterexample_family,
     relation_coefficients,
+    relation_weight,
 )
 from .so3solver import (
     OrthMatrix3,

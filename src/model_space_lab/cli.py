@@ -23,6 +23,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
 from .config import Indeterminate
@@ -69,19 +71,25 @@ class ProblemError(ValueError):
     """The problem file violates the input schema."""
 
 
-# -- number formatting ---------------------------------------------------------
+# -- report format -------------------------------------------------------------
 
 
-def _round12(x) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise Indeterminate("non-finite value in report")
-    return float(f"{x:.12g}")
-
-
-def _cpair(z) -> list:
-    z = complex(z)
-    return [_round12(z.real), _round12(z.imag)]
+def _encode(v):
+    """The report format: complex -> [re, im], float -> 12 significant digits,
+    arrays and tuples -> lists; a non-finite float raises ``Indeterminate``."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, dict):
+        return {key: _encode(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_encode(x) for x in v]
+    if isinstance(v, complex):
+        return [_encode(v.real), _encode(v.imag)]
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise Indeterminate("non-finite value in report")
+        return float(f"{v:.12g}")
+    return v  # bool, int, str
 
 
 def _is_number(v) -> bool:
@@ -172,84 +180,61 @@ def merge_config(config: SolverConfig, args) -> SolverConfig:
 
 # -- report assembly -----------------------------------------------------------
 
-
-def _basis_block(cb) -> dict:
-    return {
-        "etas": [_cpair(e) for e in cb.etas],
-        "phases": [_cpair(p) for p in cb.phases],
-        "norms": [_round12(n) for n in cb.norms],
-    }
-
-
-def _config_block(config: SolverConfig) -> dict:
-    return {
-        "tol": _round12(config.tol),
-        "seed": config.seed,
-        "starts": config.starts,
-        "variant": config.variant,
-    }
-
-
-# Each runner takes (problem, config, cb) and returns (verdict, residuals,
-# certificate, details); run_task builds the Clark basis cb and its report block.
+# Each runner takes (problem, config, cb), cb the Clark basis that run_task
+# builds, and returns the report fields it decides, as library values.
 
 
 def _run_clark_basis(problem, config, cb):
-    level_residual = max(abs(problem.theta(e) - cb.omega) for e in cb.etas)
     residuals = {
-        "gram": _round12(cb.basis.gram_residual),
-        "conjugation": _round12(cb.basis.conj_residual),
-        "level_set": _round12(level_residual),
+        "gram": cb.basis.gram_residual,
+        "conjugation": cb.basis.conj_residual,
+        "level_set": max(abs(problem.theta(e) - cb.omega) for e in cb.etas),
     }
-    return True, residuals, {}, {"omega": _cpair(cb.omega)}
+    return {"verdict": True, "residuals": residuals, "details": {"omega": cb.omega}}
 
 
 def _run_tto_matrix(problem, config, cb):
     m = tto_matrix_from_symbol(problem.theta, Symbol.shift(), cb.basis)
     s = Sym3.from_array(m.array, tol=1e-7)
-    residuals = {"symmetry": _round12(m.symmetry_defect())}
-    return True, residuals, {}, {"s": [_cpair(v) for v in s.vector]}
+    residuals = {"symmetry": m.symmetry_defect()}
+    return {"verdict": True, "residuals": residuals, "details": {"s": s.vector}}
 
 
 def _run_check_detthm(problem, config, cb):
     pc = default_points(problem.theta)
     result = detthm_test(problem.matrix, cb.basis, pc, tol=config.tol)
-    residuals = {
-        "determinant": _round12(abs(result.det_value)),
-        "certificate": _round12(result.certificate.residual),
+    cert = result.certificate
+    # np.abs gives inf where abs() of a huge complex raises OverflowError.
+    residuals = {"determinant": np.abs(result.det_value), "certificate": cert.residual}
+    return {
+        "verdict": result.is_rep,
+        "residuals": residuals,
+        "certificate": {"mu": cert.mu},
+        "details": {"det_value": result.det_value},
     }
-    certificate = {"mu": [_cpair(v) for v in result.certificate.mu]}
-    details = {"det_value": _cpair(result.det_value)}
-    return bool(result.is_rep), residuals, certificate, details
 
 
 def _run_check_clark_s6(problem, config, cb):
     result = clark_s6_test(problem.matrix, cb, variant=config.variant, tol=config.tol)
-    gap = abs(problem.matrix.s6 - result.predicted_s6)
-    details = {
-        "predicted_s6": _cpair(result.predicted_s6),
-        "variant": config.variant,
+    return {
+        "verdict": result.is_rep,
+        "residuals": {"gap": result.gap},
+        "details": {"predicted_s6": result.predicted_s6, "variant": config.variant},
     }
-    return bool(result.is_rep), {"gap": _round12(gap)}, {}, details
 
 
 def _run_solve_so3(problem, config, cb):
-    report = solve(problem.matrix, cb, config)
-    verdict = True if report.found else "not-found-within-budget"
-    residuals = {
-        "relation": _round12(report.best_residual),
-        "certificate": _round12(report.certificate.residual),
+    rep = solve(problem.matrix, cb, config)
+    return {
+        "verdict": True if rep.found else "not-found-within-budget",
+        "residuals": {"relation": rep.best_residual, "certificate": rep.certificate.residual},
+        "certificate": {"orthogonal": rep.best_matrix.r, "mu": rep.certificate.mu},
+        "details": {
+            "starts_used": rep.starts_used,
+            "message": rep.message,
+            "conjugated": rep.conjugated.vector,
+        },
     }
-    certificate = {
-        "orthogonal": [_round12(x) for x in report.best_matrix.r],
-        "mu": [_cpair(v) for v in report.certificate.mu],
-    }
-    details = {
-        "starts_used": report.starts_used,
-        "message": report.message,
-        "conjugated": [_cpair(v) for v in report.conjugated.vector],
-    }
-    return verdict, residuals, certificate, details
 
 
 def _run_corollary(problem, config, cb):
@@ -264,22 +249,20 @@ def _run_corollary(problem, config, cb):
         variant=config.variant,
     )
     rep = solve(problem.matrix, cb, config)
-    verdict = bool(co.all_rejected and rep.found)
-    residuals = {
-        "normality": _round12(co.normal_defect),
-        "relation": _round12(rep.best_residual),
+    return {
+        "verdict": co.all_rejected and rep.found,
+        "residuals": {"normality": co.normal_defect, "relation": rep.best_residual},
+        "certificate": {"orthogonal": rep.best_matrix.r},
+        "details": {
+            "description": "fails Clark test, representable via SO(3)",
+            "family": co.family,
+            "diagonal": (a, b, c),
+            "trials": co.trials,
+            "rejections": co.rejections,
+            "min_gap": co.min_gap,
+            "solver_starts_used": rep.starts_used,
+        },
     }
-    certificate = {"orthogonal": [_round12(x) for x in rep.best_matrix.r]}
-    details = {
-        "description": "fails Clark test, representable via SO(3)",
-        "family": co.family,
-        "diagonal": [_round12(a), _round12(b), _round12(c)],
-        "trials": co.trials,
-        "rejections": co.rejections,
-        "min_gap": _round12(co.min_gap),
-        "solver_starts_used": rep.starts_used,
-    }
-    return verdict, residuals, certificate, details
 
 
 _RUNNERS = {
@@ -293,11 +276,11 @@ _RUNNERS = {
 
 
 def run_task(problem: Problem, config: SolverConfig) -> dict:
-    """Run one task and build its report.
+    """Run one task and build its report, each block encoded by ``_encode``.
 
-    ``Indeterminate`` from any stage gives verdict "indeterminate" with
-    ``details.reason``; the report keeps its timing, and its basis block once
-    the Clark basis is built.
+    ``Indeterminate`` from any stage, the encoding included, gives verdict
+    "indeterminate" with ``details.reason``; the report keeps its timing,
+    and its basis block once the Clark basis is built.
     """
     start = time.perf_counter()
     report = {
@@ -308,18 +291,16 @@ def run_task(problem: Problem, config: SolverConfig) -> dict:
         "basis": {},
         "details": {},
         "timing": {},
-        "config": _config_block(config),
+        "config": _encode({key: getattr(config, key) for key in _OPTIONS}),
     }
     try:
         cb = modified_clark_basis(problem.theta, problem.clark)
-        report["basis"] = _basis_block(cb)
-        verdict, residuals, certificate, details = _RUNNERS[problem.task](problem, config, cb)
-        report.update(
-            verdict=verdict, residuals=residuals, certificate=certificate, details=details
-        )
+        report["basis"] = _encode({"etas": cb.etas, "phases": cb.phases, "norms": cb.norms})
+        # Encoded before the update, so a non-finite value leaves the report undecided.
+        report.update(_encode(_RUNNERS[problem.task](problem, config, cb)))
     except Indeterminate as exc:
         report["details"] = {"reason": str(exc)}
-    report["timing"]["seconds"] = _round12(time.perf_counter() - start)
+    report["timing"]["seconds"] = _encode(time.perf_counter() - start)
     return report
 
 
@@ -363,7 +344,7 @@ def _fixture_problems():
         cb = modified_clark_basis(b, ClarkParams(0.0, 1.0))
         m = tto_matrix_from_symbol(b, Symbol.shift(), cb.basis)
         s = Sym3.from_array(m.array, tol=1e-7)
-        return {"s": [_cpair(v) for v in s.vector]}
+        return {"s": _encode(s.vector)}
 
     f1_shift = shift_matrix(f1_theta)
     f2_shift = shift_matrix(f2_theta)
@@ -444,7 +425,11 @@ def run(argv=None) -> int:
 
     try:
         with open(args.infile) as fh:
-            problem = parse_problem(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ProblemError("problem file is nested too deeply") from None
+        problem = parse_problem(obj)
         if problem.task != args.command:
             raise ProblemError(
                 f"problem file task {problem.task!r} does not match subcommand {args.command!r}"

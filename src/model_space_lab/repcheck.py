@@ -19,6 +19,7 @@ Clark-basis relation while still being unitarily equivalent to such an
 operator.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +42,7 @@ __all__ = [
     "build_columns",
     "detthm_test",
     "relation_coefficients",
+    "relation_weight",
     "clark_s6_test",
     "counterexample_family",
     "match_counterexample_family",
@@ -54,6 +56,18 @@ ROW_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 class IndeterminateError(Indeterminate):
     """The generator columns are too ill-conditioned to decide either way."""
+
+
+def _times_pow2(x, e: int):
+    """x * 2**e for a real or complex x and any float exponent e, part by part.
+
+    Exact, signed zeros included, unless a part over- or underflows.  Verdicts
+    are decided before a value is scaled back, and Python float arithmetic
+    overflows to inf without a warning, for the report to refuse as non-finite.
+    """
+    if isinstance(x, complex):
+        return complex(_times_pow2(x.real, e), _times_pow2(x.imag, e))
+    return float(x) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,21 @@ class Sym3:
     def vector(self) -> np.ndarray:
         """The six entries stacked in the row order used by build_columns."""
         return np.array([self.s1, self.s2, self.s3, self.s4, self.s5, self.s6])
+
+    def normalized(self):
+        """(S * 2**-e, e), e the binary exponent of the largest real or imaginary part.
+
+        Every part of the result is below 1 in modulus (a part, unlike the
+        modulus of an entry, never overflows).  The decision procedures run on
+        this matrix and scale their numbers back by 2**e, which is exact, so
+        no finite S over- or underflows on the way.
+        """
+        e = math.frexp(float(np.abs(self.vector.view(float)).max()))[1]
+        return self.scaled(-e), e
+
+    def scaled(self, e: int) -> "Sym3":
+        """S * 2**e, exact unless an entry over- or underflows."""
+        return Sym3(*(_times_pow2(x, e) for x in self.vector.tolist()))
 
     @classmethod
     def from_array(cls, m, tol: float = 1e-10) -> "Sym3":
@@ -143,6 +172,11 @@ class Certificate:
     residual: float
     reconstructed: Sym3
 
+    def scaled(self, e: int) -> "Certificate":
+        """The certificate of S * 2**e, given this one of S."""
+        mu = tuple(_times_pow2(m, e) for m in self.mu)
+        return Certificate(mu, _times_pow2(self.residual, e), self.reconstructed.scaled(e))
+
 
 class DetThmResult(NamedTuple):
     is_rep: bool
@@ -153,6 +187,7 @@ class DetThmResult(NamedTuple):
 class S6Result(NamedTuple):
     is_rep: bool
     predicted_s6: complex
+    gap: float  # |s6 - predicted_s6|
 
 
 def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
@@ -210,25 +245,24 @@ def detthm_test(
     invariant under rescaling of S.  The zero matrix therefore passes (both
     sides vanish).  Independently solves the least-squares problem for a
     coefficient certificate; the reported residual is the Frobenius distance
-    between the reconstruction and the input.
+    between the reconstruction and the input.  Both run on ``s.normalized()``.
 
     Raises IndeterminateError when the fifth singular value of the column
     matrix drops below SV_FLOOR.
     """
     cols = _spanning_columns(basis, pc)
-    stilde = s.vector
-    square = np.column_stack([cols, stilde])
+    unit, e = s.normalized()
+    square = np.column_stack([cols, unit.vector])
     det_value = complex(np.linalg.det(square))
     norm_product = float(np.prod(np.linalg.norm(square, axis=0)))
     is_rep = abs(det_value) <= tol * norm_product
 
     w = _FROBENIUS_WEIGHTS
-    mu, *_ = np.linalg.lstsq(cols * w[:, None], stilde * w, rcond=None)
-    recon_vec = cols @ mu
-    reconstructed = Sym3(*recon_vec)
-    residual = float(np.linalg.norm(reconstructed.array - s.array))
-    cert = Certificate(tuple(mu), residual, reconstructed)
-    return DetThmResult(is_rep, cert, det_value)
+    mu, *_ = np.linalg.lstsq(cols * w[:, None], unit.vector * w, rcond=None)
+    reconstructed = Sym3(*(cols @ mu))
+    residual = float(np.linalg.norm(reconstructed.array - unit.array))
+    cert = Certificate(tuple(mu), residual, reconstructed).scaled(e)
+    return DetThmResult(is_rep, cert, _times_pow2(det_value, e))
 
 
 def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
@@ -254,21 +288,37 @@ def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
     return r4 * (eta1 - eta2), r5 * (eta3 - eta1)
 
 
+def relation_weight(cb: ClarkBasis, variant: str = "general") -> np.ndarray:
+    """K with sum K o S = (eta3 - eta2) s6 - c4 s4 - c5 s5, zero exactly on the relation.
+
+    ``clark_s6_test`` and the SO(3) search both evaluate the relation in this one form.
+    """
+    c4, c5 = relation_coefficients(cb, variant)
+    k = np.zeros((3, 3), dtype=complex)
+    k[1, 2] = cb.etas[2] - cb.etas[1]
+    k[0, 1] = -c4
+    k[0, 2] = -c5
+    return k
+
+
 def clark_s6_test(
     s: Sym3, cb: ClarkBasis, variant: str = "general", tol: float = REP_TOL
 ) -> S6Result:
     """Single-relation representability test for a modified Clark basis.
 
-    Declares the input representable when |s6 - predicted| <= tol * ||S||_F.
-    The threshold scales with S, so the verdict is invariant under rescaling
-    of S, and the zero matrix passes (both sides vanish), as it does in
-    ``detthm_test``.
+    Declares the input representable when the gap |s6 - predicted| is at
+    most tol * ||S||_F.  The threshold scales with S, so the verdict is
+    invariant under rescaling of S, and the zero matrix passes (both sides
+    vanish), as it does in ``detthm_test``.  The prediction solves
+    sum K o S = 0 for s6 (see ``relation_weight``) on ``s.normalized()``.
     """
-    c4, c5 = relation_coefficients(cb, variant)
-    eta1, eta2, eta3 = cb.etas
-    predicted = (c4 * s.s4 + c5 * s.s5) / (eta3 - eta2)
-    is_rep = abs(s.s6 - predicted) <= tol * np.linalg.norm(s.array)
-    return S6Result(bool(is_rep), complex(predicted))
+    unit, e = s.normalized()
+    k = relation_weight(cb, variant)
+    c4, c5 = -k[0, 1], -k[0, 2]
+    predicted = complex((c4 * unit.s4 + c5 * unit.s5) / k[1, 2])
+    gap = abs(unit.s6 - predicted)
+    is_rep = gap <= tol * np.linalg.norm(unit.array)
+    return S6Result(bool(is_rep), _times_pow2(predicted, e), _times_pow2(gap, e))
 
 
 def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:
@@ -305,12 +355,12 @@ class CounterexampleReport:
     a: float
     b: float
     c: float
-    normal_defect: float
+    normal_defect: float  # ||[M, M*]||_F of the matrix scaled to unit size
     trials: int
     seed: int
     rejections: int
     all_rejected: bool
-    min_gap: float  # smallest |s6 - predicted_s6| / ||S||_F seen over all trials
+    min_gap: float  # smallest S6Result.gap / ||S||_F seen over all trials
 
 
 def counterexample_report(
@@ -324,14 +374,14 @@ def counterexample_report(
 ) -> CounterexampleReport:
     """Test one counterexample matrix against many random Clark bases.
 
-    Verifies the matrix is normal, then draws `trials` random modified Clark
-    bases (random order-3 product, random interior point and target) and runs
-    the s6 relation test against each.  The matrix is expected to fail every
-    time; the report records how often it did and the smallest gap
-    |s6 - predicted_s6| / ||S||_F, the quantity the test compares with its
-    tolerance, so a trial is rejected exactly when its gap exceeds REP_TOL.
+    Verifies the normalized matrix is normal, then draws `trials` random
+    modified Clark bases (random order-3 product, random interior point and
+    target) and runs the s6 relation test against each.  The matrix is
+    expected to fail every time; the report records how often it did and the
+    smallest relative gap gap / ||S||_F, the quantity the test compares with
+    its tolerance, so a trial is rejected exactly when it exceeds REP_TOL.
     """
-    s = counterexample_family(family, a, b, c)
+    s, _ = counterexample_family(family, a, b, c).normalized()
     m = s.array
     normal_defect = float(
         np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m)
@@ -342,10 +392,8 @@ def counterexample_report(
     rejections = 0
     min_gap = np.inf
     for _ in range(trials):
-        cb = random_clark_basis(rng)
-        result = clark_s6_test(s, cb, variant=variant)
-        gap = abs(s.s6 - result.predicted_s6) / np.linalg.norm(m)
-        min_gap = min(min_gap, gap)
+        result = clark_s6_test(s, random_clark_basis(rng), variant=variant)
+        min_gap = min(min_gap, result.gap / np.linalg.norm(m))
         if not result.is_rep:
             rejections += 1
     return CounterexampleReport(

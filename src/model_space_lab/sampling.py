@@ -39,12 +39,12 @@ def random_clark_params(rng, tmax: float = 0.6) -> ClarkParams:
     return ClarkParams(t=random_disc(rng, tmax), alpha=random_unimodular(rng))
 
 
-def random_clark_basis(rng, *, rmax: float = 0.85, tmax: float = 0.6) -> ClarkBasis:
+def random_clark_basis(rng) -> ClarkBasis:
     """Clark basis of a random order-3 product; after 8 bad draws the last error is raised."""
     for _ in range(8):
         try:
-            b = random_blaschke(rng, order=3, rmax=rmax)
-            return modified_clark_basis(b, random_clark_params(rng, tmax))
+            b = random_blaschke(rng, order=3)
+            return modified_clark_basis(b, random_clark_params(rng))
         except (LevelSetError, ClarkTargetError) as exc:
             error = exc
     raise error

@@ -3,13 +3,14 @@
 A complex symmetric 3x3 matrix M is the matrix of a truncated Toeplitz
 operator with respect to *some* conjugation-fixed basis exactly when an
 orthogonal U exists with U M U^T satisfying the Clark-basis relation
-r(U) = sum K o (U M U^T) = 0, one complex equation weighted by a fixed
-matrix K.  The search moves on SO(3) itself: a step d in so(3) updates
-U <- exp([d]x) U, so every iterate is exactly a rotation, and the derivative
-of r along each generator G is sum K o (G A - A G) with A = U M U^T.  A
-seeded multistart Gauss-Newton iteration with minimum-norm steps (two real
-equations, three unknowns) drives r to zero.  Negating U leaves U M U^T
-unchanged, so searching the rotation group alone loses nothing.
+r(U) = sum K o (U M U^T) = 0, one complex equation weighted by the fixed
+matrix K of ``repcheck.relation_weight``.  The search moves on SO(3) itself:
+a step d in so(3) updates U <- exp([d]x) U, so every iterate is exactly a
+rotation, and the derivative of r along each generator G is
+sum K o (G A - A G) with A = U M U^T.  A seeded multistart Gauss-Newton
+iteration with minimum-norm steps (two real equations, three unknowns)
+drives r to zero.  Negating U leaves U M U^T unchanged, so searching the
+rotation group alone loses nothing.
 
 A miss is a budget statement, not a proof: the report says so explicitly.
 """
@@ -29,7 +30,8 @@ from .repcheck import (
     Sym3,
     default_points,
     detthm_test,
-    relation_coefficients,
+    relation_weight,
+    _times_pow2,
 )
 
 __all__ = [
@@ -74,8 +76,9 @@ class OrthMatrix3:
 class SolverConfig:
     """Options of a run; the first four are the CLI's options, checked here once.
 
-    ValueError unless ``starts`` is an int >= 1, ``tol`` a finite number > 0,
-    ``seed`` an int >= 0 (bools refused) and ``variant`` "paper" or "general".
+    ValueError unless ``starts`` is an int >= 1, ``tol`` a finite number > 0
+    (stored as a float), ``seed`` an int >= 0 (bools refused) and ``variant``
+    "paper" or "general".
     """
 
     starts: int = 100
@@ -93,6 +96,7 @@ class SolverConfig:
         positive = isinstance(self.tol, (int, float)) and 0 < self.tol <= sys.float_info.max
         if isinstance(self.tol, bool) or not positive:
             raise ValueError(f"tol: expected a finite number > 0, got {self.tol!r}")
+        object.__setattr__(self, "tol", float(self.tol))
         if self.variant not in ("paper", "general"):
             raise ValueError(f"variant: expected 'paper' or 'general', got {self.variant!r}")
 
@@ -119,11 +123,9 @@ def creal_basis_from_orthogonal(cb: ClarkBasis, u: OrthMatrix3) -> OrthonormalBa
 
 
 def conjugate_representation(s: Sym3, u: OrthMatrix3) -> Sym3:
-    """U S U^T, exactly symmetric by construction."""
+    """U S U^T, symmetrized by ``Sym3.from_array``."""
     m = u.array
-    prod = m @ s.array @ m.T
-    sym = (prod + prod.T) / 2.0
-    return Sym3(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
+    return Sym3.from_array(m @ s.array @ m.T)
 
 
 def _hat(w) -> np.ndarray:
@@ -145,16 +147,6 @@ def _rotation(w) -> np.ndarray:
     )
 
 
-def _relation_weight(cb: ClarkBasis, variant: str) -> np.ndarray:
-    """K with r(U) = sum K o (U S U^T) = (eta3 - eta2) a6 - c4 a4 - c5 a5."""
-    c4, c5 = relation_coefficients(cb, variant)
-    k = np.zeros((3, 3), dtype=complex)
-    k[1, 2] = cb.etas[2] - cb.etas[1]
-    k[0, 1] = -c4
-    k[0, 2] = -c5
-    return k
-
-
 def _relation(weight: np.ndarray, m: np.ndarray, u: np.ndarray):
     """(Re r, Im r) at U and its 2x3 Jacobian along U <- exp([d]x) U.
 
@@ -171,7 +163,7 @@ def residuals(s: Sym3, u: OrthMatrix3, cb: ClarkBasis, variant: str = "general")
     """(orthogonality defect, relation defect) for a candidate conjugator."""
     m = u.array
     orth = float(np.linalg.norm(m @ m.T - np.eye(3)))
-    f, _ = _relation(_relation_weight(cb, variant), s.array, m)
+    f, _ = _relation(relation_weight(cb, variant), s.array, m)
     return orth, float(np.linalg.norm(f))
 
 
@@ -235,16 +227,18 @@ def solve(
 
     The tolerance is config.tol * min(1, ||S||_F), relative for a small S
     and never looser than config.tol; the zero matrix is solved at start 0.
+    The search and the certificate run on ``s.normalized()``: the relation is
+    linear in S and the step scale-free.
     """
-    m = s.array
-    fun = partial(_relation, _relation_weight(cb, config.variant), m)
-    target = config.tol * min(1.0, float(np.linalg.norm(m)))
+    unit, e = s.normalized()
+    fun = partial(_relation, relation_weight(cb, config.variant), unit.array)
+    target = config.tol * min(_times_pow2(1.0, -e), float(np.linalg.norm(unit.array)))
 
     def start(index: int) -> np.ndarray:
         if index == 0:
             return np.eye(3)
         if index == 1:
-            shortcut = spectral_shortcut(s)
+            shortcut = spectral_shortcut(unit)
             if shortcut is not None:
                 return shortcut.array
         rng = np.random.default_rng((config.seed, index))
@@ -263,10 +257,9 @@ def solve(
         if res <= target:
             break
 
-    starts_used = index + 1
     residual, u_mat = best
     u = OrthMatrix3.from_array(u_mat)
-    conjugated = conjugate_representation(s, u)
+    conjugated = conjugate_representation(unit, u)
     cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual <= target
     message = (
@@ -277,9 +270,9 @@ def solve(
     return SolveReport(
         found=found,
         best_matrix=u,
-        best_residual=residual,
-        conjugated=conjugated,
-        certificate=cert,
-        starts_used=starts_used,
+        best_residual=_times_pow2(residual, e),
+        conjugated=conjugated.scaled(e),
+        certificate=cert.scaled(e),
+        starts_used=index + 1,
         message=message,
     )

@@ -353,16 +353,40 @@ def test_indeterminate_report_keeps_basis_and_timing(tmp_path, monkeypatch, az_m
     assert report["timing"]["seconds"] > 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_exits_3_with_report(tmp_path):
-    # Entries of 1e200 are valid input, but the determinant of the 6x6
-    # column matrix overflows: that is indeterminacy, not invalid input.
-    matrix = {"s": [[1e200, 0.0]] * 6}
+    # Entries of 1e308 are valid input, and the test decides them on the
+    # matrix scaled to unit size, but the determinant it reports overflows
+    # when scaled back: that is indeterminacy, not invalid input.
+    matrix = {"s": [[1e308, 0.0]] * 6}
     code, report, _ = run_cli(tmp_path, shift_problem("check-detthm", matrix))
     assert code == 3
     validate_report(report)
     assert report["verdict"] == "indeterminate"
     assert "non-finite" in report["details"]["reason"]
+
+
+@pytest.mark.parametrize("task", ["check-detthm", "check-clark-s6", "solve-so3"])
+@pytest.mark.parametrize("entry", [[1e308, 0.0], [1e308, 1e308], [1.7e308, 1.7e308]])
+@pytest.mark.parametrize("count", [1, 6])
+def test_float_maximum_is_decided_or_indeterminate(tmp_path, task, entry, count):
+    # Valid entries whose modulus, or whose products, exceed the float
+    # maximum: the procedures run on S scaled to unit size, so the run
+    # decides, or reports a value that overflows when scaled back, and
+    # never crashes.
+    matrix = {"s": [entry] * count + [[0.0, 0.0]] * (6 - count)}
+    code, report, _ = run_cli(tmp_path, shift_problem(task, matrix))
+    assert code in (0, 3)
+    validate_report(report)
+    assert (code == 3) == (report["verdict"] == "indeterminate")
+
+
+def test_deeply_nested_problem_exits_2(tmp_path):
+    infile = tmp_path / "nested.json"
+    outfile = tmp_path / "nested.report.json"
+    infile.write_text("[" * 100_000)
+    code = run(["clark-basis", "--in", str(infile), "--out", str(outfile)])
+    assert code == 2
+    assert not outfile.exists()
 
 
 @pytest.mark.parametrize("radius", [0.99999, 0.999999])
@@ -441,6 +465,64 @@ def test_near_circle_triple_zeros_are_decided(tmp_path, radius):
         assert report["residuals"]["level_set"] < ROOT_TOL
 
 
+# -- edge sweep ------------------------------------------------------------------
+
+
+def _pair(z):
+    return [float(z.real), float(z.imag)]
+
+
+@st.composite
+def edge_problems(draw):
+    """Valid problems at the edges: zeros and t near the circle, entries from
+    10^-300 up to parts near the float maximum, whose modulus overflows."""
+
+    def unimodular():
+        return complex(np.exp(2j * np.pi * draw(st.floats(0, 1))))
+
+    def disc(rmax):
+        return draw(st.floats(0, rmax)) * unimodular()
+
+    task = draw(st.sampled_from(cli.TASKS))
+    w = disc(0.9999)
+    layout = draw(st.sampled_from(("triple", "near-pair", "random")))
+    if layout == "triple":
+        zeros = [w] * 3
+    elif layout == "near-pair":
+        zeros = [w, w * (1 - draw(st.floats(1e-9, 1e-5))), disc(0.9999)]
+    else:
+        zeros = [w, disc(0.9999), disc(0.9999)]
+    problem = {
+        "task": task,
+        "theta": {"zeros": [_pair(z) for z in zeros], "constant": _pair(unimodular())},
+        "clark": {"t": _pair(disc(0.999999)), "alpha": _pair(unimodular())},
+        "options": {"starts": draw(st.integers(1, 4)), "seed": draw(st.integers(0, 999))},
+    }
+    # Half the draws put parts near the float maximum, where |entry| overflows.
+    scale = 10.0 ** draw(st.one_of(st.floats(-300, 300), st.floats(307, 308.25)))
+    entry = st.floats(-1, 1)
+    if task == "corollary":
+        diagonal = [[scale * draw(entry), 0.0] for _ in range(3)]
+        slot = draw(st.integers(3, 5))
+        unit = [[float(k == slot), 0.0] for k in range(3, 6)]
+        problem["matrix"] = {"s": diagonal + unit}
+    elif task != "clark-basis":
+        problem["matrix"] = {"s": [[scale * draw(entry), scale * draw(entry)] for _ in range(6)]}
+    return problem
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=edge_problems())
+def test_edge_sweep_valid_input_is_decided_or_indeterminate(problem):
+    # Valid input always parses, and every run ends in a report that
+    # validates: a decision, or "indeterminate" with the reason.
+    parsed = cli.parse_problem(json.loads(json.dumps(problem)))
+    report = cli.run_task(parsed, parsed.config)
+    validate_report(report)
+    if report["verdict"] == "indeterminate":
+        assert report["details"]["reason"]
+
+
 # -- option precedence ---------------------------------------------------------
 
 
@@ -473,6 +555,13 @@ def test_variant_flag_echoed(tmp_path, az_matrix):
     assert report["config"]["variant"] == "paper"
     assert report["details"]["variant"] == "paper"
     assert report["verdict"] is True  # equal norms: variants coincide on this fixture
+
+
+def test_integer_tol_reports_a_float(tmp_path, az_matrix):
+    problem = shift_problem("check-clark-s6", az_matrix)
+    problem["options"] = {"tol": 1}
+    _, report, _ = run_cli(tmp_path, problem)
+    assert isinstance(report["config"]["tol"], float) and report["config"]["tol"] == 1.0
 
 
 # -- report hygiene -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,11 +380,12 @@ def scale_matrix(kind, cb):
 @pytest.mark.parametrize("basis_name", ["f1", "f2", "random"])
 @pytest.mark.parametrize("kind", ["tto", "identity", "random", "zero"])
 @settings(max_examples=25, deadline=None)
-@given(e=st.floats(min_value=-12, max_value=12))
+@given(e=st.floats(min_value=-300, max_value=300))
 def test_verdicts_invariant_under_scaling(scale_bases, basis_name, kind, e):
     # verdict(cS) = verdict(S) for c = 10^e, in both procedures; the
     # span members (a TTO draw, the identity, zero) pass and a random
-    # symmetric matrix fails at every scale.
+    # symmetric matrix fails at every scale, down to where ||S||_F would
+    # underflow and up to where the determinant would overflow.
     cb = scale_bases[basis_name]
     pc = default_points(cb.theta)
     s = scale_matrix(kind, cb)
@@ -392,6 +395,18 @@ def test_verdicts_invariant_under_scaling(scale_bases, basis_name, kind, e):
     assert clark_s6_test(s, cb).is_rep == expected
     assert detthm_test(scaled, cb.basis, pc).is_rep == expected
     assert clark_s6_test(scaled, cb).is_rep == expected
+
+
+def test_s6_gap_is_exact_at_every_scale(f2_clark):
+    # The gap is |s6 - predicted_s6|, and scaling S by a power of two
+    # scales it exactly, at both ends of the float range.
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        s = random_sym3(rng)
+        result = clark_s6_test(s, f2_clark)
+        assert result.gap == pytest.approx(abs(s.s6 - result.predicted_s6), rel=1e-12)
+        for e in (-1000, 1000):
+            assert clark_s6_test(s.scaled(e), f2_clark).gap == math.ldexp(result.gap, e)
 
 
 def test_detthm_and_s6_agree_on_clark_bases():
@@ -447,7 +462,7 @@ def test_counterexample_report_family3():
     assert report.min_gap > 1e-6
 
 
-@pytest.mark.parametrize("a", [1.0, 1e6, 1e8, 1e9])
+@pytest.mark.parametrize("a", [1.0, 1e6, 1e8, 1e9, 1e300])
 def test_counterexample_min_gap_explains_verdict(a):
     # The reported gap is the quantity clark_s6_test compares with REP_TOL,
     # so every trial is rejected exactly when even the smallest gap exceeds it.

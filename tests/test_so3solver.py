@@ -4,13 +4,12 @@ import pytest
 from model_space_lab import so3solver
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.modelspace import conjugation_residual
-from model_space_lab.repcheck import Sym3, clark_s6_test, counterexample_family
+from model_space_lab.repcheck import Sym3, clark_s6_test, counterexample_family, relation_weight
 from model_space_lab.sampling import random_clark_basis, random_special_orthogonal
 from model_space_lab.so3solver import (
     OrthMatrix3,
     SolverConfig,
     _relation,
-    _relation_weight,
     _rotation,
     conjugate_representation,
     creal_basis_from_orthogonal,
@@ -183,7 +182,7 @@ def test_relation_jacobian_matches_finite_differences(kind):
         s = random_sym3(rng)
     else:
         s = counterexample_family(2, *rng.standard_normal(3))
-    weight = _relation_weight(cb, "general")
+    weight = relation_weight(cb, "general")
     h = 1e-6
     for _ in range(3):
         u = random_special_orthogonal(rng)
