@@ -12,12 +12,13 @@ construction downstream.
 
 Model-space elements are coordinates in the orthonormal Takenaka-Malmquist-
 Walsh (TMW) basis; its closed-form primitives live here: the values e(z),
-the coordinates of k_lam and C k_lam, the compressed shift, and Clark's
-unitary, whose eigenvalues are the level set.
+the conjugation matrix J and C k_lam = J e(lam), the compressed shift, and
+Clark's unitary, whose eigenvalues are the level set (the one spectrum taken).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "polynomial_pair",
     "circle_angle",
     "tmw_values",
+    "conjugation_matrix",
     "conjugate_kernel_coords",
     "compressed_shift",
     "clark_unitary",
@@ -121,33 +123,50 @@ def circle_angle(z):
     return np.where(angle >= 2.0 * np.pi - 1e-9, angle - 2.0 * np.pi, angle)
 
 
-def _tmw(zeros, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    prefix = np.ones(z.shape, dtype=complex)
-    values = []
-    for w in zeros:
-        den = 1.0 - np.conj(w) * z
-        values.append(np.sqrt(1.0 - abs(w) ** 2) * prefix / den)
-        prefix = prefix * (z - w) / den
-    return np.array(values)
-
-
 def tmw_values(b: BlaschkeProduct, z) -> np.ndarray:
     """e(z): the n values e_k(z) of the orthonormal TMW basis, shape ``(n,) + np.shape(z)``.
 
     e_k(z) = sqrt(1 - |w_k|^2) / (1 - conj(w_k) z) * prod_{j<k} (z - w_j) / (1 - conj(w_j) z).
     The kernel k_lam = sum_k conj(e_k(lam)) e_k has coordinates conj(e(lam)).
     """
-    return _tmw(b.zeros, z)
+    z = np.asarray(z, dtype=complex)
+    prefix = np.ones(z.shape, dtype=complex)
+    values = []
+    for w in b.zeros:
+        den = 1.0 - np.conj(w) * z
+        values.append(np.sqrt(1.0 - abs(w) ** 2) * prefix / den)
+        prefix = prefix * (z - w) / den
+    return np.array(values)
+
+
+def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
+    """J with C f = J conj(x) for the TMW coordinates x of f (C f = B conj(z f) on the circle).
+
+    C e_k = c e~_{n-1-k}, e~ the TMW basis of the reversed zeros, so J = c M[:, ::-1]
+    with M the coordinates of e~, a product of n(n-1)/2 adjacent swaps: swapping
+    the zeros a, c at positions p, p+1 mixes e_p, e_{p+1} by the unitary
+    G = [[d, a - c], [conj(c - a), d]] / (1 - conj(c) a), d = sqrt((1-|a|^2)(1-|c|^2)).
+    Equal zeros need no swap, so J is exact for B = c z^n.
+    """
+    zeros, n = list(b.zeros), b.order
+    rows = np.eye(n, dtype=complex).tolist()  # M, updated in scalar arithmetic
+    for end in range(n - 1, 0, -1):
+        for p in range(end):
+            a, c = zeros[p], zeros[p + 1]
+            if a != c:
+                den = 1.0 - c.conjugate() * a
+                g00 = math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(c) ** 2)) / den
+                g01, g10 = (a - c) / den, (c - a).conjugate() / den
+                for row in rows:  # columns p, p+1 of M times G
+                    x, y = row[p], row[p + 1]
+                    row[p], row[p + 1] = x * g00 + y * g10, x * g01 + y * g00
+                zeros[p : p + 2] = c, a
+    return np.array([[b.front_constant * x for x in reversed(row)] for row in rows])
 
 
 def conjugate_kernel_coords(b: BlaschkeProduct, lam) -> np.ndarray:
-    """Coordinates of C k_lam, shape ``(n,) + np.shape(lam)``.
-
-    C maps e_k to c times the TMW function of the reversed zeros at the
-    mirrored index, so <C k_lam, e_k> = (C e_k)(lam) needs no division.
-    """
-    return b.front_constant * _tmw(b.zeros[::-1], lam)[::-1]
+    """J e(lam): coordinates of C k_lam, shape ``(n,) + np.shape(lam)`` for a point or 1-D lam."""
+    return conjugation_matrix(b) @ tmw_values(b, lam)
 
 
 def compressed_shift(b: BlaschkeProduct) -> np.ndarray:

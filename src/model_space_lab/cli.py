@@ -48,8 +48,6 @@ TASKS = (
     "corollary",
 )
 
-ENV_SEED = "MODEL_SPACE_LAB_SEED"
-
 # The SolverConfig fields a problem file or a flag may set; max_evals is not one.
 _OPTIONS = ("tol", "seed", "starts", "variant")
 
@@ -168,12 +166,7 @@ def parse_problem(obj) -> Problem:
 
 
 def merge_config(config: SolverConfig, args) -> SolverConfig:
-    """The problem's config, then MODEL_SPACE_LAB_SEED, then the flags set in ``args``."""
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        if not env.strip().lstrip("-").isdecimal():
-            raise ProblemError(f"{ENV_SEED} must be an integer, got {env!r}")
-        config = replace(config, seed=int(env))
+    """The problem's config, then the flags set in ``args``."""
     flags = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None}
     return replace(config, **flags)
 

@@ -8,8 +8,9 @@ players have closed-form coordinates: the reproducing kernel
 
     k_lam(z) = (1 - conj(B(lam)) B(z)) / (1 - conj(lam) z)
 
-has coordinates conj(e(lam)), and its image under the canonical conjugation
-C f = B conj(z f) (on the circle) has ``conjugate_kernel_coords``.
+has coordinates conj(e(lam)), and the canonical conjugation
+C f = B conj(z f) (on the circle) maps coordinates x to J conj(x), with J
+the closed-form ``blaschke.conjugation_matrix``.
 
 ``KThetaElement`` is the other view of an element: a rational function
 
@@ -29,14 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import (
-    BlaschkeProduct,
-    boundary_kernel_norm_sq,
-    clark_unitary,
-    conjugate_kernel_coords,
-    polynomial_pair,
-    tmw_values,
-)
+from .blaschke import BlaschkeProduct, conjugation_matrix, polynomial_pair, tmw_values
 from .config import BASIS_TOL, Indeterminate
 
 __all__ = [
@@ -228,14 +222,7 @@ def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:
 def conjugation_residual(basis: OrthonormalBasis) -> float:
     """max_i || C v_i - v_i ||: how far the basis is from being conjugation-fixed.
 
-    C v = J conj(x) for the coordinates x of v.  With K the coordinates of the
-    normalized kernels at a level set of B (the eigenvalues of Clark's unitary
-    for the target 1), K is unitary, so J = F K^T, where F holds the
-    coordinates of their conjugates; no solve is needed.
+    C v = J conj(x) for the coordinates x of v (``conjugation_matrix``).
     """
-    b = basis.theta
-    eta = np.linalg.eigvals(clark_unitary(b, 1.0))
-    scale = 1.0 / np.sqrt(boundary_kernel_norm_sq(b, eta))
-    j = (conjugate_kernel_coords(b, eta) * scale) @ (np.conj(tmw_values(b, eta)) * scale).T
     x = basis.coords
-    return float(np.linalg.norm(j @ np.conj(x) - x, axis=0).max())
+    return float(np.linalg.norm(conjugation_matrix(basis.theta) @ np.conj(x) - x, axis=0).max())

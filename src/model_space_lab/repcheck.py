@@ -120,11 +120,11 @@ class Sym3:
 
     @classmethod
     def from_array(cls, m, tol: float = 1e-10) -> "Sym3":
-        m = np.asarray(m, dtype=complex)
+        """(m + m^T) / 2, refused unless |m - m^T| <= tol * (largest real or imaginary part)."""
+        m = np.array(m, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError("expected a 3x3 matrix")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > tol * scale:
+        if np.abs(m - m.T).max() > tol * np.abs(m.view(float)).max():
             raise ValueError("matrix is not complex symmetric")
         sym = (m + m.T) / 2.0
         return cls(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])

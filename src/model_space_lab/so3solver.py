@@ -200,8 +200,7 @@ def spectral_shortcut(s: Sym3) -> Optional[OrthMatrix3]:
     Used to seed the solver.
     """
     m = s.array
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m.imag).max() > 1e-12 * scale:
+    if np.abs(m.imag).max() > 1e-12 * np.abs(m.view(float)).max():
         return None
     _, vecs = np.linalg.eigh(m.real)
     u = vecs.T
@@ -225,14 +224,14 @@ def solve(
     start reaching the tolerance wins and later starts are skipped; ties are
     impossible because the winner is (residual, start index).
 
-    The tolerance is config.tol * min(1, ||S||_F), relative for a small S
-    and never looser than config.tol; the zero matrix is solved at start 0.
-    The search and the certificate run on ``s.normalized()``: the relation is
-    linear in S and the step scale-free.
+    The tolerance is config.tol * ||S||_F, the threshold of
+    ``clark_s6_test``, so the verdict does not change when S is scaled; the
+    zero matrix is solved at start 0.  The search and the certificate run on
+    ``s.normalized()``: the relation is linear in S and the step scale-free.
     """
     unit, e = s.normalized()
     fun = partial(_relation, relation_weight(cb, config.variant), unit.array)
-    target = config.tol * min(_times_pow2(1.0, -e), float(np.linalg.norm(unit.array)))
+    target = config.tol * float(np.linalg.norm(unit.array))
 
     def start(index: int) -> np.ndarray:
         if index == 0:

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's own code paths: integrals
 are done by direct trapezoid sums on explicit formula evaluations, roots by
 numpy's companion-matrix solver on hand-built polynomials, and Clark bases
-near the circle, where a uniform grid cannot resolve the kernels, in 50-digit
-mpmath arithmetic from their defining formulas.  Tests compare library output
-against these, never the other way round.
+and the conjugation matrix near the circle, where a uniform grid cannot
+resolve the kernels, in 50-digit mpmath arithmetic from their defining
+formulas.  Tests compare library output against these, never the other way
+round.
 """
 
 import mpmath
@@ -99,3 +100,27 @@ def oracle_clark_mp(b, t, alpha, z, dps=50):
             np.array([float(n) for n in norms]),
             np.array([[complex(v) for v in row] for row in values]),
         )
+
+
+def oracle_conjugation_matrix_mp(b, dps=50):
+    """J of an order-3 product at ``dps`` digits from C e_k = c e~_{2-k}, e~ the
+    TMW basis of the reversed zeros: column k solves the interpolation of
+    c e~_{2-k} by the e_j at three interior points."""
+    with mpmath.workdps(dps):
+        zeros = [mpmath.mpc(w) for w in b.zeros]
+
+        def tmw(ws, k, x):
+            out = mpmath.sqrt(1 - abs(ws[k]) ** 2) / (1 - mpmath.conj(ws[k]) * x)
+            for w in ws[:k]:
+                out *= (x - w) / (1 - mpmath.conj(w) * x)
+            return out
+
+        points = [mpmath.mpc(0), mpmath.mpc("0.5"), mpmath.mpc("-0.3", "0.4")]
+        n = len(zeros)
+        e = mpmath.matrix([[tmw(zeros, j, x) for j in range(n)] for x in points])
+        c = mpmath.mpc(b.front_constant)
+        columns = []
+        for k in range(n):
+            rhs = mpmath.matrix([c * tmw(zeros[::-1], n - 1 - k, x) for x in points])
+            columns.append([complex(v) for v in mpmath.lu_solve(e, rhs)])
+        return np.array(columns).T

@@ -7,13 +7,21 @@ from model_space_lab.blaschke import (
     BlaschkeProduct,
     PoleEvaluationError,
     boundary_kernel_norm_sq,
+    compressed_shift,
+    conjugate_kernel_coords,
+    conjugation_matrix,
     cubic_coefficients,
     level_set,
     polynomial_pair,
     tmw_values,
 )
 
-from conftest import oracle_circle_mean, oracle_inner, oracle_kernel_values
+from conftest import (
+    oracle_circle_mean,
+    oracle_conjugation_matrix_mp,
+    oracle_inner,
+    oracle_kernel_values,
+)
 
 
 def test_f1_point_values(f1):
@@ -89,6 +97,77 @@ def test_tmw_values_orthonormal_and_reproducing(f2):
             oracle_kernel_values(prod, lam, z),
             atol=1e-12,
         )
+
+
+# -- the conjugation matrix --------------------------------------------------
+
+
+def random_product(rng, order, max_radius):
+    zeros = max_radius * np.sqrt(rng.random(order)) * np.exp(2j * np.pi * rng.random(order))
+    return BlaschkeProduct(tuple(zeros), np.exp(2j * np.pi * rng.random()))
+
+
+def tmw_formula(b, j, z):
+    """e_j(z) from its defining product, without the library."""
+    out = np.sqrt(1.0 - abs(b.zeros[j]) ** 2) / (1.0 - np.conj(b.zeros[j]) * z)
+    for w in b.zeros[:j]:
+        out = out * (z - w) / (1.0 - np.conj(w) * z)
+    return out
+
+
+def test_conjugation_matrix_matches_quadrature(f2):
+    # Quadrature oracle: (J e(lam))_j = <C k_lam, e_j> with C f = B conj(z f)
+    # on the circle.
+    rng = np.random.default_rng(11)
+    products = [f2] + [random_product(rng, n, 0.85) for n in (2, 3, 3, 4)]
+    for b in products:
+        for lam in (0.0, 0.4 - 0.3j, -0.7j):
+            def conj_kernel(z, b=b, lam=lam):
+                return b(z) * np.conj(z * oracle_kernel_values(b, lam, z))
+
+            expected = [
+                oracle_inner(conj_kernel, lambda z, j=j: tmw_formula(b, j, z))
+                for j in range(b.order)
+            ]
+            got = conjugation_matrix(b) @ tmw_values(b, lam)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(conjugate_kernel_coords(b, lam), got)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_conjugation_matrix_structure(order):
+    # C is an antilinear involution (J conj(J) = I), J is symmetric, and
+    # C A_z C = A_z^* reads J conj(Z) = Z^H J.
+    rng = np.random.default_rng(order)
+    for _ in range(20):
+        b = random_product(rng, order, 0.9999)
+        j, z = conjugation_matrix(b), compressed_shift(b)
+        np.testing.assert_allclose(j @ np.conj(j), np.eye(order), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(j, j.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(j @ np.conj(z), np.conj(z.T) @ j, rtol=0, atol=1e-12)
+
+
+def test_conjugation_matrix_of_a_power_is_exact():
+    # Equal zeros swap to the same basis: for B = c z^3, C e_k = c e_{2-k}.
+    c = np.exp(0.7j)
+    j = conjugation_matrix(BlaschkeProduct((0.0, 0.0, 0.0), c))
+    np.testing.assert_array_equal(j, c * np.eye(3)[::-1])
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        (0.999 * np.exp(2.0j),) * 3,
+        (0.9999 * np.exp(-1.1j),) * 3,
+        (0.99 * np.exp(0.3j), 0.99 * np.exp(0.301j), 0.4 - 0.2j),
+    ],
+    ids=["triple-0.999", "triple-0.9999", "near-pair"],
+)
+def test_conjugation_matrix_matches_mpmath_oracle(zeros):
+    b = BlaschkeProduct(zeros, np.exp(0.4j))
+    np.testing.assert_allclose(
+        conjugation_matrix(b), oracle_conjugation_matrix_mp(b), rtol=0, atol=1e-12
+    )
 
 
 # -- level sets --------------------------------------------------------------

@@ -530,20 +530,17 @@ def test_seed_precedence(tmp_path, monkeypatch):
     problem = shift_problem("clark-basis")
     problem["options"] = {"seed": 5}
 
-    monkeypatch.delenv("MODEL_SPACE_LAB_SEED", raising=False)
     _, report, _ = run_cli(tmp_path, problem, name="a")
     assert report["config"]["seed"] == 5
 
-    monkeypatch.setenv("MODEL_SPACE_LAB_SEED", "7")
-    _, report, _ = run_cli(tmp_path, problem, name="b")
-    assert report["config"]["seed"] == 7
-
-    _, report, _ = run_cli(tmp_path, problem, extra=("--seed", "9"), name="c")
+    _, report, _ = run_cli(tmp_path, problem, extra=("--seed", "9"), name="b")
     assert report["config"]["seed"] == 9
 
-    monkeypatch.setenv("MODEL_SPACE_LAB_SEED", "not-a-number")
-    code, report, _ = run_cli(tmp_path, problem, name="d")
-    assert code == 2
+    # The environment is not a seed source.
+    monkeypatch.setenv("MODEL_SPACE_LAB_SEED", "7")
+    code, report, _ = run_cli(tmp_path, problem, name="c")
+    assert code == 0
+    assert report["config"]["seed"] == 5
 
 
 def test_variant_flag_echoed(tmp_path, az_matrix):

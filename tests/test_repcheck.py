@@ -77,6 +77,27 @@ def test_sym3_rejects_asymmetric():
         Sym3.from_array(m)
 
 
+def test_sym3_symmetry_check_is_relative():
+    # The bound is tol times the largest part: a lone tiny off-diagonal entry
+    # is as asymmetric as a lone large one, at every scale.
+    for lone in (1e-11, 10.0):
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 1] = lone
+        with pytest.raises(ValueError):
+            Sym3.from_array(m)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    sym, skew = a + a.T, a - a.T
+    for scale in (1e-300, 1.0, 1e300):
+        np.testing.assert_allclose(
+            Sym3.from_array(scale * (sym + 1e-12 * skew)).vector / scale,
+            Sym3.from_array(sym).vector,
+            rtol=1e-11,
+        )
+        with pytest.raises(ValueError):
+            Sym3.from_array(scale * (sym + 1e-8 * skew))
+
+
 def test_point_config_validation():
     good = PointConfig((1.0, 1j, -1.0), (0.0, 0.3))
     assert len(good.boundary) == 3

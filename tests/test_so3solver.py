@@ -284,6 +284,19 @@ def test_solve_tiny_matrix_meets_relative_tolerance(f1_clark):
     assert report.best_residual <= 1e-8 * min(1.0, np.linalg.norm(s.array))
 
 
+@pytest.mark.parametrize("k", [-300, 9, 12, 50, 300])
+def test_solve_verdict_invariant_under_scaling(f1_clark, k):
+    # The target is tol * ||S||_F, so a large S is found as readily as a unit
+    # one; an absolute target would leave it to round-off in the relation.
+    x = random_sym3(np.random.default_rng(37))
+    config = SolverConfig(starts=20)
+    unit = solve(x, f1_clark, config)
+    scaled = solve(Sym3(*(10.0**k * x.vector)), f1_clark, config)
+    assert unit.found and scaled.found
+    assert scaled.starts_used == unit.starts_used
+    assert scaled.best_residual / 10.0**k <= 1e-8 * np.linalg.norm(x.array)
+
+
 def test_solve_zero_matrix_found_at_identity(f1_clark):
     report = solve(Sym3(0, 0, 0, 0, 0, 0), f1_clark)
     assert report.found
