@@ -131,11 +131,10 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
     """Construct the conjugation-fixed eigenbasis for (t, alpha) at order 3.
 
     Raises ``LevelSetError`` if the level set misses its accuracy check and
-    ``BasisError`` if the basis misses orthonormality, conjugation-fixedness,
-    or vanishing of each element at the other level-set points.  Vanishing is
-    measured against the normalized kernel, |e_i(eta_j)| / ||k_{eta_j}|| =
-    |<e_i, k^_{eta_j}>|, so it stays scale-free when the kernel norms are
-    large near the circle.
+    ``BasisError`` if the basis misses orthonormality or conjugation-fixedness.
+    Each element vanishing at the other level-set points needs no check of
+    its own: |e_i(eta_j)| / ||k_{eta_j}|| is the Gram entry |G_ij|, which the
+    orthonormality check already bounds by ||G - I||_F < BASIS_TOL.
     """
     if b.order != 3:
         raise ValueError("the Clark basis construction here is order-3 only")
@@ -149,13 +148,6 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
         raise BasisError(
             "an element moved by %.3e under conjugation; the phase "
             "convention must square to conj(eta) * omega" % basis.conj_residual
-        )
-    off_point = np.abs(basis(etas))  # entry (i, j) is |e_i(eta_j)|
-    np.fill_diagonal(off_point, 0.0)
-    missed = np.argwhere(off_point >= BASIS_TOL * norms)
-    if missed.size:
-        raise BasisError(
-            "element %d does not vanish at level-set point %d" % tuple(missed[0])
         )
     return ClarkBasis(
         params=params,

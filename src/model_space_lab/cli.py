@@ -2,26 +2,29 @@
 
 Six subcommands mirror the library: ``clark-basis``, ``tto-matrix``,
 ``check-detthm``, ``check-clark-s6``, ``solve-so3`` and ``corollary``; a
-seventh, ``fixtures``, regenerates the golden problem/report pairs.  Problems
+seventh, ``fixtures --dir DIR``, rewrites ``<name>.report.json`` for every
+``<name>.problem.json`` in DIR and never writes a problem file.  Problems
 and reports are strict JSON with every complex number as a two-element
-``[re, im]`` array and every float printed to 12 significant digits.
+``[re, im]`` array and every float printed to 12 significant digits.  All
+seven subcommands take one path: parse every problem, then ``run_task`` and
+write each report.
 
 Exit codes: 0 = a decision was made (whatever the verdict), 2 = the input was
 invalid (no report written), 3 = the computation was numerically indeterminate
 (report written with verdict "indeterminate").  Each has one source: exit 2
-comes only from the parse stage (reading the file, ``parse_problem`` and
-``merge_config``), which runs before any computation, and exit 3 only from
-``run_task`` catching ``Indeterminate``.  Any other error is a bug and
-crashes with a traceback.
+comes only from the parse stage (reading the files, ``parse_problem`` and
+``merge_config``; for ``fixtures`` also a DIR without problem files), which
+runs before any computation, and exit 3 only from ``run_task`` catching
+``Indeterminate``.  Any other error is a bug and crashes with a traceback.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +51,7 @@ TASKS = (
     "corollary",
 )
 
-# The SolverConfig fields a problem file or a flag may set; max_evals is not one.
+# The SolverConfig fields, which a problem file or a flag may set.
 _OPTIONS = ("tol", "seed", "starts", "variant")
 
 _REPORT_KEYS = (
@@ -323,71 +326,6 @@ def validate_report(obj) -> None:
     walk(obj, "report")
 
 
-# -- fixtures -------------------------------------------------------------------
-
-
-def _fixture_problems():
-    f1_theta = {"zeros": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "constant": [1.0, 0.0]}
-    f2_theta = {"zeros": [[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]], "constant": [1.0, 0.0]}
-    clark0 = {"t": [0.0, 0.0], "alpha": [1.0, 0.0]}
-
-    def shift_matrix(theta_block):
-        zeros = tuple(complex(z[0], z[1]) for z in theta_block["zeros"])
-        b = BlaschkeProduct(zeros=zeros, front_constant=1.0)
-        cb = modified_clark_basis(b, ClarkParams(0.0, 1.0))
-        m = tto_matrix_from_symbol(b, Symbol.shift(), cb.basis)
-        s = Sym3.from_array(m.array, tol=1e-7)
-        return {"s": _encode(s.vector)}
-
-    f1_shift = shift_matrix(f1_theta)
-    f2_shift = shift_matrix(f2_theta)
-    family3 = {"s": [[0.0, 0.0]] * 5 + [[1.0, 0.0]]}
-
-    entries = []
-    for tag, theta in (("f1", f1_theta), ("f2", f2_theta)):
-        entries.append((f"{tag}-clark-basis", {
-            "task": "clark-basis", "theta": theta, "clark": clark0, "options": {},
-        }))
-        entries.append((f"{tag}-tto-matrix", {
-            "task": "tto-matrix", "theta": theta, "clark": clark0, "options": {},
-        }))
-    entries.append(("f1-check-detthm", {
-        "task": "check-detthm", "theta": f1_theta, "clark": clark0,
-        "matrix": f1_shift, "options": {},
-    }))
-    entries.append(("f1-check-clark-s6", {
-        "task": "check-clark-s6", "theta": f1_theta, "clark": clark0,
-        "matrix": f1_shift, "options": {},
-    }))
-    entries.append(("f2-check-clark-s6", {
-        "task": "check-clark-s6", "theta": f2_theta, "clark": clark0,
-        "matrix": f2_shift, "options": {},
-    }))
-    entries.append(("f1-solve-so3", {
-        "task": "solve-so3", "theta": f1_theta, "clark": clark0,
-        "matrix": family3, "options": {"seed": 0},
-    }))
-    entries.append(("f1-corollary", {
-        "task": "corollary", "theta": f1_theta, "clark": clark0,
-        "matrix": family3, "options": {"seed": 0},
-    }))
-    return entries
-
-
-def write_fixtures(directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    for name, problem_obj in _fixture_problems():
-        problem = parse_problem(problem_obj)
-        report = run_task(problem, problem.config)
-        validate_report(report)
-        with open(os.path.join(directory, f"{name}.problem.json"), "w") as fh:
-            json.dump(problem_obj, fh, indent=2)
-            fh.write("\n")
-        with open(os.path.join(directory, f"{name}.report.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-
-
 # -- entry point ----------------------------------------------------------------
 
 
@@ -410,36 +348,60 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "fixtures":
-        write_fixtures(args.dir)
-        return 0
+def _read_problem(path) -> Problem:
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ProblemError("problem file is nested too deeply") from None
+    return parse_problem(obj)
 
-    try:
-        with open(args.infile) as fh:
-            try:
-                obj = json.load(fh)
-            except RecursionError:
-                raise ProblemError("problem file is nested too deeply") from None
-        problem = parse_problem(obj)
+
+def _jobs(args) -> list:
+    """The parse stage: (problem, config, report path) for each report to write.
+
+    ``fixtures`` gives one job per ``<name>.problem.json`` in its directory,
+    with the problem's own config, writing ``<name>.report.json`` next to it.
+    """
+    if args.command != "fixtures":
+        problem = _read_problem(args.infile)
         if problem.task != args.command:
             raise ProblemError(
                 f"problem file task {problem.task!r} does not match subcommand {args.command!r}"
             )
-        config = merge_config(problem.config, args)
+        return [(problem, merge_config(problem.config, args), args.outfile)]
+    paths = sorted(Path(args.dir).glob("*.problem.json"))
+    if not paths:
+        raise ProblemError(f"no *.problem.json files in {args.dir}")
+    jobs = []
+    for path in paths:
+        try:
+            problem = _read_problem(path)
+        except ValueError as exc:
+            raise ProblemError(f"{path}: {exc}") from None
+        report_name = path.name.removesuffix(".problem.json") + ".report.json"
+        jobs.append((problem, problem.config, path.with_name(report_name)))
+    return jobs
+
+
+def run(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        jobs = _jobs(args)
     except (ValueError, OSError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
 
-    report = run_task(problem, config)
-    with open(args.outfile, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    if report["verdict"] == "indeterminate":
-        print(f"error: indeterminate: {report['details']['reason']}", file=sys.stderr)
-        return 3
-    return 0
+    code = 0
+    for problem, config, outfile in jobs:
+        report = run_task(problem, config)
+        with open(outfile, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        if report["verdict"] == "indeterminate":
+            print(f"error: indeterminate: {report['details']['reason']}", file=sys.stderr)
+            code = 3
+    return code
 
 
 def main() -> None:

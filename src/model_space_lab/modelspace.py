@@ -49,7 +49,7 @@ __all__ = [
 
 
 class BasisError(Indeterminate):
-    """A basis missed BASIS_TOL: orthonormality, conjugation-fixedness or vanishing."""
+    """A basis missed BASIS_TOL: orthonormality or conjugation-fixedness."""
 
 
 @dataclass(frozen=True)

@@ -120,13 +120,17 @@ class Sym3:
 
     @classmethod
     def from_array(cls, m, tol: float = 1e-10) -> "Sym3":
-        """(m + m^T) / 2, refused unless |m - m^T| <= tol * (largest real or imaginary part)."""
-        m = np.array(m, dtype=complex)
-        if m.shape != (3, 3):
+        """m/2 + m^T/2, refused unless |m/2 - m^T/2| <= tol * (largest part of m/2).
+
+        A part is a real or imaginary part.  Halving first is exact, so no
+        finite m overflows and normal inputs give the bits of (m + m^T) / 2.
+        """
+        half = np.array(m, dtype=complex) / 2.0
+        if half.shape != (3, 3):
             raise ValueError("expected a 3x3 matrix")
-        if np.abs(m - m.T).max() > tol * np.abs(m.view(float)).max():
+        if np.abs(half - half.T).max() > tol * np.abs(half.view(float)).max():
             raise ValueError("matrix is not complex symmetric")
-        sym = (m + m.T) / 2.0
+        sym = half + half.T
         return cls(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
 
 

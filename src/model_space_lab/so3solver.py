@@ -45,6 +45,8 @@ __all__ = [
     "spectral_shortcut",
 ]
 
+MAX_EVALS = 500  # evaluations of the relation and its Jacobian per start
+
 
 @dataclass(frozen=True)
 class OrthMatrix3:
@@ -74,7 +76,7 @@ class OrthMatrix3:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Options of a run; the first four are the CLI's options, checked here once.
+    """Options of a run, the CLI's four options, checked here once.
 
     ValueError unless ``starts`` is an int >= 1, ``tol`` a finite number > 0
     (stored as a float), ``seed`` an int >= 0 (bools refused) and ``variant``
@@ -85,7 +87,6 @@ class SolverConfig:
     tol: float = REP_TOL
     seed: int = 0
     variant: str = "general"
-    max_evals: int = 500  # evaluations of the relation and its Jacobian per start
 
     def __post_init__(self):
         for name, low in (("starts", 1), ("seed", 0)):
@@ -220,7 +221,7 @@ def solve(
     input is real; the rest are random rotations with per-start seeds derived
     from (config.seed, index), so the outcome is independent of scheduling.
     A start that misses the tolerance is refined by ``least_squares``, which
-    spends at most config.max_evals evaluations of the relation.  The first
+    spends at most ``MAX_EVALS`` evaluations of the relation.  The first
     start reaching the tolerance wins and later starts are skipped; ties are
     impossible because the winner is (residual, start index).
 
@@ -249,7 +250,7 @@ def solve(
     for index in range(config.starts):
         u = start(index)
         if np.linalg.norm(fun(u)[0]) > target:
-            u = least_squares(fun, u, config.max_evals)
+            u = least_squares(fun, u, MAX_EVALS)
         res = float(np.linalg.norm(fun(u)[0]))
         if best is None or res < best[0]:
             best = (res, u)

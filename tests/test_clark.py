@@ -125,6 +125,25 @@ def test_near_circle_triple_zero_matches_mpmath_oracle(radius):
         np.testing.assert_allclose(cb.basis(z), values, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("radius", [0.999, 0.9999])
+def test_near_circle_vanishing_is_bounded_by_gram_residual(radius):
+    # e_i(eta_j) / ||k_{eta_j}|| is a Gram entry up to a unimodular factor, so
+    # the Gram check also decides that each element vanishes at the other
+    # level-set points.  Near the circle, where the kernel norms range from
+    # 0.01 to 200 and the Gram residual is largest, the ratio reaches 0.57.
+    rng = np.random.default_rng(int(radius * 1e4) + 2)
+    for _ in range(20):
+        w = radius * np.exp(2j * np.pi * rng.random())
+        b = BlaschkeProduct((w, w, w), np.exp(2j * np.pi * rng.random()))
+        params = ClarkParams(
+            0.3 * np.exp(2j * np.pi * rng.random()), np.exp(2j * np.pi * rng.random())
+        )
+        cb = modified_clark_basis(b, params)
+        off_point = np.abs(cb.basis(cb.etas)) / cb.norms  # entry (i, j): |e_i(eta_j)|/||k_j||
+        np.fill_diagonal(off_point, 0.0)
+        assert off_point.max() <= cb.basis.gram_residual
+
+
 # -- the perturbed shift -----------------------------------------------------
 
 

@@ -622,9 +622,20 @@ def assert_tree_close(a, b, where="root"):
         assert a == b, where
 
 
+COMMITTED = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def copy_problems(outdir):
+    for path in COMMITTED.glob("*.problem.json"):
+        (outdir / path.name).write_bytes(path.read_bytes())
+
+
 @pytest.fixture(scope="module")
 def generated_fixtures(tmp_path_factory):
+    # The committed problem files are the golden inputs; fixtures writes a
+    # report next to each.
     outdir = tmp_path_factory.mktemp("fixtures")
+    copy_problems(outdir)
     assert run(["fixtures", "--dir", str(outdir)]) == 0
     return outdir
 
@@ -664,24 +675,42 @@ def test_fixture_golden_values(generated_fixtures):
 
 
 def test_fixture_regeneration_idempotent(generated_fixtures, tmp_path):
+    copy_problems(tmp_path)
     assert run(["fixtures", "--dir", str(tmp_path)]) == 0
     for name in ALL_FIXTURES:
-        for kind in ("problem", "report"):
-            first = json.loads((generated_fixtures / f"{name}.{kind}.json").read_text())
-            second = json.loads((tmp_path / f"{name}.{kind}.json").read_text())
-            assert_tree_close(first, second, where=f"{name}.{kind}")
+        first = json.loads((generated_fixtures / f"{name}.report.json").read_text())
+        second = json.loads((tmp_path / f"{name}.report.json").read_text())
+        assert_tree_close(first, second, where=f"{name}.report")
 
 
 def test_committed_fixtures_match_regeneration(generated_fixtures):
-    committed = Path(__file__).resolve().parents[1] / "fixtures"
-    assert committed.is_dir(), "fixtures/ directory missing from the repository"
+    assert COMMITTED.is_dir(), "fixtures/ directory missing from the repository"
     for name in ALL_FIXTURES:
-        for kind in ("problem", "report"):
-            repo_file = committed / f"{name}.{kind}.json"
-            assert repo_file.exists(), repo_file
-            fresh = json.loads((generated_fixtures / f"{name}.{kind}.json").read_text())
-            stored = json.loads(repo_file.read_text())
-            assert_tree_close(stored, fresh, where=f"{name}.{kind}")
+        repo_file = COMMITTED / f"{name}.report.json"
+        assert repo_file.exists(), repo_file
+        fresh = json.loads((generated_fixtures / f"{name}.report.json").read_text())
+        stored = json.loads(repo_file.read_text())
+        assert_tree_close(stored, fresh, where=f"{name}.report")
+
+
+def test_fixtures_leave_problem_files_untouched(generated_fixtures):
+    for name in ALL_FIXTURES:
+        fresh = (generated_fixtures / f"{name}.problem.json").read_bytes()
+        assert fresh == (COMMITTED / f"{name}.problem.json").read_bytes(), name
+
+
+def test_fixtures_without_problem_files_exit_2(tmp_path, no_computation):
+    assert run(["fixtures", "--dir", str(tmp_path)]) == 2
+    assert run(["fixtures", "--dir", str(tmp_path / "missing")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fixtures_malformed_problem_exits_2_before_computation(tmp_path, no_computation):
+    # One bad problem file refuses the whole directory: no report is written.
+    copy_problems(tmp_path)
+    (tmp_path / "f1-zz-broken.problem.json").write_text("{ not json")
+    assert run(["fixtures", "--dir", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.report.json"))
 
 
 # Run in a fresh interpreter where every scipy import fails.

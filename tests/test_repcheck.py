@@ -98,6 +98,17 @@ def test_sym3_symmetry_check_is_relative():
             Sym3.from_array(scale * (sym + 1e-8 * skew))
 
 
+def test_sym3_from_array_near_float_maximum():
+    # Parts above half the float maximum: halving before the difference and
+    # the sum keeps both finite.
+    huge = 1.7e308 + 1.7e308j
+    assert Sym3.from_array(np.full((3, 3), huge)) == Sym3(*[huge] * 6)
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 1], m[1, 0] = 1.7e308, -1.7e308
+    with pytest.raises(ValueError):
+        Sym3.from_array(m)
+
+
 def test_point_config_validation():
     good = PointConfig((1.0, 1j, -1.0), (0.0, 0.3))
     assert len(good.boundary) == 3

@@ -202,7 +202,7 @@ def test_relation_jacobian_matches_finite_differences(kind):
 
 def test_solve_refines_through_module_least_squares(f1_clark, monkeypatch):
     # solve looks least_squares up as a module global (the benchmark tracer
-    # replaces it there), and each call spends at most max_evals evaluations.
+    # replaces it there), and each call spends at most MAX_EVALS evaluations.
     original = so3solver.least_squares
     evals = []
 
@@ -219,7 +219,9 @@ def test_solve_refines_through_module_least_squares(f1_clark, monkeypatch):
 
     monkeypatch.setattr(so3solver, "least_squares", counting)
     s = random_sym3(np.random.default_rng(43))
-    report = solve(s, f1_clark, SolverConfig(starts=3, max_evals=3))
+    with monkeypatch.context() as m:
+        m.setattr(so3solver, "MAX_EVALS", 3)
+        report = solve(s, f1_clark, SolverConfig(starts=3))
     assert not report.found
     assert evals == [3, 3, 3]
     report = solve(s, f1_clark, SolverConfig(starts=3))
@@ -331,11 +333,12 @@ def test_solve_counterexample_families_via_spectral_seed(f1_clark):
         assert report.certificate.residual < 1e-8
 
 
-def test_solve_not_found_is_labeled(f1_clark):
+def test_solve_not_found_is_labeled(f1_clark, monkeypatch):
     # A tolerance below machine precision cannot be met, so the report must
     # fall back to the explicit budget language.
+    monkeypatch.setattr(so3solver, "MAX_EVALS", 1)
     s = counterexample_family(3, 0.0, 0.0, 0.0)
-    report = solve(s, f1_clark, SolverConfig(starts=1, tol=1e-30, max_evals=1))
+    report = solve(s, f1_clark, SolverConfig(starts=1, tol=1e-30))
     assert not report.found
     assert "budget" in report.message
     assert "not a proof" in report.message
