@@ -14,12 +14,18 @@ Model-space elements are coordinates in the orthonormal Takenaka-Malmquist-
 Walsh (TMW) basis; its closed-form primitives live here: the values e(z),
 the conjugation matrix J and C k_lam = J e(lam), the compressed shift, and
 Clark's unitary, whose eigenvalues are the level set (the one spectrum taken).
+
+The primitives are array-first: ``products_at``, ``tmw_rows``,
+``kernel_norms_sq``, ``conjugation_matrices``, ``compressed_shifts``,
+``clark_unitaries`` and ``level_sets`` take a stack of N products, zeros of
+shape (N, n) and front constants of shape (N,), with points of shape (N, m).
+The scalar functions and ``BlaschkeProduct.__call__`` run them on the stack
+of one, ``BlaschkeProduct.stack``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,15 +36,22 @@ __all__ = [
     "PoleEvaluationError",
     "LevelSetError",
     "level_set",
+    "level_sets",
     "cubic_coefficients",
     "boundary_kernel_norm_sq",
+    "kernel_norms_sq",
     "polynomial_pair",
     "circle_angle",
+    "products_at",
     "tmw_values",
+    "tmw_rows",
     "conjugation_matrix",
+    "conjugation_matrices",
     "conjugate_kernel_coords",
     "compressed_shift",
+    "compressed_shifts",
     "clark_unitary",
+    "clark_unitaries",
 ]
 
 
@@ -60,10 +73,14 @@ class BlaschkeProduct:
         Zeros, each with modulus < 1.  Order of the product = len(zeros).
     front_constant : complex
         Unimodular multiplier in front of the product (default 1).
+
+    ``stack`` is the product as a stack of one for the array-first
+    functions: zeros of shape (1, n) and the constant of shape (1,).
     """
 
     zeros: tuple
     front_constant: complex = 1.0 + 0.0j
+    stack: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         zeros = tuple(complex(w) for w in self.zeros)
@@ -71,7 +88,8 @@ class BlaschkeProduct:
         object.__setattr__(self, "front_constant", complex(self.front_constant))
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
-        radii = np.abs(np.asarray(zeros))
+        w = np.array([zeros])
+        radii = np.abs(w[0])
         if np.any(radii >= 1.0):
             raise ValueError(
                 "zeros must lie strictly inside the unit disc, got moduli %s"
@@ -80,6 +98,7 @@ class BlaschkeProduct:
         modulus = float(np.abs(self.front_constant))  # inf where abs() overflows
         if abs(modulus - 1.0) > 1e-12:
             raise ValueError("front constant must be unimodular, got |c| = %r" % modulus)
+        object.__setattr__(self, "stack", (w, np.array([self.front_constant])))
 
     @property
     def order(self) -> int:
@@ -88,15 +107,24 @@ class BlaschkeProduct:
     def __call__(self, z):
         """Evaluate the product at z (scalar or array), guarding the poles."""
         z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.front_constant, dtype=complex)
-        for w in self.zeros:
-            den = 1.0 - np.conj(w) * z
-            if np.any(np.abs(den) < POLE_TOL):
-                raise PoleEvaluationError(
-                    "evaluation point too close to the pole 1/conj(%r)" % w
-                )
-            out = out * (z - w) / den
+        out = products_at(*self.stack, z.reshape(1, -1))[0].reshape(z.shape)
         return out if out.shape else complex(out)
+
+
+def products_at(w, c, z) -> np.ndarray:
+    """B at points z (N, m) for zeros w (N, n) and constants c (N,): shape (N, m).
+
+    One guard per call: a point with |1 - conj(w_k) z| < POLE_TOL for any
+    row and zero raises ``PoleEvaluationError`` naming that zero.
+    """
+    den = 1.0 - np.conj(w)[:, :, None] * z[:, None, :]
+    near = np.abs(den) < POLE_TOL
+    if near.any():
+        row, k, _ = np.argwhere(near)[0]
+        raise PoleEvaluationError(
+            "evaluation point too close to the pole 1/conj(%r)" % complex(w[row, k])
+        )
+    return c[:, None] * np.multiply.reduce((z[:, None, :] - w[:, :, None]) / den, axis=1)
 
 
 def polynomial_pair(b: BlaschkeProduct):
@@ -130,13 +158,15 @@ def tmw_values(b: BlaschkeProduct, z) -> np.ndarray:
     The kernel k_lam = sum_k conj(e_k(lam)) e_k has coordinates conj(e(lam)).
     """
     z = np.asarray(z, dtype=complex)
-    prefix = np.ones(z.shape, dtype=complex)
-    values = []
-    for w in b.zeros:
-        den = 1.0 - np.conj(w) * z
-        values.append(np.sqrt(1.0 - abs(w) ** 2) * prefix / den)
-        prefix = prefix * (z - w) / den
-    return np.array(values)
+    return tmw_rows(b.stack[0], z.reshape(1, -1))[0].reshape((b.order,) + z.shape)
+
+
+def tmw_rows(w, z) -> np.ndarray:
+    """``tmw_values`` for zeros w (N, n) at points z (N, m): shape (N, n, m)."""
+    den = 1.0 - np.conj(w)[:, :, None] * z[:, None, :]
+    values = np.sqrt(1.0 - np.abs(w) ** 2)[:, :, None] / den
+    values[:, 1:] *= np.cumprod((z[:, None, :] - w[:, :-1, None]) / den[:, :-1], axis=1)
+    return values
 
 
 def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
@@ -148,20 +178,34 @@ def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
     G = [[d, a - c], [conj(c - a), d]] / (1 - conj(c) a), d = sqrt((1-|a|^2)(1-|c|^2)).
     Equal zeros need no swap, so J is exact for B = c z^n.
     """
-    zeros, n = list(b.zeros), b.order
-    rows = np.eye(n, dtype=complex).tolist()  # M, updated in scalar arithmetic
+    return conjugation_matrices(*b.stack)[0]
+
+
+def conjugation_matrices(w, c) -> np.ndarray:
+    """``conjugation_matrix`` for zeros w (N, n) and constants c (N,): shape (N, n, n).
+
+    The factors G of every pair of zeros are formed at once; the swaps then
+    apply them to M column pair by column pair.
+    """
+    n = w.shape[1]
+    r2 = 1.0 - np.abs(w) ** 2
+    diff = w[:, :, None] - w[:, None, :]  # [i, k] = a - c for a = w_i, c = w_k
+    den = 1.0 - np.conj(w)[:, None, :] * w[:, :, None]
+    g00 = np.where(diff == 0.0, 1.0, np.sqrt(r2[:, :, None] * r2[:, None, :]) / den)  # equal zeros: no swap
+    g01, g10 = diff / den, np.conj(-diff) / den
+    m = np.zeros((len(w), n, n), dtype=complex)
+    m.reshape(len(w), n * n)[:, :: n + 1] = 1.0
+    at = list(range(n))  # at[p]: the index of the zero now at position p
     for end in range(n - 1, 0, -1):
         for p in range(end):
-            a, c = zeros[p], zeros[p + 1]
-            if a != c:
-                den = 1.0 - c.conjugate() * a
-                g00 = math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(c) ** 2)) / den
-                g01, g10 = (a - c) / den, (c - a).conjugate() / den
-                for row in rows:  # columns p, p+1 of M times G
-                    x, y = row[p], row[p + 1]
-                    row[p], row[p + 1] = x * g00 + y * g10, x * g01 + y * g00
-                zeros[p : p + 2] = c, a
-    return np.array([[b.front_constant * x for x in reversed(row)] for row in rows])
+            i, k = at[p], at[p + 1]
+            x, y = m[:, :, p], m[:, :, p + 1]
+            m[:, :, p], m[:, :, p + 1] = (
+                x * g00[:, i, k, None] + y * g10[:, i, k, None],
+                x * g01[:, i, k, None] + y * g00[:, i, k, None],
+            )
+            at[p], at[p + 1] = k, i
+    return c[:, None, None] * m[:, :, ::-1]
 
 
 def conjugate_kernel_coords(b: BlaschkeProduct, lam) -> np.ndarray:
@@ -175,14 +219,22 @@ def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
     It is lower triangular: entry (i, i) is w_i and, for i > j, entry (i, j) is
     sqrt(1 - |w_i|^2) sqrt(1 - |w_j|^2) prod_{j<k<i} (-conj(w_k)).
     """
-    w = np.array(b.zeros)
+    return compressed_shifts(b.stack[0])[0]
+
+
+def compressed_shifts(w) -> np.ndarray:
+    """``compressed_shift`` for zeros w (N, n): shape (N, n, n)."""
+    n = w.shape[1]
     r = np.sqrt(1.0 - np.abs(w) ** 2)
-    z = np.diag(w)
-    for i in range(len(w)):
-        p = 1.0
+    q = -np.conj(w)
+    z = np.zeros(w.shape + (n,), dtype=complex)
+    z.reshape(len(w), n * n)[:, :: n + 1] = w
+    for i in range(1, n):
+        p = r[:, i]
         for j in range(i - 1, -1, -1):
-            z[i, j] = r[i] * r[j] * p
-            p *= -np.conj(w[j])
+            z[:, i, j] = p * r[:, j]
+            if j:
+                p = p * q[:, j]
     return z
 
 
@@ -192,8 +244,25 @@ def clark_unitary(b: BlaschkeProduct, omega) -> np.ndarray:
     Its eigenvalues are exactly the circle points where B equals omega, and
     its eigenvectors are the kernels there (Clark, 1972).
     """
-    rank_one = np.outer(np.conj(tmw_values(b, 0.0)), np.conj(conjugate_kernel_coords(b, 0.0)))
-    return compressed_shift(b) + rank_one / np.conj(omega - b(0.0))
+    return clark_unitaries(*b.stack, np.array([complex(omega)]))[0]
+
+
+def clark_unitaries(w, c, omega) -> np.ndarray:
+    """``clark_unitary`` for zeros w (N, n), constants c and targets omega (N,).
+
+    Everything at the origin is a closed form in r_k = sqrt(1 - |w_k|^2):
+    e_k(0) = r_k prod_{l<k} (-w_l), so k_0 has coordinates conj(e(0));
+    C k_0 = (B - B(0)) / z = S* B has coordinates <B, z e_k> = c r_k prod_{l>k} (-w_l);
+    and B(0) = c prod_l (-w_l).
+    """
+    q = -w
+    r = np.sqrt(1.0 - np.abs(w) ** 2)
+    ones = np.ones((len(w), 1), dtype=complex)
+    before = np.cumprod(np.concatenate([ones, q[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, q[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    rank_one = np.conj(r * before)[:, :, None] * np.conj(c[:, None] * r * after)[:, None, :]
+    b0 = c * before[:, -1] * q[:, -1]
+    return compressed_shifts(w) + rank_one / np.conj(omega - b0)[:, None, None]
 
 
 def level_set(b: BlaschkeProduct, omega):
@@ -209,23 +278,41 @@ def level_set(b: BlaschkeProduct, omega):
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-12:
         raise ValueError("level-set target must be unimodular, got %r" % omega)
-    phi = np.angle(np.linalg.eigvals(clark_unitary(b, omega)))
+    etas, failures = level_sets(*b.stack, np.array([omega]))
+    if failures:
+        raise failures[0]
+    return etas[0]
+
+
+def level_sets(w, c, omega):
+    """``level_set`` for zeros w (N, n), constants c and unimodular targets omega (N,).
+
+    Returns (etas, failures): etas of shape (N, n), each row sorted by
+    ``circle_angle``, and a dict mapping each row that misses the residual or
+    separation check to the ``LevelSetError`` it raises (residual first).
+    """
+    phi = np.angle(np.linalg.eigvals(clark_unitaries(w, c, omega)))
     eta = np.exp(1j * phi)
-    phi = phi - np.angle(b(eta) * np.conj(omega)) / boundary_kernel_norm_sq(b, eta)
+    phi = phi - np.angle(products_at(w, c, eta) * np.conj(omega)[:, None]) / kernel_norms_sq(w, eta)
     eta = np.exp(1j * phi)
-    residual = np.abs(b(eta) - omega)
+    residual = np.abs(products_at(w, c, eta) - omega[:, None])
+    gaps = np.abs(eta[:, :, None] - eta[:, None, :])
+    gaps.reshape(len(w), -1)[:, :: w.shape[1] + 1] = np.inf  # a point is not its own neighbour
+    bad = (residual > ROOT_TOL).any(axis=1) | (gaps <= DISTINCT_TOL).any(axis=(1, 2))
+    failures = {row: _level_set_error(residual[row], eta[row]) for row in bad.nonzero()[0]}
+    order = np.argsort(circle_angle(eta), axis=1)
+    return eta[np.arange(len(w))[:, None], order], failures
+
+
+def _level_set_error(residual, eta) -> LevelSetError:
+    """The error of one level set: its residuals if any exceeds ROOT_TOL, else its first close pair."""
     if np.any(residual > ROOT_TOL):
-        raise LevelSetError(
-            "level-set residuals %s exceed %.1e" % (residual.tolist(), ROOT_TOL)
-        )
-    for i in range(len(eta)):
-        for j in range(i + 1, len(eta)):
-            if abs(eta[i] - eta[j]) <= DISTINCT_TOL:
-                raise LevelSetError(
-                    "level-set points %r and %r are numerically coincident"
-                    % (eta[i], eta[j])
-                )
-    return eta[np.argsort(circle_angle(eta))]
+        return LevelSetError("level-set residuals %s exceed %.1e" % (residual.tolist(), ROOT_TOL))
+    i, k = next((i, k) for i in range(len(eta)) for k in range(i + 1, len(eta))
+                if abs(eta[i] - eta[k]) <= DISTINCT_TOL)
+    return LevelSetError(
+        "level-set points %r and %r are numerically coincident" % (eta[i], eta[k])
+    )
 
 
 def cubic_coefficients(b: BlaschkeProduct):
@@ -265,7 +352,11 @@ def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta):
     zeta = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(np.abs(zeta) - 1.0) > 1e-10):
         raise ValueError("boundary kernel norm needs circle points, got %r" % zeta)
-    speed = np.zeros(zeta.shape)
-    for w in b.zeros:
-        speed += (1.0 - abs(w) ** 2) / np.abs(1.0 - np.conj(w) * zeta) ** 2
+    speed = kernel_norms_sq(b.stack[0], zeta.reshape(1, -1))[0].reshape(zeta.shape)
     return speed if speed.shape else float(speed)
+
+
+def kernel_norms_sq(w, zeta) -> np.ndarray:
+    """``boundary_kernel_norm_sq`` for zeros w (N, n) at circle points zeta (N, m), unchecked."""
+    den = 1.0 - np.conj(w)[:, :, None] * zeta[:, None, :]
+    return np.add.reduce((1.0 - np.abs(w) ** 2)[:, :, None] / np.abs(den) ** 2, axis=1)

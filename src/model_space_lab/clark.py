@@ -18,32 +18,44 @@ Everything is built in TMW coordinates from closed forms: the basis is the
 coordinate matrix of the phased kernels, conj(e(eta_i)) * phase_i / norm_i,
 and the matrix of U is the Moebius function (A_z - t)(I - conj(t) A_z)^-1 of
 the compressed shift A_z plus a rank-one term from the kernel coordinates.
+
+The construction is array-first: ``clark_rows`` runs the whole chain -- the
+target, J, Clark's unitary, the level set, the phases and norms, the
+coordinates and the Gram and conjugation residuals -- over a leading axis of
+N draws, and ``clark_target`` and ``modified_clark_basis`` are its batch of 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
-    boundary_kernel_norm_sq,
     circle_angle,
     compressed_shift,
     conjugate_kernel_coords,
-    level_set,
+    conjugation_matrices,
+    kernel_norms_sq,
+    level_sets,
+    products_at,
+    tmw_rows,
     tmw_values,
 )
 from .config import BASIS_TOL, Indeterminate
-from .modelspace import BasisError, OrthonormalBasis
+from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
 __all__ = [
     "ClarkParams",
     "ClarkBasis",
+    "ClarkRows",
     "ClarkTargetError",
     "half_arg_root",
     "clark_target",
+    "clark_targets",
+    "clark_rows",
     "modified_clark_basis",
     "clark_operator_matrix",
 ]
@@ -73,15 +85,15 @@ class ClarkParams:
             raise ValueError("alpha must be unimodular")
 
 
-def half_arg_root(w) -> complex:
+def half_arg_root(w):
     """Square root of w with argument arg(w)/2, arg taken by ``circle_angle``.
 
     This is the branch used throughout the Clark-basis phases; for a
     unimodular w it returns exp(i * gamma / 2) with gamma in [0, 2*pi), and
-    w = 1 +- 1e-16i both give 1.
+    w = 1 +- 1e-16i both give 1.  A complex for a scalar w, else an array.
     """
-    w = complex(w)
-    return complex(np.sqrt(abs(w)) * np.exp(0.5j * circle_angle(w)))
+    root = np.sqrt(np.abs(w)) * np.exp(0.5j * circle_angle(w))
+    return root if np.ndim(root) else complex(root)
 
 
 def clark_target(b: BlaschkeProduct, params: ClarkParams) -> complex:
@@ -89,15 +101,31 @@ def clark_target(b: BlaschkeProduct, params: ClarkParams) -> complex:
 
     |omega| = 1 exactly (a Moebius map of the circle); the eps/|den| round-off is divided out.
     """
-    bt = b(params.t)
-    den = 1.0 + np.conj(bt) * params.alpha
-    if abs(den) < 1e-12:
-        raise ClarkTargetError(
+    omega, failures = clark_targets(*b.stack, np.array([params.t]), np.array([params.alpha]))
+    if failures:
+        raise failures[0]
+    return complex(omega[0])
+
+
+def clark_targets(zeros, constants, t, alpha):
+    """``clark_target`` for zeros (N, n), constants, t and alpha (N,).
+
+    Returns (omega, failures): the targets, shape (N,), and a dict mapping
+    each row whose denominator is numerically zero to its ``ClarkTargetError``;
+    such a row's omega is a placeholder 1.
+    """
+    bt = products_at(zeros, constants, t[:, None])[:, 0]
+    den = 1.0 + np.conj(bt) * alpha
+    bad = np.abs(den) < 1e-12
+    failures = {
+        row: ClarkTargetError(
             "1 + conj(B(t)) * alpha is numerically zero for t=%r, alpha=%r"
-            % (params.t, params.alpha)
+            % (complex(t[row]), complex(alpha[row]))
         )
-    omega = (params.alpha + bt) / den
-    return complex(omega / abs(omega))
+        for row in bad.nonzero()[0]
+    }
+    omega = np.where(bad, 1.0, (alpha + bt) / np.where(bad, 1.0, den))
+    return omega / np.abs(omega), failures
 
 
 @dataclass(frozen=True)
@@ -127,36 +155,96 @@ class ClarkBasis:
         return self.phases / self.norms
 
 
+class ClarkRows(NamedTuple):
+    """The Clark chain over N draws: one array per quantity, row i for draw i.
+
+    The fields of ``ClarkBasis`` stacked (``coords`` holds each row's basis
+    coordinates, ``gram`` and ``conj`` its two residuals), the draws
+    themselves, and ``failures``: each row that missed a check, mapped to the
+    ``Indeterminate`` it raises.  Every other row passed every check of
+    ``modified_clark_basis``.
+    """
+
+    zeros: np.ndarray
+    constants: np.ndarray
+    t: np.ndarray
+    alpha: np.ndarray
+    omega: np.ndarray
+    etas: np.ndarray
+    phases: np.ndarray
+    norms: np.ndarray
+    coords: np.ndarray
+    gram: np.ndarray
+    conj: np.ndarray
+    failures: dict
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.phases / self.norms
+
+    def take(self, index) -> "ClarkRows":
+        """The rows ``index``, none of which failed."""
+        return ClarkRows(*(column[index] for column in self[:-1]), {})
+
+    def basis(self, i: int, theta: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
+        """Row i as the ``ClarkBasis`` of (theta, params), or the error the row raises."""
+        if i in self.failures:
+            raise self.failures[i]
+        basis = OrthonormalBasis._recorded(
+            theta, self.coords[i], float(self.gram[i]), float(self.conj[i])
+        )
+        return ClarkBasis(
+            params=params,
+            omega=complex(self.omega[i]),
+            etas=self.etas[i],
+            phases=self.phases[i],
+            norms=self.norms[i],
+            basis=basis,
+        )
+
+
+def clark_rows(zeros, constants, t, alpha) -> ClarkRows:
+    """The modified Clark basis for each row of zeros (N, 3), constants, t and alpha (N,).
+
+    Per row, in this order, the checks are: the target (``ClarkTargetError``),
+    the level set's residual and separation (``LevelSetError``), and the Gram
+    and conjugation residuals of the basis against BASIS_TOL (``BasisError``);
+    a row's failure is the first check it missed.  Clark's unitary needs no
+    J (``clark_unitaries``), so J is built once, for the conjugation residual.  A point
+    that hits a pole raises ``PoleEvaluationError`` for the whole call.
+    """
+    if zeros.shape[1] != 3:
+        raise ValueError("the Clark basis construction here is order-3 only")
+    omega, failures = clark_targets(zeros, constants, t, alpha)
+    etas, level_failures = level_sets(zeros, constants, omega)
+    angles = circle_angle(np.concatenate([np.conj(etas), omega[:, None]], axis=1))
+    phases = np.exp(0.5j * (angles[:, :3] + angles[:, 3:]))
+    norms = np.sqrt(kernel_norms_sq(zeros, etas))
+    coords = np.conj(tmw_rows(zeros, etas)) * (phases / norms)[:, None, :]
+    gram, conj = basis_residuals(coords, conjugation_matrices(zeros, constants))
+    basis_failures = {row: gram_error(gram[row]) for row in (gram >= BASIS_TOL).nonzero()[0]}
+    for row in (conj >= BASIS_TOL).nonzero()[0]:
+        basis_failures.setdefault(row, BasisError(
+            "an element moved by %.3e under conjugation; the phase "
+            "convention must square to conj(eta) * omega" % conj[row]
+        ))
+    failures = {**basis_failures, **level_failures, **failures}
+    return ClarkRows(zeros, constants, t, alpha, omega, etas, phases, norms, coords, gram, conj, failures)
+
+
 def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
     """Construct the conjugation-fixed eigenbasis for (t, alpha) at order 3.
 
-    Raises ``LevelSetError`` if the level set misses its accuracy check and
+    Raises ``ClarkTargetError`` if the target is numerically undefined,
+    ``LevelSetError`` if the level set misses its accuracy check and
     ``BasisError`` if the basis misses orthonormality or conjugation-fixedness.
     Each element vanishing at the other level-set points needs no check of
     its own: |e_i(eta_j)| / ||k_{eta_j}|| is the Gram entry |G_ij|, which the
-    orthonormality check already bounds by ||G - I||_F < BASIS_TOL.
+    orthonormality check already bounds by ||G - I||_F < BASIS_TOL.  This is
+    ``clark_rows`` on the one row (b, params).
     """
-    if b.order != 3:
-        raise ValueError("the Clark basis construction here is order-3 only")
-    omega = clark_target(b, params)
-    etas = level_set(b, omega)
-    phases = np.exp(0.5j * (circle_angle(np.conj(etas)) + circle_angle(omega)))
-    norms = np.sqrt(boundary_kernel_norm_sq(b, etas))
-    basis = OrthonormalBasis(b, np.conj(tmw_values(b, etas)) * (phases / norms))
-
-    if basis.conj_residual >= BASIS_TOL:
-        raise BasisError(
-            "an element moved by %.3e under conjugation; the phase "
-            "convention must square to conj(eta) * omega" % basis.conj_residual
-        )
-    return ClarkBasis(
-        params=params,
-        omega=omega,
-        etas=etas,
-        phases=phases,
-        norms=norms,
-        basis=basis,
-    )
+    rows = clark_rows(*b.stack, np.array([params.t]), np.array([params.alpha]))
+    return rows.basis(0, b, params)
 
 
 def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: OrthonormalBasis):

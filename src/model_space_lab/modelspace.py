@@ -44,6 +44,8 @@ __all__ = [
     "reference_onb",
     "gram_matrix",
     "conjugation_residual",
+    "basis_residuals",
+    "gram_error",
     "coordinates",
 ]
 
@@ -169,6 +171,7 @@ class OrthonormalBasis:
     ``coords`` holds the coordinates of the elements, one column each;
     ``gram_residual`` is ||Gram - I||_F, which must be below BASIS_TOL (else
     BasisError); ``conj_residual`` is ``conjugation_residual`` of the basis.
+    Both come from ``basis_residuals``.
     Calling the basis at points z gives all element values, one row per
     element.
     """
@@ -180,15 +183,24 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         x = np.array(self.coords, dtype=complex)
-        x.setflags(write=False)  # the residuals below are recorded once
+        gram, conj = basis_residuals(x[None], conjugation_matrix(self.theta)[None])
+        self._record(x, float(gram[0]), float(conj[0]))
+
+    def _record(self, x, gram_residual: float, conj_residual: float) -> None:
+        if gram_residual >= BASIS_TOL:
+            raise gram_error(gram_residual)
+        x.setflags(write=False)  # the residuals are recorded once
         object.__setattr__(self, "coords", x)
-        residual = float(np.linalg.norm(x.T @ np.conj(x) - np.eye(x.shape[1])))
-        if residual >= BASIS_TOL:
-            raise BasisError(
-                "Gram residual %.3e is not below %.1e" % (residual, BASIS_TOL)
-            )
-        object.__setattr__(self, "gram_residual", residual)
-        object.__setattr__(self, "conj_residual", conjugation_residual(self))
+        object.__setattr__(self, "gram_residual", gram_residual)
+        object.__setattr__(self, "conj_residual", conj_residual)
+
+    @classmethod
+    def _recorded(cls, theta, coords, gram_residual: float, conj_residual: float):
+        """A basis whose ``basis_residuals`` were taken already, with its own J (a Clark-chain row)."""
+        basis = cls.__new__(cls)
+        object.__setattr__(basis, "theta", theta)
+        basis._record(np.array(coords, dtype=complex), gram_residual, conj_residual)
+        return basis
 
     @classmethod
     def from_elements(cls, elements):
@@ -224,5 +236,26 @@ def conjugation_residual(basis: OrthonormalBasis) -> float:
 
     C v = J conj(x) for the coordinates x of v (``conjugation_matrix``).
     """
-    x = basis.coords
-    return float(np.linalg.norm(conjugation_matrix(basis.theta) @ np.conj(x) - x, axis=0).max())
+    j = conjugation_matrix(basis.theta)
+    return float(basis_residuals(basis.coords[None], j[None])[1][0])
+
+
+def basis_residuals(x, j):
+    """(||G - I||_F, max_i ||J conj(x_i) - x_i||) for coordinate matrices x (N, n, k), J = j (N, n, n).
+
+    G = x^T conj(x) is the Gram matrix of the k elements whose coordinates are
+    the columns of x; both residuals have shape (N,).
+    """
+    conj = np.conj(x)
+    gram = x.transpose(0, 2, 1) @ conj
+    gram.reshape(len(x), -1)[:, :: x.shape[2] + 1] -= 1.0
+    moved = np.add.reduce(np.abs(j @ conj - x) ** 2, axis=1)
+    return (
+        np.sqrt(np.add.reduce(np.abs(gram.reshape(len(x), -1)) ** 2, axis=1)),
+        np.sqrt(np.maximum.reduce(moved, axis=1)),
+    )
+
+
+def gram_error(residual: float) -> BasisError:
+    """The error of a basis whose Gram residual is not below BASIS_TOL."""
+    return BasisError("Gram residual %.3e is not below %.1e" % (residual, BASIS_TOL))

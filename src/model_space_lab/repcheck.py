@@ -20,6 +20,7 @@ operator.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
 from .config import BASIS_TOL, DISTINCT_TOL, REP_TOL, SV_FLOOR, Indeterminate
 from .modelspace import OrthonormalBasis
-from .sampling import random_clark_basis
+from .sampling import clark_draws
 
 __all__ = [
     "IndeterminateError",
@@ -277,14 +278,15 @@ def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
     "general" variant uses the conjugated ratios of the actual basis
     coefficients b_i = phase_i / ||k_{eta_i}||, which differ from the former by
     real kernel-norm ratios whenever the three boundary kernels have unequal
-    norms.
+    norms.  ``cb`` may also be a stack of bases (``ClarkRows``); the
+    multipliers then have shape (N,).
     """
-    eta1, eta2, eta3 = cb.etas
+    eta1, eta2, eta3 = cb.etas.T
     if variant == "paper":
         r4 = half_arg_root(np.conj(eta1)) / half_arg_root(np.conj(eta3))
         r5 = half_arg_root(np.conj(eta1)) / half_arg_root(np.conj(eta2))
     elif variant == "general":
-        b = cb.coefficients
+        b = cb.coefficients.T
         r4 = np.conj(b[2] / b[0])
         r5 = np.conj(b[1] / b[0])
     else:
@@ -295,14 +297,24 @@ def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
 def relation_weight(cb: ClarkBasis, variant: str = "general") -> np.ndarray:
     """K with sum K o S = (eta3 - eta2) s6 - c4 s4 - c5 s5, zero exactly on the relation.
 
-    ``clark_s6_test`` and the SO(3) search both evaluate the relation in this one form.
+    ``clark_s6_test``, the counterexample sweep and the SO(3) search all
+    evaluate the relation in this one form.  For a stack of bases K has
+    shape (N, 3, 3).
     """
     c4, c5 = relation_coefficients(cb, variant)
-    k = np.zeros((3, 3), dtype=complex)
-    k[1, 2] = cb.etas[2] - cb.etas[1]
-    k[0, 1] = -c4
-    k[0, 2] = -c5
+    k = np.zeros(np.shape(c4) + (3, 3), dtype=complex)
+    k[..., 1, 2] = cb.etas[..., 2] - cb.etas[..., 1]
+    k[..., 0, 1] = -c4
+    k[..., 0, 2] = -c5
     return k
+
+
+def _s6_prediction(unit: Sym3, k, tol: float):
+    """(predicted s6, gap, gap <= tol * ||S||_F) of a unit-size S, per relation weight K."""
+    c4, c5 = -k[..., 0, 1], -k[..., 0, 2]
+    predicted = (c4 * unit.s4 + c5 * unit.s5) / k[..., 1, 2]
+    gap = np.abs(unit.s6 - predicted)
+    return predicted, gap, gap <= tol * np.linalg.norm(unit.array)
 
 
 def clark_s6_test(
@@ -317,12 +329,8 @@ def clark_s6_test(
     sum K o S = 0 for s6 (see ``relation_weight``) on ``s.normalized()``.
     """
     unit, e = s.normalized()
-    k = relation_weight(cb, variant)
-    c4, c5 = -k[0, 1], -k[0, 2]
-    predicted = complex((c4 * unit.s4 + c5 * unit.s5) / k[1, 2])
-    gap = abs(unit.s6 - predicted)
-    is_rep = gap <= tol * np.linalg.norm(unit.array)
-    return S6Result(bool(is_rep), _times_pow2(predicted, e), _times_pow2(gap, e))
+    predicted, gap, is_rep = _s6_prediction(unit, relation_weight(cb, variant), tol)
+    return S6Result(bool(is_rep), _times_pow2(complex(predicted), e), _times_pow2(float(gap), e))
 
 
 def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:
@@ -380,11 +388,20 @@ def counterexample_report(
 
     Verifies the normalized matrix is normal, then draws `trials` random
     modified Clark bases (random order-3 product, random interior point and
-    target) and runs the s6 relation test against each.  The matrix is
-    expected to fail every time; the report records how often it did and the
-    smallest relative gap gap / ||S||_F, the quantity the test compares with
-    its tolerance, so a trial is rejected exactly when it exceeds REP_TOL.
+    target) as one batch (``sampling.clark_draws``: ten uniforms per attempt,
+    failed attempts skipped, eight in a row raise) and runs the s6 relation
+    test against each, on the stacked bases.  The matrix is expected to fail
+    every time; the report records how often it did and the smallest relative
+    gap gap / ||S||_F, the quantity the test compares with its tolerance, so a
+    trial is rejected exactly when it exceeds REP_TOL.  `trials` must be a
+    positive integer (ValueError).
+
+    Family 3 has s4 = s5 = 0, so the predicted s6 is 0 and the gap is |s6| on
+    every basis: with a zero diagonal (the f1-corollary fixture) the relative
+    gap is 1/sqrt(2) for each trial, a structural fact that the sweep confirms.
     """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     s, _ = counterexample_family(family, a, b, c).normalized()
     m = s.array
     normal_defect = float(
@@ -392,23 +409,18 @@ def counterexample_report(
     )
     if normal_defect >= 1e-12:
         raise RuntimeError(f"family matrix unexpectedly non-normal ({normal_defect:.3e})")
-    rng = np.random.default_rng(seed)
-    rejections = 0
-    min_gap = np.inf
-    for _ in range(trials):
-        result = clark_s6_test(s, random_clark_basis(rng), variant=variant)
-        min_gap = min(min_gap, result.gap / np.linalg.norm(m))
-        if not result.is_rep:
-            rejections += 1
+    bases = clark_draws(np.random.default_rng(seed), int(trials))
+    _, gaps, is_rep = _s6_prediction(s, relation_weight(bases, variant), REP_TOL)
+    rejections = int(np.count_nonzero(~is_rep))
     return CounterexampleReport(
         family=family,
         a=a,
         b=b,
         c=c,
         normal_defect=normal_defect,
-        trials=trials,
+        trials=int(trials),
         seed=seed,
         rejections=rejections,
         all_rejected=rejections == trials,
-        min_gap=float(min_gap),
+        min_gap=float((gaps / np.linalg.norm(m)).min()),
     )

@@ -1,6 +1,10 @@
 """Seeded random draws of products, parameters, bases, and matrices.
 
 Radii are capped away from the circle so level sets stay well separated.
+
+A random Clark basis is one attempt of ``CLARK_DRAW`` uniforms, decoded by
+``decode_clark_draws``; ``clark_draws`` runs the Clark chain on blocks of
+attempts and ``random_clark_basis`` is its batch of 1.
 """
 
 from __future__ import annotations
@@ -8,25 +12,41 @@ from __future__ import annotations
 import numpy as np
 
 from .blaschke import BlaschkeProduct, LevelSetError
-from .clark import ClarkBasis, ClarkParams, ClarkTargetError, modified_clark_basis
+from .clark import ClarkBasis, ClarkParams, ClarkRows, ClarkTargetError, clark_rows
 
 __all__ = [
+    "CLARK_DRAW",
     "random_unimodular",
     "random_disc",
     "random_blaschke",
     "random_clark_params",
+    "decode_clark_draws",
+    "clark_draws",
     "random_clark_basis",
     "random_special_orthogonal",
 ]
 
+# Uniforms per Clark-basis attempt: three zeros (radius, angle), the front
+# constant, t (radius, angle) and alpha, in the order the scalar draws take them.
+CLARK_DRAW = 10
+RETRIES = 8  # consecutive failed attempts before the last error is raised
+
+
+def _disc(radius, angle, rmax):
+    return rmax * np.sqrt(radius) * np.exp(2j * np.pi * angle)
+
+
+def _unimodular(angle):
+    return np.exp(2j * np.pi * angle)
+
 
 def random_unimodular(rng) -> complex:
-    return complex(np.exp(2j * np.pi * rng.random()))
+    return complex(_unimodular(rng.random()))
 
 
 def random_disc(rng, rmax: float = 0.85) -> complex:
     """Area-uniform point in the disc of radius rmax."""
-    return complex(rmax * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()))
+    return complex(_disc(rng.random(), rng.random(), rmax))
 
 
 def random_blaschke(rng, order: int = 3, rmax: float = 0.85, unit_constant: bool = False) -> BlaschkeProduct:
@@ -39,15 +59,55 @@ def random_clark_params(rng, tmax: float = 0.6) -> ClarkParams:
     return ClarkParams(t=random_disc(rng, tmax), alpha=random_unimodular(rng))
 
 
+def decode_clark_draws(u):
+    """(zeros (N, 3), constants, t, alpha (N,)) from N rows of ``CLARK_DRAW`` uniforms.
+
+    A row decodes to the values ``random_blaschke(rng, order=3)`` and then
+    ``random_clark_params(rng)`` draw from the same ten uniforms.
+    """
+    return (
+        _disc(u[:, 0:6:2], u[:, 1:6:2], 0.85),
+        _unimodular(u[:, 6]),
+        _disc(u[:, 7], u[:, 8], 0.6),
+        _unimodular(u[:, 9]),
+    )
+
+
+def clark_draws(rng, count: int) -> ClarkRows:
+    """The first ``count`` random Clark bases, as rows in draw order.
+
+    Each attempt takes ``CLARK_DRAW`` uniforms.  Blocks of as many attempts
+    as bases are still missing run through ``clark_rows``, so no uniform is
+    drawn beyond the last attempt used.  An attempt whose target or level set
+    fails is skipped; after ``RETRIES`` consecutive skips the last error is
+    raised.  Any other failure (``BasisError``) is raised at its row.  After
+    an error the generator stands at the end of the failing row's block.
+    """
+    parts, kept, skipped = [], 0, 0
+    while kept < count:
+        rows = clark_rows(*decode_clark_draws(rng.random((count - kept, CLARK_DRAW))))
+        good = []
+        for i in range(len(rows.omega)):
+            error = rows.failures.get(i)
+            if error is None:
+                good.append(i)
+                skipped = 0
+            elif isinstance(error, (LevelSetError, ClarkTargetError)):
+                skipped += 1
+                if skipped == RETRIES:
+                    raise error
+            else:
+                raise error
+        parts.append(rows.take(good))
+        kept += len(good)
+    return ClarkRows(*map(np.concatenate, zip(*(part[:-1] for part in parts))), {})
+
+
 def random_clark_basis(rng) -> ClarkBasis:
     """Clark basis of a random order-3 product; after 8 bad draws the last error is raised."""
-    for _ in range(8):
-        try:
-            b = random_blaschke(rng, order=3)
-            return modified_clark_basis(b, random_clark_params(rng))
-        except (LevelSetError, ClarkTargetError) as exc:
-            error = exc
-    raise error
+    rows = clark_draws(rng, 1)
+    b = BlaschkeProduct(tuple(rows.zeros[0]), rows.constants[0])
+    return rows.basis(0, b, ClarkParams(rows.t[0], rows.alpha[0]))
 
 
 def random_special_orthogonal(rng) -> np.ndarray:

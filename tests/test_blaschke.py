@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from model_space_lab.blaschke import (
     BlaschkeProduct,
     PoleEvaluationError,
     boundary_kernel_norm_sq,
+    clark_unitary,
     compressed_shift,
     conjugate_kernel_coords,
     conjugation_matrix,
     cubic_coefficients,
     level_set,
     polynomial_pair,
+    products_at,
     tmw_values,
 )
 
@@ -46,6 +50,20 @@ def test_eval_vectorized_matches_scalar(f2):
 def test_pole_evaluation_rejected(f2):
     with pytest.raises(PoleEvaluationError):
         f2(2.0)  # pole at 1/conj(0.5)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_pole_guard_names_each_zero(k):
+    # One guard per call covers every zero, point and row of a stack.
+    zeros = (0.5 + 0.1j, -0.3j, -0.6 + 0.2j)
+    pole = 1.0 / np.conj(zeros[k])
+    message = re.escape("1/conj(%r)" % zeros[k])
+    b = BlaschkeProduct(zeros, np.exp(0.3j))
+    with pytest.raises(PoleEvaluationError, match=message):
+        b(np.array([0.2, pole * (1.0 + 1e-16), -0.1j]))
+    stack = np.array([[0.1, 0.2, 0.3], zeros])
+    with pytest.raises(PoleEvaluationError, match=message):
+        products_at(stack, np.ones(2, dtype=complex), np.array([[0.0, 0.5], [pole, 0.5]]))
 
 
 def test_invalid_inputs_rejected():
@@ -145,6 +163,23 @@ def test_conjugation_matrix_structure(order):
         np.testing.assert_allclose(j @ np.conj(j), np.eye(order), rtol=0, atol=1e-12)
         np.testing.assert_allclose(j, j.T, rtol=0, atol=1e-12)
         np.testing.assert_allclose(j @ np.conj(z), np.conj(z.T) @ j, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_clark_unitary_closed_forms_at_the_origin(order):
+    # clark_unitary takes e(0), C k_0 = S*B and B(0) in closed form; they must
+    # agree with k_0 (x) C k_0 built from tmw_values and J e(0).
+    rng = np.random.default_rng(order)
+    products = [random_product(rng, order, 0.95) for _ in range(10)]
+    products.append(BlaschkeProduct((0.4 - 0.3j,) * order, np.exp(1.1j)))
+    products.append(BlaschkeProduct((0.0,) * order))
+    for b in products:
+        omega = np.exp(2j * np.pi * rng.random())
+        e0 = tmw_values(b, 0.0)
+        expected = compressed_shift(b) + np.outer(
+            np.conj(e0), np.conj(conjugation_matrix(b) @ e0)
+        ) / np.conj(omega - b(0.0))
+        np.testing.assert_allclose(clark_unitary(b, omega), expected, rtol=0, atol=1e-13)
 
 
 def test_conjugation_matrix_of_a_power_is_exact():

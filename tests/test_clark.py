@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from model_space_lab.blaschke import BlaschkeProduct
+from model_space_lab import blaschke, clark
+from model_space_lab.blaschke import BlaschkeProduct, level_set
 from model_space_lab.clark import (
     ClarkParams,
     ClarkTargetError,
@@ -95,6 +96,25 @@ def test_clark_basis_invariants_random_draws():
         np.testing.assert_allclose(
             cb.phases**2, np.conj(cb.etas) * cb.omega, atol=1e-12
         )
+
+
+def test_clark_basis_builds_j_once(f2, monkeypatch):
+    # Clark's unitary takes C k_0 in closed form, so the level set builds no
+    # J and the basis builds one, for its conjugation residual.
+    built = []
+
+    def counted(w, c):
+        built.append(len(w))
+        return blaschke_j(w, c)
+
+    blaschke_j = blaschke.conjugation_matrices
+    monkeypatch.setattr(blaschke, "conjugation_matrices", counted)
+    monkeypatch.setattr(clark, "conjugation_matrices", counted)
+    level_set(f2, np.exp(0.4j))
+    assert built == []
+    cb = modified_clark_basis(f2, ClarkParams(0.1 + 0.2j, 1.0))
+    assert built == [1]
+    assert cb.basis.conj_residual < 1e-14
 
 
 def test_clark_basis_requires_order_three(f2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_space_lab import repcheck, sampling
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.config import REP_TOL
@@ -506,6 +507,46 @@ def test_counterexample_report_other_families():
     r1 = counterexample_report(1, 1, 2, 3, trials=25, seed=11)
     r2 = counterexample_report(2, 0.3, -0.7, 2.1, trials=25, seed=13)
     assert r1.all_rejected and r2.all_rejected
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2.5, 100.0, True, "3", None])
+def test_counterexample_report_refuses_invalid_trials(trials):
+    # Zero trials would report "rejected by every basis" having tested none.
+    with pytest.raises(ValueError, match="trials"):
+        counterexample_report(3, 0, 0, 0, trials=trials)
+
+
+def oracle_counterexample(s, trials, seed, variant):
+    """(rejections, min relative gap) of ``clark_s6_test`` on one random Clark basis at a time."""
+    rng = np.random.default_rng(seed)
+    rejections, min_gap = 0, np.inf
+    for _ in range(trials):
+        result = clark_s6_test(s, random_clark_basis(rng), variant=variant)
+        min_gap = min(min_gap, result.gap / np.linalg.norm(s.array))
+        rejections += not result.is_rep
+    return rejections, min_gap
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+@pytest.mark.parametrize("variant", ["general", "paper"])
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_counterexample_sweep_matches_per_trial_loop(family, variant, seed):
+    s, _ = counterexample_family(family, 0.3, -0.7, 2.1).normalized()
+    rejections, min_gap = oracle_counterexample(s, 40, seed, variant)
+    report = counterexample_report(family, 0.3, -0.7, 2.1, trials=40, seed=seed, variant=variant)
+    assert report.rejections == rejections
+    assert report.min_gap == pytest.approx(min_gap, rel=1e-12, abs=0)
+
+
+def test_counterexample_sweep_has_no_per_trial_loop(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the sweep built or tested one basis at a time")
+
+    monkeypatch.setattr(repcheck, "clark_s6_test", refuse)
+    monkeypatch.setattr(sampling, "random_clark_basis", refuse)
+    assert counterexample_report(3, 0, 0, 0, trials=100, seed=0).min_gap == pytest.approx(
+        1 / np.sqrt(2), rel=1e-15
+    )
 
 
 def test_counterexample_report_deterministic():
