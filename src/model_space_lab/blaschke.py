@@ -12,11 +12,11 @@ construction downstream.
 
 Model-space elements are coordinates in the orthonormal Takenaka-Malmquist-
 Walsh (TMW) basis; its closed-form primitives live here: the values e(z),
-the conjugation matrix J and C k_lam = J e(lam), the compressed shift, and
-Clark's unitary, whose eigenvalues are the level set (the one spectrum taken).
+the conjugate kernels C k_lam, the compressed shift, and Clark's unitary,
+whose eigenvalues are the level set (the one spectrum taken).
 
 The primitives are array-first: ``products_at``, ``tmw_rows``,
-``kernel_norms_sq``, ``conjugation_matrices``, ``compressed_shifts``,
+``kernel_norms_sq``, ``conjugate_kernels``, ``compressed_shifts``,
 ``clark_unitaries`` and ``level_sets`` take a stack of N products, zeros of
 shape (N, n) and front constants of shape (N,), with points of shape (N, m).
 The scalar functions and ``BlaschkeProduct.__call__`` run them on the stack
@@ -25,6 +25,7 @@ of one, ``BlaschkeProduct.stack``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,8 @@ __all__ = [
     "tmw_values",
     "tmw_rows",
     "conjugation_matrix",
-    "conjugation_matrices",
     "conjugate_kernel_coords",
+    "conjugate_kernels",
     "compressed_shift",
     "compressed_shifts",
     "clark_unitary",
@@ -90,13 +91,13 @@ class BlaschkeProduct:
             raise ValueError("a Blaschke product needs at least one zero")
         w = np.array([zeros])
         radii = np.abs(w[0])
-        if np.any(radii >= 1.0):
+        if not np.all(radii < 1.0):  # each check fails on NaN, which compares False
             raise ValueError(
                 "zeros must lie strictly inside the unit disc, got moduli %s"
                 % radii.tolist()
             )
         modulus = float(np.abs(self.front_constant))  # inf where abs() overflows
-        if abs(modulus - 1.0) > 1e-12:
+        if not abs(modulus - 1.0) <= 1e-12:
             raise ValueError("front constant must be unimodular, got |c| = %r" % modulus)
         object.__setattr__(self, "stack", (w, np.array([self.front_constant])))
 
@@ -176,41 +177,38 @@ def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
     with M the coordinates of e~, a product of n(n-1)/2 adjacent swaps: swapping
     the zeros a, c at positions p, p+1 mixes e_p, e_{p+1} by the unitary
     G = [[d, a - c], [conj(c - a), d]] / (1 - conj(c) a), d = sqrt((1-|a|^2)(1-|c|^2)).
-    Equal zeros need no swap, so J is exact for B = c z^n.
+    Equal zeros need no swap, so J is exact for B = c z^n.  Kernels need no J
+    (``conjugate_kernels``): J checks only a basis of arbitrary coordinates.
     """
-    return conjugation_matrices(*b.stack)[0]
-
-
-def conjugation_matrices(w, c) -> np.ndarray:
-    """``conjugation_matrix`` for zeros w (N, n) and constants c (N,): shape (N, n, n).
-
-    The factors G of every pair of zeros are formed at once; the swaps then
-    apply them to M column pair by column pair.
-    """
-    n = w.shape[1]
-    r2 = 1.0 - np.abs(w) ** 2
-    diff = w[:, :, None] - w[:, None, :]  # [i, k] = a - c for a = w_i, c = w_k
-    den = 1.0 - np.conj(w)[:, None, :] * w[:, :, None]
-    g00 = np.where(diff == 0.0, 1.0, np.sqrt(r2[:, :, None] * r2[:, None, :]) / den)  # equal zeros: no swap
-    g01, g10 = diff / den, np.conj(-diff) / den
-    m = np.zeros((len(w), n, n), dtype=complex)
-    m.reshape(len(w), n * n)[:, :: n + 1] = 1.0
-    at = list(range(n))  # at[p]: the index of the zero now at position p
+    zeros, n = list(b.zeros), b.order
+    rows = np.eye(n, dtype=complex).tolist()  # M, updated in scalar arithmetic
     for end in range(n - 1, 0, -1):
         for p in range(end):
-            i, k = at[p], at[p + 1]
-            x, y = m[:, :, p], m[:, :, p + 1]
-            m[:, :, p], m[:, :, p + 1] = (
-                x * g00[:, i, k, None] + y * g10[:, i, k, None],
-                x * g01[:, i, k, None] + y * g00[:, i, k, None],
-            )
-            at[p], at[p + 1] = k, i
-    return c[:, None, None] * m[:, :, ::-1]
+            a, c = zeros[p], zeros[p + 1]
+            if a != c:
+                den = 1.0 - c.conjugate() * a
+                g00 = math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(c) ** 2)) / den
+                g01, g10 = (a - c) / den, (c - a).conjugate() / den
+                for row in rows:  # columns p, p+1 of M times G
+                    x, y = row[p], row[p + 1]
+                    row[p], row[p + 1] = x * g00 + y * g10, x * g01 + y * g00
+                zeros[p : p + 2] = c, a
+    return np.array([[b.front_constant * x for x in reversed(row)] for row in rows])
 
 
 def conjugate_kernel_coords(b: BlaschkeProduct, lam) -> np.ndarray:
-    """J e(lam): coordinates of C k_lam, shape ``(n,) + np.shape(lam)`` for a point or 1-D lam."""
-    return conjugation_matrix(b) @ tmw_values(b, lam)
+    """Coordinates J e(lam) of C k_lam, shape ``(n,) + np.shape(lam)`` for a point or 1-D lam."""
+    lam = np.asarray(lam, dtype=complex)
+    return conjugate_kernels(*b.stack, lam.reshape(1, -1))[0].reshape((b.order,) + lam.shape)
+
+
+def conjugate_kernels(w, c, z) -> np.ndarray:
+    """``conjugate_kernel_coords`` for zeros w (N, n), constants c (N,) at points z (N, m): (N, n, m).
+
+    C is antiunitary, so <C k_z, e_j> = <C e_j, k_z> = (C e_j)(z) = c e~_{n-1-j}(z):
+    C k_z has coordinates c e~(z) reversed, e~ the TMW basis of the reversed zeros.
+    """
+    return c[:, None, None] * tmw_rows(w[:, ::-1], z)[:, ::-1]
 
 
 def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
@@ -276,7 +274,7 @@ def level_set(b: BlaschkeProduct, omega):
     than ``DISTINCT_TOL``.
     """
     omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if not abs(abs(omega) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("level-set target must be unimodular, got %r" % omega)
     etas, failures = level_sets(*b.stack, np.array([omega]))
     if failures:
@@ -350,7 +348,7 @@ def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta):
     (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    if np.any(np.abs(np.abs(zeta) - 1.0) > 1e-10):
+    if not np.all(np.abs(np.abs(zeta) - 1.0) <= 1e-10):  # NaN fails too
         raise ValueError("boundary kernel norm needs circle points, got %r" % zeta)
     speed = kernel_norms_sq(b.stack[0], zeta.reshape(1, -1))[0].reshape(zeta.shape)
     return speed if speed.shape else float(speed)

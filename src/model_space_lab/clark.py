@@ -20,9 +20,10 @@ and the matrix of U is the Moebius function (A_z - t)(I - conj(t) A_z)^-1 of
 the compressed shift A_z plus a rank-one term from the kernel coordinates.
 
 The construction is array-first: ``clark_rows`` runs the whole chain -- the
-target, J, Clark's unitary, the level set, the phases and norms, the
-coordinates and the Gram and conjugation residuals -- over a leading axis of
-N draws, and ``clark_target`` and ``modified_clark_basis`` are its batch of 1.
+target, Clark's unitary, the level set, the phases and norms, the coordinates
+and the Gram and conjugation residuals, with no J (``blaschke.conjugate_kernels``)
+-- over a leading axis of N draws, and ``clark_target`` and
+``modified_clark_basis`` are its batch of 1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .blaschke import (
     circle_angle,
     compressed_shift,
     conjugate_kernel_coords,
-    conjugation_matrices,
+    conjugate_kernels,
     kernel_norms_sq,
     level_sets,
     products_at,
@@ -78,10 +79,10 @@ class ClarkParams:
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "alpha", complex(self.alpha))
-        # np.abs gives inf where abs() of a huge complex overflows
-        if np.abs(self.t) >= 1.0:
+        # np.abs gives inf where abs() of a huge complex overflows; NaN fails both checks
+        if not np.abs(self.t) < 1.0:
             raise ValueError("anchor point t must lie in the open disc")
-        if abs(np.abs(self.alpha) - 1.0) > 1e-12:
+        if not abs(np.abs(self.alpha) - 1.0) <= 1e-12:
             raise ValueError("alpha must be unimodular")
 
 
@@ -209,9 +210,9 @@ def clark_rows(zeros, constants, t, alpha) -> ClarkRows:
     Per row, in this order, the checks are: the target (``ClarkTargetError``),
     the level set's residual and separation (``LevelSetError``), and the Gram
     and conjugation residuals of the basis against BASIS_TOL (``BasisError``);
-    a row's failure is the first check it missed.  Clark's unitary needs no
-    J (``clark_unitaries``), so J is built once, for the conjugation residual.  A point
-    that hits a pole raises ``PoleEvaluationError`` for the whole call.
+    a row's failure is the first check it missed.  No J is built: element i is
+    b_i k_{eta_i}, so its conjugate is conj(b_i) C k_{eta_i} (``conjugate_kernels``).
+    A point that hits a pole raises ``PoleEvaluationError`` for the whole call.
     """
     if zeros.shape[1] != 3:
         raise ValueError("the Clark basis construction here is order-3 only")
@@ -220,8 +221,9 @@ def clark_rows(zeros, constants, t, alpha) -> ClarkRows:
     angles = circle_angle(np.concatenate([np.conj(etas), omega[:, None]], axis=1))
     phases = np.exp(0.5j * (angles[:, :3] + angles[:, 3:]))
     norms = np.sqrt(kernel_norms_sq(zeros, etas))
-    coords = np.conj(tmw_rows(zeros, etas)) * (phases / norms)[:, None, :]
-    gram, conj = basis_residuals(coords, conjugation_matrices(zeros, constants))
+    coef = (phases / norms)[:, None, :]
+    coords = np.conj(tmw_rows(zeros, etas)) * coef
+    gram, conj = basis_residuals(coords, np.conj(coef) * conjugate_kernels(zeros, constants, etas))
     basis_failures = {row: gram_error(gram[row]) for row in (gram >= BASIS_TOL).nonzero()[0]}
     for row in (conj >= BASIS_TOL).nonzero()[0]:
         basis_failures.setdefault(row, BasisError(

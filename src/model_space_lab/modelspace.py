@@ -10,7 +10,8 @@ players have closed-form coordinates: the reproducing kernel
 
 has coordinates conj(e(lam)), and the canonical conjugation
 C f = B conj(z f) (on the circle) maps coordinates x to J conj(x), with J
-the closed-form ``blaschke.conjugation_matrix``.
+the closed-form ``blaschke.conjugation_matrix``; a kernel needs no J
+(``blaschke.conjugate_kernels``), so ``basis_residuals`` takes C's output.
 
 ``KThetaElement`` is the other view of an element: a rational function
 
@@ -183,7 +184,7 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         x = np.array(self.coords, dtype=complex)
-        gram, conj = basis_residuals(x[None], conjugation_matrix(self.theta)[None])
+        gram, conj = basis_residuals(x[None], (conjugation_matrix(self.theta) @ np.conj(x))[None])
         self._record(x, float(gram[0]), float(conj[0]))
 
     def _record(self, x, gram_residual: float, conj_residual: float) -> None:
@@ -196,7 +197,7 @@ class OrthonormalBasis:
 
     @classmethod
     def _recorded(cls, theta, coords, gram_residual: float, conj_residual: float):
-        """A basis whose ``basis_residuals`` were taken already, with its own J (a Clark-chain row)."""
+        """A basis whose ``basis_residuals`` were taken already: a Clark-chain row, without J."""
         basis = cls.__new__(cls)
         object.__setattr__(basis, "theta", theta)
         basis._record(np.array(coords, dtype=complex), gram_residual, conj_residual)
@@ -236,20 +237,18 @@ def conjugation_residual(basis: OrthonormalBasis) -> float:
 
     C v = J conj(x) for the coordinates x of v (``conjugation_matrix``).
     """
-    j = conjugation_matrix(basis.theta)
-    return float(basis_residuals(basis.coords[None], j[None])[1][0])
+    cx = conjugation_matrix(basis.theta) @ np.conj(basis.coords)
+    return float(basis_residuals(basis.coords[None], cx[None])[1][0])
 
 
-def basis_residuals(x, j):
-    """(||G - I||_F, max_i ||J conj(x_i) - x_i||) for coordinate matrices x (N, n, k), J = j (N, n, n).
+def basis_residuals(x, cx):
+    """(||G - I||_F, max_i ||cx_i - x_i||) for the coordinates x (N, n, k) of v_i and cx of C v_i.
 
-    G = x^T conj(x) is the Gram matrix of the k elements whose coordinates are
-    the columns of x; both residuals have shape (N,).
+    G = x^T conj(x) is the Gram matrix of the v_i; both residuals have shape (N,).
     """
-    conj = np.conj(x)
-    gram = x.transpose(0, 2, 1) @ conj
+    gram = x.transpose(0, 2, 1) @ np.conj(x)
     gram.reshape(len(x), -1)[:, :: x.shape[2] + 1] -= 1.0
-    moved = np.add.reduce(np.abs(j @ conj - x) ** 2, axis=1)
+    moved = np.add.reduce(np.abs(cx - x) ** 2, axis=1)
     return (
         np.sqrt(np.add.reduce(np.abs(gram.reshape(len(x), -1)) ** 2, axis=1)),
         np.sqrt(np.maximum.reduce(moved, axis=1)),

@@ -147,19 +147,16 @@ class PointConfig:
         interior = tuple(complex(lam) for lam in self.interior)
         if len(boundary) != 3 or len(interior) != 2:
             raise ValueError("need exactly 3 boundary and 2 interior points")
-        for t in boundary:
-            if abs(abs(t) - 1.0) > 1e-10:
+        for t in boundary:  # NaN fails both checks
+            if not abs(abs(t) - 1.0) <= 1e-10:
                 raise ValueError(f"boundary point {t} is not unimodular")
         for lam in interior:
-            if abs(lam) >= 1.0:
+            if not abs(lam) < 1.0:
                 raise ValueError(f"interior point {lam} is not in the open disc")
         for group in (boundary, interior):
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    if abs(group[i] - group[j]) <= DISTINCT_TOL:
-                        raise ValueError(
-                            f"points must be pairwise distinct (gap > {DISTINCT_TOL:g})"
-                        )
+            gaps = [abs(p - q) for i, p in enumerate(group) for q in group[i + 1 :]]
+            if min(gaps) <= DISTINCT_TOL:
+                raise ValueError(f"points must be pairwise distinct (gap > {DISTINCT_TOL:g})")
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "interior", interior)
 
@@ -337,9 +334,11 @@ def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:
     """One of three real normal families that never pass the Clark relation.
 
     Family 1 puts the unit in the (1,3) slot, family 2 in (1,2), family 3 in
-    (2,3); the diagonal is (a, b, c) in every case.
+    (2,3); the diagonal is (a, b, c) in every case, and must be finite.
     """
     a, b, c = float(a), float(b), float(c)
+    if not all(map(math.isfinite, (a, b, c))):
+        raise ValueError(f"family diagonal must be finite, got {(a, b, c)}")
     if family == 1:
         return Sym3(a, b, c, 0.0, 1.0, 0.0)
     if family == 2:

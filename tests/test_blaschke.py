@@ -12,6 +12,7 @@ from model_space_lab.blaschke import (
     clark_unitary,
     compressed_shift,
     conjugate_kernel_coords,
+    conjugate_kernels,
     conjugation_matrix,
     cubic_coefficients,
     level_set,
@@ -147,9 +148,11 @@ def test_conjugation_matrix_matches_quadrature(f2):
                 oracle_inner(conj_kernel, lambda z, j=j: tmw_formula(b, j, z))
                 for j in range(b.order)
             ]
-            got = conjugation_matrix(b) @ tmw_values(b, lam)
+            got = conjugate_kernel_coords(b, lam)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(conjugate_kernel_coords(b, lam), got)
+            # the closed form and J e(lam) are two roundings of one vector
+            j_e = conjugation_matrix(b) @ tmw_values(b, lam)
+            np.testing.assert_allclose(got, j_e, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -168,7 +171,8 @@ def test_conjugation_matrix_structure(order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_clark_unitary_closed_forms_at_the_origin(order):
     # clark_unitary takes e(0), C k_0 = S*B and B(0) in closed form; they must
-    # agree with k_0 (x) C k_0 built from tmw_values and J e(0).
+    # agree with k_0 (x) C k_0 built from tmw_values and J e(0), and with the
+    # closed form conjugate_kernels at 0.
     rng = np.random.default_rng(order)
     products = [random_product(rng, order, 0.95) for _ in range(10)]
     products.append(BlaschkeProduct((0.4 - 0.3j,) * order, np.exp(1.1j)))
@@ -176,17 +180,23 @@ def test_clark_unitary_closed_forms_at_the_origin(order):
     for b in products:
         omega = np.exp(2j * np.pi * rng.random())
         e0 = tmw_values(b, 0.0)
-        expected = compressed_shift(b) + np.outer(
-            np.conj(e0), np.conj(conjugation_matrix(b) @ e0)
-        ) / np.conj(omega - b(0.0))
-        np.testing.assert_allclose(clark_unitary(b, omega), expected, rtol=0, atol=1e-13)
+        for ck0 in (conjugation_matrix(b) @ e0, conjugate_kernel_coords(b, 0.0)):
+            expected = compressed_shift(b) + np.outer(np.conj(e0), np.conj(ck0)) / np.conj(
+                omega - b(0.0)
+            )
+            np.testing.assert_allclose(clark_unitary(b, omega), expected, rtol=0, atol=1e-13)
 
 
 def test_conjugation_matrix_of_a_power_is_exact():
     # Equal zeros swap to the same basis: for B = c z^3, C e_k = c e_{2-k}.
+    # The reversed zeros are the zeros and e(z) = (1, z, z^2), so the closed
+    # form C k_z = c (z^2, z, 1) has no rounding beyond the products.
     c = np.exp(0.7j)
     j = conjugation_matrix(BlaschkeProduct((0.0, 0.0, 0.0), c))
     np.testing.assert_array_equal(j, c * np.eye(3)[::-1])
+    z = np.array([0.0, 0.5, -0.3 + 0.4j, np.exp(2.1j)])
+    got = conjugate_kernel_coords(BlaschkeProduct((0.0, 0.0, 0.0), c), z)
+    np.testing.assert_array_equal(got, c * np.array([z * z, z, np.ones_like(z)]))
 
 
 @pytest.mark.parametrize(
@@ -200,9 +210,14 @@ def test_conjugation_matrix_of_a_power_is_exact():
 )
 def test_conjugation_matrix_matches_mpmath_oracle(zeros):
     b = BlaschkeProduct(zeros, np.exp(0.4j))
-    np.testing.assert_allclose(
-        conjugation_matrix(b), oracle_conjugation_matrix_mp(b), rtol=0, atol=1e-12
-    )
+    oracle = oracle_conjugation_matrix_mp(b)
+    np.testing.assert_allclose(conjugation_matrix(b), oracle, rtol=0, atol=1e-12)
+    # conjugate_kernels at interior and circle points, the circle ones
+    # including the point nearest the zeros, where |e(eta)|^2 = |B'(eta)| peaks
+    near = zeros[0] / abs(zeros[0])
+    z = np.array([0.0, 0.5, -0.3 + 0.4j, 0.6j, near, near * np.exp(0.01j), -near])
+    got = conjugate_kernels(*b.stack, z[None])[0]
+    np.testing.assert_allclose(got, oracle @ tmw_values(b, z), rtol=0, atol=1e-12)
 
 
 # -- level sets --------------------------------------------------------------

@@ -1,27 +1,36 @@
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from model_space_lab import blaschke, clark
+from model_space_lab import blaschke, cli
 from model_space_lab.blaschke import BlaschkeProduct, level_set
 from model_space_lab.clark import (
     ClarkParams,
     ClarkTargetError,
     clark_operator_matrix,
+    clark_rows,
     clark_target,
     half_arg_root,
     modified_clark_basis,
 )
+from model_space_lab.config import BASIS_TOL
 from model_space_lab.modelspace import (
     conjugation_residual,
     inner_product,
     kernel_element,
     reference_onb,
 )
+from model_space_lab.repcheck import counterexample_report, default_points
 from model_space_lab.sampling import random_clark_basis
+from model_space_lab.tto import random_tto
 
 from conftest import oracle_clark_mp
 
 W3 = np.exp(2j * np.pi / 3)
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_half_arg_root_convention():
@@ -98,23 +107,58 @@ def test_clark_basis_invariants_random_draws():
         )
 
 
-def test_clark_basis_builds_j_once(f2, monkeypatch):
-    # Clark's unitary takes C k_0 in closed form, so the level set builds no
-    # J and the basis builds one, for its conjugation residual.
+def test_no_production_path_builds_j(f2, monkeypatch):
+    # Kernels are conjugated in closed form (conjugate_kernels), so J is built
+    # only to check a basis given by arbitrary coordinates, which no task does.
     built = []
 
-    def counted(w, c):
-        built.append(len(w))
-        return blaschke_j(w, c)
+    def counted(b):
+        built.append(b)
+        return blaschke_j(b)
 
-    blaschke_j = blaschke.conjugation_matrices
-    monkeypatch.setattr(blaschke, "conjugation_matrices", counted)
-    monkeypatch.setattr(clark, "conjugation_matrices", counted)
+    blaschke_j = blaschke.conjugation_matrix
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        binds = getattr(module, "conjugation_matrix", None) is blaschke_j
+        if name.split(".")[0] == "model_space_lab" and binds:
+            monkeypatch.setattr(module, "conjugation_matrix", counted)
+    for path in sorted(FIXTURES.glob("*.problem.json")):
+        problem = cli.parse_problem(json.loads(path.read_text()))
+        assert cli.run_task(problem, problem.config)["verdict"] is True
+    params = ClarkParams(0.1 + 0.2j, 1.0)
     level_set(f2, np.exp(0.4j))
+    cb = modified_clark_basis(f2, params)
+    clark_operator_matrix(f2, params, cb.basis)
+    default_points(f2)
+    random_tto(f2, cb.basis, seed=3)
+    counterexample_report(1, 0.3, -0.2, 0.5, trials=100)
+    assert len(list(FIXTURES.glob("*.problem.json"))) == 9
     assert built == []
-    cb = modified_clark_basis(f2, ClarkParams(0.1 + 0.2j, 1.0))
-    assert built == [1]
     assert cb.basis.conj_residual < 1e-14
+    conjugation_residual(cb.basis)  # the one check J is for, and it is counted
+    assert built == [f2]
+
+
+@pytest.mark.parametrize("radius", [0.999, 0.9999])
+def test_near_circle_conjugation_residual_with_and_without_j(radius):
+    # The chain records conj(b_i) C k_{eta_i} - b_i k_{eta_i} from the closed
+    # form; conjugation_residual recomputes it with J.  The draws: a triple
+    # zero at a random angle, |t| = 0.3, random constant and alpha, seed 2026.
+    rng = np.random.default_rng(2026)
+    u = rng.random((200, 4))
+    w = radius * np.exp(2j * np.pi * u[:, 0])
+    rows = clark_rows(
+        np.repeat(w[:, None], 3, axis=1),
+        np.exp(2j * np.pi * u[:, 1]),
+        0.3 * np.exp(2j * np.pi * u[:, 2]),
+        np.exp(2j * np.pi * u[:, 3]),
+    )
+    assert rows.failures == {}
+    assert rows.conj.max() < BASIS_TOL
+    for i in range(len(w)):
+        theta = BlaschkeProduct((w[i],) * 3, rows.constants[i])
+        cb = rows.basis(i, theta, ClarkParams(rows.t[i], rows.alpha[i]))
+        assert conjugation_residual(cb.basis) < BASIS_TOL
 
 
 def test_clark_basis_requires_order_three(f2):
