@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DISTINCT_TOL, POLE_TOL, ROOT_TOL, Indeterminate
+from .config import (DISTINCT_TOL, POLE_TOL, ROOT_TOL, UNIMODULAR_TOL, Indeterminate,
+                     on_circle, open_disc, unimodular)
 
 __all__ = [
     "BlaschkeProduct",
@@ -84,22 +85,12 @@ class BlaschkeProduct:
     stack: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        zeros = tuple(complex(w) for w in self.zeros)
+        zeros = tuple(open_disc(complex(w), "zero") for w in self.zeros)
         object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "front_constant", complex(self.front_constant))
+        object.__setattr__(self, "front_constant", unimodular(complex(self.front_constant), "front constant"))
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
-        w = np.array([zeros])
-        radii = np.abs(w[0])
-        if not np.all(radii < 1.0):  # each check fails on NaN, which compares False
-            raise ValueError(
-                "zeros must lie strictly inside the unit disc, got moduli %s"
-                % radii.tolist()
-            )
-        modulus = float(np.abs(self.front_constant))  # inf where abs() overflows
-        if not abs(modulus - 1.0) <= 1e-12:
-            raise ValueError("front constant must be unimodular, got |c| = %r" % modulus)
-        object.__setattr__(self, "stack", (w, np.array([self.front_constant])))
+        object.__setattr__(self, "stack", (np.array([zeros]), np.array([self.front_constant])))
 
     @property
     def order(self) -> int:
@@ -273,9 +264,7 @@ def level_set(b: BlaschkeProduct, omega):
     |B(eta) - omega| below ``ROOT_TOL`` and be pairwise separated by more
     than ``DISTINCT_TOL``.
     """
-    omega = complex(omega)
-    if not abs(abs(omega) - 1.0) <= 1e-12:  # NaN fails too
-        raise ValueError("level-set target must be unimodular, got %r" % omega)
+    omega = unimodular(complex(omega), "level-set target")
     etas, failures = level_sets(*b.stack, np.array([omega]))
     if failures:
         raise failures[0]
@@ -326,7 +315,7 @@ def cubic_coefficients(b: BlaschkeProduct):
     """
     if b.order != 3:
         raise ValueError("cubic coefficients are defined for order 3 only")
-    if abs(b.front_constant - 1.0) > 1e-12:
+    if not abs(b.front_constant - 1.0) <= UNIMODULAR_TOL:
         raise ValueError("cubic coefficients assume front constant 1")
     w1, w2, w3 = b.zeros
     e1 = w1 + w2 + w3
@@ -347,9 +336,7 @@ def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta):
     finite Blaschke product is the manifestly positive sum of
     (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2.
     """
-    zeta = np.asarray(zeta, dtype=complex)
-    if not np.all(np.abs(np.abs(zeta) - 1.0) <= 1e-10):  # NaN fails too
-        raise ValueError("boundary kernel norm needs circle points, got %r" % zeta)
+    zeta = on_circle(np.asarray(zeta, dtype=complex), "boundary kernel point")
     speed = kernel_norms_sq(b.stack[0], zeta.reshape(1, -1))[0].reshape(zeta.shape)
     return speed if speed.shape else float(speed)
 

@@ -45,7 +45,7 @@ from .blaschke import (
     tmw_rows,
     tmw_values,
 )
-from .config import BASIS_TOL, Indeterminate
+from .config import BASIS_TOL, Indeterminate, open_disc, unimodular
 from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
 __all__ = [
@@ -77,13 +77,8 @@ class ClarkParams:
     alpha: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "t", complex(self.t))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        # np.abs gives inf where abs() of a huge complex overflows; NaN fails both checks
-        if not np.abs(self.t) < 1.0:
-            raise ValueError("anchor point t must lie in the open disc")
-        if not abs(np.abs(self.alpha) - 1.0) <= 1e-12:
-            raise ValueError("alpha must be unimodular")
+        object.__setattr__(self, "t", open_disc(complex(self.t), "anchor point t"))
+        object.__setattr__(self, "alpha", unimodular(complex(self.alpha), "alpha"))
 
 
 def half_arg_root(w):
@@ -224,8 +219,8 @@ def clark_rows(zeros, constants, t, alpha) -> ClarkRows:
     coef = (phases / norms)[:, None, :]
     coords = np.conj(tmw_rows(zeros, etas)) * coef
     gram, conj = basis_residuals(coords, np.conj(coef) * conjugate_kernels(zeros, constants, etas))
-    basis_failures = {row: gram_error(gram[row]) for row in (gram >= BASIS_TOL).nonzero()[0]}
-    for row in (conj >= BASIS_TOL).nonzero()[0]:
+    basis_failures = {row: gram_error(gram[row]) for row in (~(gram < BASIS_TOL)).nonzero()[0]}
+    for row in (~(conj < BASIS_TOL)).nonzero()[0]:
         basis_failures.setdefault(row, BasisError(
             "an element moved by %.3e under conjugation; the phase "
             "convention must square to conj(eta) * omega" % conj[row]
@@ -261,7 +256,7 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus; the
     rank-one part is k_t (x) C k_t from the closed-form kernel coordinates.
     Both are taken between the orthonormal coordinates of the basis.  The
-    result is checked to be unitary within 1e-8 (else ``BasisError``).
+    result is checked to be unitary within BASIS_TOL (else ``BasisError``).
     """
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
@@ -277,7 +272,7 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     u = np.conj(x.T) @ (mobius + (alpha + bt) / kernel_norm_sq * rank_one) @ x
 
     defect = np.linalg.norm(np.conj(u.T) @ u - np.eye(x.shape[1]))
-    if defect > 1e-8:
+    if not defect <= BASIS_TOL:
         raise BasisError(
             "operator matrix is not unitary (defect %.3e); the basis is not "
             "an orthonormal basis of the model space" % defect

@@ -30,7 +30,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
-from .config import Indeterminate
+from .config import Indeterminate, finite
 from .repcheck import (
     Sym3,
     clark_s6_test,
@@ -93,17 +93,10 @@ def _encode(v):
     return v  # bool, int, str
 
 
-def _is_number(v) -> bool:
-    """A finite JSON number; comparing with the float maximum also refuses huge ints."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    return abs(v) <= sys.float_info.max
-
-
 def _parse_complex(v, where: str) -> complex:
-    if not (isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v)):
+    if not (isinstance(v, list) and len(v) == 2):
         raise ProblemError(f"{where}: complex values must be finite [re, im] arrays")
-    return complex(v[0], v[1])
+    return complex(*(finite(x, where) for x in v))
 
 
 def _require_keys(obj, allowed, where: str) -> None:
@@ -235,15 +228,7 @@ def _run_solve_so3(problem, config, cb):
 
 def _run_corollary(problem, config, cb):
     family, a, b, c = match_counterexample_family(problem.matrix)
-    co = counterexample_report(
-        family,
-        a,
-        b,
-        c,
-        trials=100,
-        seed=config.seed,
-        variant=config.variant,
-    )
+    co = counterexample_report(family, a, b, c, trials=100, seed=config.seed, variant=config.variant)
     rep = solve(problem.matrix, cb, config)
     return {
         "verdict": co.all_rejected and rep.found,
@@ -320,8 +305,8 @@ def validate_report(obj) -> None:
         elif isinstance(v, list):
             for i, x in enumerate(v):
                 walk(x, f"{where}[{i}]")
-        elif isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"report: non-finite number at {where}")
+        elif isinstance(v, float):
+            finite(v, f"report number at {where}")
 
     walk(obj, "report")
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct, conjugation_matrix, polynomial_pair, tmw_values
-from .config import BASIS_TOL, Indeterminate
+from .config import BASIS_TOL, Indeterminate, closed_disc, finite
 
 __all__ = [
     "KThetaElement",
@@ -139,9 +139,7 @@ def kernel_element(b: BlaschkeProduct, lam) -> KThetaElement:
 
     Its coordinates are conj(e(lam)); the numerator is T times them.
     """
-    lam = complex(lam)
-    if abs(lam) > 1.0 + 1e-12:
-        raise ValueError("kernel point must lie in the closed disc, got %r" % lam)
+    lam = closed_disc(complex(lam), "kernel point")
     return KThetaElement(b, tuple(_tmw_numerators(b) @ np.conj(tmw_values(b, lam))))
 
 
@@ -183,12 +181,12 @@ class OrthonormalBasis:
     conj_residual: float = field(init=False)
 
     def __post_init__(self):
-        x = np.array(self.coords, dtype=complex)
+        x = finite(np.array(self.coords, dtype=complex), "basis coordinates")
         gram, conj = basis_residuals(x[None], (conjugation_matrix(self.theta) @ np.conj(x))[None])
         self._record(x, float(gram[0]), float(conj[0]))
 
     def _record(self, x, gram_residual: float, conj_residual: float) -> None:
-        if gram_residual >= BASIS_TOL:
+        if not gram_residual < BASIS_TOL:
             raise gram_error(gram_residual)
         x.setflags(write=False)  # the residuals are recorded once
         object.__setattr__(self, "coords", x)

@@ -20,7 +20,6 @@ operator.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +27,8 @@ import numpy as np
 
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
-from .config import BASIS_TOL, DISTINCT_TOL, REP_TOL, SV_FLOOR, Indeterminate
+from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, Indeterminate,
+                     finite, integer, on_circle, open_disc, rep_tol)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
 
@@ -110,9 +110,9 @@ class Sym3:
         Every part of the result is below 1 in modulus (a part, unlike the
         modulus of an entry, never overflows).  The decision procedures run on
         this matrix and scale their numbers back by 2**e, which is exact, so
-        no finite S over- or underflows on the way.
+        no finite S over- or underflows on the way; a non-finite S is a ValueError.
         """
-        e = math.frexp(float(np.abs(self.vector.view(float)).max()))[1]
+        e = math.frexp(finite(float(np.abs(self.vector.view(float)).max()), "largest part of S"))[1]
         return self.scaled(-e), e
 
     def scaled(self, e: int) -> "Sym3":
@@ -121,15 +121,15 @@ class Sym3:
 
     @classmethod
     def from_array(cls, m, tol: float = 1e-10) -> "Sym3":
-        """m/2 + m^T/2, refused unless |m/2 - m^T/2| <= tol * (largest part of m/2).
+        """m/2 + m^T/2 of a finite m, refused unless |m/2 - m^T/2| <= tol * (largest part of m/2).
 
         A part is a real or imaginary part.  Halving first is exact, so no
         finite m overflows and normal inputs give the bits of (m + m^T) / 2.
         """
-        half = np.array(m, dtype=complex) / 2.0
+        half = finite(np.array(m, dtype=complex), "matrix") / 2.0
         if half.shape != (3, 3):
             raise ValueError("expected a 3x3 matrix")
-        if np.abs(half - half.T).max() > tol * np.abs(half.view(float)).max():
+        if not np.abs(half - half.T).max() <= tol * np.abs(half.view(float)).max():
             raise ValueError("matrix is not complex symmetric")
         sym = half + half.T
         return cls(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
@@ -143,19 +143,13 @@ class PointConfig:
     interior: tuple
 
     def __post_init__(self):
-        boundary = tuple(complex(t) for t in self.boundary)
-        interior = tuple(complex(lam) for lam in self.interior)
+        boundary = tuple(on_circle(complex(t), "boundary point") for t in self.boundary)
+        interior = tuple(open_disc(complex(lam), "interior point") for lam in self.interior)
         if len(boundary) != 3 or len(interior) != 2:
             raise ValueError("need exactly 3 boundary and 2 interior points")
-        for t in boundary:  # NaN fails both checks
-            if not abs(abs(t) - 1.0) <= 1e-10:
-                raise ValueError(f"boundary point {t} is not unimodular")
-        for lam in interior:
-            if not abs(lam) < 1.0:
-                raise ValueError(f"interior point {lam} is not in the open disc")
         for group in (boundary, interior):
             gaps = [abs(p - q) for i, p in enumerate(group) for q in group[i + 1 :]]
-            if min(gaps) <= DISTINCT_TOL:
+            if not min(gaps) > DISTINCT_TOL:
                 raise ValueError(f"points must be pairwise distinct (gap > {DISTINCT_TOL:g})")
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "interior", interior)
@@ -205,7 +199,7 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     basis whose recorded conjugation residual exceeds BASIS_TOL is refused
     with ValueError.
     """
-    if basis.conj_residual > BASIS_TOL:
+    if not basis.conj_residual <= BASIS_TOL:
         raise ValueError(
             f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
             "the determinant test is only valid for conjugation-fixed bases"
@@ -250,8 +244,9 @@ def detthm_test(
     between the reconstruction and the input.  Both run on ``s.normalized()``.
 
     Raises IndeterminateError when the fifth singular value of the column
-    matrix drops below SV_FLOOR.
+    matrix drops below SV_FLOOR; ValueError for a non-finite S or a bad ``tol``.
     """
+    tol = rep_tol(tol)
     cols = _spanning_columns(basis, pc)
     unit, e = s.normalized()
     square = np.column_stack([cols, unit.vector])
@@ -325,6 +320,7 @@ def clark_s6_test(
     vanish), as it does in ``detthm_test``.  The prediction solves
     sum K o S = 0 for s6 (see ``relation_weight``) on ``s.normalized()``.
     """
+    tol = rep_tol(tol)
     unit, e = s.normalized()
     predicted, gap, is_rep = _s6_prediction(unit, relation_weight(cb, variant), tol)
     return S6Result(bool(is_rep), _times_pow2(complex(predicted), e), _times_pow2(float(gap), e))
@@ -336,9 +332,7 @@ def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:
     Family 1 puts the unit in the (1,3) slot, family 2 in (1,2), family 3 in
     (2,3); the diagonal is (a, b, c) in every case, and must be finite.
     """
-    a, b, c = float(a), float(b), float(c)
-    if not all(map(math.isfinite, (a, b, c))):
-        raise ValueError(f"family diagonal must be finite, got {(a, b, c)}")
+    a, b, c = (finite(float(x), "family diagonal entry") for x in (a, b, c))
     if family == 1:
         return Sym3(a, b, c, 0.0, 1.0, 0.0)
     if family == 2:
@@ -351,11 +345,11 @@ def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:
 def match_counterexample_family(s: Sym3):
     """(family, a, b, c) with s equal to ``counterexample_family(family, a, b, c)``.
 
-    Entries match within 1e-12; any other matrix raises ValueError.
+    Entries match within FAMILY_TOL; any other matrix raises ValueError.
     """
     a, b, c = s.vector.real[:3]
     for family in (1, 2, 3):
-        if np.abs(counterexample_family(family, a, b, c).vector - s.vector).max() < 1e-12:
+        if np.abs(counterexample_family(family, a, b, c).vector - s.vector).max() < FAMILY_TOL:
             return family, a, b, c
     raise ValueError("not a counterexample family: need real entries, off-diagonal 1, 0, 0")
 
@@ -399,27 +393,17 @@ def counterexample_report(
     every basis: with a zero diagonal (the f1-corollary fixture) the relative
     gap is 1/sqrt(2) for each trial, a structural fact that the sweep confirms.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    trials = integer(trials, 1, "trials")
     s, _ = counterexample_family(family, a, b, c).normalized()
     m = s.array
-    normal_defect = float(
-        np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m)
-    )
+    normal_defect = float(np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m))
     if normal_defect >= 1e-12:
         raise RuntimeError(f"family matrix unexpectedly non-normal ({normal_defect:.3e})")
-    bases = clark_draws(np.random.default_rng(seed), int(trials))
+    bases = clark_draws(np.random.default_rng(seed), trials)
     _, gaps, is_rep = _s6_prediction(s, relation_weight(bases, variant), REP_TOL)
     rejections = int(np.count_nonzero(~is_rep))
     return CounterexampleReport(
-        family=family,
-        a=a,
-        b=b,
-        c=c,
-        normal_defect=normal_defect,
-        trials=int(trials),
-        seed=seed,
-        rejections=rejections,
-        all_rejected=rejections == trials,
+        family=family, a=a, b=b, c=c, normal_defect=normal_defect, trials=trials, seed=seed,
+        rejections=rejections, all_rejected=rejections == trials,
         min_gap=float((gaps / np.linalg.norm(m)).min()),
     )

@@ -15,7 +15,6 @@ rotation group alone loses nothing.
 A miss is a budget statement, not a proof: the report says so explicitly.
 """
 
-import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -23,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import REP_TOL
+from .config import ORTH_TOL, REP_TOL, finite, integer, rep_tol
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -58,10 +57,10 @@ class OrthMatrix3:
         r = tuple(float(x) for x in self.r)
         if len(r) != 9:
             raise ValueError("need exactly 9 entries")
-        m = np.array(r).reshape(3, 3)
-        if np.linalg.norm(m @ m.T - np.eye(3)) > 1e-10:
+        m = finite(np.array(r), "OrthMatrix3 entries").reshape(3, 3)
+        if not np.linalg.norm(m @ m.T - np.eye(3)) <= ORTH_TOL:
             raise ValueError("rows are not orthonormal")
-        if abs(abs(np.linalg.det(m)) - 1.0) > 1e-10:
+        if not abs(abs(np.linalg.det(m)) - 1.0) <= ORTH_TOL:
             raise ValueError("determinant is not +-1")
         object.__setattr__(self, "r", r)
 
@@ -78,9 +77,8 @@ class OrthMatrix3:
 class SolverConfig:
     """Options of a run, the CLI's four options, checked here once.
 
-    ValueError unless ``starts`` is an int >= 1, ``tol`` a finite number > 0
-    (stored as a float), ``seed`` an int >= 0 (bools refused) and ``variant``
-    "paper" or "general".
+    ValueError unless ``starts`` >= 1 and ``seed`` >= 0 are integers (stored as int),
+    ``tol`` is a finite number > 0 (stored as float) and ``variant`` "paper" or "general".
     """
 
     starts: int = 100
@@ -89,15 +87,9 @@ class SolverConfig:
     variant: str = "general"
 
     def __post_init__(self):
-        for name, low in (("starts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name}: expected an integer >= {low}, got {value!r}")
-        # comparisons, not float(), so that a huge int is refused instead of overflowing
-        positive = isinstance(self.tol, (int, float)) and 0 < self.tol <= sys.float_info.max
-        if isinstance(self.tol, bool) or not positive:
-            raise ValueError(f"tol: expected a finite number > 0, got {self.tol!r}")
-        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "starts", integer(self.starts, 1, "starts"))
+        object.__setattr__(self, "seed", integer(self.seed, 0, "seed"))
+        object.__setattr__(self, "tol", rep_tol(self.tol))
         if self.variant not in ("paper", "general"):
             raise ValueError(f"variant: expected 'paper' or 'general', got {self.variant!r}")
 
@@ -262,11 +254,7 @@ def solve(
     conjugated = conjugate_representation(unit, u)
     cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual <= target
-    message = (
-        "solution found"
-        if found
-        else "no solution found within budget (not a proof of non-existence)"
-    )
+    message = "solution found" if found else "no solution found within budget (not a proof of non-existence)"
     return SolveReport(
         found=found,
         best_matrix=u,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, compressed_shift
+from .config import finite
 from .modelspace import OrthonormalBasis
 from .repcheck import PointConfig, Sym3, _spanning_columns, default_points
 
@@ -35,11 +36,9 @@ class Symbol:
     coeffs: tuple  # ((k, c), ...) sorted by k
 
     def __post_init__(self):
-        pairs = tuple(
-            sorted(((int(k), complex(c)) for k, c in self.coeffs), key=lambda p: p[0])
-        )
-        ks = [k for k, _ in pairs]
-        if len(set(ks)) != len(ks):
+        pairs = tuple((int(k), finite(complex(c), "symbol coefficient")) for k, c in self.coeffs)
+        pairs = tuple(sorted(pairs, key=lambda p: p[0]))
+        if len({k for k, _ in pairs}) != len(pairs):
             raise ValueError("duplicate frequencies in symbol")
         object.__setattr__(self, "coeffs", pairs)
 
