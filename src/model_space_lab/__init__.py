@@ -37,7 +37,6 @@ from .modelspace import (
     gram_matrix,
     inner_product,
     kernel_element,
-    norm,
     reference_onb,
 )
 from .repcheck import (

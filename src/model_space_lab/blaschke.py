@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (DISTINCT_TOL, POLE_TOL, ROOT_TOL, UNIMODULAR_TOL, Indeterminate,
+from .config import (ANGLE_SNAP, DISTINCT_TOL, POLE_TOL, ROOT_TOL, UNIMODULAR_TOL, Indeterminate,
                      on_circle, open_disc, unimodular)
 
 __all__ = [
@@ -134,13 +134,13 @@ def polynomial_pair(b: BlaschkeProduct):
 
 
 def circle_angle(z):
-    """Argument of z in [0, 2*pi), but angles within 1e-9 below 2*pi count as just below 0.
+    """Argument of z in [0, 2*pi), but angles within ANGLE_SNAP below 2*pi count as just below 0.
 
     This one rule orders level sets and fixes the branch of every Clark-basis
     phase, so a point computed as 1 - 1e-16i is treated as the point 1.
     """
     angle = np.angle(z) % (2.0 * np.pi)
-    return np.where(angle >= 2.0 * np.pi - 1e-9, angle - 2.0 * np.pi, angle)
+    return np.where(angle >= 2.0 * np.pi - ANGLE_SNAP, angle - 2.0 * np.pi, angle)
 
 
 def tmw_values(b: BlaschkeProduct, z) -> np.ndarray:

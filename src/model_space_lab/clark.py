@@ -45,7 +45,7 @@ from .blaschke import (
     tmw_rows,
     tmw_values,
 )
-from .config import BASIS_TOL, Indeterminate, open_disc, unimodular
+from .config import BASIS_TOL, TARGET_FLOOR, Indeterminate, open_disc, unimodular
 from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
 __all__ = [
@@ -107,20 +107,20 @@ def clark_targets(zeros, constants, t, alpha):
     """``clark_target`` for zeros (N, n), constants, t and alpha (N,).
 
     Returns (omega, failures): the targets, shape (N,), and a dict mapping
-    each row whose denominator is numerically zero to its ``ClarkTargetError``;
-    such a row's omega is a placeholder 1.
+    each row whose denominator is below TARGET_FLOOR in modulus to its
+    ``ClarkTargetError``; such a row's omega is a placeholder 1.
     """
     bt = products_at(zeros, constants, t[:, None])[:, 0]
     den = 1.0 + np.conj(bt) * alpha
-    bad = np.abs(den) < 1e-12
+    ok = np.abs(den) >= TARGET_FLOOR
     failures = {
         row: ClarkTargetError(
             "1 + conj(B(t)) * alpha is numerically zero for t=%r, alpha=%r"
             % (complex(t[row]), complex(alpha[row]))
         )
-        for row in bad.nonzero()[0]
+        for row in (~ok).nonzero()[0]
     }
-    omega = np.where(bad, 1.0, (alpha + bt) / np.where(bad, 1.0, den))
+    omega = np.where(ok, (alpha + bt) / np.where(ok, den, 1.0), 1.0)
     return omega / np.abs(omega), failures
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
-from .config import Indeterminate, finite
+from .config import TTO_SYM_TOL, Indeterminate, finite
 from .repcheck import (
     Sym3,
     clark_s6_test,
@@ -184,7 +184,7 @@ def _run_clark_basis(problem, config, cb):
 
 def _run_tto_matrix(problem, config, cb):
     m = tto_matrix_from_symbol(problem.theta, Symbol.shift(), cb.basis)
-    s = Sym3.from_array(m.array, tol=1e-7)
+    s = Sym3.from_array(m.array, tol=TTO_SYM_TOL)
     residuals = {"symmetry": m.symmetry_defect()}
     return {"verdict": True, "residuals": residuals, "details": {"s": s.vector}}
 
@@ -228,7 +228,7 @@ def _run_solve_so3(problem, config, cb):
 
 def _run_corollary(problem, config, cb):
     family, a, b, c = match_counterexample_family(problem.matrix)
-    co = counterexample_report(family, a, b, c, trials=100, seed=config.seed, variant=config.variant)
+    co = counterexample_report(family, a, b, c, seed=config.seed, variant=config.variant)
     rep = solve(problem.matrix, cb, config)
     return {
         "verdict": co.all_rejected and rep.found,

@@ -1,5 +1,7 @@
 """The library's tolerances, its input domains, and the one exception class for missing them.
 
+Every threshold that decides a verdict or an indeterminacy is written here
+once (``tests/test_errors.py`` finds no exponent-form number elsewhere).
 Only the representability threshold is a per-call argument (``tol`` of the
 two decision procedures, set by the CLI's ``--tol``); the other tolerances
 are fixed, and the test suite pins them down.
@@ -28,6 +30,11 @@ CIRCLE_TOL = 1e-10      # ||z| - 1| of an input point on the circle
 DISC_SLACK = 1e-12      # |z| - 1 allowed for an input point of the closed disc
 ORTH_TOL = 1e-10        # ||U U^T - I||_F and ||det U| - 1| of an input orthogonal U
 FAMILY_TOL = 1e-12      # entrywise gap of a matrix read as a counterexample family
+SYM_TOL = 1e-10         # default |m - m^T| / (largest part of m) of a matrix read as symmetric
+TTO_SYM_TOL = 1e-7      # the same for a computed operator matrix (tto-matrix task)
+TARGET_FLOOR = 1e-12    # |1 + conj(B(t)) alpha| below which the Clark target is indeterminate
+REAL_TOL = 1e-12        # largest imaginary part / largest part of a matrix taken as real
+ANGLE_SNAP = 1e-9       # angles this close below 2*pi count as just below 0
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -74,7 +81,7 @@ def finite(x, name: str):
     return x if ok else _refuse(x, name, "finite")
 
 
-def integer(n, low: int, name: str) -> int:
+def integer(n, low: float, name: str) -> int:
     """int(n) if n is an integer >= low (``numbers.Integral``, bools refused)."""
     ok = isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low
     return int(n) if ok else _refuse(n, name, f"an integer >= {low}")

@@ -19,7 +19,7 @@ the closed-form ``blaschke.conjugation_matrix``; a kernel needs no J
 
 over the fixed denominator, stored by its numerator; in that view the
 conjugation is "conjugate and reverse" times the front constant.  The
-functions that take elements (``coordinates``, ``inner_product``, ``norm``,
+functions that take elements (``coordinates``, ``inner_product``,
 ``gram_matrix``, ``kernel_element``, ``OrthonormalBasis.from_elements`` and
 ``OrthonormalBasis.elements``) bridge the two views through the matrix T of
 the TMW numerators; nothing else goes through T.
@@ -39,7 +39,6 @@ __all__ = [
     "OrthonormalBasis",
     "BasisError",
     "inner_product",
-    "norm",
     "kernel_element",
     "conjugate",
     "reference_onb",
@@ -128,10 +127,6 @@ def inner_product(f: KThetaElement, g: KThetaElement):
     """Boundary pairing (1/2pi) * integral of f * conj(g), conjugate-linear in g."""
     x = coordinates(f.theta, (f, g))
     return complex(x[:, 0] @ np.conj(x[:, 1]))
-
-
-def norm(f: KThetaElement) -> float:
-    return float(np.linalg.norm(coordinates(f.theta, (f,))))
 
 
 def kernel_element(b: BlaschkeProduct, lam) -> KThetaElement:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
-from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, Indeterminate,
-                     finite, integer, on_circle, open_disc, rep_tol)
+from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL,
+                     Indeterminate, finite, integer, on_circle, open_disc, rep_tol)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
 
@@ -53,6 +53,7 @@ __all__ = [
 
 # Row order used to flatten a symmetric 3x3 matrix into a 6-vector.
 ROW_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+TRIALS = 100  # random Clark bases in the counterexample sweep
 
 
 class IndeterminateError(Indeterminate):
@@ -120,7 +121,7 @@ class Sym3:
         return Sym3(*(_times_pow2(x, e) for x in self.vector.tolist()))
 
     @classmethod
-    def from_array(cls, m, tol: float = 1e-10) -> "Sym3":
+    def from_array(cls, m, tol: float = SYM_TOL) -> "Sym3":
         """m/2 + m^T/2 of a finite m, refused unless |m/2 - m^T/2| <= tol * (largest part of m/2).
 
         A part is a real or imaginary part.  Halving first is exact, so no
@@ -373,37 +374,35 @@ def counterexample_report(
     a: float,
     b: float,
     c: float,
-    trials: int = 100,
     seed: int = 0,
     variant: str = "general",
 ) -> CounterexampleReport:
-    """Test one counterexample matrix against many random Clark bases.
+    """Test one counterexample matrix against ``TRIALS`` (100) random Clark bases.
 
-    Verifies the normalized matrix is normal, then draws `trials` random
-    modified Clark bases (random order-3 product, random interior point and
-    target) as one batch (``sampling.clark_draws``: ten uniforms per attempt,
-    failed attempts skipped, eight in a row raise) and runs the s6 relation
-    test against each, on the stacked bases.  The matrix is expected to fail
-    every time; the report records how often it did and the smallest relative
-    gap gap / ||S||_F, the quantity the test compares with its tolerance, so a
-    trial is rejected exactly when it exceeds REP_TOL.  `trials` must be a
-    positive integer (ValueError).
+    Records the normality defect of the normalized matrix (zero: a family
+    matrix is real symmetric), then draws the random modified Clark bases
+    (random order-3 product, random interior point and target) as one batch
+    from ``numpy.random.default_rng(seed)`` (``sampling.clark_draws``: ten
+    uniforms per attempt, failed attempts skipped, eight in a row raise) and
+    runs the s6 relation test against each, on the stacked bases.  The matrix
+    is expected to fail every time; the report records how often it did and
+    the smallest relative gap gap / ||S||_F, the quantity the test compares
+    with its tolerance, so a trial is rejected exactly when it exceeds
+    REP_TOL.  `seed` must be an integer >= 0 (ValueError).
 
     Family 3 has s4 = s5 = 0, so the predicted s6 is 0 and the gap is |s6| on
     every basis: with a zero diagonal (the f1-corollary fixture) the relative
     gap is 1/sqrt(2) for each trial, a structural fact that the sweep confirms.
     """
-    trials = integer(trials, 1, "trials")
+    seed = integer(seed, 0, "seed")
     s, _ = counterexample_family(family, a, b, c).normalized()
     m = s.array
     normal_defect = float(np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m))
-    if normal_defect >= 1e-12:
-        raise RuntimeError(f"family matrix unexpectedly non-normal ({normal_defect:.3e})")
-    bases = clark_draws(np.random.default_rng(seed), trials)
+    bases = clark_draws(np.random.default_rng(seed), TRIALS)
     _, gaps, is_rep = _s6_prediction(s, relation_weight(bases, variant), REP_TOL)
     rejections = int(np.count_nonzero(~is_rep))
     return CounterexampleReport(
-        family=family, a=a, b=b, c=c, normal_defect=normal_defect, trials=trials, seed=seed,
-        rejections=rejections, all_rejected=rejections == trials,
+        family=family, a=a, b=b, c=c, normal_defect=normal_defect, trials=TRIALS, seed=seed,
+        rejections=rejections, all_rejected=rejections == TRIALS,
         min_gap=float((gaps / np.linalg.norm(m)).min()),
     )

@@ -1,6 +1,7 @@
 """Seeded random draws of products, parameters, bases, and matrices.
 
-Radii are capped away from the circle so level sets stay well separated.
+Zeros lie in the disc of radius ``ZERO_RADIUS`` and Clark anchor points t in
+that of ``ANCHOR_RADIUS``, away from the circle so level sets stay well separated.
 
 A random Clark basis is one attempt of ``CLARK_DRAW`` uniforms, decoded by
 ``decode_clark_draws``; ``clark_draws`` runs the Clark chain on blocks of
@@ -30,6 +31,8 @@ __all__ = [
 # constant, t (radius, angle) and alpha, in the order the scalar draws take them.
 CLARK_DRAW = 10
 RETRIES = 8  # consecutive failed attempts before the last error is raised
+ZERO_RADIUS = 0.85  # zeros of a random product
+ANCHOR_RADIUS = 0.6  # anchor point t of random Clark parameters
 
 
 def _disc(radius, angle, rmax):
@@ -44,31 +47,32 @@ def random_unimodular(rng) -> complex:
     return complex(_unimodular(rng.random()))
 
 
-def random_disc(rng, rmax: float = 0.85) -> complex:
-    """Area-uniform point in the disc of radius rmax."""
-    return complex(_disc(rng.random(), rng.random(), rmax))
+def random_disc(rng) -> complex:
+    """Area-uniform point in the disc of radius ZERO_RADIUS."""
+    return complex(_disc(rng.random(), rng.random(), ZERO_RADIUS))
 
 
-def random_blaschke(rng, order: int = 3, rmax: float = 0.85, unit_constant: bool = False) -> BlaschkeProduct:
-    zeros = [random_disc(rng, rmax) for _ in range(order)]
+def random_blaschke(rng, unit_constant: bool = False) -> BlaschkeProduct:
+    zeros = [random_disc(rng) for _ in range(3)]
     c = 1.0 if unit_constant else random_unimodular(rng)
     return BlaschkeProduct(zeros=tuple(zeros), front_constant=c)
 
 
-def random_clark_params(rng, tmax: float = 0.6) -> ClarkParams:
-    return ClarkParams(t=random_disc(rng, tmax), alpha=random_unimodular(rng))
+def random_clark_params(rng) -> ClarkParams:
+    t = complex(_disc(rng.random(), rng.random(), ANCHOR_RADIUS))
+    return ClarkParams(t=t, alpha=random_unimodular(rng))
 
 
 def decode_clark_draws(u):
     """(zeros (N, 3), constants, t, alpha (N,)) from N rows of ``CLARK_DRAW`` uniforms.
 
-    A row decodes to the values ``random_blaschke(rng, order=3)`` and then
+    A row decodes to the values ``random_blaschke(rng)`` and then
     ``random_clark_params(rng)`` draw from the same ten uniforms.
     """
     return (
-        _disc(u[:, 0:6:2], u[:, 1:6:2], 0.85),
+        _disc(u[:, 0:6:2], u[:, 1:6:2], ZERO_RADIUS),
         _unimodular(u[:, 6]),
-        _disc(u[:, 7], u[:, 8], 0.6),
+        _disc(u[:, 7], u[:, 8], ANCHOR_RADIUS),
         _unimodular(u[:, 9]),
     )
 

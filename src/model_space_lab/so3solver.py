@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import ORTH_TOL, REP_TOL, finite, integer, rep_tol
+from .config import ORTH_TOL, REAL_TOL, REP_TOL, finite, integer, rep_tol
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -160,19 +160,19 @@ def residuals(s: Sym3, u: OrthMatrix3, cb: ClarkBasis, variant: str = "general")
     return orth, float(np.linalg.norm(f))
 
 
-def least_squares(fun, u0: np.ndarray, max_evals: int) -> np.ndarray:
+def least_squares(fun, u0: np.ndarray) -> np.ndarray:
     """Gauss-Newton on SO(3) from the rotation u0; returns the best rotation seen.
 
     ``fun(U)`` returns the real residual vector f and its Jacobian J along
     the generators of so(3).  The step is the minimum-norm solution of
     J d = -f, which stays well defined when J loses rank, and it is halved
-    until ||f|| decreases.  The loop stops after ``max_evals`` calls of
+    until ||f|| decreases.  The loop stops after ``MAX_EVALS`` calls of
     ``fun`` or when halving cannot move the rotation any more.
     """
     u = u0
     f, jac = fun(u)
     step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-    for _ in range(max_evals - 1):
+    for _ in range(MAX_EVALS - 1):
         if np.linalg.norm(step) < np.finfo(float).eps:
             break
         trial = _rotation(step) @ u
@@ -193,7 +193,7 @@ def spectral_shortcut(s: Sym3) -> Optional[OrthMatrix3]:
     Used to seed the solver.
     """
     m = s.array
-    if np.abs(m.imag).max() > 1e-12 * np.abs(m.view(float)).max():
+    if np.abs(m.imag).max() > REAL_TOL * np.abs(m.view(float)).max():
         return None
     _, vecs = np.linalg.eigh(m.real)
     u = vecs.T
@@ -242,7 +242,7 @@ def solve(
     for index in range(config.starts):
         u = start(index)
         if np.linalg.norm(fun(u)[0]) > target:
-            u = least_squares(fun, u, MAX_EVALS)
+            u = least_squares(fun, u)
         res = float(np.linalg.norm(fun(u)[0]))
         if best is None or res < best[0]:
             best = (res, u)

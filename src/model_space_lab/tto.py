@@ -12,12 +12,13 @@ k_lam (x) C k_lam built by ``repcheck.build_columns``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, compressed_shift
-from .config import finite
+from .config import finite, integer
 from .modelspace import OrthonormalBasis
 from .repcheck import PointConfig, Sym3, _spanning_columns, default_points
 
@@ -31,28 +32,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Symbol:
-    """Finite trigonometric polynomial sum c_k z^k, k ranging over integers."""
+    """Finite trigonometric polynomial sum c_k z^k, k ranging over integers (bools refused)."""
 
     coeffs: tuple  # ((k, c), ...) sorted by k
 
     def __post_init__(self):
-        pairs = tuple((int(k), finite(complex(c), "symbol coefficient")) for k, c in self.coeffs)
+        pairs = ((integer(k, -math.inf, "symbol frequency"), finite(complex(c), "symbol coefficient"))
+                 for k, c in self.coeffs)
         pairs = tuple(sorted(pairs, key=lambda p: p[0]))
         if len({k for k, _ in pairs}) != len(pairs):
             raise ValueError("duplicate frequencies in symbol")
         object.__setattr__(self, "coeffs", pairs)
 
     @classmethod
-    def from_dict(cls, d) -> "Symbol":
-        return cls(tuple(d.items()))
-
-    @classmethod
     def shift(cls) -> "Symbol":
         return cls(((1, 1.0),))
-
-    @classmethod
-    def identity(cls) -> "Symbol":
-        return cls(((0, 1.0),))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -100,11 +94,11 @@ def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points
     The generators G_i are the columns of ``build_columns`` at ``points``
     (boundary, interior), by default ``default_points(b)``.  The five
     coefficients are standard complex Gaussians drawn from
-    ``numpy.random.default_rng(seed)``, so the draw is deterministic given
-    the seed and independent of the basis.
+    ``numpy.random.default_rng(seed)``, seed an integer >= 0 (ValueError), so
+    the draw is deterministic given the seed and independent of the basis.
     """
     pc = default_points(b) if points is None else PointConfig(*points)
     cols = _spanning_columns(basis, pc)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, 0, "seed"))
     mu = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     return mu, Sym3(*(cols @ mu))

@@ -281,7 +281,7 @@ def circle_sorted(points):
 def test_criterion_08_cubic_remark():
     rng = np.random.default_rng(800)
     for _ in range(50):
-        b = random_blaschke(rng, order=3, unit_constant=True)
+        b = random_blaschke(rng, unit_constant=True)
         k0, k1, k2, k3 = cubic_coefficients(b)
         roots = circle_sorted(np.roots([k3, -k2, k1, -k0]))
         etas = level_set(b, 1.0)

@@ -131,7 +131,7 @@ def test_no_production_path_builds_j(f2, monkeypatch):
     clark_operator_matrix(f2, params, cb.basis)
     default_points(f2)
     random_tto(f2, cb.basis, seed=3)
-    counterexample_report(1, 0.3, -0.2, 0.5, trials=100)
+    counterexample_report(1, 0.3, -0.2, 0.5)
     assert len(list(FIXTURES.glob("*.problem.json"))) == 9
     assert built == []
     assert cb.basis.conj_residual < 1e-14

@@ -2,11 +2,15 @@
 
 ``ValueError`` is invalid input (CLI exit 2) and ``config.Indeterminate`` is
 numerical indeterminacy on valid input (CLI exit 3).  Modules without
-``__all__`` export their public names.
+``__all__`` export their public names.  Every threshold is a named constant
+of ``config.py``, written nowhere else.
 """
 
 import importlib
 import pkgutil
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from model_space_lab.repcheck import (
     detthm_test,
 )
 from model_space_lab.so3solver import OrthMatrix3, SolverConfig, creal_basis_from_orthogonal, solve
-from model_space_lab.tto import Symbol
+from model_space_lab.tto import Symbol, random_tto
 
 
 def test_exported_exceptions_are_invalid_input_or_indeterminate():
@@ -61,6 +65,7 @@ INF = float("inf")
 HUGE = complex(1.7e308, 1.7e308)  # abs() raises OverflowError; its modulus is inf
 F1 = BlaschkeProduct((0.1, 0.0, 0.0))
 BAD_TOLS = {"nan": NAN, "inf": INF, "0": 0.0, "-1": -1.0, "True": True}
+BAD_SEEDS = {"True": True, "None": None, "1.5": 1.5, "str": "3"}
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +87,7 @@ CASES = {
     "level-set-target": lambda cb: level_set(F1, NAN),
     "boundary-kernel-point": lambda cb: boundary_kernel_norm_sq(F1, [1.0, NAN]),
     "family": lambda cb: counterexample_family(2, 0.0, NAN, 0.0),
-    "counterexample-report": lambda cb: counterexample_report(1, NAN, 0.0, 0.0, trials=3),
+    "counterexample-report": lambda cb: counterexample_report(1, NAN, 0.0, 0.0),
     # decision procedures: Sym3 keeps a non-finite entry, Sym3.normalized refuses it
     "detthm-nan-matrix": lambda cb: _detthm(cb, Sym3(NAN, 0, 0, 0, 0, 0)),
     "detthm-inf-matrix": lambda cb: _detthm(cb, Sym3(INF, 0, 0, 0, 0, 0)),
@@ -94,6 +99,13 @@ CASES = {
        for k, t in BAD_TOLS.items()},
     **{f"s6-tol-{k}": (lambda cb, t=t: clark_s6_test(Sym3(1, 1, 1, 0, 0, 0), cb, tol=t))
        for k, t in BAD_TOLS.items()},
+    # seeds and symbol frequencies follow the integer rule of SolverConfig
+    **{f"report-seed-{k}": (lambda cb, s=s: counterexample_report(3, 0.0, 0.0, 0.0, seed=s))
+       for k, s in BAD_SEEDS.items()},
+    **{f"random-tto-seed-{k}": (lambda cb, s=s: random_tto(cb.theta, cb.basis, seed=s))
+       for k, s in BAD_SEEDS.items()},
+    "symbol-frequency-float": lambda cb: Symbol(((1.5, 1.0),)),
+    "symbol-frequency-bool": lambda cb: Symbol(((True, 1.0),)),
     # bases given by coordinates or by an orthogonal matrix
     "basis-nan-coords": lambda cb: OrthonormalBasis(cb.theta, np.full((3, 3), NAN)),
     "basis-inf-coords": lambda cb: OrthonormalBasis(cb.theta, np.full((3, 3), INF)),
@@ -118,7 +130,27 @@ def test_nan_input_is_invalid(build, cb):
 
 
 def test_one_integer_rule_for_every_count():
-    # SolverConfig and counterexample_report take any numbers.Integral and store an int.
+    # Seeds, counts and symbol frequencies take any numbers.Integral and store an int;
+    # a frequency may be negative.
     config = SolverConfig(starts=np.int64(3), seed=np.int64(0))
     assert type(config.starts) is int and type(config.seed) is int
-    assert type(counterexample_report(3, 0.0, 0.0, 0.0, trials=np.int64(3)).trials) is int
+    assert type(counterexample_report(3, 0.0, 0.0, 0.0, seed=np.int64(3)).seed) is int
+    assert Symbol(((np.int64(-2), 1.0),)).coeffs == ((-2, 1.0),)
+    assert type(Symbol(((np.int64(-2), 1.0),)).coeffs[0][0]) is int
+
+
+EXPONENT_FORM = re.compile(r"[\d_.]+[eE][-+]?[\d_]+[jJ]?")
+
+
+def test_no_exponent_literal_outside_config():
+    # A number such as 1e-12 outside config.py would be a second, unnamed place
+    # for a threshold.  Docstrings and comments are not NUMBER tokens.
+    found = []
+    for path in sorted(Path(model_space_lab.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NUMBER and EXPONENT_FORM.fullmatch(tok.string):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []

@@ -14,7 +14,6 @@ from model_space_lab.modelspace import (
     gram_matrix,
     inner_product,
     kernel_element,
-    norm,
     reference_onb,
 )
 
@@ -278,8 +277,3 @@ def test_conjugation_residual_of_monomials(f1):
     # For z^3 the monomial basis is NOT conjugation-fixed: C swaps 1 and z^2.
     onb = reference_onb(f1)
     assert conjugation_residual(onb) > 0.5
-
-
-def test_norm_helper(f1):
-    f = KThetaElement(f1, (3, 0, 4))
-    assert norm(f) == pytest.approx(5.0, abs=1e-12)

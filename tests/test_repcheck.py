@@ -15,6 +15,7 @@ from model_space_lab.repcheck import (
     IndeterminateError,
     PointConfig,
     ROW_INDEX,
+    TRIALS,
     Sym3,
     build_columns,
     clark_s6_test,
@@ -488,10 +489,10 @@ def test_match_counterexample_family_inverts_layouts():
 
 
 def test_counterexample_report_family3():
-    report = counterexample_report(3, 0, 0, 0, trials=100, seed=7)
+    report = counterexample_report(3, 0, 0, 0, seed=7)
     assert report.normal_defect < 1e-12
     assert report.all_rejected
-    assert report.rejections == 100
+    assert report.rejections == report.trials == 100
     assert report.min_gap > 1e-6
 
 
@@ -499,28 +500,21 @@ def test_counterexample_report_family3():
 def test_counterexample_min_gap_explains_verdict(a):
     # The reported gap is the quantity clark_s6_test compares with REP_TOL,
     # so every trial is rejected exactly when even the smallest gap exceeds it.
-    report = counterexample_report(1, a, 0.5, -0.25, trials=20, seed=0)
+    report = counterexample_report(1, a, 0.5, -0.25, seed=0)
     assert report.all_rejected == (report.min_gap > REP_TOL)
 
 
 def test_counterexample_report_other_families():
-    r1 = counterexample_report(1, 1, 2, 3, trials=25, seed=11)
-    r2 = counterexample_report(2, 0.3, -0.7, 2.1, trials=25, seed=13)
+    r1 = counterexample_report(1, 1, 2, 3, seed=11)
+    r2 = counterexample_report(2, 0.3, -0.7, 2.1, seed=13)
     assert r1.all_rejected and r2.all_rejected
 
 
-@pytest.mark.parametrize("trials", [0, -5, 2.5, 100.0, True, "3", None])
-def test_counterexample_report_refuses_invalid_trials(trials):
-    # Zero trials would report "rejected by every basis" having tested none.
-    with pytest.raises(ValueError, match="trials"):
-        counterexample_report(3, 0, 0, 0, trials=trials)
-
-
-def oracle_counterexample(s, trials, seed, variant):
+def oracle_counterexample(s, seed, variant):
     """(rejections, min relative gap) of ``clark_s6_test`` on one random Clark basis at a time."""
     rng = np.random.default_rng(seed)
     rejections, min_gap = 0, np.inf
-    for _ in range(trials):
+    for _ in range(TRIALS):
         result = clark_s6_test(s, random_clark_basis(rng), variant=variant)
         min_gap = min(min_gap, result.gap / np.linalg.norm(s.array))
         rejections += not result.is_rep
@@ -532,8 +526,8 @@ def oracle_counterexample(s, trials, seed, variant):
 @pytest.mark.parametrize("family", [1, 2, 3])
 def test_counterexample_sweep_matches_per_trial_loop(family, variant, seed):
     s, _ = counterexample_family(family, 0.3, -0.7, 2.1).normalized()
-    rejections, min_gap = oracle_counterexample(s, 40, seed, variant)
-    report = counterexample_report(family, 0.3, -0.7, 2.1, trials=40, seed=seed, variant=variant)
+    rejections, min_gap = oracle_counterexample(s, seed, variant)
+    report = counterexample_report(family, 0.3, -0.7, 2.1, seed=seed, variant=variant)
     assert report.rejections == rejections
     assert report.min_gap == pytest.approx(min_gap, rel=1e-12, abs=0)
 
@@ -544,12 +538,12 @@ def test_counterexample_sweep_has_no_per_trial_loop(monkeypatch):
 
     monkeypatch.setattr(repcheck, "clark_s6_test", refuse)
     monkeypatch.setattr(sampling, "random_clark_basis", refuse)
-    assert counterexample_report(3, 0, 0, 0, trials=100, seed=0).min_gap == pytest.approx(
+    assert counterexample_report(3, 0, 0, 0, seed=0).min_gap == pytest.approx(
         1 / np.sqrt(2), rel=1e-15
     )
 
 
 def test_counterexample_report_deterministic():
-    a = counterexample_report(3, 0, 0, 0, trials=10, seed=5)
-    b = counterexample_report(3, 0, 0, 0, trials=10, seed=5)
+    a = counterexample_report(3, 0, 0, 0, seed=5)
+    b = counterexample_report(3, 0, 0, 0, seed=5)
     assert a == b

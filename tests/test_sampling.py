@@ -28,7 +28,7 @@ def test_decoder_matches_scalar_draws():
     rows, scalar = np.random.default_rng(3), np.random.default_rng(3)
     zeros, constants, t, alpha = decode_clark_draws(rows.random((6, CLARK_DRAW)))
     for i in range(6):
-        b, params = random_blaschke(scalar, order=3), random_clark_params(scalar)
+        b, params = random_blaschke(scalar), random_clark_params(scalar)
         np.testing.assert_allclose(zeros[i], b.zeros, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
             [constants[i], t[i], alpha[i]], [b.front_constant, params.t, params.alpha],
@@ -103,4 +103,4 @@ def test_basis_failure_is_raised_not_skipped(monkeypatch, residual):
     with pytest.raises(BasisError):
         clark_draws(np.random.default_rng(0), 5)
     with pytest.raises(BasisError):
-        counterexample_report(1, 0.5, 1.0, -1.0, trials=5, seed=0)
+        counterexample_report(1, 0.5, 1.0, -1.0, seed=0)

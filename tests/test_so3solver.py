@@ -206,14 +206,14 @@ def test_solve_refines_through_module_least_squares(f1_clark, monkeypatch):
     original = so3solver.least_squares
     evals = []
 
-    def counting(fun, u0, max_evals):
+    def counting(fun, u0):
         calls = []
 
         def counted(u):
             calls.append(u)
             return fun(u)
 
-        u = original(counted, u0, max_evals)
+        u = original(counted, u0)
         evals.append(len(calls))
         return u
 

@@ -19,7 +19,7 @@ def f1_clark(f1):
 
 def test_identity_symbol_gives_identity(f1):
     onb = reference_onb(f1)
-    m = tto_matrix_from_symbol(f1, Symbol.identity(), onb)
+    m = tto_matrix_from_symbol(f1, Symbol(((0, 1.0),)), onb)
     np.testing.assert_allclose(m.array, np.eye(3), atol=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_moebius_symbol_matches_operator_block(f1):
             c = np.conj(t) ** k
             coeffs[k + 1] = coeffs.get(k + 1, 0) + c
             coeffs[k] = coeffs.get(k, 0) - t * c
-        phi = Symbol.from_dict(coeffs)
+        phi = Symbol(tuple(coeffs.items()))
         block = tto_matrix_from_symbol(b, phi, cb.basis).array
 
         u = clark_operator_matrix(b, p, cb.basis)
