@@ -15,26 +15,28 @@ Walsh (TMW) basis; its closed-form primitives live here: the values e(z),
 the conjugate kernels C k_lam, the compressed shift, and Clark's unitary,
 whose eigenvalues are the level set (the one spectrum taken).
 
-The primitives are array-first: ``products_at``, ``tmw_rows``,
-``kernel_norms_sq``, ``conjugate_kernels``, ``compressed_shifts``,
-``clark_unitaries`` and ``level_sets`` take a stack of N products, zeros of
-shape (N, n) and front constants of shape (N,), with points of shape (N, m).
-The scalar functions and ``BlaschkeProduct.__call__`` run them on the stack
-of one, ``BlaschkeProduct.stack``.
+The primitives are array-first: ``products_at``, ``tmw_rows``, ``kernel_norms_sq``,
+``conjugate_kernels`` and ``compressed_shifts`` take a stack of N products, zeros
+(N, n) and front constants (N,), with points (N, m).  ``clark_unitaries`` and
+``level_sets`` take a ``product_stack``, which adds A_z, k_0 (x) C k_0 and B(0), built
+once.  The scalar functions run on the stack of one built at construction, ``BlaschkeProduct.stack``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import (ANGLE_SNAP, DISTINCT_TOL, POLE_TOL, ROOT_TOL, UNIMODULAR_TOL, Indeterminate,
-                     on_circle, open_disc, unimodular)
+                     number, on_circle, open_disc, unimodular)
 
 __all__ = [
     "BlaschkeProduct",
+    "ProductStack",
+    "product_stack",
     "PoleEvaluationError",
     "LevelSetError",
     "level_set",
@@ -65,6 +67,26 @@ class LevelSetError(Indeterminate):
     """The computed level set missed its accuracy or separation check."""
 
 
+# N products, then the pieces of Clark's unitary that depend only on them (``product_stack``).
+ProductStack = namedtuple("ProductStack", "zeros constants shift rank_one b0")
+
+
+def product_stack(w, c) -> ProductStack:
+    """Zeros w (N, n), constants c (N,), A_z (N, n, n), k_0 (x) C k_0 (N, n, n) and B(0) (N,).
+
+    Everything at the origin is a closed form in r_k = sqrt(1 - |w_k|^2):
+    e_k(0) = r_k prod_{l<k} (-w_l), so k_0 has coordinates conj(e(0));
+    C k_0 = (B - B(0)) / z = S* B has coordinates <B, z e_k> = c r_k prod_{l>k} (-w_l);
+    and B(0) = c prod_l (-w_l).
+    """
+    q = -w
+    r = np.sqrt(1.0 - np.abs(w) ** 2)
+    before = np.cumprod(np.concatenate([np.ones_like(q[:, :1]), q[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([np.ones_like(q[:, :1]), q[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    rank_one = np.conj(r * before)[:, :, None] * np.conj(c[:, None] * r * after)[:, None, :]
+    return ProductStack(w, c, compressed_shifts(w), rank_one, c * before[:, -1] * q[:, -1])
+
+
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """Finite Blaschke product with zeros in the open disc.
@@ -76,21 +98,24 @@ class BlaschkeProduct:
     front_constant : complex
         Unimodular multiplier in front of the product (default 1).
 
-    ``stack`` is the product as a stack of one for the array-first
-    functions: zeros of shape (1, n) and the constant of shape (1,).
+    ``stack`` is the product as a read-only ``ProductStack`` of one for the
+    array-first functions, its pieces built here once.
     """
 
     zeros: tuple
     front_constant: complex = 1.0 + 0.0j
-    stack: tuple = field(init=False, repr=False, compare=False)
+    stack: ProductStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        zeros = tuple(open_disc(complex(w), "zero") for w in self.zeros)
+        zeros = tuple(open_disc(number(w, "zero"), "zero") for w in self.zeros)
         object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "front_constant", unimodular(complex(self.front_constant), "front constant"))
+        c = unimodular(number(self.front_constant, "front constant"), "front constant")
+        object.__setattr__(self, "front_constant", c)
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
-        object.__setattr__(self, "stack", (np.array([zeros]), np.array([self.front_constant])))
+        object.__setattr__(self, "stack", product_stack(np.array([zeros]), np.array([c])))
+        for piece in self.stack:
+            piece.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -99,7 +124,7 @@ class BlaschkeProduct:
     def __call__(self, z):
         """Evaluate the product at z (scalar or array), guarding the poles."""
         z = np.asarray(z, dtype=complex)
-        out = products_at(*self.stack, z.reshape(1, -1))[0].reshape(z.shape)
+        out = products_at(*self.stack[:2], z.reshape(1, -1))[0].reshape(z.shape)
         return out if out.shape else complex(out)
 
 
@@ -150,7 +175,7 @@ def tmw_values(b: BlaschkeProduct, z) -> np.ndarray:
     The kernel k_lam = sum_k conj(e_k(lam)) e_k has coordinates conj(e(lam)).
     """
     z = np.asarray(z, dtype=complex)
-    return tmw_rows(b.stack[0], z.reshape(1, -1))[0].reshape((b.order,) + z.shape)
+    return tmw_rows(b.stack.zeros, z.reshape(1, -1))[0].reshape((b.order,) + z.shape)
 
 
 def tmw_rows(w, z) -> np.ndarray:
@@ -190,7 +215,7 @@ def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
 def conjugate_kernel_coords(b: BlaschkeProduct, lam) -> np.ndarray:
     """Coordinates J e(lam) of C k_lam, shape ``(n,) + np.shape(lam)`` for a point or 1-D lam."""
     lam = np.asarray(lam, dtype=complex)
-    return conjugate_kernels(*b.stack, lam.reshape(1, -1))[0].reshape((b.order,) + lam.shape)
+    return conjugate_kernels(*b.stack[:2], lam.reshape(1, -1))[0].reshape((b.order,) + lam.shape)
 
 
 def conjugate_kernels(w, c, z) -> np.ndarray:
@@ -208,7 +233,7 @@ def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
     It is lower triangular: entry (i, i) is w_i and, for i > j, entry (i, j) is
     sqrt(1 - |w_i|^2) sqrt(1 - |w_j|^2) prod_{j<k<i} (-conj(w_k)).
     """
-    return compressed_shifts(b.stack[0])[0]
+    return b.stack.shift[0]
 
 
 def compressed_shifts(w) -> np.ndarray:
@@ -233,25 +258,12 @@ def clark_unitary(b: BlaschkeProduct, omega) -> np.ndarray:
     Its eigenvalues are exactly the circle points where B equals omega, and
     its eigenvectors are the kernels there (Clark, 1972).
     """
-    return clark_unitaries(*b.stack, np.array([complex(omega)]))[0]
+    return clark_unitaries(b.stack, np.array([complex(omega)]))[0]
 
 
-def clark_unitaries(w, c, omega) -> np.ndarray:
-    """``clark_unitary`` for zeros w (N, n), constants c and targets omega (N,).
-
-    Everything at the origin is a closed form in r_k = sqrt(1 - |w_k|^2):
-    e_k(0) = r_k prod_{l<k} (-w_l), so k_0 has coordinates conj(e(0));
-    C k_0 = (B - B(0)) / z = S* B has coordinates <B, z e_k> = c r_k prod_{l>k} (-w_l);
-    and B(0) = c prod_l (-w_l).
-    """
-    q = -w
-    r = np.sqrt(1.0 - np.abs(w) ** 2)
-    ones = np.ones((len(w), 1), dtype=complex)
-    before = np.cumprod(np.concatenate([ones, q[:, :-1]], axis=1), axis=1)
-    after = np.cumprod(np.concatenate([ones, q[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    rank_one = np.conj(r * before)[:, :, None] * np.conj(c[:, None] * r * after)[:, None, :]
-    b0 = c * before[:, -1] * q[:, -1]
-    return compressed_shifts(w) + rank_one / np.conj(omega - b0)[:, None, None]
+def clark_unitaries(s: ProductStack, omega) -> np.ndarray:
+    """``clark_unitary`` for the products of a stack and targets omega (N,)."""
+    return s.shift + s.rank_one / np.conj(omega - s.b0)[:, None, None]
 
 
 def level_set(b: BlaschkeProduct, omega):
@@ -265,30 +277,30 @@ def level_set(b: BlaschkeProduct, omega):
     than ``DISTINCT_TOL``.
     """
     omega = unimodular(complex(omega), "level-set target")
-    etas, failures = level_sets(*b.stack, np.array([omega]))
+    etas, failures = level_sets(b.stack, np.array([omega]))
     if failures:
         raise failures[0]
     return etas[0]
 
 
-def level_sets(w, c, omega):
-    """``level_set`` for zeros w (N, n), constants c and unimodular targets omega (N,).
+def level_sets(s: ProductStack, omega):
+    """``level_set`` for the products of a stack and unimodular targets omega (N,).
 
     Returns (etas, failures): etas of shape (N, n), each row sorted by
     ``circle_angle``, and a dict mapping each row that misses the residual or
     separation check to the ``LevelSetError`` it raises (residual first).
     """
-    phi = np.angle(np.linalg.eigvals(clark_unitaries(w, c, omega)))
+    phi = np.angle(np.linalg.eigvals(clark_unitaries(s, omega)))
     eta = np.exp(1j * phi)
-    phi = phi - np.angle(products_at(w, c, eta) * np.conj(omega)[:, None]) / kernel_norms_sq(w, eta)
+    phi = phi - np.angle(products_at(*s[:2], eta) * np.conj(omega)[:, None]) / kernel_norms_sq(s.zeros, eta)
     eta = np.exp(1j * phi)
-    residual = np.abs(products_at(w, c, eta) - omega[:, None])
+    residual = np.abs(products_at(*s[:2], eta) - omega[:, None])
     gaps = np.abs(eta[:, :, None] - eta[:, None, :])
-    gaps.reshape(len(w), -1)[:, :: w.shape[1] + 1] = np.inf  # a point is not its own neighbour
+    gaps.reshape(len(eta), -1)[:, :: eta.shape[1] + 1] = np.inf  # a point is not its own neighbour
     bad = (residual > ROOT_TOL).any(axis=1) | (gaps <= DISTINCT_TOL).any(axis=(1, 2))
     failures = {row: _level_set_error(residual[row], eta[row]) for row in bad.nonzero()[0]}
     order = np.argsort(circle_angle(eta), axis=1)
-    return eta[np.arange(len(w))[:, None], order], failures
+    return eta[np.arange(len(eta))[:, None], order], failures
 
 
 def _level_set_error(residual, eta) -> LevelSetError:
@@ -337,7 +349,7 @@ def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta):
     (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2.
     """
     zeta = on_circle(np.asarray(zeta, dtype=complex), "boundary kernel point")
-    speed = kernel_norms_sq(b.stack[0], zeta.reshape(1, -1))[0].reshape(zeta.shape)
+    speed = kernel_norms_sq(b.stack.zeros, zeta.reshape(1, -1))[0].reshape(zeta.shape)
     return speed if speed.shape else float(speed)
 
 

@@ -45,7 +45,7 @@ from .blaschke import (
     tmw_rows,
     tmw_values,
 )
-from .config import BASIS_TOL, TARGET_FLOOR, Indeterminate, open_disc, unimodular
+from .config import BASIS_TOL, TARGET_FLOOR, Indeterminate, number, open_disc, unimodular
 from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
 __all__ = [
@@ -77,8 +77,8 @@ class ClarkParams:
     alpha: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "t", open_disc(complex(self.t), "anchor point t"))
-        object.__setattr__(self, "alpha", unimodular(complex(self.alpha), "alpha"))
+        object.__setattr__(self, "t", open_disc(number(self.t, "anchor point t"), "anchor point t"))
+        object.__setattr__(self, "alpha", unimodular(number(self.alpha, "alpha"), "alpha"))
 
 
 def half_arg_root(w):
@@ -97,7 +97,7 @@ def clark_target(b: BlaschkeProduct, params: ClarkParams) -> complex:
 
     |omega| = 1 exactly (a Moebius map of the circle); the eps/|den| round-off is divided out.
     """
-    omega, failures = clark_targets(*b.stack, np.array([params.t]), np.array([params.alpha]))
+    omega, failures = clark_targets(*b.stack[:2], np.array([params.t]), np.array([params.alpha]))
     if failures:
         raise failures[0]
     return complex(omega[0])
@@ -199,8 +199,8 @@ class ClarkRows(NamedTuple):
         )
 
 
-def clark_rows(zeros, constants, t, alpha) -> ClarkRows:
-    """The modified Clark basis for each row of zeros (N, 3), constants, t and alpha (N,).
+def clark_rows(s, t, alpha) -> ClarkRows:
+    """The modified Clark basis for each product of a ``ProductStack`` s of order 3 and t, alpha (N,).
 
     Per row, in this order, the checks are: the target (``ClarkTargetError``),
     the level set's residual and separation (``LevelSetError``), and the Gram
@@ -209,16 +209,16 @@ def clark_rows(zeros, constants, t, alpha) -> ClarkRows:
     b_i k_{eta_i}, so its conjugate is conj(b_i) C k_{eta_i} (``conjugate_kernels``).
     A point that hits a pole raises ``PoleEvaluationError`` for the whole call.
     """
-    if zeros.shape[1] != 3:
+    if s.zeros.shape[1] != 3:
         raise ValueError("the Clark basis construction here is order-3 only")
-    omega, failures = clark_targets(zeros, constants, t, alpha)
-    etas, level_failures = level_sets(zeros, constants, omega)
+    omega, failures = clark_targets(*s[:2], t, alpha)
+    etas, level_failures = level_sets(s, omega)
     angles = circle_angle(np.concatenate([np.conj(etas), omega[:, None]], axis=1))
     phases = np.exp(0.5j * (angles[:, :3] + angles[:, 3:]))
-    norms = np.sqrt(kernel_norms_sq(zeros, etas))
+    norms = np.sqrt(kernel_norms_sq(s.zeros, etas))
     coef = (phases / norms)[:, None, :]
-    coords = np.conj(tmw_rows(zeros, etas)) * coef
-    gram, conj = basis_residuals(coords, np.conj(coef) * conjugate_kernels(zeros, constants, etas))
+    coords = np.conj(tmw_rows(s.zeros, etas)) * coef
+    gram, conj = basis_residuals(coords, np.conj(coef) * conjugate_kernels(*s[:2], etas))
     basis_failures = {row: gram_error(gram[row]) for row in (~(gram < BASIS_TOL)).nonzero()[0]}
     for row in (~(conj < BASIS_TOL)).nonzero()[0]:
         basis_failures.setdefault(row, BasisError(
@@ -226,7 +226,7 @@ def clark_rows(zeros, constants, t, alpha) -> ClarkRows:
             "convention must square to conj(eta) * omega" % conj[row]
         ))
     failures = {**basis_failures, **level_failures, **failures}
-    return ClarkRows(zeros, constants, t, alpha, omega, etas, phases, norms, coords, gram, conj, failures)
+    return ClarkRows(*s[:2], t, alpha, omega, etas, phases, norms, coords, gram, conj, failures)
 
 
 def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
@@ -240,7 +240,7 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
     orthonormality check already bounds by ||G - I||_F < BASIS_TOL.  This is
     ``clark_rows`` on the one row (b, params).
     """
-    rows = clark_rows(*b.stack, np.array([params.t]), np.array([params.alpha]))
+    rows = clark_rows(b.stack, np.array([params.t]), np.array([params.alpha]))
     return rows.basis(0, b, params)
 
 

@@ -53,6 +53,13 @@ def _modulus(z):
         return math.inf
 
 
+def number(z, name: str) -> complex:
+    """complex(z) of a number z, bools refused; inf and NaN are left to the domain check."""
+    ok = isinstance(z, (float, complex, np.inexact))  # the common numbers first: a cheaper check
+    ok = ok or isinstance(z, numbers.Number) and not isinstance(z, bool)
+    return complex(z) if ok else _refuse(z, name, "a number")
+
+
 def unimodular(z, name: str):
     return z if abs(_modulus(z) - 1.0) <= UNIMODULAR_TOL else _refuse(z, name, "unimodular")
 

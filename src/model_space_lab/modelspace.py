@@ -208,8 +208,8 @@ class OrthonormalBasis:
         return tuple(KThetaElement(self.theta, tuple(col)) for col in numerators.T)
 
     def __call__(self, z) -> np.ndarray:
-        """Values of every element at z, shape ``(len(elements),) + np.shape(z)``."""
-        return np.tensordot(self.coords.T, tmw_values(self.theta, z), axes=1)
+        """Values of every element at a point or 1-D array z, shape ``(len(elements),) + np.shape(z)``."""
+        return self.coords.T @ tmw_values(self.theta, z)
 
 
 def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:

@@ -28,7 +28,7 @@ import numpy as np
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL,
-                     Indeterminate, finite, integer, on_circle, open_disc, rep_tol)
+                     Indeterminate, finite, integer, number, on_circle, open_disc, rep_tol)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
 
@@ -53,6 +53,7 @@ __all__ = [
 
 # Row order used to flatten a symmetric 3x3 matrix into a 6-vector.
 ROW_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_ROWS_A, _ROWS_B = np.array(ROW_INDEX).T
 TRIALS = 100  # random Clark bases in the counterexample sweep
 
 
@@ -88,7 +89,7 @@ class Sym3:
 
     def __post_init__(self):
         for name in ("s1", "s2", "s3", "s4", "s5", "s6"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            object.__setattr__(self, name, number(getattr(self, name), name))
 
     @property
     def array(self) -> np.ndarray:
@@ -144,8 +145,8 @@ class PointConfig:
     interior: tuple
 
     def __post_init__(self):
-        boundary = tuple(on_circle(complex(t), "boundary point") for t in self.boundary)
-        interior = tuple(open_disc(complex(lam), "interior point") for lam in self.interior)
+        boundary = tuple(on_circle(number(p, "boundary point"), "boundary point") for p in self.boundary)
+        interior = tuple(open_disc(number(p, "interior point"), "interior point") for p in self.interior)
         if len(boundary) != 3 or len(interior) != 2:
             raise ValueError("need exactly 3 boundary and 2 interior points")
         for group in (boundary, interior):
@@ -206,8 +207,7 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
             "the determinant test is only valid for conjugation-fixed bases"
         )
     vals = basis(np.array(pc.boundary + pc.interior))  # (3 elements, 5 points)
-    rows_a, rows_b = np.array(ROW_INDEX).T
-    va, vb = vals[rows_a], vals[rows_b]
+    va, vb = vals[_ROWS_A], vals[_ROWS_B]
     return np.hstack([va[:, :3] * np.conj(vb[:, :3]), np.conj(va[:, 3:] * vb[:, 3:])])
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, LevelSetError
+from .blaschke import BlaschkeProduct, LevelSetError, product_stack
 from .clark import ClarkBasis, ClarkParams, ClarkRows, ClarkTargetError, clark_rows
 
 __all__ = [
@@ -80,16 +80,17 @@ def decode_clark_draws(u):
 def clark_draws(rng, count: int) -> ClarkRows:
     """The first ``count`` random Clark bases, as rows in draw order.
 
-    Each attempt takes ``CLARK_DRAW`` uniforms.  Blocks of as many attempts
-    as bases are still missing run through ``clark_rows``, so no uniform is
-    drawn beyond the last attempt used.  An attempt whose target or level set
-    fails is skipped; after ``RETRIES`` consecutive skips the last error is
-    raised.  Any other failure (``BasisError``) is raised at its row.  After
-    an error the generator stands at the end of the failing row's block.
+    Each attempt takes ``CLARK_DRAW`` uniforms.  Blocks of as many attempts as bases
+    are still missing run through ``clark_rows`` on one ``product_stack``, so no
+    uniform is drawn beyond the last attempt used.  An attempt whose target or level
+    set fails is skipped; after ``RETRIES`` consecutive skips the last error is
+    raised.  Any other failure (``BasisError``) is raised at its row.  After an
+    error the generator stands at the end of the failing row's block.
     """
     parts, kept, skipped = [], 0, 0
     while kept < count:
-        rows = clark_rows(*decode_clark_draws(rng.random((count - kept, CLARK_DRAW))))
+        zeros, constants, t, alpha = decode_clark_draws(rng.random((count - kept, CLARK_DRAW)))
+        rows = clark_rows(product_stack(zeros, constants), t, alpha)
         good = []
         for i in range(len(rows.omega)):
             error = rows.failures.get(i)

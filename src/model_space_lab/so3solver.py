@@ -190,10 +190,10 @@ def spectral_shortcut(s: Sym3) -> Optional[OrthMatrix3]:
 
     Real symmetric matrices are exactly the easy case: the spectral theorem
     hands us U with U S U^T diagonal, which satisfies the relation trivially.
-    Used to seed the solver.
+    Used to seed the solver.  A non-finite S is a ValueError.
     """
-    m = s.array
-    if np.abs(m.imag).max() > REAL_TOL * np.abs(m.view(float)).max():
+    m = finite(s.array, "S")
+    if not np.abs(m.imag).max() <= REAL_TOL * np.abs(m.view(float)).max():
         return None
     _, vecs = np.linalg.eigh(m.real)
     u = vecs.T

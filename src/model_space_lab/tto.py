@@ -37,7 +37,7 @@ class Symbol:
     coeffs: tuple  # ((k, c), ...) sorted by k
 
     def __post_init__(self):
-        pairs = ((integer(k, -math.inf, "symbol frequency"), finite(complex(c), "symbol coefficient"))
+        pairs = ((integer(k, -math.inf, "symbol frequency"), complex(finite(c, "symbol coefficient")))
                  for k, c in self.coeffs)
         pairs = tuple(sorted(pairs, key=lambda p: p[0]))
         if len({k for k, _ in pairs}) != len(pairs):

@@ -216,7 +216,7 @@ def test_conjugation_matrix_matches_mpmath_oracle(zeros):
     # including the point nearest the zeros, where |e(eta)|^2 = |B'(eta)| peaks
     near = zeros[0] / abs(zeros[0])
     z = np.array([0.0, 0.5, -0.3 + 0.4j, 0.6j, near, near * np.exp(0.01j), -near])
-    got = conjugate_kernels(*b.stack, z[None])[0]
+    got = conjugate_kernels(*b.stack[:2], z[None])[0]
     np.testing.assert_allclose(got, oracle @ tmw_values(b, z), rtol=0, atol=1e-12)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from model_space_lab import blaschke, cli
-from model_space_lab.blaschke import BlaschkeProduct, level_set
+from model_space_lab.blaschke import BlaschkeProduct, level_set, product_stack
 from model_space_lab.clark import (
     ClarkParams,
     ClarkTargetError,
@@ -148,8 +148,7 @@ def test_near_circle_conjugation_residual_with_and_without_j(radius):
     u = rng.random((200, 4))
     w = radius * np.exp(2j * np.pi * u[:, 0])
     rows = clark_rows(
-        np.repeat(w[:, None], 3, axis=1),
-        np.exp(2j * np.pi * u[:, 1]),
+        product_stack(np.repeat(w[:, None], 3, axis=1), np.exp(2j * np.pi * u[:, 1])),
         0.3 * np.exp(2j * np.pi * u[:, 2]),
         np.exp(2j * np.pi * u[:, 3]),
     )

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_space_lab import cli
+from model_space_lab import blaschke, cli, sampling
 from model_space_lab.blaschke import BlaschkeProduct
+from model_space_lab.clark import ClarkParams, clark_operator_matrix, modified_clark_basis
 from model_space_lab.cli import run, validate_report
 from model_space_lab.config import BASIS_TOL, ROOT_TOL
 from model_space_lab.modelspace import BasisError
-from model_space_lab.repcheck import IndeterminateError
+from model_space_lab.repcheck import IndeterminateError, Sym3, default_points, detthm_test
 from model_space_lab.so3solver import SolverConfig
+from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -711,6 +713,62 @@ def test_fixtures_malformed_problem_exits_2_before_computation(tmp_path, no_comp
     (tmp_path / "f1-zz-broken.problem.json").write_text("{ not json")
     assert run(["fixtures", "--dir", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.report.json"))
+
+
+# -- work counts ------------------------------------------------------------------
+
+
+@pytest.fixture
+def piece_builds(monkeypatch):
+    """Counts of product constructions, Clark-chain blocks of the sampler and piece builds.
+
+    ``product_stack`` and ``compressed_shifts`` are counted wherever a library
+    module binds them, so a call from any module is seen.
+    """
+    counts = dict.fromkeys(("products", "blocks", "product_stack", "compressed_shifts"), 0)
+
+    def counting(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("product_stack", "compressed_shifts"):
+        original = getattr(blaschke, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("model_space_lab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    monkeypatch.setattr(sampling, "clark_rows", counting("blocks", sampling.clark_rows))
+    monkeypatch.setattr(BlaschkeProduct, "__post_init__",
+                        counting("products", BlaschkeProduct.__post_init__))
+    return counts
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_fixture_builds_product_pieces_once(name, piece_builds):
+    # One product per problem, its pieces built once at construction; the
+    # sampler of the corollary task builds them once per block of draws.
+    parsed = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
+    assert cli.run_task(parsed, parsed.config)["verdict"] is True
+    assert piece_builds["products"] == 1
+    assert piece_builds["blocks"] == (name == "f1-corollary")
+    assert piece_builds["product_stack"] == piece_builds["compressed_shifts"] == 1 + piece_builds["blocks"]
+
+
+def test_verify_sequence_builds_no_pieces(piece_builds):
+    # The verify-warm sequence on a fresh product: every level set, the
+    # operator matrix and the shift TTO read the pieces built at construction.
+    b = BlaschkeProduct((0.5, 0.0, -0.5), 1j)
+    assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
+    params = ClarkParams(0.1 + 0.2j, 1.0)
+    cb = modified_clark_basis(b, params)
+    clark_operator_matrix(b, params, cb.basis)
+    tto_matrix_from_symbol(b, Symbol.shift(), cb.basis)
+    pc = default_points(b)
+    _, m = random_tto(b, cb.basis, 7, points=(pc.boundary, pc.interior))
+    assert detthm_test(m, cb.basis, pc).is_rep
+    assert not detthm_test(Sym3(1, 2, 3, 4, 5, 6j), cb.basis, pc).is_rep
+    assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
 
 
 # Run in a fresh interpreter where every scipy import fails.

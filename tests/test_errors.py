@@ -29,7 +29,8 @@ from model_space_lab.repcheck import (
     default_points,
     detthm_test,
 )
-from model_space_lab.so3solver import OrthMatrix3, SolverConfig, creal_basis_from_orthogonal, solve
+from model_space_lab.so3solver import (OrthMatrix3, SolverConfig, creal_basis_from_orthogonal, solve,
+                                      spectral_shortcut)
 from model_space_lab.tto import Symbol, random_tto
 
 
@@ -95,6 +96,8 @@ CASES = {
     "s6-inf-matrix": lambda cb: clark_s6_test(Sym3(INF, 0, 0, 0, 0, 0), cb),
     "solve-nan-matrix": lambda cb: solve(Sym3(0, 0, 0, 0, 0, NAN), cb, SolverConfig(starts=2)),
     "solve-inf-matrix": lambda cb: solve(Sym3(0, 0, 0, 0, 0, INF), cb, SolverConfig(starts=2)),
+    "spectral-shortcut-nan-matrix": lambda cb: spectral_shortcut(Sym3(NAN, 0, 0, 0, 0, 0)),
+    "spectral-shortcut-inf-matrix": lambda cb: spectral_shortcut(Sym3(0, 0, 0, 0, 0, INF)),
     **{f"detthm-tol-{k}": (lambda cb, t=t: _detthm(cb, Sym3(1, 1, 1, 0, 0, 0), tol=t))
        for k, t in BAD_TOLS.items()},
     **{f"s6-tol-{k}": (lambda cb, t=t: clark_s6_test(Sym3(1, 1, 1, 0, 0, 0), cb, tol=t))
@@ -118,6 +121,17 @@ CASES = {
     "interior-point-huge": lambda cb: PointConfig((1.0, 1j, -1.0), (0.0, HUGE)),
     "level-set-target-huge": lambda cb: level_set(F1, HUGE),
     "kernel-point-huge": lambda cb: kernel_element(F1, HUGE),
+    # a bool is not a number, as in config.finite, wherever a constructor takes one
+    "zero-bool": lambda cb: BlaschkeProduct((False, 0.0, 0.0)),
+    "constant-bool": lambda cb: BlaschkeProduct((0.5,), front_constant=True),
+    "t-bool": lambda cb: ClarkParams(False, 1.0),
+    "alpha-bool": lambda cb: ClarkParams(0.0, True),
+    "sym3-bool": lambda cb: Sym3(True, 0, 0, 0, 0, 0),
+    "sym3-numpy-bool": lambda cb: Sym3(0, 0, 0, 0, 0, np.True_),
+    "symbol-coefficient-bool": lambda cb: Symbol(((1, True),)),
+    "boundary-point-bool": lambda cb: PointConfig((True, 1j, -1.0), (0.0, 0.5)),
+    "interior-point-bool": lambda cb: PointConfig((1.0, 1j, -1.0), (False, 0.5)),
+    "sym3-str": lambda cb: Sym3("1", 0, 0, 0, 0, 0),
 }
 
 
