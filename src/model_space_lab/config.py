@@ -60,6 +60,12 @@ def number(z, name: str) -> complex:
     return complex(z) if ok else _refuse(z, name, "a number")
 
 
+def real(x, name: str) -> float:
+    """float(x) if x is a finite real number (``numbers.Real``, bools refused)."""
+    ok = isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
+    return float(x) if ok else _refuse(x, name, "a finite real number")
+
+
 def unimodular(z, name: str):
     return z if abs(_modulus(z) - 1.0) <= UNIMODULAR_TOL else _refuse(z, name, "unimodular")
 

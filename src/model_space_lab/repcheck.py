@@ -20,6 +20,7 @@ operator.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ import numpy as np
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL,
-                     Indeterminate, finite, integer, number, on_circle, open_disc, rep_tol)
+                     Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
 
@@ -54,6 +55,7 @@ __all__ = [
 # Row order used to flatten a symmetric 3x3 matrix into a 6-vector.
 ROW_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _ROWS_A, _ROWS_B = np.array(ROW_INDEX).T
+_SQUARE = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # 6-vector index of each 3x3 entry
 TRIALS = 100  # random Clark bases in the counterexample sweep
 
 
@@ -61,57 +63,48 @@ class IndeterminateError(Indeterminate):
     """The generator columns are too ill-conditioned to decide either way."""
 
 
-def _times_pow2(x, e: int):
-    """x * 2**e for a real or complex x and any float exponent e, part by part.
+def _ldexp(x, e: int):
+    """x * 2**e for a float or complex number or array: ``np.ldexp`` on its float view.
 
-    Exact, signed zeros included, unless a part over- or underflows.  Verdicts
-    are decided before a value is scaled back, and Python float arithmetic
-    overflows to inf without a warning, for the report to refuse as non-finite.
+    One rounding, exact (signed zeros too) unless a part over- or underflows.
+    Verdicts are decided before a value is scaled back; an overflow gives inf
+    without a warning, for the report to refuse as non-finite.
     """
-    if isinstance(x, complex):
-        return complex(_times_pow2(x.real, e), _times_pow2(x.imag, e))
-    return float(x) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+    a = np.array(x, ndmin=1)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(a.view(float), e).view(a.dtype)
+    return out if np.ndim(x) else out.item()
 
 
-@dataclass(frozen=True)
-class Sym3:
+class Sym3(namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
     """Complex symmetric 3x3 matrix stored by its six independent entries.
 
-    Layout: diagonal (s1, s2, s3); s4 = entry (1,2); s5 = (1,3); s6 = (2,3).
+    Layout: diagonal (s1, s2, s3); s4 = entry (1,2); s5 = (1,3); s6 = (2,3),
+    the order of ``ROW_INDEX``.  ``Sym3(...)`` checks each entry by
+    ``config.number`` (bools refused, inf and NaN kept); ``Sym3._make`` takes
+    six complex numbers the library has just computed and checks none.
     """
 
-    s1: complex
-    s2: complex
-    s3: complex
-    s4: complex
-    s5: complex
-    s6: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("s1", "s2", "s3", "s4", "s5", "s6"):
-            object.__setattr__(self, name, number(getattr(self, name), name))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.s1, self.s4, self.s5],
-                [self.s4, self.s2, self.s6],
-                [self.s5, self.s6, self.s3],
-            ]
-        )
+    def __new__(cls, s1, s2, s3, s4, s5, s6):
+        return cls._make(map(number, (s1, s2, s3, s4, s5, s6), cls._fields))
 
     @property
     def vector(self) -> np.ndarray:
         """The six entries stacked in the row order used by build_columns."""
-        return np.array([self.s1, self.s2, self.s3, self.s4, self.s5, self.s6])
+        return np.array(self)
+
+    @property
+    def array(self) -> np.ndarray:
+        return self.vector[_SQUARE]
 
     def normalized(self):
         """(S * 2**-e, e), e the binary exponent of the largest real or imaginary part.
 
         Every part of the result is below 1 in modulus (a part, unlike the
         modulus of an entry, never overflows).  The decision procedures run on
-        this matrix and scale their numbers back by 2**e, which is exact, so
+        this matrix and scale their numbers back by 2**e, one exact ``ldexp``, so
         no finite S over- or underflows on the way; a non-finite S is a ValueError.
         """
         e = math.frexp(finite(float(np.abs(self.vector.view(float)).max()), "largest part of S"))[1]
@@ -119,22 +112,25 @@ class Sym3:
 
     def scaled(self, e: int) -> "Sym3":
         """S * 2**e, exact unless an entry over- or underflows."""
-        return Sym3(*(_times_pow2(x, e) for x in self.vector.tolist()))
+        return Sym3._make(_ldexp(self.vector, e).tolist())
 
     @classmethod
     def from_array(cls, m, tol: float = SYM_TOL) -> "Sym3":
         """m/2 + m^T/2 of a finite m, refused unless |m/2 - m^T/2| <= tol * (largest part of m/2).
 
-        A part is a real or imaginary part.  Halving first is exact, so no
-        finite m overflows and normal inputs give the bits of (m + m^T) / 2.
+        A part is a real or imaginary part.  A bool, string or object array is
+        refused, as in ``Sym3(...)``.  Halving first is exact, so no finite m
+        overflows and normal inputs give the bits of (m + m^T) / 2.
         """
-        half = finite(np.array(m, dtype=complex), "matrix") / 2.0
+        m = np.asarray(m)
+        if m.dtype.kind not in "iufc":
+            raise ValueError(f"matrix entries must be numbers, got an array of {m.dtype}")
+        half = finite(m.astype(complex), "matrix") / 2.0
         if half.shape != (3, 3):
             raise ValueError("expected a 3x3 matrix")
         if not np.abs(half - half.T).max() <= tol * np.abs(half.view(float)).max():
             raise ValueError("matrix is not complex symmetric")
-        sym = half + half.T
-        return cls(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
+        return cls._make((half + half.T)[_ROWS_A, _ROWS_B].tolist())
 
 
 @dataclass(frozen=True)
@@ -162,8 +158,7 @@ def default_points(b) -> PointConfig:
     return PointConfig(tuple(level_set(b, 1.0)), (0.0, 0.41 + 0.13j))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Least-squares witness: coefficients over the five generators."""
 
     mu: tuple
@@ -172,8 +167,8 @@ class Certificate:
 
     def scaled(self, e: int) -> "Certificate":
         """The certificate of S * 2**e, given this one of S."""
-        mu = tuple(_times_pow2(m, e) for m in self.mu)
-        return Certificate(mu, _times_pow2(self.residual, e), self.reconstructed.scaled(e))
+        mu = tuple(_ldexp(np.array(self.mu), e).tolist())
+        return Certificate(mu, _ldexp(self.residual, e), self.reconstructed.scaled(e))
 
 
 class DetThmResult(NamedTuple):
@@ -257,10 +252,10 @@ def detthm_test(
 
     w = _FROBENIUS_WEIGHTS
     mu, *_ = np.linalg.lstsq(cols * w[:, None], unit.vector * w, rcond=None)
-    reconstructed = Sym3(*(cols @ mu))
+    reconstructed = Sym3._make((cols @ mu).tolist())
     residual = float(np.linalg.norm(reconstructed.array - unit.array))
     cert = Certificate(tuple(mu), residual, reconstructed).scaled(e)
-    return DetThmResult(is_rep, cert, _times_pow2(det_value, e))
+    return DetThmResult(is_rep, cert, _ldexp(det_value, e))
 
 
 def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
@@ -324,23 +319,21 @@ def clark_s6_test(
     tol = rep_tol(tol)
     unit, e = s.normalized()
     predicted, gap, is_rep = _s6_prediction(unit, relation_weight(cb, variant), tol)
-    return S6Result(bool(is_rep), _times_pow2(complex(predicted), e), _times_pow2(float(gap), e))
+    return S6Result(bool(is_rep), _ldexp(predicted, e), _ldexp(gap, e))
 
 
 def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:
     """One of three real normal families that never pass the Clark relation.
 
     Family 1 puts the unit in the (1,3) slot, family 2 in (1,2), family 3 in
-    (2,3); the diagonal is (a, b, c) in every case, and must be finite.
+    (2,3); the diagonal is (a, b, c) in every case.  ValueError unless
+    ``family`` is an integer 1, 2 or 3 and a, b, c are finite real numbers
+    (bools refused).
     """
-    a, b, c = (finite(float(x), "family diagonal entry") for x in (a, b, c))
-    if family == 1:
-        return Sym3(a, b, c, 0.0, 1.0, 0.0)
-    if family == 2:
-        return Sym3(a, b, c, 1.0, 0.0, 0.0)
-    if family == 3:
-        return Sym3(a, b, c, 0.0, 0.0, 1.0)
-    raise ValueError("family must be 1, 2 or 3")
+    if integer(family, 1, "family") > 3:
+        raise ValueError("family must be 1, 2 or 3")
+    a, b, c = (real(x, "family diagonal entry") for x in (a, b, c))
+    return Sym3(a, b, c, float(family == 2), float(family == 1), float(family == 3))
 
 
 def match_counterexample_family(s: Sym3):
@@ -355,8 +348,7 @@ def match_counterexample_family(s: Sym3):
     raise ValueError("not a counterexample family: need real entries, off-diagonal 1, 0, 0")
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     family: int
     a: float
     b: float
@@ -395,14 +387,16 @@ def counterexample_report(
     gap is 1/sqrt(2) for each trial, a structural fact that the sweep confirms.
     """
     seed = integer(seed, 0, "seed")
-    s, _ = counterexample_family(family, a, b, c).normalized()
+    matrix = counterexample_family(family, a, b, c)
+    s, _ = matrix.normalized()
     m = s.array
     normal_defect = float(np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m))
     bases = clark_draws(np.random.default_rng(seed), TRIALS)
     _, gaps, is_rep = _s6_prediction(s, relation_weight(bases, variant), REP_TOL)
     rejections = int(np.count_nonzero(~is_rep))
     return CounterexampleReport(
-        family=family, a=a, b=b, c=c, normal_defect=normal_defect, trials=TRIALS, seed=seed,
+        family=int(family), a=matrix.s1.real, b=matrix.s2.real, c=matrix.s3.real,
+        normal_defect=normal_defect, trials=TRIALS, seed=seed,
         rejections=rejections, all_rejected=rejections == TRIALS,
         min_gap=float((gaps / np.linalg.norm(m)).min()),
     )

@@ -17,12 +17,12 @@ A miss is a budget statement, not a proof: the report says so explicitly.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import ORTH_TOL, REAL_TOL, REP_TOL, finite, integer, rep_tol
+from .config import ORTH_TOL, REAL_TOL, REP_TOL, finite, integer, real, rep_tol
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -30,7 +30,7 @@ from .repcheck import (
     default_points,
     detthm_test,
     relation_weight,
-    _times_pow2,
+    _ldexp,
 )
 
 __all__ = [
@@ -49,15 +49,15 @@ MAX_EVALS = 500  # evaluations of the relation and its Jacobian per start
 
 @dataclass(frozen=True)
 class OrthMatrix3:
-    """Real orthogonal 3x3 matrix stored row-major as nine scalars."""
+    """Real orthogonal 3x3 matrix stored row-major as nine finite real numbers (bools refused)."""
 
     r: tuple
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.r)
+        r = tuple(real(x, "OrthMatrix3 entry") for x in self.r) if np.iterable(self.r) else ()
         if len(r) != 9:
             raise ValueError("need exactly 9 entries")
-        m = finite(np.array(r), "OrthMatrix3 entries").reshape(3, 3)
+        m = np.array(r).reshape(3, 3)
         if not np.linalg.norm(m @ m.T - np.eye(3)) <= ORTH_TOL:
             raise ValueError("rows are not orthonormal")
         if not abs(abs(np.linalg.det(m)) - 1.0) <= ORTH_TOL:
@@ -70,7 +70,7 @@ class OrthMatrix3:
 
     @classmethod
     def from_array(cls, m) -> "OrthMatrix3":
-        return cls(tuple(np.asarray(m, dtype=float).reshape(9)))
+        return cls(tuple(np.asarray(m).reshape(9).tolist()))
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ class SolverConfig:
             raise ValueError(f"variant: expected 'paper' or 'general', got {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     found: bool
     best_matrix: OrthMatrix3
     best_residual: float
@@ -258,7 +257,7 @@ def solve(
     return SolveReport(
         found=found,
         best_matrix=u,
-        best_residual=_times_pow2(residual, e),
+        best_residual=_ldexp(residual, e),
         conjugated=conjugated.scaled(e),
         certificate=cert.scaled(e),
         starts_used=index + 1,

@@ -101,4 +101,4 @@ def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points
     cols = _spanning_columns(basis, pc)
     rng = np.random.default_rng(integer(seed, 0, "seed"))
     mu = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    return mu, Sym3(*(cols @ mu))
+    return mu, Sym3._make((cols @ mu).tolist())

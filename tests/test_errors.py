@@ -132,6 +132,23 @@ CASES = {
     "boundary-point-bool": lambda cb: PointConfig((True, 1j, -1.0), (0.0, 0.5)),
     "interior-point-bool": lambda cb: PointConfig((1.0, 1j, -1.0), (False, 0.5)),
     "sym3-str": lambda cb: Sym3("1", 0, 0, 0, 0, 0),
+    # Sym3.from_array and the other value constructors refuse what Sym3(...) refuses
+    "from-array-bool": lambda cb: Sym3.from_array(np.eye(3, dtype=bool)),
+    "from-array-str": lambda cb: Sym3.from_array([["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "from-array-object": lambda cb: Sym3.from_array(np.eye(3).astype(object)),
+    "orthogonal-bool": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, True)),
+    "orthogonal-str": lambda cb: OrthMatrix3(("1", "0", "0", "0", "1", "0", "0", "0", "1")),
+    "orthogonal-complex": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, 1 + 0j)),
+    "orthogonal-nested": lambda cb: OrthMatrix3(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    "orthogonal-scalar": lambda cb: OrthMatrix3(1.0),
+    "orthogonal-complex-array": lambda cb: OrthMatrix3.from_array(np.eye(3) + 0j),
+    "family-bool": lambda cb: counterexample_family(True, 0.0, 0.0, 0.0),
+    "family-float": lambda cb: counterexample_family(1.0, 0.0, 0.0, 0.0),
+    "family-diagonal-bool": lambda cb: counterexample_family(1, True, 0, 0),
+    "family-diagonal-str": lambda cb: counterexample_family(1, "2", 0, 0),
+    "family-diagonal-complex": lambda cb: counterexample_family(1, 1j, 0, 0),
+    "report-family-bool": lambda cb: counterexample_report(True, 0.0, 0.0, 0.0),
+    "report-family-float": lambda cb: counterexample_report(1.0, 0.0, 0.0, 0.0),
 }
 
 
@@ -149,6 +166,7 @@ def test_one_integer_rule_for_every_count():
     config = SolverConfig(starts=np.int64(3), seed=np.int64(0))
     assert type(config.starts) is int and type(config.seed) is int
     assert type(counterexample_report(3, 0.0, 0.0, 0.0, seed=np.int64(3)).seed) is int
+    assert type(counterexample_report(np.int64(3), 0.0, 0.0, 0.0).family) is int
     assert Symbol(((np.int64(-2), 1.0),)).coeffs == ((-2, 1.0),)
     assert type(Symbol(((np.int64(-2), 1.0),)).coeffs[0][0]) is int
 

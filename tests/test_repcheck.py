@@ -1,5 +1,7 @@
-import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,14 +435,25 @@ def test_verdicts_invariant_under_scaling(scale_bases, basis_name, kind, e):
 
 def test_s6_gap_is_exact_at_every_scale(f2_clark):
     # The gap is |s6 - predicted_s6|, and scaling S by a power of two
-    # scales it exactly, at both ends of the float range.
+    # scales it exactly, at both ends of the float range.  A TTO plus a
+    # perturbation of relative size 1e-20, below round-off, has a gap of
+    # round-off size, which 2**-1000 takes into the subnormal range: the
+    # reported gap is then the unit-scale gap times 2**-1000 rounded once,
+    # and no warning is raised.
     rng = np.random.default_rng(71)
-    for _ in range(10):
-        s = random_sym3(rng)
+    inputs = [random_sym3(rng) for _ in range(10)]
+    tto = random_tto(f2_clark.theta, f2_clark.basis, seed=73)[1].vector
+    inputs.append(Sym3(*(tto + 1e-20 * np.linalg.norm(tto) * rng.standard_normal(6))))
+    gaps = {}
+    for s in inputs:
         result = clark_s6_test(s, f2_clark)
         assert result.gap == pytest.approx(abs(s.s6 - result.predicted_s6), rel=1e-12)
         for e in (-1000, 1000):
-            assert clark_s6_test(s.scaled(e), f2_clark).gap == math.ldexp(result.gap, e)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gaps[e] = clark_s6_test(s.scaled(e), f2_clark).gap
+            assert gaps[e] == float(mpmath.ldexp(mpmath.mpf(result.gap), e))
+    assert 0.0 < gaps[-1000] < sys.float_info.min  # the TTO, the last input
 
 
 def test_detthm_and_s6_agree_on_clark_bases():
