@@ -124,8 +124,7 @@ def clark_targets(zeros, constants, t, alpha):
     return omega / np.abs(omega), failures
 
 
-@dataclass(frozen=True)
-class ClarkBasis:
+class ClarkBasis(NamedTuple):
     """Phased, normalized boundary kernels at the level set of the Clark target.
 
     ``etas`` are the three level-set points sorted by argument, ``phases``

@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,15 +42,6 @@ from .repcheck import (
 )
 from .so3solver import SolverConfig, solve
 from .tto import Symbol, tto_matrix_from_symbol
-
-TASKS = (
-    "clark-basis",
-    "tto-matrix",
-    "check-detthm",
-    "check-clark-s6",
-    "solve-so3",
-    "corollary",
-)
 
 # The SolverConfig fields, which a problem file or a flag may set.
 _OPTIONS = ("tol", "seed", "starts", "variant")
@@ -110,13 +102,12 @@ def _require_keys(obj, allowed, where: str) -> None:
 # -- problem parsing -----------------------------------------------------------
 
 
-class Problem:
-    def __init__(self, task, theta, clark, matrix, config):
-        self.task = task
-        self.theta = theta
-        self.clark = clark
-        self.matrix = matrix
-        self.config = config  # defaults updated by the problem's options
+class Problem(NamedTuple):
+    task: str
+    theta: BlaschkeProduct
+    clark: ClarkParams
+    matrix: Optional[Sym3]
+    config: SolverConfig  # defaults updated by the problem's options
 
 
 def parse_problem(obj) -> Problem:
@@ -255,6 +246,8 @@ _RUNNERS = {
     "corollary": _run_corollary,
 }
 
+TASKS = tuple(_RUNNERS)
+
 
 def run_task(problem: Problem, config: SolverConfig) -> dict:
     """Run one task and build its report, each block encoded by ``_encode``.
@@ -264,16 +257,9 @@ def run_task(problem: Problem, config: SolverConfig) -> dict:
     and its basis block once the Clark basis is built.
     """
     start = time.perf_counter()
-    report = {
-        "task": problem.task,
-        "verdict": "indeterminate",
-        "residuals": {},
-        "certificate": {},
-        "basis": {},
-        "details": {},
-        "timing": {},
-        "config": _encode({key: getattr(config, key) for key in _OPTIONS}),
-    }
+    report = {key: {} for key in _REPORT_KEYS}
+    report.update(task=problem.task, verdict="indeterminate",
+                  config=_encode({key: getattr(config, key) for key in _OPTIONS}))
     try:
         cb = modified_clark_basis(problem.theta, problem.clark)
         report["basis"] = _encode({"etas": cb.etas, "phases": cb.phases, "norms": cb.norms})

@@ -88,9 +88,6 @@ class KThetaElement:
             tuple(a + b for a, b in zip(self.numerator, other.numerator)),
         )
 
-    def __sub__(self, other: "KThetaElement") -> "KThetaElement":
-        return self + (-1.0) * other
-
     def __rmul__(self, scalar) -> "KThetaElement":
         s = complex(scalar)
         return KThetaElement(self.theta, tuple(s * a for a in self.numerator))

@@ -9,9 +9,9 @@ basis:
 * a single closed-form relation that predicts the (2,3) entry from the (1,2)
   and (1,3) entries when the basis is a modified Clark basis.
 
-``build_columns`` is the library's one implementation of the generator span:
-the determinant test and ``tto.random_tto`` both draw on it, through one rank
-test that refuses a near-degenerate point configuration as indeterminate.
+``build_columns`` is the library's one implementation of the generator span
+and its rank test, which refuses a near-degenerate point configuration as
+indeterminate: the determinant test and ``tto.random_tto`` both draw on it.
 ``PointConfig`` is the one place where generator points are validated.
 
 The module also packages the family of normal matrices that always fail the
@@ -80,7 +80,7 @@ class Sym3(namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
     """Complex symmetric 3x3 matrix stored by its six independent entries.
 
     Layout: diagonal (s1, s2, s3); s4 = entry (1,2); s5 = (1,3); s6 = (2,3),
-    the order of ``ROW_INDEX``.  ``Sym3(...)`` checks each entry by
+    the order of ``ROW_INDEX``.  ``Sym3(...)`` and ``_replace`` check each entry by
     ``config.number`` (bools refused, inf and NaN kept); ``Sym3._make`` takes
     six complex numbers the library has just computed and checks none.
     """
@@ -89,6 +89,9 @@ class Sym3(namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
 
     def __new__(cls, s1, s2, s3, s4, s5, s6):
         return cls._make(map(number, (s1, s2, s3, s4, s5, s6), cls._fields))
+
+    def _replace(self, **entries) -> "Sym3":
+        return Sym3(**{**self._asdict(), **entries})
 
     @property
     def vector(self) -> np.ndarray:
@@ -118,11 +121,12 @@ class Sym3(namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
     def from_array(cls, m, tol: float = SYM_TOL) -> "Sym3":
         """m/2 + m^T/2 of a finite m, refused unless |m/2 - m^T/2| <= tol * (largest part of m/2).
 
-        A part is a real or imaginary part.  A bool, string or object array is
-        refused, as in ``Sym3(...)``.  Halving first is exact, so no finite m
-        overflows and normal inputs give the bits of (m + m^T) / 2.
+        A part is a real or imaginary part.  A bool, string or object array, or such
+        an entry of a nested sequence, is refused as in ``Sym3(...)``.  Halving first
+        is exact, so no finite m overflows and normal inputs give the bits of (m + m^T) / 2.
         """
-        m = np.asarray(m)
+        if not isinstance(m, np.ndarray):  # each entry checked before numpy converts it
+            m = np.vectorize(number, otypes=[complex])(np.asarray(m, dtype=object), "matrix entry")
         if m.dtype.kind not in "iufc":
             raise ValueError(f"matrix entries must be numbers, got an array of {m.dtype}")
         half = finite(m.astype(complex), "matrix") / 2.0
@@ -194,7 +198,8 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     interior point lam it holds conj(v_a(lam)*v_b(lam)).  Both expressions
     are symmetric in (a,b) exactly when the basis is conjugation-fixed, so a
     basis whose recorded conjugation residual exceeds BASIS_TOL is refused
-    with ValueError.
+    with ValueError, and columns whose fifth singular value is below SV_FLOOR
+    (points too close to degenerate to span) with IndeterminateError.
     """
     if not basis.conj_residual <= BASIS_TOL:
         raise ValueError(
@@ -203,21 +208,7 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
         )
     vals = basis(np.array(pc.boundary + pc.interior))  # (3 elements, 5 points)
     va, vb = vals[_ROWS_A], vals[_ROWS_B]
-    return np.hstack([va[:, :3] * np.conj(vb[:, :3]), np.conj(va[:, 3:] * vb[:, 3:])])
-
-
-# Off-diagonal rows count twice in the Frobenius norm of a symmetric matrix.
-_FROBENIUS_WEIGHTS = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
-
-
-def _spanning_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
-    """build_columns plus the one rank test of the generator span.
-
-    Raises IndeterminateError when the fifth singular value is below
-    SV_FLOOR: the points are then too close to degenerate for the span to
-    mean anything.
-    """
-    cols = build_columns(basis, pc)
+    cols = np.hstack([va[:, :3] * np.conj(vb[:, :3]), np.conj(va[:, 3:] * vb[:, 3:])])
     sv = np.linalg.svd(cols, compute_uv=False)
     if sv[4] < SV_FLOOR:
         raise IndeterminateError(
@@ -227,6 +218,10 @@ def _spanning_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     return cols
 
 
+# Off-diagonal rows count twice in the Frobenius norm of a symmetric matrix.
+_FROBENIUS_WEIGHTS = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
+
+
 def detthm_test(
     s: Sym3, basis: OrthonormalBasis, pc: PointConfig, tol: float = REP_TOL
 ) -> DetThmResult:
@@ -234,16 +229,16 @@ def detthm_test(
 
     Forms the 6x6 matrix [c1..c5, S] and declares the input representable when
     |det| <= tol * (product of all six column norms), which makes the verdict
-    invariant under rescaling of S.  The zero matrix therefore passes (both
-    sides vanish).  Independently solves the least-squares problem for a
-    coefficient certificate; the reported residual is the Frobenius distance
-    between the reconstruction and the input.  Both run on ``s.normalized()``.
+    invariant under rescaling of S; the zero matrix passes (both sides vanish).
+    Independently solves the least-squares problem for a coefficient certificate,
+    whose residual is the Frobenius distance of the reconstruction from the input.
+    Both run on ``s.normalized()``; one ``_ldexp`` scales all the numbers back.
 
-    Raises IndeterminateError when the fifth singular value of the column
-    matrix drops below SV_FLOOR; ValueError for a non-finite S or a bad ``tol``.
+    IndeterminateError from ``build_columns`` when the span is degenerate;
+    ValueError for a non-finite S or a bad ``tol``.
     """
     tol = rep_tol(tol)
-    cols = _spanning_columns(basis, pc)
+    cols = build_columns(basis, pc)
     unit, e = s.normalized()
     square = np.column_stack([cols, unit.vector])
     det_value = complex(np.linalg.det(square))
@@ -252,10 +247,11 @@ def detthm_test(
 
     w = _FROBENIUS_WEIGHTS
     mu, *_ = np.linalg.lstsq(cols * w[:, None], unit.vector * w, rcond=None)
-    reconstructed = Sym3._make((cols @ mu).tolist())
-    residual = float(np.linalg.norm(reconstructed.array - unit.array))
-    cert = Certificate(tuple(mu), residual, reconstructed).scaled(e)
-    return DetThmResult(is_rep, cert, _ldexp(det_value, e))
+    fit = cols @ mu
+    residual = np.linalg.norm(w * (fit - unit.vector))
+    back = _ldexp(np.concatenate([mu, fit, [residual, det_value]]), e).tolist()
+    cert = Certificate(tuple(back[:5]), back[11].real, Sym3._make(back[5:11]))
+    return DetThmResult(is_rep, cert, back[12])
 
 
 def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
@@ -319,7 +315,8 @@ def clark_s6_test(
     tol = rep_tol(tol)
     unit, e = s.normalized()
     predicted, gap, is_rep = _s6_prediction(unit, relation_weight(cb, variant), tol)
-    return S6Result(bool(is_rep), _ldexp(predicted, e), _ldexp(gap, e))
+    predicted, gap = _ldexp(np.array([predicted, gap]), e).tolist()
+    return S6Result(bool(is_rep), predicted, gap.real)
 
 
 def counterexample_family(family: int, a: float, b: float, c: float) -> Sym3:

@@ -159,8 +159,8 @@ def residuals(s: Sym3, u: OrthMatrix3, cb: ClarkBasis, variant: str = "general")
     return orth, float(np.linalg.norm(f))
 
 
-def least_squares(fun, u0: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on SO(3) from the rotation u0; returns the best rotation seen.
+def least_squares(fun, u0: np.ndarray):
+    """Gauss-Newton on SO(3) from the rotation u0: (the best rotation seen, its ||f||).
 
     ``fun(U)`` returns the real residual vector f and its Jacobian J along
     the generators of so(3).  The step is the minimum-norm solution of
@@ -181,7 +181,7 @@ def least_squares(fun, u0: np.ndarray) -> np.ndarray:
             step = np.linalg.lstsq(jac, -f, rcond=None)[0]
         else:
             step /= 2.0
-    return u
+    return u, float(np.linalg.norm(f))
 
 
 def spectral_shortcut(s: Sym3) -> Optional[OrthMatrix3]:
@@ -212,9 +212,9 @@ def solve(
     input is real; the rest are random rotations with per-start seeds derived
     from (config.seed, index), so the outcome is independent of scheduling.
     A start that misses the tolerance is refined by ``least_squares``, which
-    spends at most ``MAX_EVALS`` evaluations of the relation.  The first
-    start reaching the tolerance wins and later starts are skipped; ties are
-    impossible because the winner is (residual, start index).
+    spends at most ``MAX_EVALS`` evaluations of the relation and returns the
+    residual it reached.  The first start reaching the tolerance wins and later
+    starts are skipped; ties are impossible: the winner is (residual, start index).
 
     The tolerance is config.tol * ||S||_F, the threshold of
     ``clark_s6_test``, so the verdict does not change when S is scaled; the
@@ -240,9 +240,9 @@ def solve(
     best = None  # (residual, rotation)
     for index in range(config.starts):
         u = start(index)
-        if np.linalg.norm(fun(u)[0]) > target:
-            u = least_squares(fun, u)
         res = float(np.linalg.norm(fun(u)[0]))
+        if res > target:
+            u, res = least_squares(fun, u)
         if best is None or res < best[0]:
             best = (res, u)
         if res <= target:

@@ -20,7 +20,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, compressed_shift
 from .config import finite, integer
 from .modelspace import OrthonormalBasis
-from .repcheck import PointConfig, Sym3, _spanning_columns, default_points
+from .repcheck import PointConfig, Sym3, build_columns, default_points
 
 __all__ = [
     "Symbol",
@@ -47,13 +47,6 @@ class Symbol:
     @classmethod
     def shift(cls) -> "Symbol":
         return cls(((1, 1.0),))
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for k, c in self.coeffs:
-            out = out + c * z ** k
-        return out if out.shape else complex(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +91,7 @@ def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points
     the draw is deterministic given the seed and independent of the basis.
     """
     pc = default_points(b) if points is None else PointConfig(*points)
-    cols = _spanning_columns(basis, pc)
+    cols = build_columns(basis, pc)
     rng = np.random.default_rng(integer(seed, 0, "seed"))
     mu = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     return mu, Sym3._make((cols @ mu).tolist())

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_space_lab import blaschke, cli, sampling
+from model_space_lab import blaschke, cli, repcheck, sampling
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, clark_operator_matrix, modified_clark_basis
 from model_space_lab.cli import run, validate_report
 from model_space_lab.config import BASIS_TOL, ROOT_TOL
 from model_space_lab.modelspace import BasisError
-from model_space_lab.repcheck import IndeterminateError, Sym3, default_points, detthm_test
+from model_space_lab.repcheck import IndeterminateError, Sym3, clark_s6_test, default_points, detthm_test
 from model_space_lab.so3solver import SolverConfig
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
@@ -769,6 +769,26 @@ def test_verify_sequence_builds_no_pieces(piece_builds):
     assert detthm_test(m, cb.basis, pc).is_rep
     assert not detthm_test(Sym3(1, 2, 3, 4, 5, 6j), cb.basis, pc).is_rep
     assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
+
+
+def test_verify_sequence_scales_back_once_per_result(monkeypatch):
+    # The verify-warm sequence: each decision normalizes S with one ldexp and
+    # scales its stacked numbers back with one more, so 2 per test of one S.
+    calls = []
+    ldexp = repcheck._ldexp
+    monkeypatch.setattr(repcheck, "_ldexp", lambda x, e: calls.append(e) or ldexp(x, e))
+    b = BlaschkeProduct((0.5, 0.0, -0.5), 1j)
+    params = ClarkParams(0.1 + 0.2j, 1.0)
+    cb = modified_clark_basis(b, params)
+    clark_operator_matrix(b, params, cb.basis)
+    tto_matrix_from_symbol(b, Symbol.shift(), cb.basis)
+    pc = default_points(b)
+    _, m = random_tto(b, cb.basis, 7, points=(pc.boundary, pc.interior))
+    accept = Sym3.from_array(m.array, tol=1e-7)
+    for s, expected in ((accept, True), (Sym3(1, 2, 3, 4, 5, 6j), False)):
+        assert detthm_test(s, cb.basis, pc).is_rep is expected
+        assert clark_s6_test(s, cb).is_rep is expected
+    assert len(calls) == 8
 
 
 # Run in a fresh interpreter where every scipy import fails.

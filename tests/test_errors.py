@@ -136,6 +136,9 @@ CASES = {
     "from-array-bool": lambda cb: Sym3.from_array(np.eye(3, dtype=bool)),
     "from-array-str": lambda cb: Sym3.from_array([["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
     "from-array-object": lambda cb: Sym3.from_array(np.eye(3).astype(object)),
+    "from-array-nested-bool": lambda cb: Sym3.from_array([[1, 0, 0], [0, 1, 0], [0, 0, True]]),
+    "from-array-ragged": lambda cb: Sym3.from_array([[1, 0, 0], [0, 1], [0, 0, 1]]),
+    "sym3-replace-bool": lambda cb: Sym3(1, 0, 0, 0, 0, 0)._replace(s1=True),
     "orthogonal-bool": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, True)),
     "orthogonal-str": lambda cb: OrthMatrix3(("1", "0", "0", "0", "1", "0", "0", "0", "1")),
     "orthogonal-complex": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, 1 + 0j)),
