@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (ANGLE_SNAP, DISTINCT_TOL, POLE_TOL, ROOT_TOL, UNIMODULAR_TOL, Indeterminate,
-                     number, on_circle, open_disc, unimodular)
+from .config import (ANGLE_SNAP, DISTINCT_TOL, POLE_TOL, ROOT_TOL, UNIMODULAR_TOL, Checked,
+                     Indeterminate, number, on_circle, open_disc, unimodular)
 
 __all__ = [
     "BlaschkeProduct",
@@ -87,8 +86,7 @@ def product_stack(w, c) -> ProductStack:
     return ProductStack(w, c, compressed_shifts(w), rank_one, c * before[:, -1] * q[:, -1])
 
 
-@dataclass(frozen=True)
-class BlaschkeProduct:
+class BlaschkeProduct(Checked, namedtuple("BlaschkeProduct", "zeros front_constant")):
     """Finite Blaschke product with zeros in the open disc.
 
     Parameters
@@ -99,23 +97,20 @@ class BlaschkeProduct:
         Unimodular multiplier in front of the product (default 1).
 
     ``stack`` is the product as a read-only ``ProductStack`` of one for the
-    array-first functions, its pieces built here once.
+    array-first functions, its pieces built here once.  It is an attribute,
+    not a field: equality and hashing stay on (zeros, front_constant).
     """
 
-    zeros: tuple
-    front_constant: complex = 1.0 + 0.0j
-    stack: ProductStack = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        zeros = tuple(open_disc(number(w, "zero"), "zero") for w in self.zeros)
-        object.__setattr__(self, "zeros", zeros)
-        c = unimodular(number(self.front_constant, "front constant"), "front constant")
-        object.__setattr__(self, "front_constant", c)
+    def __new__(cls, zeros, front_constant=1.0 + 0.0j):
+        zeros = tuple(open_disc(number(w, "zero"), "zero") for w in zeros)
+        c = unimodular(number(front_constant, "front constant"), "front constant")
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
-        object.__setattr__(self, "stack", product_stack(np.array([zeros]), np.array([c])))
-        for piece in self.stack:
+        b = cls._make((zeros, c))
+        b.stack = product_stack(np.array([zeros]), np.array([c]))
+        for piece in b.stack:
             piece.setflags(write=False)
+        return b
 
     @property
     def order(self) -> int:

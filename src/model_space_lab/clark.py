@@ -28,7 +28,7 @@ and the Gram and conjugation residuals, with no J (``blaschke.conjugate_kernels`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,7 @@ from .blaschke import (
     tmw_rows,
     tmw_values,
 )
-from .config import BASIS_TOL, TARGET_FLOOR, Indeterminate, number, open_disc, unimodular
+from .config import BASIS_TOL, TARGET_FLOOR, Checked, Indeterminate, number, open_disc, unimodular
 from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
 __all__ = [
@@ -69,16 +69,14 @@ class ClarkTargetError(Indeterminate):
     """
 
 
-@dataclass(frozen=True)
-class ClarkParams:
+class ClarkParams(Checked, namedtuple("ClarkParams", "t alpha")):
     """Interior anchor point t and unimodular spectral parameter alpha."""
 
-    t: complex
-    alpha: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", open_disc(number(self.t, "anchor point t"), "anchor point t"))
-        object.__setattr__(self, "alpha", unimodular(number(self.alpha, "alpha"), "alpha"))
+    def __new__(cls, t, alpha):
+        t = open_disc(number(t, "anchor point t"), "anchor point t")
+        return cls._make((t, unimodular(number(alpha, "alpha"), "alpha")))
 
 
 def half_arg_root(w):

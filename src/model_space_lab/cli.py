@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -149,13 +148,13 @@ def parse_problem(obj) -> Problem:
 
     options = obj.get("options", {})
     _require_keys(options, _OPTIONS, "options")
-    return Problem(task, theta, clark, matrix, replace(SolverConfig(), **options))
+    return Problem(task, theta, clark, matrix, SolverConfig(**options))
 
 
 def merge_config(config: SolverConfig, args) -> SolverConfig:
     """The problem's config, then the flags set in ``args``."""
     flags = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None}
-    return replace(config, **flags)
+    return config._replace(**flags)
 
 
 # -- report assembly -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The library's tolerances, its input domains, and the one exception class for missing them.
+"""The library's tolerances, its input domains, its checked record, and the one exception class.
 
 Every threshold that decides a verdict or an indeterminacy is written here
 once (``tests/test_errors.py`` finds no exponent-form number elsewhere).
@@ -11,6 +11,11 @@ domain below, so NaN fails.  A check returns its input (as int or float for
 ``integer`` and ``rep_tol``), takes a huge complex's modulus as inf, and checks
 a number in plain Python, an array (``finite``, ``on_circle``) with numpy.
 Valid input whose computation misses a threshold raises ``Indeterminate``.
+
+Every record is a named tuple.  One that checks its fields subclasses
+``Checked``: ``X(...)`` and ``_replace`` go through its ``__new__``, which
+returns the checked fields, and ``X._make`` takes values the library has just
+computed and checks nothing.
 """
 
 import math
@@ -40,6 +45,16 @@ _FLOAT_MAX = sys.float_info.max
 
 class Indeterminate(ArithmeticError):
     """Numerical indeterminacy: round-off leaves the answer on valid input undecided."""
+
+
+class Checked:
+    """Mixin of a named tuple whose ``__new__`` checks its fields: ``_replace`` checks too."""
+
+    __slots__ = ()
+
+    def _replace(self, **fields):
+        """The record with ``fields`` changed, built by ``__new__`` from ``__getnewargs__``."""
+        return type(self)(**{**dict(zip(self._fields, self.__getnewargs__())), **fields})
 
 
 def _refuse(value, name: str, domain: str):

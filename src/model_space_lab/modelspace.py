@@ -12,6 +12,8 @@ has coordinates conj(e(lam)), and the canonical conjugation
 C f = B conj(z f) (on the circle) maps coordinates x to J conj(x), with J
 the closed-form ``blaschke.conjugation_matrix``; a kernel needs no J
 (``blaschke.conjugate_kernels``), so ``basis_residuals`` takes C's output.
+Both records here are checked named tuples (``config.Checked``), and a basis
+holds its two residuals as fields, computed once when it is built.
 
 ``KThetaElement`` is the other view of an element: a rational function
 
@@ -27,12 +29,12 @@ the TMW numerators; nothing else goes through T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, conjugation_matrix, polynomial_pair, tmw_values
-from .config import BASIS_TOL, Indeterminate, closed_disc, finite
+from .config import BASIS_TOL, Checked, Indeterminate, closed_disc, finite
 
 __all__ = [
     "KThetaElement",
@@ -54,25 +56,25 @@ class BasisError(Indeterminate):
     """A basis missed BASIS_TOL: orthonormality or conjugation-fixedness."""
 
 
-@dataclass(frozen=True)
-class KThetaElement:
+class KThetaElement(Checked, namedtuple("KThetaElement", "theta numerator")):
     """Model-space element stored as numerator coefficients over the fixed denominator.
 
     ``numerator[k]`` multiplies z^k; the length always equals the order of
     ``theta``.  Elements are immutable; arithmetic returns new instances.
     """
 
-    theta: BlaschkeProduct
-    numerator: tuple
+    __slots__ = ()
+    __array_ufunc__ = None  # numpy defers to __rmul__, so np.float64(2) * f scales f
+    __mul__ = None  # f * 2 is a TypeError, not a repeated tuple
 
-    def __post_init__(self):
-        coeffs = tuple(complex(a) for a in self.numerator)
-        object.__setattr__(self, "numerator", coeffs)
-        if len(coeffs) != self.theta.order:
+    def __new__(cls, theta, numerator):
+        coeffs = tuple(complex(a) for a in numerator)
+        if len(coeffs) != theta.order:
             raise ValueError(
                 "numerator needs %d coefficients, got %d"
-                % (self.theta.order, len(coeffs))
+                % (theta.order, len(coeffs))
             )
+        return cls._make((theta, coeffs))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -155,43 +157,35 @@ def gram_matrix(elements):
     return x.T @ np.conj(x)
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
+class OrthonormalBasis(Checked, namedtuple("OrthonormalBasis", "theta coords gram_residual conj_residual")):
     """Orthonormal elements of one model space, given by their TMW coordinates.
 
-    ``coords`` holds the coordinates of the elements, one column each;
+    ``OrthonormalBasis(theta, coords)`` takes the coordinates of the elements,
+    one column each, and computes both residuals by ``basis_residuals``:
     ``gram_residual`` is ||Gram - I||_F, which must be below BASIS_TOL (else
-    BasisError); ``conj_residual`` is ``conjugation_residual`` of the basis.
-    Both come from ``basis_residuals``.
-    Calling the basis at points z gives all element values, one row per
-    element.
+    BasisError), and ``conj_residual`` is ``conjugation_residual`` of the basis.
+    ``coords`` is read-only.  Calling the basis at points z gives all element
+    values, one row per element.
     """
 
-    theta: BlaschkeProduct
-    coords: np.ndarray = field(repr=False)
-    gram_residual: float = field(init=False)
-    conj_residual: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        x = finite(np.array(self.coords, dtype=complex), "basis coordinates")
-        gram, conj = basis_residuals(x[None], (conjugation_matrix(self.theta) @ np.conj(x))[None])
-        self._record(x, float(gram[0]), float(conj[0]))
+    def __new__(cls, theta, coords):
+        x = finite(np.array(coords, dtype=complex), "basis coordinates")
+        gram, conj = basis_residuals(x[None], (conjugation_matrix(theta) @ np.conj(x))[None])
+        return cls._recorded(theta, x, float(gram[0]), float(conj[0]))
 
-    def _record(self, x, gram_residual: float, conj_residual: float) -> None:
-        if not gram_residual < BASIS_TOL:
-            raise gram_error(gram_residual)
-        x.setflags(write=False)  # the residuals are recorded once
-        object.__setattr__(self, "coords", x)
-        object.__setattr__(self, "gram_residual", gram_residual)
-        object.__setattr__(self, "conj_residual", conj_residual)
+    def __getnewargs__(self):  # copies and ``_replace`` compute the residuals again
+        return self.theta, self.coords
 
     @classmethod
     def _recorded(cls, theta, coords, gram_residual: float, conj_residual: float):
         """A basis whose ``basis_residuals`` were taken already: a Clark-chain row, without J."""
-        basis = cls.__new__(cls)
-        object.__setattr__(basis, "theta", theta)
-        basis._record(np.array(coords, dtype=complex), gram_residual, conj_residual)
-        return basis
+        if not gram_residual < BASIS_TOL:
+            raise gram_error(gram_residual)
+        x = np.array(coords, dtype=complex)
+        x.setflags(write=False)
+        return cls._make((theta, x, gram_residual, conj_residual))
 
     @classmethod
     def from_elements(cls, elements):

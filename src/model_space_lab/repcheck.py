@@ -21,14 +21,13 @@ operator.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
-from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL,
+from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL, Checked,
                      Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
@@ -76,7 +75,7 @@ def _ldexp(x, e: int):
     return out if np.ndim(x) else out.item()
 
 
-class Sym3(namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
+class Sym3(Checked, namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
     """Complex symmetric 3x3 matrix stored by its six independent entries.
 
     Layout: diagonal (s1, s2, s3); s4 = entry (1,2); s5 = (1,3); s6 = (2,3),
@@ -89,9 +88,6 @@ class Sym3(namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
 
     def __new__(cls, s1, s2, s3, s4, s5, s6):
         return cls._make(map(number, (s1, s2, s3, s4, s5, s6), cls._fields))
-
-    def _replace(self, **entries) -> "Sym3":
-        return Sym3(**{**self._asdict(), **entries})
 
     @property
     def vector(self) -> np.ndarray:
@@ -137,24 +133,21 @@ class Sym3(namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
         return cls._make((half + half.T)[_ROWS_A, _ROWS_B].tolist())
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Checked, namedtuple("PointConfig", "boundary interior")):
     """Three distinct boundary points and two distinct interior points."""
 
-    boundary: tuple
-    interior: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        boundary = tuple(on_circle(number(p, "boundary point"), "boundary point") for p in self.boundary)
-        interior = tuple(open_disc(number(p, "interior point"), "interior point") for p in self.interior)
+    def __new__(cls, boundary, interior):
+        boundary = tuple(on_circle(number(p, "boundary point"), "boundary point") for p in boundary)
+        interior = tuple(open_disc(number(p, "interior point"), "interior point") for p in interior)
         if len(boundary) != 3 or len(interior) != 2:
             raise ValueError("need exactly 3 boundary and 2 interior points")
         for group in (boundary, interior):
             gaps = [abs(p - q) for i, p in enumerate(group) for q in group[i + 1 :]]
             if not min(gaps) > DISTINCT_TOL:
                 raise ValueError(f"points must be pairwise distinct (gap > {DISTINCT_TOL:g})")
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "interior", interior)
+        return cls._make((boundary, interior))
 
 
 def default_points(b) -> PointConfig:
@@ -168,11 +161,6 @@ class Certificate(NamedTuple):
     mu: tuple
     residual: float
     reconstructed: Sym3
-
-    def scaled(self, e: int) -> "Certificate":
-        """The certificate of S * 2**e, given this one of S."""
-        mu = tuple(_ldexp(np.array(self.mu), e).tolist())
-        return Certificate(mu, _ldexp(self.residual, e), self.reconstructed.scaled(e))
 
 
 class DetThmResult(NamedTuple):

@@ -15,14 +15,14 @@ rotation group alone loses nothing.
 A miss is a budget statement, not a proof: the report says so explicitly.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import ORTH_TOL, REAL_TOL, REP_TOL, finite, integer, real, rep_tol
+from .config import ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, rep_tol
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -47,14 +47,13 @@ __all__ = [
 MAX_EVALS = 500  # evaluations of the relation and its Jacobian per start
 
 
-@dataclass(frozen=True)
-class OrthMatrix3:
+class OrthMatrix3(Checked, namedtuple("OrthMatrix3", "r")):
     """Real orthogonal 3x3 matrix stored row-major as nine finite real numbers (bools refused)."""
 
-    r: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = tuple(real(x, "OrthMatrix3 entry") for x in self.r) if np.iterable(self.r) else ()
+    def __new__(cls, r):
+        r = tuple(real(x, "OrthMatrix3 entry") for x in r) if np.iterable(r) else ()
         if len(r) != 9:
             raise ValueError("need exactly 9 entries")
         m = np.array(r).reshape(3, 3)
@@ -62,7 +61,7 @@ class OrthMatrix3:
             raise ValueError("rows are not orthonormal")
         if not abs(abs(np.linalg.det(m)) - 1.0) <= ORTH_TOL:
             raise ValueError("determinant is not +-1")
-        object.__setattr__(self, "r", r)
+        return cls._make((r,))
 
     @property
     def array(self) -> np.ndarray:
@@ -73,25 +72,20 @@ class OrthMatrix3:
         return cls(tuple(np.asarray(m).reshape(9).tolist()))
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Checked, namedtuple("SolverConfig", "starts tol seed variant")):
     """Options of a run, the CLI's four options, checked here once.
 
     ValueError unless ``starts`` >= 1 and ``seed`` >= 0 are integers (stored as int),
     ``tol`` is a finite number > 0 (stored as float) and ``variant`` "paper" or "general".
     """
 
-    starts: int = 100
-    tol: float = REP_TOL
-    seed: int = 0
-    variant: str = "general"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "starts", integer(self.starts, 1, "starts"))
-        object.__setattr__(self, "seed", integer(self.seed, 0, "seed"))
-        object.__setattr__(self, "tol", rep_tol(self.tol))
-        if self.variant not in ("paper", "general"):
-            raise ValueError(f"variant: expected 'paper' or 'general', got {self.variant!r}")
+    def __new__(cls, starts=100, tol=REP_TOL, seed=0, variant="general"):
+        starts, seed, tol = integer(starts, 1, "starts"), integer(seed, 0, "seed"), rep_tol(tol)
+        if variant not in ("paper", "general"):
+            raise ValueError(f"variant: expected 'paper' or 'general', got {variant!r}")
+        return cls._make((starts, tol, seed, variant))
 
 
 class SolveReport(NamedTuple):
@@ -254,12 +248,14 @@ def solve(
     cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual <= target
     message = "solution found" if found else "no solution found within budget (not a proof of non-existence)"
+    parts = [conjugated, cert.mu, cert.reconstructed, [cert.residual, residual]]
+    back = _ldexp(np.concatenate(parts), e).tolist()
     return SolveReport(
         found=found,
         best_matrix=u,
-        best_residual=_ldexp(residual, e),
-        conjugated=conjugated.scaled(e),
-        certificate=cert.scaled(e),
+        best_residual=back[18].real,
+        conjugated=Sym3._make(back[:6]),
+        certificate=Certificate(tuple(back[6:11]), back[17].real, Sym3._make(back[11:17])),
         starts_used=index + 1,
         message=message,
     )

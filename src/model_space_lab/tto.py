@@ -13,12 +13,13 @@ k_lam (x) C k_lam built by ``repcheck.build_columns``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, compressed_shift
-from .config import finite, integer
+from .config import Checked, finite, integer
 from .modelspace import OrthonormalBasis
 from .repcheck import PointConfig, Sym3, build_columns, default_points
 
@@ -30,27 +31,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Finite trigonometric polynomial sum c_k z^k, k ranging over integers (bools refused)."""
+class Symbol(Checked, namedtuple("Symbol", "coeffs")):
+    """Trigonometric polynomial sum c_k z^k: ``coeffs`` the pairs (k, c) sorted by k, k an integer."""
 
-    coeffs: tuple  # ((k, c), ...) sorted by k
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coeffs):
         pairs = ((integer(k, -math.inf, "symbol frequency"), complex(finite(c, "symbol coefficient")))
-                 for k, c in self.coeffs)
+                 for k, c in coeffs)
         pairs = tuple(sorted(pairs, key=lambda p: p[0]))
         if len({k for k, _ in pairs}) != len(pairs):
             raise ValueError("duplicate frequencies in symbol")
-        object.__setattr__(self, "coeffs", pairs)
+        return cls._make((pairs,))
 
     @classmethod
     def shift(cls) -> "Symbol":
         return cls(((1, 1.0),))
 
 
-@dataclass(frozen=True, eq=False)
-class TTOMatrix:
+class TTOMatrix(NamedTuple):
     """Matrix of a truncated Toeplitz operator given by its symbol."""
 
     array: np.ndarray

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_space_lab import blaschke, cli, repcheck, sampling
+from model_space_lab import blaschke, cli, repcheck, sampling, so3solver
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, clark_operator_matrix, modified_clark_basis
 from model_space_lab.cli import run, validate_report
 from model_space_lab.config import BASIS_TOL, ROOT_TOL
 from model_space_lab.modelspace import BasisError
 from model_space_lab.repcheck import IndeterminateError, Sym3, clark_s6_test, default_points, detthm_test
-from model_space_lab.so3solver import SolverConfig
+from model_space_lab.so3solver import SolverConfig, solve
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 W3 = np.exp(2j * np.pi / 3)
@@ -728,9 +728,9 @@ def piece_builds(monkeypatch):
     counts = dict.fromkeys(("products", "blocks", "product_stack", "compressed_shifts"), 0)
 
     def counting(key, fn):
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return counted
 
     for name in ("product_stack", "compressed_shifts"):
@@ -739,8 +739,8 @@ def piece_builds(monkeypatch):
             if module_name.startswith("model_space_lab") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
     monkeypatch.setattr(sampling, "clark_rows", counting("blocks", sampling.clark_rows))
-    monkeypatch.setattr(BlaschkeProduct, "__post_init__",
-                        counting("products", BlaschkeProduct.__post_init__))
+    monkeypatch.setattr(BlaschkeProduct, "__new__",
+                        staticmethod(counting("products", BlaschkeProduct.__new__)))
     return counts
 
 
@@ -789,6 +789,26 @@ def test_verify_sequence_scales_back_once_per_result(monkeypatch):
         assert detthm_test(s, cb.basis, pc).is_rep is expected
         assert clark_s6_test(s, cb).is_rep is expected
     assert len(calls) == 8
+
+
+def test_solve_scales_back_once(monkeypatch):
+    # solve normalizes S with one ldexp, its certificate's detthm_test takes two
+    # on the unit-size conjugated matrix, and solve scales its own numbers back
+    # with one more: 4 per solve.
+    calls = []
+    ldexp = repcheck._ldexp
+
+    def counted(x, e):
+        calls.append(e)
+        return ldexp(x, e)
+
+    monkeypatch.setattr(repcheck, "_ldexp", counted)
+    monkeypatch.setattr(so3solver, "_ldexp", counted)
+    cb = modified_clark_basis(BlaschkeProduct((0.5, 0.0, -0.5), 1j), ClarkParams(0.1 + 0.2j, 1.0))
+    for s in (Sym3(1, 2, 3, 4, 5, 6j), Sym3(1, 2, 3, 0.5, 0.25, 0.125)):
+        calls.clear()
+        solve(s, cb, SolverConfig(starts=4))
+        assert len(calls) == 4
 
 
 # Run in a fresh interpreter where every scipy import fails.

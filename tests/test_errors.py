@@ -6,6 +6,7 @@ numerical indeterminacy on valid input (CLI exit 3).  Modules without
 of ``config.py``, written nowhere else.
 """
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -139,6 +140,15 @@ CASES = {
     "from-array-nested-bool": lambda cb: Sym3.from_array([[1, 0, 0], [0, 1, 0], [0, 0, True]]),
     "from-array-ragged": lambda cb: Sym3.from_array([[1, 0, 0], [0, 1], [0, 0, 1]]),
     "sym3-replace-bool": lambda cb: Sym3(1, 0, 0, 0, 0, 0)._replace(s1=True),
+    # every checked record's _replace goes through its constructor; only X._make trusts
+    "clark-params-replace": lambda cb: ClarkParams(0.1, 1.0)._replace(t=2),
+    "product-replace": lambda cb: F1._replace(front_constant=2),
+    "points-replace": lambda cb: default_points(cb.theta)._replace(interior=(0, 0)),
+    "config-replace": lambda cb: SolverConfig()._replace(tol=-1),
+    "symbol-replace": lambda cb: Symbol.shift()._replace(coeffs=((1.5, 1),)),
+    "orthogonal-replace": lambda cb: OrthMatrix3.from_array(np.eye(3))._replace(r=(2,) * 9),
+    "element-replace": lambda cb: kernel_element(F1, 0.5)._replace(numerator=(1, 2)),
+    "basis-replace-nan": lambda cb: cb.basis._replace(coords=np.full((3, 3), NAN)),
     "orthogonal-bool": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, True)),
     "orthogonal-str": lambda cb: OrthMatrix3(("1", "0", "0", "0", "1", "0", "0", "0", "1")),
     "orthogonal-complex": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, 1 + 0j)),
@@ -172,6 +182,40 @@ def test_one_integer_rule_for_every_count():
     assert type(counterexample_report(np.int64(3), 0.0, 0.0, 0.0).family) is int
     assert Symbol(((np.int64(-2), 1.0),)).coeffs == ((-2, 1.0),)
     assert type(Symbol(((np.int64(-2), 1.0),)).coeffs[0][0]) is int
+
+
+def test_replace_rebuilds_the_product_stack_and_elements_are_not_sequences():
+    # The stack is built in __new__, so _replace builds the new product's;
+    # an element scales by a number from either side and never repeats as a tuple.
+    b = F1._replace(zeros=(0.1, 0.2, 0.3))
+    assert b == BlaschkeProduct((0.1, 0.2, 0.3)) and F1.stack.zeros.tolist() == [[0.1, 0.0, 0.0]]
+    np.testing.assert_array_equal(b.stack.shift, BlaschkeProduct((0.1, 0.2, 0.3)).stack.shift)
+    assert b.stack.zeros.tolist() == [[0.1, 0.2, 0.3]] and not b.stack.shift.flags.writeable
+    f = kernel_element(F1, 0.5)
+    assert np.float64(2) * f == 2 * f == f + f
+    with pytest.raises(TypeError):
+        f * 2
+
+
+def test_records_are_named_tuples_not_dataclasses():
+    # One record idiom: no module imports dataclasses, and every class a module
+    # exports is an exception or a tuple (a checked or a plain named tuple).
+    classes = set()
+    for path in sorted(Path(model_space_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        imports += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "dataclasses" not in imports, path.name
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                module = importlib.import_module(f"model_space_lab.{path.stem}")
+                for name in ast.literal_eval(node.value):
+                    obj = getattr(module, name)
+                    if isinstance(obj, type):
+                        assert issubclass(obj, (BaseException, tuple)), f"{path.stem}.{name}"
+                        classes.add(name)
+    assert classes >= {"BlaschkeProduct", "ClarkParams", "KThetaElement", "OrthonormalBasis",
+                       "PointConfig", "Symbol", "TTOMatrix", "OrthMatrix3", "SolverConfig"}
 
 
 EXPONENT_FORM = re.compile(r"[\d_.]+[eE][-+]?[\d_]+[jJ]?")
