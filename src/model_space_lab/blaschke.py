@@ -16,8 +16,8 @@ the conjugate kernels C k_lam, the compressed shift, and Clark's unitary,
 whose eigenvalues are the level set (the one spectrum taken).
 
 The primitives are array-first: ``products_at``, ``tmw_rows``, ``kernel_norms_sq``,
-``conjugate_kernels`` and ``compressed_shifts`` take a stack of N products, zeros
-(N, n) and front constants (N,), with points (N, m).  ``clark_unitaries`` and
+``kernel_pairs`` (k_z and C k_z from one ``tmw_rows`` pass) and ``compressed_shifts`` take
+a stack of N products, zeros (N, n) and front constants (N,), with points (N, m).  ``clark_unitaries`` and
 ``level_sets`` take a ``product_stack``, which adds A_z, k_0 (x) C k_0 and B(0), built
 once.  The scalar functions run on the stack of one built at construction, ``BlaschkeProduct.stack``.
 """
@@ -51,6 +51,7 @@ __all__ = [
     "conjugation_matrix",
     "conjugate_kernel_coords",
     "conjugate_kernels",
+    "kernel_pairs",
     "compressed_shift",
     "compressed_shifts",
     "clark_unitary",
@@ -97,8 +98,8 @@ class BlaschkeProduct(Checked, namedtuple("BlaschkeProduct", "zeros front_consta
         Unimodular multiplier in front of the product (default 1).
 
     ``stack`` is the product as a read-only ``ProductStack`` of one for the
-    array-first functions, its pieces built here once.  It is an attribute,
-    not a field: equality and hashing stay on (zeros, front_constant).
+    array-first functions, its pieces built here once.  It is a read-only
+    property, not a field: equality and hashing stay on (zeros, front_constant).
     """
 
     def __new__(cls, zeros, front_constant=1.0 + 0.0j):
@@ -107,10 +108,15 @@ class BlaschkeProduct(Checked, namedtuple("BlaschkeProduct", "zeros front_consta
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
         b = cls._make((zeros, c))
-        b.stack = product_stack(np.array([zeros]), np.array([c]))
+        vars(b)["stack"] = product_stack(np.array([zeros]), np.array([c]))
         for piece in b.stack:
             piece.setflags(write=False)
         return b
+
+    def __reduce__(self):  # copies and pickles of any protocol build their stack in __new__
+        return type(self), tuple(self)
+
+    stack = property(lambda self: vars(self)["stack"], doc="The read-only ProductStack of one.")
 
     @property
     def order(self) -> int:
@@ -129,14 +135,17 @@ def products_at(w, c, z) -> np.ndarray:
     One guard per call: a point with |1 - conj(w_k) z| < POLE_TOL for any
     row and zero raises ``PoleEvaluationError`` naming that zero.
     """
+    return _products_over(w, c, z)[0]
+
+
+def _products_over(w, c, z):
+    """(``products_at``, its denominators 1 - conj(w_k) z of shape (N, n, m)), one guard."""
     den = 1.0 - np.conj(w)[:, :, None] * z[:, None, :]
     near = np.abs(den) < POLE_TOL
     if near.any():
         row, k, _ = np.argwhere(near)[0]
-        raise PoleEvaluationError(
-            "evaluation point too close to the pole 1/conj(%r)" % complex(w[row, k])
-        )
-    return c[:, None] * np.multiply.reduce((z[:, None, :] - w[:, :, None]) / den, axis=1)
+        raise PoleEvaluationError("evaluation point too close to the pole 1/conj(%r)" % complex(w[row, k]))
+    return c[:, None] * np.multiply.reduce((z[:, None, :] - w[:, :, None]) / den, axis=1), den
 
 
 def polynomial_pair(b: BlaschkeProduct):
@@ -214,12 +223,19 @@ def conjugate_kernel_coords(b: BlaschkeProduct, lam) -> np.ndarray:
 
 
 def conjugate_kernels(w, c, z) -> np.ndarray:
-    """``conjugate_kernel_coords`` for zeros w (N, n), constants c (N,) at points z (N, m): (N, n, m).
+    """``conjugate_kernel_coords`` for zeros w (N, n), constants c (N,) at points z (N, m): (N, n, m)."""
+    return kernel_pairs(w, c, z)[1]
+
+
+def kernel_pairs(w, c, z):
+    """(e(z), coordinates of C k_z) for zeros w (N, n), constants c (N,) at points z (N, m): (N, n, m) each.
 
     C is antiunitary, so <C k_z, e_j> = <C e_j, k_z> = (C e_j)(z) = c e~_{n-1-j}(z):
     C k_z has coordinates c e~(z) reversed, e~ the TMW basis of the reversed zeros.
+    One ``tmw_rows`` pass over the zeros stacked on the reversed zeros gives both.
     """
-    return c[:, None, None] * tmw_rows(w[:, ::-1], z)[:, ::-1]
+    values = tmw_rows(np.concatenate([w, w[:, ::-1]]), np.concatenate([z, z]))
+    return values[: len(w)], c[:, None, None] * values[len(w) :, ::-1]
 
 
 def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
@@ -267,9 +283,9 @@ def level_set(b: BlaschkeProduct, omega):
     They are the eigenvalues of ``clark_unitary``, a normal matrix, so each is
     accurate to round-off in position.  |B'| multiplies that error in the
     residual, so one Newton step on the boundary argument of B, which is
-    evaluated to full relative precision, follows.  The points must satisfy
-    |B(eta) - omega| below ``ROOT_TOL`` and be pairwise separated by more
-    than ``DISTINCT_TOL``.
+    evaluated to full relative precision, follows; B and |B'| share one
+    denominator.  The points must satisfy |B(eta) - omega| below ``ROOT_TOL``
+    and be pairwise separated by more than ``DISTINCT_TOL``.
     """
     omega = unimodular(complex(omega), "level-set target")
     etas, failures = level_sets(b.stack, np.array([omega]))
@@ -287,7 +303,8 @@ def level_sets(s: ProductStack, omega):
     """
     phi = np.angle(np.linalg.eigvals(clark_unitaries(s, omega)))
     eta = np.exp(1j * phi)
-    phi = phi - np.angle(products_at(*s[:2], eta) * np.conj(omega)[:, None]) / kernel_norms_sq(s.zeros, eta)
+    values, den = _products_over(*s[:2], eta)
+    phi = phi - np.angle(values * np.conj(omega)[:, None]) / _norms_sq(s.zeros, den)
     eta = np.exp(1j * phi)
     residual = np.abs(products_at(*s[:2], eta) - omega[:, None])
     gaps = np.abs(eta[:, :, None] - eta[:, None, :])
@@ -350,5 +367,9 @@ def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta):
 
 def kernel_norms_sq(w, zeta) -> np.ndarray:
     """``boundary_kernel_norm_sq`` for zeros w (N, n) at circle points zeta (N, m), unchecked."""
-    den = 1.0 - np.conj(w)[:, :, None] * zeta[:, None, :]
+    return _norms_sq(w, 1.0 - np.conj(w)[:, :, None] * zeta[:, None, :])
+
+
+def _norms_sq(w, den) -> np.ndarray:
+    """``kernel_norms_sq`` from the denominators den = 1 - conj(w_k) zeta, shape (N, n, m)."""
     return np.add.reduce((1.0 - np.abs(w) ** 2)[:, :, None] / np.abs(den) ** 2, axis=1)

@@ -21,7 +21,7 @@ the compressed shift A_z plus a rank-one term from the kernel coordinates.
 
 The construction is array-first: ``clark_rows`` runs the whole chain -- the
 target, Clark's unitary, the level set, the phases and norms, the coordinates
-and the Gram and conjugation residuals, with no J (``blaschke.conjugate_kernels``)
+and the Gram and conjugation residuals, with no J (``blaschke.kernel_pairs``)
 -- over a leading axis of N draws, and ``clark_target`` and
 ``modified_clark_basis`` are its batch of 1.
 """
@@ -33,18 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blaschke import (
-    BlaschkeProduct,
-    circle_angle,
-    compressed_shift,
-    conjugate_kernel_coords,
-    conjugate_kernels,
-    kernel_norms_sq,
-    level_sets,
-    products_at,
-    tmw_rows,
-    tmw_values,
-)
+from .blaschke import (BlaschkeProduct, circle_angle, compressed_shift, kernel_norms_sq, kernel_pairs,
+                       level_sets, products_at)
 from .config import BASIS_TOL, TARGET_FLOOR, Checked, Indeterminate, number, open_disc, unimodular
 from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
@@ -202,8 +192,8 @@ def clark_rows(s, t, alpha) -> ClarkRows:
     Per row, in this order, the checks are: the target (``ClarkTargetError``),
     the level set's residual and separation (``LevelSetError``), and the Gram
     and conjugation residuals of the basis against BASIS_TOL (``BasisError``);
-    a row's failure is the first check it missed.  No J is built: element i is
-    b_i k_{eta_i}, so its conjugate is conj(b_i) C k_{eta_i} (``conjugate_kernels``).
+    a row's failure is the first check it missed.  No J is built: element i is b_i k_{eta_i},
+    so its conjugate is conj(b_i) C k_{eta_i}; one TMW pass gives both (``kernel_pairs``).
     A point that hits a pole raises ``PoleEvaluationError`` for the whole call.
     """
     if s.zeros.shape[1] != 3:
@@ -214,8 +204,9 @@ def clark_rows(s, t, alpha) -> ClarkRows:
     phases = np.exp(0.5j * (angles[:, :3] + angles[:, 3:]))
     norms = np.sqrt(kernel_norms_sq(s.zeros, etas))
     coef = (phases / norms)[:, None, :]
-    coords = np.conj(tmw_rows(s.zeros, etas)) * coef
-    gram, conj = basis_residuals(coords, np.conj(coef) * conjugate_kernels(*s[:2], etas))
+    values, conj_kernels = kernel_pairs(*s[:2], etas)
+    coords = np.conj(values) * coef
+    gram, conj = basis_residuals(coords, np.conj(coef) * conj_kernels)
     basis_failures = {row: gram_error(gram[row]) for row in (~(gram < BASIS_TOL)).nonzero()[0]}
     for row in (~(conj < BASIS_TOL)).nonzero()[0]:
         basis_failures.setdefault(row, BasisError(
@@ -264,7 +255,8 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     eye = np.eye(len(z))
     mobius = np.linalg.solve(eye - np.conj(t) * z, z - t * eye)
     kernel_norm_sq = (1.0 - abs(bt) ** 2) / (1.0 - abs(t) ** 2)
-    rank_one = np.outer(np.conj(tmw_values(b, t)), np.conj(conjugate_kernel_coords(b, t)))
+    kernel, conj_kernel = kernel_pairs(*b.stack[:2], np.array([[t]]))
+    rank_one = np.outer(np.conj(kernel), np.conj(conj_kernel))
     x = basis.coords
     u = np.conj(x.T) @ (mobius + (alpha + bt) / kernel_norm_sq * rank_one) @ x
 

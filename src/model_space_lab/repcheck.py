@@ -11,7 +11,8 @@ basis:
 
 ``build_columns`` is the library's one implementation of the generator span
 and its rank test, which refuses a near-degenerate point configuration as
-indeterminate: the determinant test and ``tto.random_tto`` both draw on it.
+indeterminate: ``tto.random_tto`` draws on it, and the determinant test also
+reads its certificate from the SVD of that rank test.
 ``PointConfig`` is the one place where generator points are validated.
 
 The module also packages the family of normal matrices that always fail the
@@ -183,27 +184,28 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     set of the 5-dimensional space of truncated Toeplitz operators at order 3
     (Cima-Ross-Wogen).  Row order is (1,1),(2,2),(3,3),(1,2),(1,3),(2,3).  For
     a boundary point t the row (a,b) holds v_a(t)*conj(v_b(t)); for an
-    interior point lam it holds conj(v_a(lam)*v_b(lam)).  Both expressions
-    are symmetric in (a,b) exactly when the basis is conjugation-fixed, so a
-    basis whose recorded conjugation residual exceeds BASIS_TOL is refused
-    with ValueError, and columns whose fifth singular value is below SV_FLOOR
-    (points too close to degenerate to span) with IndeterminateError.
+    interior point lam it holds conj(v_a(lam))*conj(v_b(lam)).  Both are
+    symmetric in (a,b) exactly when the basis is conjugation-fixed, so a basis
+    whose recorded conjugation residual exceeds BASIS_TOL is refused with
+    ValueError, and columns whose fifth singular value is below SV_FLOOR (points
+    too close to degenerate to span) with IndeterminateError.  That rank test
+    takes the full SVD, which ``detthm_test`` reads its certificate from.
     """
+    return _span(basis, pc)[0]
+
+
+def _span(basis: OrthonormalBasis, pc: PointConfig):
+    """(columns, u, sv, vh): ``build_columns`` and the full SVD its rank test took."""
     if not basis.conj_residual <= BASIS_TOL:
-        raise ValueError(
-            f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
-            "the determinant test is only valid for conjugation-fixed bases"
-        )
+        raise ValueError(f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
+                         "the determinant test is only valid for conjugation-fixed bases")
     vals = basis(np.array(pc.boundary + pc.interior))  # (3 elements, 5 points)
-    va, vb = vals[_ROWS_A], vals[_ROWS_B]
-    cols = np.hstack([va[:, :3] * np.conj(vb[:, :3]), np.conj(va[:, 3:] * vb[:, 3:])])
-    sv = np.linalg.svd(cols, compute_uv=False)
+    cols = np.concatenate([vals[:, :3], np.conj(vals[:, 3:])], axis=1)[_ROWS_A] * np.conj(vals[_ROWS_B])
+    u, sv, vh = np.linalg.svd(cols)
     if sv[4] < SV_FLOOR:
-        raise IndeterminateError(
-            f"fifth singular value {sv[4]:.3e} below floor {SV_FLOOR:.1e}; "
-            "choose better-separated points"
-        )
-    return cols
+        raise IndeterminateError(f"fifth singular value {sv[4]:.3e} below floor {SV_FLOOR:.1e}; "
+                                 "choose better-separated points")
+    return cols, u, sv, vh
 
 
 # Off-diagonal rows count twice in the Frobenius norm of a symmetric matrix.
@@ -218,26 +220,29 @@ def detthm_test(
     Forms the 6x6 matrix [c1..c5, S] and declares the input representable when
     |det| <= tol * (product of all six column norms), which makes the verdict
     invariant under rescaling of S; the zero matrix passes (both sides vanish).
-    Independently solves the least-squares problem for a coefficient certificate,
-    whose residual is the Frobenius distance of the reconstruction from the input.
+    The certificate, read from the SVD of the rank test, is the Frobenius-weighted
+    projection of S on the span, the kernel of u6^H (u6 the sixth left singular
+    vector): with weights w, fit = S - (u6^H S) / ||u6/w||^2 * u6/w^2, residual =
+    |u6^H S| / ||u6/w||, the weighted distance of fit from S, and mu = V diag(1/sv) U5^H fit.
     Both run on ``s.normalized()``; one ``_ldexp`` scales all the numbers back.
 
     IndeterminateError from ``build_columns`` when the span is degenerate;
     ValueError for a non-finite S or a bad ``tol``.
     """
     tol = rep_tol(tol)
-    cols = build_columns(basis, pc)
+    cols, u, sv, vh = _span(basis, pc)
     unit, e = s.normalized()
-    square = np.column_stack([cols, unit.vector])
+    v = unit.vector
+    square = np.column_stack([cols, v])
     det_value = complex(np.linalg.det(square))
     norm_product = float(np.prod(np.linalg.norm(square, axis=0)))
     is_rep = abs(det_value) <= tol * norm_product
 
-    w = _FROBENIUS_WEIGHTS
-    mu, *_ = np.linalg.lstsq(cols * w[:, None], unit.vector * w, rcond=None)
-    fit = cols @ mu
-    residual = np.linalg.norm(w * (fit - unit.vector))
-    back = _ldexp(np.concatenate([mu, fit, [residual, det_value]]), e).tolist()
+    normal = u[:, 5] / _FROBENIUS_WEIGHTS  # the span's normal in the weighted norm
+    along, norm_sq = np.vdot(u[:, 5], v), np.vdot(normal, normal).real
+    fit = v - along / norm_sq * normal / _FROBENIUS_WEIGHTS
+    mu = np.conj(vh.T) @ (np.conj(u[:, :5].T) @ fit / sv)
+    back = _ldexp(np.concatenate([mu, fit, [abs(along) / math.sqrt(norm_sq), det_value]]), e).tolist()
     cert = Certificate(tuple(back[:5]), back[11].real, Sym3._make(back[5:11]))
     return DetThmResult(is_rep, cert, back[12])
 

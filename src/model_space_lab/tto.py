@@ -84,11 +84,13 @@ def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points
     """Seeded random element of the operator space: (mu, sum_i mu_i G_i) as a Sym3.
 
     The generators G_i are the columns of ``build_columns`` at ``points``
-    (boundary, interior), by default ``default_points(b)``.  The five
-    coefficients are standard complex Gaussians drawn from
-    ``numpy.random.default_rng(seed)``, seed an integer >= 0 (ValueError), so
-    the draw is deterministic given the seed and independent of the basis.
+    (boundary, interior), by default ``default_points(b)``, for a basis of b's
+    model space (else ValueError).  The five coefficients are standard complex
+    Gaussians drawn from ``numpy.random.default_rng(seed)``, seed an integer >= 0
+    (ValueError), so the draw is deterministic given the seed and independent of the basis.
     """
+    if basis.theta != b:
+        raise ValueError("basis lives in a different model space")
     pc = default_points(b) if points is None else PointConfig(*points)
     cols = build_columns(basis, pc)
     rng = np.random.default_rng(integer(seed, 0, "seed"))

@@ -771,12 +771,8 @@ def test_verify_sequence_builds_no_pieces(piece_builds):
     assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
 
 
-def test_verify_sequence_scales_back_once_per_result(monkeypatch):
-    # The verify-warm sequence: each decision normalizes S with one ldexp and
-    # scales its stacked numbers back with one more, so 2 per test of one S.
-    calls = []
-    ldexp = repcheck._ldexp
-    monkeypatch.setattr(repcheck, "_ldexp", lambda x, e: calls.append(e) or ldexp(x, e))
+def _verify_sequence():
+    """The verify-warm sequence on one problem: Clark basis, Clark unitary, shift, both tests."""
     b = BlaschkeProduct((0.5, 0.0, -0.5), 1j)
     params = ClarkParams(0.1 + 0.2j, 1.0)
     cb = modified_clark_basis(b, params)
@@ -788,7 +784,39 @@ def test_verify_sequence_scales_back_once_per_result(monkeypatch):
     for s, expected in ((accept, True), (Sym3(1, 2, 3, 4, 5, 6j), False)):
         assert detthm_test(s, cb.basis, pc).is_rep is expected
         assert clark_s6_test(s, cb).is_rep is expected
+
+
+def test_verify_sequence_scales_back_once_per_result(monkeypatch):
+    # The verify-warm sequence: each decision normalizes S with one ldexp and
+    # scales its stacked numbers back with one more, so 2 per test of one S.
+    calls = []
+    ldexp = repcheck._ldexp
+    monkeypatch.setattr(repcheck, "_ldexp", lambda x, e: calls.append(e) or ldexp(x, e))
+    _verify_sequence()
     assert len(calls) == 8
+
+
+def test_verify_sequence_factors_once_per_decision(monkeypatch):
+    # One SVD per set of generator columns (random_tto and each detthm_test),
+    # whose certificate comes from that SVD, not from a second factorization by
+    # lstsq; and one TMW pass per point set: the Clark basis at its level set,
+    # Clark's unitary at t, and the columns at the default points.
+    calls = {"tmw_rows": 0, "lstsq": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    tmw_rows = blaschke.tmw_rows
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("model_space_lab") and vars(module).get("tmw_rows") is tmw_rows:
+            monkeypatch.setattr(module, "tmw_rows", counted("tmw_rows", tmw_rows))
+    for name in ("lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    _verify_sequence()
+    assert calls == {"tmw_rows": 5, "lstsq": 0, "svd": 3}
 
 
 def test_solve_scales_back_once(monkeypatch):

@@ -7,7 +7,9 @@ of ``config.py``, written nowhere else.
 """
 
 import ast
+import copy
 import importlib
+import pickle
 import pkgutil
 import re
 import tokenize
@@ -79,6 +81,16 @@ def _detthm(cb, s, **kw):
     return detthm_test(s, cb.basis, default_points(cb.theta), **kw)
 
 
+NAN_PARTS = {"real": complex(NAN, 0.5), "imag": complex(0.5, NAN), "both": complex(NAN, NAN)}
+
+
+def _nan_at(k, z):
+    """Sym3(1, 2j, 3, 0.5, 0.25j, 0.125) with entry k replaced by z."""
+    entries = [1, 2j, 3, 0.5, 0.25j, 0.125]
+    entries[k] = z
+    return Sym3(*entries)
+
+
 CASES = {
     "zero": lambda cb: BlaschkeProduct((NAN, 0.0, 0.0)),
     "constant": lambda cb: BlaschkeProduct((0.1, 0.0, 0.0), complex(1.0, NAN)),
@@ -95,6 +107,10 @@ CASES = {
     "detthm-inf-matrix": lambda cb: _detthm(cb, Sym3(INF, 0, 0, 0, 0, 0)),
     "s6-nan-matrix": lambda cb: clark_s6_test(Sym3(NAN, 0, 0, 0, 0, 0), cb),
     "s6-inf-matrix": lambda cb: clark_s6_test(Sym3(INF, 0, 0, 0, 0, 0), cb),
+    # NaN in any entry, as its real part, its imaginary part or both, beside finite entries
+    **{f"{name}-nan-{part}-s{k + 1}": (lambda cb, test=test, k=k, z=z: test(cb, _nan_at(k, z)))
+       for name, test in (("detthm", _detthm), ("s6", lambda cb, s: clark_s6_test(s, cb)))
+       for part, z in NAN_PARTS.items() for k in range(6)},
     "solve-nan-matrix": lambda cb: solve(Sym3(0, 0, 0, 0, 0, NAN), cb, SolverConfig(starts=2)),
     "solve-inf-matrix": lambda cb: solve(Sym3(0, 0, 0, 0, 0, INF), cb, SolverConfig(starts=2)),
     "spectral-shortcut-nan-matrix": lambda cb: spectral_shortcut(Sym3(NAN, 0, 0, 0, 0, 0)),
@@ -108,6 +124,7 @@ CASES = {
        for k, s in BAD_SEEDS.items()},
     **{f"random-tto-seed-{k}": (lambda cb, s=s: random_tto(cb.theta, cb.basis, seed=s))
        for k, s in BAD_SEEDS.items()},
+    "random-tto-other-space": lambda cb: random_tto(F1, cb.basis, 3),
     "symbol-frequency-float": lambda cb: Symbol(((1.5, 1.0),)),
     "symbol-frequency-bool": lambda cb: Symbol(((True, 1.0),)),
     # bases given by coordinates or by an orthogonal matrix
@@ -195,6 +212,21 @@ def test_replace_rebuilds_the_product_stack_and_elements_are_not_sequences():
     assert np.float64(2) * f == 2 * f == f + f
     with pytest.raises(TypeError):
         f * 2
+
+
+def test_product_stack_cannot_be_rebound_and_survives_copies():
+    # stack is a read-only property; a copy or a pickle of any protocol goes
+    # through __new__, so it carries the read-only stack of (zeros, front_constant).
+    b = BlaschkeProduct((0.5, 0.0, -0.5), 1j)
+    with pytest.raises(AttributeError):
+        b.stack = None
+    copies = [copy.copy(b), copy.deepcopy(b)]
+    copies += [pickle.loads(pickle.dumps(b, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert c == b and c.stack is not b.stack
+        for piece, original in zip(c.stack, b.stack):
+            assert not piece.flags.writeable
+            np.testing.assert_array_equal(piece, original)
 
 
 def test_records_are_named_tuples_not_dataclasses():

@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -506,6 +507,65 @@ def test_span_normal_is_the_clark_relation():
     # as test_f2_adjudicates_between_variants finds by verdict.
     assert _span_normal_cosines("general").max() <= 1e-12
     assert _span_normal_cosines("paper").max() > 1e-3
+
+
+_WEIGHTS = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
+
+
+def _lstsq_certificate(cols, s):
+    """[mu, reconstruction, residual] of S by the Frobenius-weighted ``np.linalg.lstsq``.
+
+    An independent reference for the certificate that ``detthm_test`` reads from
+    the SVD: the fit runs on S times an exact power of two with parts below 1,
+    and every number is scaled back by the same power (inf where it overflows).
+    """
+    v = s.vector
+    e = math.frexp(float(np.abs(v.view(float)).max()))[1]
+    unit = np.ldexp(v.view(float), -e).view(complex)
+    mu = np.linalg.lstsq(cols * _WEIGHTS[:, None], unit * _WEIGHTS, rcond=None)[0]
+    fit = cols @ mu
+    residual = np.linalg.norm(_WEIGHTS * (fit - unit)) + 0j
+    with np.errstate(over="ignore"):
+        return [np.ldexp(x.view(float), e).view(complex) for x in (mu, fit, np.array([residual]))]
+
+
+def _agree(got, ref, size):
+    """Each real and imaginary part of got equals ref's within 1e-12 * size, or one
+    rounding at the subnormal floor; inf where ref overflowed."""
+    got, ref = (np.asarray(x, dtype=complex).view(float) for x in (got, ref))
+    assert np.array_equal(got[np.isinf(ref)], ref[np.isinf(ref)]) and np.isfinite(got[np.isfinite(ref)]).all()
+    finite = np.isfinite(ref)
+    assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12 * size + 2.0**-1074)
+
+
+@pytest.mark.parametrize("e", [0, 1020, -1000, -1070])
+def test_certificate_matches_weighted_lstsq(e):
+    # The certificate is the Frobenius-weighted projection on the span, read from
+    # the SVD of the rank test; the weighted lstsq computes the same projection
+    # independently.  Accepted (a random TTO) and rejected (random) matrices with
+    # parts below 1, times 2**e: mu within 1e-12 of its size, the reconstruction and the residual
+    # within 1e-12 of the size of S.  At 2**-1070 scaling rounds S itself, so the
+    # verdict is compared with that of the rounded S brought back to unit size,
+    # which at the exact scales is the verdict of S.
+    rows = sampling.clark_draws(np.random.default_rng(13), 40)
+    rng = np.random.default_rng(17)
+    for i in range(40):
+        b = BlaschkeProduct(tuple(rows.zeros[i]), rows.constants[i])
+        cb = rows.basis(i, b, ClarkParams(rows.t[i], rows.alpha[i]))
+        pc = default_points(b)
+        cols = build_columns(cb.basis, pc)
+        accepted = random_tto(b, cb.basis, seed=100 + i, points=(pc.boundary, pc.interior))[1]
+        for s, expected in ((accepted, True), (random_sym3(rng), False)):
+            scaled = s.normalized()[0].scaled(e)  # parts below 2**e, so no entry overflows
+            result = detthm_test(scaled, cb.basis, pc)
+            assert result.is_rep == detthm_test(scaled.scaled(-e), cb.basis, pc).is_rep
+            if e != -1070:
+                assert result.is_rep is expected
+            mu, fit, residual = _lstsq_certificate(cols, scaled)
+            size = np.abs(scaled.vector).max()
+            _agree(result.certificate.mu, mu, np.abs(mu.view(float)[np.isfinite(mu.view(float))]).max())
+            _agree(result.certificate.reconstructed.vector, fit, size)
+            _agree([result.certificate.residual], residual, size)
 
 
 # -- counterexample corollary -------------------------------------------------

@@ -34,6 +34,8 @@ def test_shift_symbol_on_monomials(f1):
 def test_basis_from_another_space_rejected(f2, f1_clark):
     with pytest.raises(ValueError, match="different model space"):
         tto_matrix_from_symbol(f2, Symbol.shift(), f1_clark.basis)
+    with pytest.raises(ValueError, match="different model space"):
+        random_tto(f2, f1_clark.basis, seed=3)
 
 
 def test_f1_golden_shift_matrix(f1, f1_clark):
