@@ -13,8 +13,6 @@ from .blaschke import (
     BlaschkeProduct,
     LevelSetError,
     PoleEvaluationError,
-    boundary_kernel_norm_sq,
-    cubic_coefficients,
     level_set,
     polynomial_pair,
 )
@@ -23,7 +21,6 @@ from .clark import (
     ClarkParams,
     ClarkTargetError,
     clark_operator_matrix,
-    clark_target,
     half_arg_root,
     modified_clark_basis,
 )
@@ -32,12 +29,10 @@ from .modelspace import (
     BasisError,
     KThetaElement,
     OrthonormalBasis,
-    conjugate,
     conjugation_residual,
     gram_matrix,
     inner_product,
     kernel_element,
-    reference_onb,
 )
 from .repcheck import (
     Certificate,
@@ -61,7 +56,6 @@ from .so3solver import (
     SolverConfig,
     conjugate_representation,
     creal_basis_from_orthogonal,
-    residuals,
     solve,
     spectral_shortcut,
 )

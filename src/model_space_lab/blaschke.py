@@ -29,8 +29,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .config import (ANGLE_SNAP, DISTINCT_TOL, POLE_TOL, ROOT_TOL, UNIMODULAR_TOL, Checked,
-                     Indeterminate, number, on_circle, open_disc, unimodular)
+from .config import (ANGLE_SNAP, DISTINCT_TOL, POLE_TOL, ROOT_TOL, Checked, Indeterminate, number,
+                     open_disc, sequence, unimodular)
 
 __all__ = [
     "BlaschkeProduct",
@@ -40,8 +40,6 @@ __all__ = [
     "LevelSetError",
     "level_set",
     "level_sets",
-    "cubic_coefficients",
-    "boundary_kernel_norm_sq",
     "kernel_norms_sq",
     "polynomial_pair",
     "circle_angle",
@@ -49,12 +47,9 @@ __all__ = [
     "tmw_values",
     "tmw_rows",
     "conjugation_matrix",
-    "conjugate_kernel_coords",
-    "conjugate_kernels",
     "kernel_pairs",
     "compressed_shift",
     "compressed_shifts",
-    "clark_unitary",
     "clark_unitaries",
 ]
 
@@ -103,7 +98,7 @@ class BlaschkeProduct(Checked, namedtuple("BlaschkeProduct", "zeros front_consta
     """
 
     def __new__(cls, zeros, front_constant=1.0 + 0.0j):
-        zeros = tuple(open_disc(number(w, "zero"), "zero") for w in zeros)
+        zeros = tuple(open_disc(number(w, "zero"), "zero") for w in sequence(zeros, "zeros"))
         c = unimodular(number(front_constant, "front constant"), "front constant")
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
@@ -198,7 +193,7 @@ def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
     the zeros a, c at positions p, p+1 mixes e_p, e_{p+1} by the unitary
     G = [[d, a - c], [conj(c - a), d]] / (1 - conj(c) a), d = sqrt((1-|a|^2)(1-|c|^2)).
     Equal zeros need no swap, so J is exact for B = c z^n.  Kernels need no J
-    (``conjugate_kernels``): J checks only a basis of arbitrary coordinates.
+    (``kernel_pairs``): J checks only a basis of arbitrary coordinates.
     """
     zeros, n = list(b.zeros), b.order
     rows = np.eye(n, dtype=complex).tolist()  # M, updated in scalar arithmetic
@@ -214,17 +209,6 @@ def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
                     row[p], row[p + 1] = x * g00 + y * g10, x * g01 + y * g00
                 zeros[p : p + 2] = c, a
     return np.array([[b.front_constant * x for x in reversed(row)] for row in rows])
-
-
-def conjugate_kernel_coords(b: BlaschkeProduct, lam) -> np.ndarray:
-    """Coordinates J e(lam) of C k_lam, shape ``(n,) + np.shape(lam)`` for a point or 1-D lam."""
-    lam = np.asarray(lam, dtype=complex)
-    return conjugate_kernels(*b.stack[:2], lam.reshape(1, -1))[0].reshape((b.order,) + lam.shape)
-
-
-def conjugate_kernels(w, c, z) -> np.ndarray:
-    """``conjugate_kernel_coords`` for zeros w (N, n), constants c (N,) at points z (N, m): (N, n, m)."""
-    return kernel_pairs(w, c, z)[1]
 
 
 def kernel_pairs(w, c, z):
@@ -263,31 +247,26 @@ def compressed_shifts(w) -> np.ndarray:
     return z
 
 
-def clark_unitary(b: BlaschkeProduct, omega) -> np.ndarray:
-    """Clark's unitary A_z + k_0 (x) C k_0 / conj(omega - B(0)) in TMW coordinates.
-
-    Its eigenvalues are exactly the circle points where B equals omega, and
-    its eigenvectors are the kernels there (Clark, 1972).
-    """
-    return clark_unitaries(b.stack, np.array([complex(omega)]))[0]
-
-
 def clark_unitaries(s: ProductStack, omega) -> np.ndarray:
-    """``clark_unitary`` for the products of a stack and targets omega (N,)."""
+    """Clark's unitary A_z + k_0 (x) C k_0 / conj(omega - B(0)) for a stack and targets omega (N,).
+
+    Its eigenvalues are exactly the circle points where B equals omega, and its
+    eigenvectors are the kernels there (Clark, 1972).
+    """
     return s.shift + s.rank_one / np.conj(omega - s.b0)[:, None, None]
 
 
 def level_set(b: BlaschkeProduct, omega):
     """All circle solutions of B(eta) = omega, sorted by ``circle_angle``.
 
-    They are the eigenvalues of ``clark_unitary``, a normal matrix, so each is
+    They are the eigenvalues of ``clark_unitaries``, a normal matrix, so each is
     accurate to round-off in position.  |B'| multiplies that error in the
     residual, so one Newton step on the boundary argument of B, which is
     evaluated to full relative precision, follows; B and |B'| share one
     denominator.  The points must satisfy |B(eta) - omega| below ``ROOT_TOL``
     and be pairwise separated by more than ``DISTINCT_TOL``.
     """
-    omega = unimodular(complex(omega), "level-set target")
+    omega = unimodular(number(omega, "level-set target"), "level-set target")
     etas, failures = level_sets(b.stack, np.array([omega]))
     if failures:
         raise failures[0]
@@ -326,47 +305,11 @@ def _level_set_error(residual, eta) -> LevelSetError:
     )
 
 
-def cubic_coefficients(b: BlaschkeProduct):
-    """Coefficients (K0, K1, K2, K3) of the cleared equation B(z) = 1 at order 3.
-
-    For an order-3 product with front constant 1 and zeros w1, w2, w3 the
-    level-set equation clears to
-
-        K3 z^3 - K2 z^2 + K1 z - K0 = 0
-
-    with K3 = 1 + conj(w1 w2 w3), K2 = w1+w2+w3 + conj(w1 w2 + w1 w3 + w2 w3),
-    K1 = w1 w2 + w1 w3 + w2 w3 + conj(w1+w2+w3), K0 = w1 w2 w3 + 1.
-    """
-    if b.order != 3:
-        raise ValueError("cubic coefficients are defined for order 3 only")
-    if not abs(b.front_constant - 1.0) <= UNIMODULAR_TOL:
-        raise ValueError("cubic coefficients assume front constant 1")
-    w1, w2, w3 = b.zeros
-    e1 = w1 + w2 + w3
-    e2 = w1 * w2 + w1 * w3 + w2 * w3
-    e3 = w1 * w2 * w3
-    k3 = 1.0 + np.conj(e3)
-    k2 = e1 + np.conj(e2)
-    k1 = e2 + np.conj(e1)
-    k0 = e3 + 1.0
-    return complex(k0), complex(k1), complex(k2), complex(k3)
-
-
-def boundary_kernel_norm_sq(b: BlaschkeProduct, zeta):
-    """Squared norm of the reproducing kernel at circle points (scalar or array).
-
-    The limit of (1 - conj(B(zeta)) B(z)) / (1 - conj(zeta) z) as z -> zeta
-    equals |B'(zeta)|, the angular speed of B on the circle, which for a
-    finite Blaschke product is the manifestly positive sum of
-    (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2.
-    """
-    zeta = on_circle(np.asarray(zeta, dtype=complex), "boundary kernel point")
-    speed = kernel_norms_sq(b.stack.zeros, zeta.reshape(1, -1))[0].reshape(zeta.shape)
-    return speed if speed.shape else float(speed)
-
-
 def kernel_norms_sq(w, zeta) -> np.ndarray:
-    """``boundary_kernel_norm_sq`` for zeros w (N, n) at circle points zeta (N, m), unchecked."""
+    """||k_zeta||^2 = |B'(zeta)| for zeros w (N, n) at circle points zeta (N, m), unchecked: (N, m).
+
+    |B'| is the angular speed of B on the circle: sum (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2 > 0.
+    """
     return _norms_sq(w, 1.0 - np.conj(w)[:, :, None] * zeta[:, None, :])
 
 

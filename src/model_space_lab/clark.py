@@ -22,8 +22,7 @@ the compressed shift A_z plus a rank-one term from the kernel coordinates.
 The construction is array-first: ``clark_rows`` runs the whole chain -- the
 target, Clark's unitary, the level set, the phases and norms, the coordinates
 and the Gram and conjugation residuals, with no J (``blaschke.kernel_pairs``)
--- over a leading axis of N draws, and ``clark_target`` and
-``modified_clark_basis`` are its batch of 1.
+-- over a leading axis of N draws, and ``modified_clark_basis`` is its batch of 1.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "ClarkRows",
     "ClarkTargetError",
     "half_arg_root",
-    "clark_target",
     "clark_targets",
     "clark_rows",
     "modified_clark_basis",
@@ -80,20 +78,10 @@ def half_arg_root(w):
     return root if np.ndim(root) else complex(root)
 
 
-def clark_target(b: BlaschkeProduct, params: ClarkParams) -> complex:
-    """Unimodular level-set target omega = (alpha + B(t)) / (1 + conj(B(t)) alpha).
+def clark_targets(zeros, constants, t, alpha):
+    """Targets omega = (alpha + B(t)) / (1 + conj(B(t)) alpha) for zeros (N, n), constants, t, alpha (N,).
 
     |omega| = 1 exactly (a Moebius map of the circle); the eps/|den| round-off is divided out.
-    """
-    omega, failures = clark_targets(*b.stack[:2], np.array([params.t]), np.array([params.alpha]))
-    if failures:
-        raise failures[0]
-    return complex(omega[0])
-
-
-def clark_targets(zeros, constants, t, alpha):
-    """``clark_target`` for zeros (N, n), constants, t and alpha (N,).
-
     Returns (omega, failures): the targets, shape (N,), and a dict mapping
     each row whose denominator is below TARGET_FLOOR in modulus to its
     ``ClarkTargetError``; such a row's omega is a placeholder 1.

@@ -30,7 +30,7 @@ BASIS_TOL = 1e-8        # Gram / conjugation-fixedness residuals
 REP_TOL = 1e-8          # default representability verdict threshold
 SV_FLOOR = 1e-10        # absolute floor before "indeterminate"
 POLE_TOL = 1e-14        # evaluation this close to a pole is an error
-UNIMODULAR_TOL = 1e-12  # ||z| - 1| of a unimodular input; |c - 1| of a constant that must be 1
+UNIMODULAR_TOL = 1e-12  # ||z| - 1| of a unimodular input
 CIRCLE_TOL = 1e-10      # ||z| - 1| of an input point on the circle
 DISC_SLACK = 1e-12      # |z| - 1 allowed for an input point of the closed disc
 ORTH_TOL = 1e-10        # ||U U^T - I||_F and ||det U| - 1| of an input orthogonal U
@@ -107,6 +107,11 @@ def finite(x, name: str):
         ok = isinstance(x, numbers.Number) and not isinstance(x, bool)
         ok = ok and abs(x.real) <= _FLOAT_MAX and abs(x.imag) <= _FLOAT_MAX
     return x if ok else _refuse(x, name, "finite")
+
+
+def sequence(x, name: str):
+    """x if it is iterable, so a number where a sequence belongs is invalid input, not a TypeError."""
+    return x if np.iterable(x) else _refuse(x, name, "a sequence")
 
 
 def integer(n, low: float, name: str) -> int:

@@ -11,7 +11,7 @@ players have closed-form coordinates: the reproducing kernel
 has coordinates conj(e(lam)), and the canonical conjugation
 C f = B conj(z f) (on the circle) maps coordinates x to J conj(x), with J
 the closed-form ``blaschke.conjugation_matrix``; a kernel needs no J
-(``blaschke.conjugate_kernels``), so ``basis_residuals`` takes C's output.
+(``blaschke.kernel_pairs``), so ``basis_residuals`` takes C's output.
 Both records here are checked named tuples (``config.Checked``), and a basis
 holds its two residuals as fields, computed once when it is built.
 
@@ -22,9 +22,8 @@ holds its two residuals as fields, computed once when it is built.
 over the fixed denominator, stored by its numerator; in that view the
 conjugation is "conjugate and reverse" times the front constant.  The
 functions that take elements (``coordinates``, ``inner_product``,
-``gram_matrix``, ``kernel_element``, ``OrthonormalBasis.from_elements`` and
-``OrthonormalBasis.elements``) bridge the two views through the matrix T of
-the TMW numerators; nothing else goes through T.
+``gram_matrix`` and ``kernel_element``) bridge the two views through the
+matrix T of the TMW numerators; nothing else goes through T.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from .blaschke import BlaschkeProduct, conjugation_matrix, polynomial_pair, tmw_values
-from .config import BASIS_TOL, Checked, Indeterminate, closed_disc, finite
+from .config import BASIS_TOL, Checked, Indeterminate, closed_disc, finite, sequence
 
 __all__ = [
     "KThetaElement",
@@ -42,8 +41,6 @@ __all__ = [
     "BasisError",
     "inner_product",
     "kernel_element",
-    "conjugate",
-    "reference_onb",
     "gram_matrix",
     "conjugation_residual",
     "basis_residuals",
@@ -68,7 +65,7 @@ class KThetaElement(Checked, namedtuple("KThetaElement", "theta numerator")):
     __mul__ = None  # f * 2 is a TypeError, not a repeated tuple
 
     def __new__(cls, theta, numerator):
-        coeffs = tuple(complex(a) for a in numerator)
+        coeffs = tuple(complex(a) for a in sequence(numerator, "numerator"))
         if len(coeffs) != theta.order:
             raise ValueError(
                 "numerator needs %d coefficients, got %d"
@@ -137,19 +134,6 @@ def kernel_element(b: BlaschkeProduct, lam) -> KThetaElement:
     return KThetaElement(b, tuple(_tmw_numerators(b) @ np.conj(tmw_values(b, lam))))
 
 
-def conjugate(f: KThetaElement) -> KThetaElement:
-    """Canonical conjugation in coefficient form.
-
-    On the circle the conjugation acts as f -> B * conj(z f); over the common
-    denominator this reduces exactly to reversing the numerator coefficients,
-    conjugating them, and multiplying by the front constant.  It is antilinear,
-    isometric and involutive.
-    """
-    c = f.theta.front_constant
-    coeffs = tuple(c * np.conj(a) for a in reversed(f.numerator))
-    return KThetaElement(f.theta, coeffs)
-
-
 def gram_matrix(elements):
     """Matrix of pairwise inner products, entry (i, j) = <v_i, v_j>."""
     elements = tuple(elements)
@@ -187,33 +171,9 @@ class OrthonormalBasis(Checked, namedtuple("OrthonormalBasis", "theta coords gra
         x.setflags(write=False)
         return cls._make((theta, x, gram_residual, conj_residual))
 
-    @classmethod
-    def from_elements(cls, elements):
-        elements = tuple(elements)
-        theta = elements[0].theta
-        return cls(theta, coordinates(theta, elements))
-
-    @property
-    def elements(self) -> tuple:
-        numerators = _tmw_numerators(self.theta) @ self.coords
-        return tuple(KThetaElement(self.theta, tuple(col)) for col in numerators.T)
-
     def __call__(self, z) -> np.ndarray:
         """Values of every element at a point or 1-D array z, shape ``(len(elements),) + np.shape(z)``."""
         return self.coords.T @ tmw_values(self.theta, z)
-
-
-def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:
-    """Orthonormal basis from Gram-Schmidt on the monomial numerators.
-
-    The monomials have coordinates T^-1 (T the numerator matrix of the
-    orthonormal Takenaka-Malmquist-Walsh basis).  Gram-Schmidt on those
-    columns is their QR factorization with a positive diagonal in R, so the
-    phases of numpy's diagonal are divided out of Q.
-    """
-    q, r = np.linalg.qr(np.linalg.inv(_tmw_numerators(b)))
-    d = np.diag(r)
-    return OrthonormalBasis(b, q * (d / np.abs(d)))
 
 
 def conjugation_residual(basis: OrthonormalBasis) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from .blaschke import level_set
 from .clark import ClarkBasis, half_arg_root
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL, Checked,
-                     Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol)
+                     Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol, sequence)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
 
@@ -140,6 +140,7 @@ class PointConfig(Checked, namedtuple("PointConfig", "boundary interior")):
     __slots__ = ()
 
     def __new__(cls, boundary, interior):
+        boundary, interior = sequence(boundary, "boundary points"), sequence(interior, "interior points")
         boundary = tuple(on_circle(number(p, "boundary point"), "boundary point") for p in boundary)
         interior = tuple(open_disc(number(p, "interior point"), "interior point") for p in interior)
         if len(boundary) != 3 or len(interior) != 2:

@@ -1,4 +1,4 @@
-"""Seeded random draws of products, parameters, bases, and matrices.
+"""Seeded random Clark bases: a product, its parameters and the basis of each draw.
 
 Zeros lie in the disc of radius ``ZERO_RADIUS`` and Clark anchor points t in
 that of ``ANCHOR_RADIUS``, away from the circle so level sets stay well separated.
@@ -17,18 +17,13 @@ from .clark import ClarkBasis, ClarkParams, ClarkRows, ClarkTargetError, clark_r
 
 __all__ = [
     "CLARK_DRAW",
-    "random_unimodular",
-    "random_disc",
-    "random_blaschke",
-    "random_clark_params",
     "decode_clark_draws",
     "clark_draws",
     "random_clark_basis",
-    "random_special_orthogonal",
 ]
 
-# Uniforms per Clark-basis attempt: three zeros (radius, angle), the front
-# constant, t (radius, angle) and alpha, in the order the scalar draws take them.
+# Uniforms per Clark-basis attempt, in this order: three zeros (radius, angle),
+# the front constant, t (radius, angle) and alpha.
 CLARK_DRAW = 10
 RETRIES = 8  # consecutive failed attempts before the last error is raised
 ZERO_RADIUS = 0.85  # zeros of a random product
@@ -43,31 +38,12 @@ def _unimodular(angle):
     return np.exp(2j * np.pi * angle)
 
 
-def random_unimodular(rng) -> complex:
-    return complex(_unimodular(rng.random()))
-
-
-def random_disc(rng) -> complex:
-    """Area-uniform point in the disc of radius ZERO_RADIUS."""
-    return complex(_disc(rng.random(), rng.random(), ZERO_RADIUS))
-
-
-def random_blaschke(rng, unit_constant: bool = False) -> BlaschkeProduct:
-    zeros = [random_disc(rng) for _ in range(3)]
-    c = 1.0 if unit_constant else random_unimodular(rng)
-    return BlaschkeProduct(zeros=tuple(zeros), front_constant=c)
-
-
-def random_clark_params(rng) -> ClarkParams:
-    t = complex(_disc(rng.random(), rng.random(), ANCHOR_RADIUS))
-    return ClarkParams(t=t, alpha=random_unimodular(rng))
-
-
 def decode_clark_draws(u):
     """(zeros (N, 3), constants, t, alpha (N,)) from N rows of ``CLARK_DRAW`` uniforms.
 
-    A row decodes to the values ``random_blaschke(rng)`` and then
-    ``random_clark_params(rng)`` draw from the same ten uniforms.
+    Per row: zero k from uniforms 2k (area-uniform radius) and 2k+1 (angle) in the
+    disc of radius ZERO_RADIUS, the constant's angle from 6, t from 7 and 8 in the
+    disc of radius ANCHOR_RADIUS, and alpha's angle from 9.
     """
     return (
         _disc(u[:, 0:6:2], u[:, 1:6:2], ZERO_RADIUS),
@@ -113,12 +89,3 @@ def random_clark_basis(rng) -> ClarkBasis:
     rows = clark_draws(rng, 1)
     b = BlaschkeProduct(tuple(rows.zeros[0]), rows.constants[0])
     return rows.basis(0, b, ClarkParams(rows.t[0], rows.alpha[0]))
-
-
-def random_special_orthogonal(rng) -> np.ndarray:
-    """Haar-ish random rotation from a QR decomposition with positive diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, rep_tol
+from .config import ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, rep_tol, sequence
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -39,7 +39,6 @@ __all__ = [
     "SolveReport",
     "creal_basis_from_orthogonal",
     "conjugate_representation",
-    "residuals",
     "solve",
     "spectral_shortcut",
 ]
@@ -53,7 +52,7 @@ class OrthMatrix3(Checked, namedtuple("OrthMatrix3", "r")):
     __slots__ = ()
 
     def __new__(cls, r):
-        r = tuple(real(x, "OrthMatrix3 entry") for x in r) if np.iterable(r) else ()
+        r = tuple(real(x, "OrthMatrix3 entry") for x in sequence(r, "OrthMatrix3 entries"))
         if len(r) != 9:
             raise ValueError("need exactly 9 entries")
         m = np.array(r).reshape(3, 3)
@@ -143,14 +142,6 @@ def _relation(weight: np.ndarray, m: np.ndarray, u: np.ndarray):
     r = np.sum(weight * a)
     dr = np.sum(weight * (_GENERATORS @ a - a @ _GENERATORS), axis=(1, 2))
     return np.array([r.real, r.imag]), np.array([dr.real, dr.imag])
-
-
-def residuals(s: Sym3, u: OrthMatrix3, cb: ClarkBasis, variant: str = "general"):
-    """(orthogonality defect, relation defect) for a candidate conjugator."""
-    m = u.array
-    orth = float(np.linalg.norm(m @ m.T - np.eye(3)))
-    f, _ = _relation(relation_weight(cb, variant), s.array, m)
-    return orth, float(np.linalg.norm(f))
 
 
 def least_squares(fun, u0: np.ndarray):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import BlaschkeProduct, compressed_shift
-from .config import Checked, finite, integer
+from .config import Checked, finite, integer, sequence
 from .modelspace import OrthonormalBasis
 from .repcheck import PointConfig, Sym3, build_columns, default_points
 
@@ -38,7 +38,7 @@ class Symbol(Checked, namedtuple("Symbol", "coeffs")):
 
     def __new__(cls, coeffs):
         pairs = ((integer(k, -math.inf, "symbol frequency"), complex(finite(c, "symbol coefficient")))
-                 for k, c in coeffs)
+                 for k, c in sequence(coeffs, "symbol"))
         pairs = tuple(sorted(pairs, key=lambda p: p[0]))
         if len({k for k, _ in pairs}) != len(pairs):
             raise ValueError("duplicate frequencies in symbol")

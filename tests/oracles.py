@@ -1,0 +1,113 @@
+"""Scalar references that the library does not carry: test inputs and hand-derived formulas.
+
+The library is array-first and keeps only what its CLI, its README and its
+benchmark call.  The tests also need scalar random draws, the element view of
+a basis, a Gram-Schmidt basis, the conjugation in numerator form, the cleared
+level-set cubic and the solver's two defects; they live here, next to the
+quadrature and mpmath oracles of ``conftest.py``.
+"""
+
+import numpy as np
+
+from model_space_lab.blaschke import BlaschkeProduct
+from model_space_lab.clark import ClarkParams
+from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, _tmw_numerators, coordinates
+from model_space_lab.repcheck import relation_weight
+from model_space_lab.sampling import ANCHOR_RADIUS, ZERO_RADIUS
+
+
+def _disc(rng, rmax):
+    """Area-uniform point in the disc of radius rmax: radius, then angle."""
+    return complex(rmax * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()))
+
+
+def random_unimodular(rng) -> complex:
+    return complex(np.exp(2j * np.pi * rng.random()))
+
+
+def random_blaschke(rng, unit_constant: bool = False) -> BlaschkeProduct:
+    """Three zeros, then the constant: the first seven uniforms of a Clark draw."""
+    zeros = [_disc(rng, ZERO_RADIUS) for _ in range(3)]
+    c = 1.0 if unit_constant else random_unimodular(rng)
+    return BlaschkeProduct(zeros=tuple(zeros), front_constant=c)
+
+
+def random_clark_params(rng) -> ClarkParams:
+    """t, then alpha: the last three uniforms of a Clark draw."""
+    return ClarkParams(t=_disc(rng, ANCHOR_RADIUS), alpha=random_unimodular(rng))
+
+
+def random_special_orthogonal(rng) -> np.ndarray:
+    """Haar-ish random rotation from a QR decomposition with positive diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def basis_from_elements(elements) -> OrthonormalBasis:
+    elements = tuple(elements)
+    theta = elements[0].theta
+    return OrthonormalBasis(theta, coordinates(theta, elements))
+
+
+def basis_elements(basis: OrthonormalBasis) -> tuple:
+    """The basis as ``KThetaElement``s: numerators T x for its coordinate columns x."""
+    numerators = _tmw_numerators(basis.theta) @ basis.coords
+    return tuple(KThetaElement(basis.theta, tuple(col)) for col in numerators.T)
+
+
+def reference_onb(b: BlaschkeProduct) -> OrthonormalBasis:
+    """Orthonormal basis from Gram-Schmidt on the monomial numerators.
+
+    The monomials have coordinates T^-1 (T the numerator matrix of the
+    orthonormal Takenaka-Malmquist-Walsh basis).  Gram-Schmidt on those
+    columns is their QR factorization with a positive diagonal in R, so the
+    phases of numpy's diagonal are divided out of Q.
+    """
+    q, r = np.linalg.qr(np.linalg.inv(_tmw_numerators(b)))
+    d = np.diag(r)
+    return OrthonormalBasis(b, q * (d / np.abs(d)))
+
+
+def conjugate(f: KThetaElement) -> KThetaElement:
+    """Canonical conjugation in coefficient form.
+
+    On the circle the conjugation acts as f -> B * conj(z f); over the common
+    denominator this reduces exactly to reversing the numerator coefficients,
+    conjugating them, and multiplying by the front constant.
+    """
+    c = f.theta.front_constant
+    return KThetaElement(f.theta, tuple(c * np.conj(a) for a in reversed(f.numerator)))
+
+
+def cubic_coefficients(b: BlaschkeProduct):
+    """Coefficients (K0, K1, K2, K3) of the cleared equation B(z) = 1 at order 3, constant 1.
+
+    With zeros w1, w2, w3 the level-set equation clears to
+
+        K3 z^3 - K2 z^2 + K1 z - K0 = 0
+
+    with K3 = 1 + conj(w1 w2 w3), K2 = w1+w2+w3 + conj(w1 w2 + w1 w3 + w2 w3),
+    K1 = w1 w2 + w1 w3 + w2 w3 + conj(w1+w2+w3), K0 = w1 w2 w3 + 1.
+    """
+    assert b.order == 3 and b.front_constant == 1.0
+    w1, w2, w3 = b.zeros
+    e1 = w1 + w2 + w3
+    e2 = w1 * w2 + w1 * w3 + w2 * w3
+    e3 = w1 * w2 * w3
+    return complex(e3 + 1.0), complex(e2 + np.conj(e1)), complex(e1 + np.conj(e2)), complex(1.0 + np.conj(e3))
+
+
+def residuals(s, u, cb, variant: str = "general"):
+    """(||U U^T - I||_F, |sum K o (U S U^T)|) for a candidate conjugator U of S."""
+    m = u.array
+    relation = np.sum(relation_weight(cb, variant) * (m @ s.array @ m.T))
+    return float(np.linalg.norm(m @ m.T - np.eye(3))), float(np.linalg.norm([relation.real, relation.imag]))
+
+
+def rotate_basis(basis: OrthonormalBasis, q) -> OrthonormalBasis:
+    """Real-orthogonal recombination of the elements; stays orthonormal and conjugation-fixed."""
+    v = basis_elements(basis)
+    return basis_from_elements(q[0, i] * v[0] + q[1, i] * v[1] + q[2, i] * v[2] for i in range(3))

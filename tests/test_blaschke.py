@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from model_space_lab.blaschke import (
     BlaschkeProduct,
     PoleEvaluationError,
-    boundary_kernel_norm_sq,
-    clark_unitary,
+    clark_unitaries,
     compressed_shift,
-    conjugate_kernel_coords,
-    conjugate_kernels,
     conjugation_matrix,
-    cubic_coefficients,
+    kernel_norms_sq,
+    kernel_pairs,
     level_set,
     polynomial_pair,
     products_at,
@@ -27,6 +25,7 @@ from conftest import (
     oracle_inner,
     oracle_kernel_values,
 )
+from oracles import cubic_coefficients
 
 
 def test_f1_point_values(f1):
@@ -148,7 +147,7 @@ def test_conjugation_matrix_matches_quadrature(f2):
                 oracle_inner(conj_kernel, lambda z, j=j: tmw_formula(b, j, z))
                 for j in range(b.order)
             ]
-            got = conjugate_kernel_coords(b, lam)
+            got = kernel_pairs(*b.stack[:2], np.array([[lam]], dtype=complex))[1][0, :, 0]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
             # the closed form and J e(lam) are two roundings of one vector
             j_e = conjugation_matrix(b) @ tmw_values(b, lam)
@@ -170,9 +169,9 @@ def test_conjugation_matrix_structure(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_clark_unitary_closed_forms_at_the_origin(order):
-    # clark_unitary takes e(0), C k_0 = S*B and B(0) in closed form; they must
+    # clark_unitaries takes e(0), C k_0 = S*B and B(0) in closed form; they must
     # agree with k_0 (x) C k_0 built from tmw_values and J e(0), and with the
-    # closed form conjugate_kernels at 0.
+    # closed form C k_0 of kernel_pairs.
     rng = np.random.default_rng(order)
     products = [random_product(rng, order, 0.95) for _ in range(10)]
     products.append(BlaschkeProduct((0.4 - 0.3j,) * order, np.exp(1.1j)))
@@ -180,11 +179,13 @@ def test_clark_unitary_closed_forms_at_the_origin(order):
     for b in products:
         omega = np.exp(2j * np.pi * rng.random())
         e0 = tmw_values(b, 0.0)
-        for ck0 in (conjugation_matrix(b) @ e0, conjugate_kernel_coords(b, 0.0)):
+        closed_form = kernel_pairs(*b.stack[:2], np.zeros((1, 1), complex))[1][0, :, 0]
+        for ck0 in (conjugation_matrix(b) @ e0, closed_form):
             expected = compressed_shift(b) + np.outer(np.conj(e0), np.conj(ck0)) / np.conj(
                 omega - b(0.0)
             )
-            np.testing.assert_allclose(clark_unitary(b, omega), expected, rtol=0, atol=1e-13)
+            got = clark_unitaries(b.stack, np.array([complex(omega)]))[0]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
 def test_conjugation_matrix_of_a_power_is_exact():
@@ -195,7 +196,7 @@ def test_conjugation_matrix_of_a_power_is_exact():
     j = conjugation_matrix(BlaschkeProduct((0.0, 0.0, 0.0), c))
     np.testing.assert_array_equal(j, c * np.eye(3)[::-1])
     z = np.array([0.0, 0.5, -0.3 + 0.4j, np.exp(2.1j)])
-    got = conjugate_kernel_coords(BlaschkeProduct((0.0, 0.0, 0.0), c), z)
+    got = kernel_pairs(*BlaschkeProduct((0.0, 0.0, 0.0), c).stack[:2], z[None])[1][0]
     np.testing.assert_array_equal(got, c * np.array([z * z, z, np.ones_like(z)]))
 
 
@@ -212,11 +213,11 @@ def test_conjugation_matrix_matches_mpmath_oracle(zeros):
     b = BlaschkeProduct(zeros, np.exp(0.4j))
     oracle = oracle_conjugation_matrix_mp(b)
     np.testing.assert_allclose(conjugation_matrix(b), oracle, rtol=0, atol=1e-12)
-    # conjugate_kernels at interior and circle points, the circle ones
+    # C k_z of kernel_pairs at interior and circle points, the circle ones
     # including the point nearest the zeros, where |e(eta)|^2 = |B'(eta)| peaks
     near = zeros[0] / abs(zeros[0])
     z = np.array([0.0, 0.5, -0.3 + 0.4j, 0.6j, near, near * np.exp(0.01j), -near])
-    got = conjugate_kernels(*b.stack[:2], z[None])[0]
+    got = kernel_pairs(*b.stack[:2], z[None])[1][0]
     np.testing.assert_allclose(got, oracle @ tmw_values(b, z), rtol=0, atol=1e-12)
 
 
@@ -300,23 +301,11 @@ def test_cubic_roots_match_level_set():
             assert np.min(np.abs(eta - r)) < 1e-10
 
 
-def test_cubic_coefficients_requires_unit_constant():
-    b = BlaschkeProduct(zeros=(0.1, 0.2, 0.3), front_constant=1j)
-    with pytest.raises(ValueError):
-        cubic_coefficients(b)
-
-
-def test_cubic_coefficients_requires_order_three():
-    b = BlaschkeProduct(zeros=(0.1, 0.2))
-    with pytest.raises(ValueError):
-        cubic_coefficients(b)
-
-
 # -- boundary kernel norms ---------------------------------------------------
 
 
 def test_boundary_kernel_norm_f1(f1):
-    assert boundary_kernel_norm_sq(f1, 1.0) == pytest.approx(3.0, abs=1e-12)
+    assert kernel_norms_sq(f1.stack.zeros, np.array([[1 + 0j]]))[0, 0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_boundary_kernel_norm_matches_quadrature(f2):
@@ -328,11 +317,6 @@ def test_boundary_kernel_norm_matches_quadrature(f2):
         val = oracle_circle_mean(
             lambda z: np.abs(oracle_kernel_values(f2, zeta, z)) ** 2, n=8192
         )
-        assert boundary_kernel_norm_sq(f2, zeta) == pytest.approx(
+        assert kernel_norms_sq(f2.stack.zeros, np.array([[zeta]]))[0, 0] == pytest.approx(
             float(np.real(val)), abs=1e-9
         )
-
-
-def test_boundary_kernel_norm_rejects_interior_point(f2):
-    with pytest.raises(ValueError):
-        boundary_kernel_norm_sq(f2, 0.5)

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 import model_space_lab
-from model_space_lab.blaschke import BlaschkeProduct, boundary_kernel_norm_sq, level_set
+from model_space_lab.blaschke import BlaschkeProduct, level_set
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.config import Indeterminate
-from model_space_lab.modelspace import OrthonormalBasis, kernel_element
+from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, kernel_element
 from model_space_lab.repcheck import (
     PointConfig,
     Sym3,
@@ -99,7 +99,6 @@ CASES = {
     "boundary-point": lambda cb: PointConfig((1.0, 1j, complex(NAN, 0.0)), (0.0, 0.5)),
     "interior-point": lambda cb: PointConfig((1.0, 1j, -1.0), (0.0, complex(0.0, NAN))),
     "level-set-target": lambda cb: level_set(F1, NAN),
-    "boundary-kernel-point": lambda cb: boundary_kernel_norm_sq(F1, [1.0, NAN]),
     "family": lambda cb: counterexample_family(2, 0.0, NAN, 0.0),
     "counterexample-report": lambda cb: counterexample_report(1, NAN, 0.0, 0.0),
     # decision procedures: Sym3 keeps a non-finite entry, Sym3.normalized refuses it
@@ -138,6 +137,8 @@ CASES = {
     "boundary-point-huge": lambda cb: PointConfig((1.0, 1j, HUGE), (0.0, 0.5)),
     "interior-point-huge": lambda cb: PointConfig((1.0, 1j, -1.0), (0.0, HUGE)),
     "level-set-target-huge": lambda cb: level_set(F1, HUGE),
+    "level-set-target-str": lambda cb: level_set(F1, "1"),
+    "level-set-target-bool": lambda cb: level_set(F1, True),
     "kernel-point-huge": lambda cb: kernel_element(F1, HUGE),
     # a bool is not a number, as in config.finite, wherever a constructor takes one
     "zero-bool": lambda cb: BlaschkeProduct((False, 0.0, 0.0)),
@@ -171,6 +172,12 @@ CASES = {
     "orthogonal-complex": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, 1 + 0j)),
     "orthogonal-nested": lambda cb: OrthMatrix3(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
     "orthogonal-scalar": lambda cb: OrthMatrix3(1.0),
+    # a number where a sequence belongs, as for OrthMatrix3
+    "product-scalar": lambda cb: BlaschkeProduct(5),
+    "points-scalar": lambda cb: PointConfig(5, (0, 0.5)),
+    "points-none": lambda cb: PointConfig((1, 1j, -1), None),
+    "symbol-scalar": lambda cb: Symbol(5),
+    "element-scalar": lambda cb: KThetaElement(F1, 5),
     "orthogonal-complex-array": lambda cb: OrthMatrix3.from_array(np.eye(3) + 0j),
     "family-bool": lambda cb: counterexample_family(True, 0.0, 0.0, 0.0),
     "family-float": lambda cb: counterexample_family(1.0, 0.0, 0.0, 0.0),

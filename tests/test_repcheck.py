@@ -12,9 +12,8 @@ from model_space_lab import repcheck, sampling
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.config import REP_TOL
-from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, reference_onb
+from model_space_lab.modelspace import KThetaElement
 from model_space_lab.repcheck import (
-    Certificate,
     IndeterminateError,
     PointConfig,
     ROW_INDEX,
@@ -30,14 +29,12 @@ from model_space_lab.repcheck import (
     relation_coefficients,
     relation_weight,
 )
-from model_space_lab.sampling import (
-    random_clark_basis,
-    random_special_orthogonal,
-    random_unimodular,
-)
+from model_space_lab.sampling import random_clark_basis
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_inner, oracle_kernel_values
+from oracles import (basis_elements, basis_from_elements, random_special_orthogonal, random_unimodular,
+                     reference_onb, rotate_basis)
 
 
 @pytest.fixture(scope="module")
@@ -53,16 +50,6 @@ def f2_clark(f2):
 def random_sym3(rng, scale=1.0):
     vals = scale * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
     return Sym3(*vals)
-
-
-def rotate_basis(basis, q):
-    """Real-orthogonal recombination; stays orthonormal and conjugation-fixed."""
-    elems = []
-    for i in range(3):
-        e = q[0, i] * basis.elements[0] + q[1, i] * basis.elements[1]
-        e = e + q[2, i] * basis.elements[2]
-        elems.append(e)
-    return OrthonormalBasis.from_elements(tuple(elems))
 
 
 # -- Sym3 / PointConfig ------------------------------------------------------
@@ -168,7 +155,7 @@ def test_columns_match_quadrature_oracle(f2_clark):
     # defining formulas (C f = B conj(z f) on the circle).
     rng = np.random.default_rng(23)
     for cb in (f2_clark, random_clark_basis(rng)):
-        b, v = cb.theta, cb.basis.elements
+        b, v = cb.theta, basis_elements(cb.basis)
         pc = default_points(b)
         cols = build_columns(cb.basis, pc)
         for k, lam in enumerate(pc.interior):
@@ -188,11 +175,11 @@ def test_columns_handmade_creal_basis(f1):
         KThetaElement(f1, (0.0, 1.0, 0.0)),
         KThetaElement(f1, (1j * s, 0.0, -1j * s)),
     )
-    basis = OrthonormalBasis.from_elements(elems)
+    basis = basis_from_elements(elems)
     pc = default_points(f1)
     cols = build_columns(basis, pc)
     lam = pc.interior[1]
-    vals = np.array([e(lam) for e in basis.elements])
+    vals = np.array([e(lam) for e in basis_elements(basis)])
     expected = np.array([np.conj(vals[a] * vals[b]) for a, b in ROW_INDEX])
     np.testing.assert_allclose(cols[:, 4], expected, atol=1e-12)
 
@@ -200,7 +187,7 @@ def test_columns_handmade_creal_basis(f1):
 def test_columns_interior_zero_entries(f1, f1_clark):
     pc = default_points(f1)
     cols = build_columns(f1_clark.basis, pc)
-    vals = np.array([e(0.0) for e in f1_clark.basis.elements])
+    vals = np.array([e(0.0) for e in basis_elements(f1_clark.basis)])
     expected = np.array([np.conj(vals[a] * vals[b]) for a, b in ROW_INDEX])
     np.testing.assert_allclose(cols[:, 3], expected, atol=1e-12)
 

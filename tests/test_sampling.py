@@ -2,7 +2,7 @@
 
 ``clark_draws`` runs the Clark chain on blocks of attempts and
 ``random_clark_basis`` is its batch of 1; both must consume the generator
-exactly as the scalar draws ``random_blaschke`` then ``random_clark_params``
+exactly as the scalar draws ``oracles.random_blaschke`` then ``random_clark_params``
 do, attempt by attempt.
 """
 
@@ -18,10 +18,10 @@ from model_space_lab.sampling import (
     CLARK_DRAW,
     clark_draws,
     decode_clark_draws,
-    random_blaschke,
     random_clark_basis,
-    random_clark_params,
 )
+
+from oracles import random_blaschke, random_clark_params
 
 
 def test_decoder_matches_scalar_draws():
