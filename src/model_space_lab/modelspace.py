@@ -33,7 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from .blaschke import BlaschkeProduct, conjugation_matrix, polynomial_pair, tmw_values
-from .config import BASIS_TOL, Checked, Indeterminate, closed_disc, finite, sequence
+from .config import BASIS_TOL, Checked, Indeterminate, closed_disc, finite, number, sequence
 
 __all__ = [
     "KThetaElement",
@@ -56,8 +56,8 @@ class BasisError(Indeterminate):
 class KThetaElement(Checked, namedtuple("KThetaElement", "theta numerator")):
     """Model-space element stored as numerator coefficients over the fixed denominator.
 
-    ``numerator[k]`` multiplies z^k; the length always equals the order of
-    ``theta``.  Elements are immutable; arithmetic returns new instances.
+    ``numerator[k]`` multiplies z^k, each a ``config.number``; the length always
+    equals the order of ``theta``.  Elements are immutable; arithmetic returns new instances.
     """
 
     __slots__ = ()
@@ -65,12 +65,9 @@ class KThetaElement(Checked, namedtuple("KThetaElement", "theta numerator")):
     __mul__ = None  # f * 2 is a TypeError, not a repeated tuple
 
     def __new__(cls, theta, numerator):
-        coeffs = tuple(complex(a) for a in sequence(numerator, "numerator"))
+        coeffs = tuple(number(a, "numerator entry") for a in sequence(numerator, "numerator"))
         if len(coeffs) != theta.order:
-            raise ValueError(
-                "numerator needs %d coefficients, got %d"
-                % (theta.order, len(coeffs))
-            )
+            raise ValueError(f"numerator needs {theta.order} coefficients, got {len(coeffs)}")
         return cls._make((theta, coeffs))
 
     def __call__(self, z):

@@ -9,10 +9,10 @@ basis:
 * a single closed-form relation that predicts the (2,3) entry from the (1,2)
   and (1,3) entries when the basis is a modified Clark basis.
 
-``build_columns`` is the library's one implementation of the generator span
-and its rank test, which refuses a near-degenerate point configuration as
-indeterminate: ``tto.random_tto`` draws on it, and the determinant test also
-reads its certificate from the SVD of that rank test.
+``build_columns`` is the library's one generator span: a ``GeneratorSpan``, the
+columns with the SVD of the rank test that refuses near-degenerate points as
+indeterminate.  ``tto.random_tto`` draws from its columns, and the determinant
+test reads its certificate (mu and the residual) from its SVD.
 ``PointConfig`` is the one place where generator points are validated.
 
 The module also packages the family of normal matrices that always fail the
@@ -37,6 +37,7 @@ __all__ = [
     "IndeterminateError",
     "Sym3",
     "PointConfig",
+    "GeneratorSpan",
     "Certificate",
     "DetThmResult",
     "S6Result",
@@ -157,12 +158,15 @@ def default_points(b) -> PointConfig:
     return PointConfig(tuple(level_set(b, 1.0)), (0.0, 0.41 + 0.13j))
 
 
+# The 6x5 generator columns and their full SVD (``build_columns``).
+GeneratorSpan = namedtuple("GeneratorSpan", "columns u sv vh")
+
+
 class Certificate(NamedTuple):
-    """Least-squares witness: coefficients over the five generators."""
+    """Least-squares witness: ``columns @ mu`` projects S on the span, at weighted distance ``residual``."""
 
     mu: tuple
     residual: float
-    reconstructed: Sym3
 
 
 class DetThmResult(NamedTuple):
@@ -177,8 +181,8 @@ class S6Result(NamedTuple):
     gap: float  # |s6 - predicted_s6|
 
 
-def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
-    """Vectorize the five rank-one generators as columns of a 6x5 matrix.
+def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> GeneratorSpan:
+    """Vectorize the five rank-one generators as the columns of a 6x5 matrix, with its SVD.
 
     The generators are k_t (x) k_t at the three circle points and
     k_lam (x) C k_lam at the two disc points; distinct points give a spanning
@@ -190,13 +194,9 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> np.ndarray:
     whose recorded conjugation residual exceeds BASIS_TOL is refused with
     ValueError, and columns whose fifth singular value is below SV_FLOOR (points
     too close to degenerate to span) with IndeterminateError.  That rank test
-    takes the full SVD, which ``detthm_test`` reads its certificate from.
+    takes the full SVD (u, sv, vh), which the returned span keeps for
+    ``detthm_test`` to read its certificate from.
     """
-    return _span(basis, pc)[0]
-
-
-def _span(basis: OrthonormalBasis, pc: PointConfig):
-    """(columns, u, sv, vh): ``build_columns`` and the full SVD its rank test took."""
     if not basis.conj_residual <= BASIS_TOL:
         raise ValueError(f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
                          "the determinant test is only valid for conjugation-fixed bases")
@@ -206,7 +206,7 @@ def _span(basis: OrthonormalBasis, pc: PointConfig):
     if sv[4] < SV_FLOOR:
         raise IndeterminateError(f"fifth singular value {sv[4]:.3e} below floor {SV_FLOOR:.1e}; "
                                  "choose better-separated points")
-    return cols, u, sv, vh
+    return GeneratorSpan(cols, u, sv, vh)
 
 
 # Off-diagonal rows count twice in the Frobenius norm of a symmetric matrix.
@@ -221,17 +221,17 @@ def detthm_test(
     Forms the 6x6 matrix [c1..c5, S] and declares the input representable when
     |det| <= tol * (product of all six column norms), which makes the verdict
     invariant under rescaling of S; the zero matrix passes (both sides vanish).
-    The certificate, read from the SVD of the rank test, is the Frobenius-weighted
-    projection of S on the span, the kernel of u6^H (u6 the sixth left singular
-    vector): with weights w, fit = S - (u6^H S) / ||u6/w||^2 * u6/w^2, residual =
-    |u6^H S| / ||u6/w||, the weighted distance of fit from S, and mu = V diag(1/sv) U5^H fit.
+    The certificate (mu, residual) is read from the SVD of ``build_columns``: with
+    u6 the sixth left singular vector (the span is the kernel of u6^H) and the Frobenius
+    weights w, fit = S - (u6^H S) / ||u6/w||^2 * u6/w^2 = columns @ mu is the weighted
+    projection of S, mu = V diag(1/sv) U5^H fit, and residual = |u6^H S| / ||u6/w||.
     Both run on ``s.normalized()``; one ``_ldexp`` scales all the numbers back.
 
     IndeterminateError from ``build_columns`` when the span is degenerate;
     ValueError for a non-finite S or a bad ``tol``.
     """
     tol = rep_tol(tol)
-    cols, u, sv, vh = _span(basis, pc)
+    cols, u, sv, vh = build_columns(basis, pc)
     unit, e = s.normalized()
     v = unit.vector
     square = np.column_stack([cols, v])
@@ -243,9 +243,8 @@ def detthm_test(
     along, norm_sq = np.vdot(u[:, 5], v), np.vdot(normal, normal).real
     fit = v - along / norm_sq * normal / _FROBENIUS_WEIGHTS
     mu = np.conj(vh.T) @ (np.conj(u[:, :5].T) @ fit / sv)
-    back = _ldexp(np.concatenate([mu, fit, [abs(along) / math.sqrt(norm_sq), det_value]]), e).tolist()
-    cert = Certificate(tuple(back[:5]), back[11].real, Sym3._make(back[5:11]))
-    return DetThmResult(is_rep, cert, back[12])
+    back = _ldexp(np.concatenate([mu, [abs(along) / math.sqrt(norm_sq), det_value]]), e).tolist()
+    return DetThmResult(is_rep, Certificate(tuple(back[:5]), back[5].real), back[6])
 
 
 def relation_coefficients(cb: ClarkBasis, variant: str = "general"):

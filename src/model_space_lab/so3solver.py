@@ -239,14 +239,13 @@ def solve(
     cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual <= target
     message = "solution found" if found else "no solution found within budget (not a proof of non-existence)"
-    parts = [conjugated, cert.mu, cert.reconstructed, [cert.residual, residual]]
-    back = _ldexp(np.concatenate(parts), e).tolist()
+    back = _ldexp(np.concatenate([conjugated, cert.mu, [cert.residual, residual]]), e).tolist()
     return SolveReport(
         found=found,
         best_matrix=u,
-        best_residual=back[18].real,
+        best_residual=back[12].real,
         conjugated=Sym3._make(back[:6]),
-        certificate=Certificate(tuple(back[6:11]), back[17].real, Sym3._make(back[11:17])),
+        certificate=Certificate(tuple(back[6:11]), back[11].real),
         starts_used=index + 1,
         message=message,
     )

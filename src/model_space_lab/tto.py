@@ -37,8 +37,11 @@ class Symbol(Checked, namedtuple("Symbol", "coeffs")):
     __slots__ = ()
 
     def __new__(cls, coeffs):
+        terms = [tuple(sequence(term, "symbol term")) for term in sequence(coeffs, "symbol")]
+        if any(len(term) != 2 for term in terms):
+            raise ValueError("each symbol term must be a (frequency, coefficient) pair")
         pairs = ((integer(k, -math.inf, "symbol frequency"), complex(finite(c, "symbol coefficient")))
-                 for k, c in sequence(coeffs, "symbol"))
+                 for k, c in terms)
         pairs = tuple(sorted(pairs, key=lambda p: p[0]))
         if len({k for k, _ in pairs}) != len(pairs):
             raise ValueError("duplicate frequencies in symbol")
@@ -92,7 +95,7 @@ def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
     pc = default_points(b) if points is None else PointConfig(*points)
-    cols = build_columns(basis, pc)
+    cols = build_columns(basis, pc).columns
     rng = np.random.default_rng(integer(seed, 0, "seed"))
     mu = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     return mu, Sym3._make((cols @ mu).tolist())

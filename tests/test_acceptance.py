@@ -173,11 +173,11 @@ def test_criterion_05_generator_rank_five(basis_pool_small):
             # symmetric matrix, so these are the singular values of the
             # stacked 3x3 generator matrices.
             w = _FROBENIUS_WEIGHTS[:, None]
-            gens = w * build_columns(cb.basis, PointConfig(boundary, interior))
+            gens = w * build_columns(cb.basis, PointConfig(boundary, interior)).columns
             sv = np.linalg.svd(gens, compute_uv=False)
             assert sv[4] > 1e-8 * sv[0]
             other = PointConfig((extra_pt,) + boundary[1:], interior)
-            extra = w * build_columns(cb.basis, other)[:, :1]
+            extra = w * build_columns(cb.basis, other).columns[:, :1]
             sv6 = np.linalg.svd(np.hstack([gens, extra]), compute_uv=False)
             assert sv6[5] < 1e-8 * sv6[0]
             checked += 1

@@ -799,9 +799,10 @@ def test_verify_sequence_scales_back_once_per_result(monkeypatch):
 def test_verify_sequence_factors_once_per_decision(monkeypatch):
     # One SVD per set of generator columns (random_tto and each detthm_test),
     # whose certificate comes from that SVD, not from a second factorization by
-    # lstsq; and one TMW pass per point set: the Clark basis at its level set,
-    # Clark's unitary at t, and the columns at the default points.
-    calls = {"tmw_rows": 0, "lstsq": 0, "svd": 0}
+    # lstsq; each span is built by build_columns, the one span function, which
+    # the benchmark tracer sees; and one TMW pass per point set: the Clark basis
+    # at its level set, Clark's unitary at t, and the columns at the default points.
+    calls = {"tmw_rows": 0, "lstsq": 0, "svd": 0, "build_columns": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -809,14 +810,14 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    tmw_rows = blaschke.tmw_rows
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("model_space_lab") and vars(module).get("tmw_rows") is tmw_rows:
-            monkeypatch.setattr(module, "tmw_rows", counted("tmw_rows", tmw_rows))
+    for name, fn in (("tmw_rows", blaschke.tmw_rows), ("build_columns", repcheck.build_columns)):
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("model_space_lab") and vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
     for name in ("lstsq", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     _verify_sequence()
-    assert calls == {"tmw_rows": 5, "lstsq": 0, "svd": 3}
+    assert calls == {"tmw_rows": 5, "lstsq": 0, "svd": 3, "build_columns": 3}
 
 
 def test_solve_scales_back_once(monkeypatch):

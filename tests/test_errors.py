@@ -178,6 +178,11 @@ CASES = {
     "points-none": lambda cb: PointConfig((1, 1j, -1), None),
     "symbol-scalar": lambda cb: Symbol(5),
     "element-scalar": lambda cb: KThetaElement(F1, 5),
+    # a symbol term is a (k, c) pair; a numerator entry is a number, as in Sym3(...)
+    "symbol-term-scalar": lambda cb: Symbol((5,)),
+    "symbol-term-triple": lambda cb: Symbol(((1, 2, 3),)),
+    "element-numerator-bool": lambda cb: KThetaElement(F1, (True, 0, 0)),
+    "element-numerator-str": lambda cb: KThetaElement(F1, ("1", 0, 0)),
     "orthogonal-complex-array": lambda cb: OrthMatrix3.from_array(np.eye(3) + 0j),
     "family-bool": lambda cb: counterexample_family(True, 0.0, 0.0, 0.0),
     "family-float": lambda cb: counterexample_family(1.0, 0.0, 0.0, 0.0),

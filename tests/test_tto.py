@@ -114,7 +114,7 @@ def test_moebius_symbol_matches_operator_block(f1):
 
 
 def test_generators_have_rank_five(f1, f1_clark):
-    cols = build_columns(f1_clark.basis, default_points(f1))
+    cols = build_columns(f1_clark.basis, default_points(f1)).columns
     assert cols.shape == (6, 5)
     sv = np.linalg.svd(cols, compute_uv=False)
     assert sv[4] > 1e-8 * sv[0]
@@ -122,15 +122,15 @@ def test_generators_have_rank_five(f1, f1_clark):
 
 def test_sixth_generator_stays_in_span(f1, f1_clark):
     pc = default_points(f1)
-    cols = build_columns(f1_clark.basis, pc)
+    cols = build_columns(f1_clark.basis, pc).columns
     other = PointConfig((np.exp(0.77j),) + pc.boundary[1:], pc.interior)
-    extra = build_columns(f1_clark.basis, other)[:, :1]
+    extra = build_columns(f1_clark.basis, other).columns[:, :1]
     sv = np.linalg.svd(np.hstack([cols, extra]), compute_uv=False)
     assert sv[5] < 1e-8 * sv[0]
 
 
 def test_identity_is_in_generator_span(f1, f1_clark):
-    cols = build_columns(f1_clark.basis, default_points(f1))
+    cols = build_columns(f1_clark.basis, default_points(f1)).columns
     target = Sym3(1, 1, 1, 0, 0, 0).vector
     mu, *_ = np.linalg.lstsq(cols, target, rcond=None)
     assert np.linalg.norm(cols @ mu - target) < 1e-10
@@ -152,7 +152,7 @@ def test_random_tto_deterministic_and_symmetric():
     np.testing.assert_array_equal(m1.array, m2.array)
     assert isinstance(m1, Sym3)
     np.testing.assert_array_equal(m1.array, m1.array.T)
-    cols = build_columns(cb.basis, default_points(cb.theta))
+    cols = build_columns(cb.basis, default_points(cb.theta)).columns
     np.testing.assert_allclose(m1.vector, cols @ mu1, atol=1e-12)
     mu3, _ = random_tto(cb.theta, cb.basis, seed=99)
     assert not np.allclose(mu1, mu3)
