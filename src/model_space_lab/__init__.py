@@ -21,7 +21,6 @@ from .clark import (
     ClarkParams,
     ClarkTargetError,
     clark_operator_matrix,
-    half_arg_root,
     modified_clark_basis,
 )
 from .config import Indeterminate
@@ -47,7 +46,6 @@ from .repcheck import (
     default_points,
     detthm_test,
     match_counterexample_family,
-    relation_coefficients,
     relation_weight,
 )
 from .so3solver import (

@@ -12,7 +12,8 @@ points where B equals the target
 and suitably phased, normalized boundary kernels at those points form an
 orthonormal basis fixed by the canonical conjugation.  The phase convention
 is the half-argument square root: for unimodular w with arg w = gamma taken
-by ``blaschke.circle_angle``, its root is exp(i*gamma/2).
+by ``blaschke.circle_angle``, its root is exp(i*gamma/2).  It is implemented
+once, as the phases of ``clark_rows``, whose ratios are the paper's relation ratios.
 
 Everything is built in TMW coordinates from closed forms: the basis is the
 coordinate matrix of the phased kernels, conj(e(eta_i)) * phase_i / norm_i,
@@ -42,7 +43,6 @@ __all__ = [
     "ClarkBasis",
     "ClarkRows",
     "ClarkTargetError",
-    "half_arg_root",
     "clark_targets",
     "clark_rows",
     "modified_clark_basis",
@@ -65,17 +65,6 @@ class ClarkParams(Checked, namedtuple("ClarkParams", "t alpha")):
     def __new__(cls, t, alpha):
         t = open_disc(number(t, "anchor point t"), "anchor point t")
         return cls._make((t, unimodular(number(alpha, "alpha"), "alpha")))
-
-
-def half_arg_root(w):
-    """Square root of w with argument arg(w)/2, arg taken by ``circle_angle``.
-
-    This is the branch used throughout the Clark-basis phases; for a
-    unimodular w it returns exp(i * gamma / 2) with gamma in [0, 2*pi), and
-    w = 1 +- 1e-16i both give 1.  A complex for a scalar w, else an array.
-    """
-    root = np.sqrt(np.abs(w)) * np.exp(0.5j * circle_angle(w))
-    return root if np.ndim(root) else complex(root)
 
 
 def clark_targets(zeros, constants, t, alpha):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .clark import ClarkParams, modified_clark_basis
-from .config import TTO_SYM_TOL, Indeterminate, finite
+from .config import TTO_SYM_TOL, VARIANTS, Indeterminate, finite
 from .repcheck import (
     Sym3,
     clark_s6_test,
@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--starts", type=int)
-        p.add_argument("--variant", choices=("paper", "general"))
+        p.add_argument("--variant", help="the Clark relation: " + " or ".join(VARIANTS))
     fx = sub.add_parser("fixtures")
     fx.add_argument("--dir", default="fixtures")
     return parser

@@ -27,9 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import level_set
-from .clark import ClarkBasis, half_arg_root
+from .clark import ClarkBasis
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL, Checked,
-                     Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol, sequence)
+                     Indeterminate, finite, integer, number, on_circle, open_disc, real, relation_variant,
+                     rep_tol, sequence)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
 
@@ -44,7 +45,6 @@ __all__ = [
     "CounterexampleReport",
     "build_columns",
     "detthm_test",
-    "relation_coefficients",
     "relation_weight",
     "clark_s6_test",
     "counterexample_family",
@@ -227,12 +227,12 @@ def detthm_test(
     projection of S, mu = V diag(1/sv) U5^H fit, and residual = |u6^H S| / ||u6/w||.
     Both run on ``s.normalized()``; one ``_ldexp`` scales all the numbers back.
 
-    IndeterminateError from ``build_columns`` when the span is degenerate;
-    ValueError for a non-finite S or a bad ``tol``.
+    ValueError for a non-finite S or a bad ``tol``, checked before the span is built;
+    IndeterminateError from ``build_columns`` when the span is degenerate.
     """
     tol = rep_tol(tol)
-    cols, u, sv, vh = build_columns(basis, pc)
     unit, e = s.normalized()
+    cols, u, sv, vh = build_columns(basis, pc)
     v = unit.vector
     square = np.column_stack([cols, v])
     det_value = complex(np.linalg.det(square))
@@ -247,42 +247,21 @@ def detthm_test(
     return DetThmResult(is_rep, Certificate(tuple(back[:5]), back[5].real), back[6])
 
 
-def relation_coefficients(cb: ClarkBasis, variant: str = "general"):
-    """Multipliers (c4, c5) of the Clark-basis relation.
-
-    The relation predicts s6 = (c4*s4 + c5*s5) / (eta3 - eta2).  The "paper"
-    variant uses the unimodular half-argument root ratios of conj(eta_i); the
-    "general" variant uses the conjugated ratios of the actual basis
-    coefficients b_i = phase_i / ||k_{eta_i}||, which differ from the former by
-    real kernel-norm ratios whenever the three boundary kernels have unequal
-    norms.  ``cb`` may also be a stack of bases (``ClarkRows``); the
-    multipliers then have shape (N,).
-    """
-    eta1, eta2, eta3 = cb.etas.T
-    if variant == "paper":
-        r4 = half_arg_root(np.conj(eta1)) / half_arg_root(np.conj(eta3))
-        r5 = half_arg_root(np.conj(eta1)) / half_arg_root(np.conj(eta2))
-    elif variant == "general":
-        b = cb.coefficients.T
-        r4 = np.conj(b[2] / b[0])
-        r5 = np.conj(b[1] / b[0])
-    else:
-        raise ValueError(f"unknown variant {variant!r} (expected 'paper' or 'general')")
-    return r4 * (eta1 - eta2), r5 * (eta3 - eta1)
-
-
 def relation_weight(cb: ClarkBasis, variant: str = "general") -> np.ndarray:
     """K with sum K o S = (eta3 - eta2) s6 - c4 s4 - c5 s5, zero exactly on the relation.
 
-    ``clark_s6_test``, the counterexample sweep and the SO(3) search all
-    evaluate the relation in this one form.  For a stack of bases K has
-    shape (N, 3, 3).
+    c4 = conj(b3/b1) (eta1 - eta2) and c5 = conj(b2/b1) (eta3 - eta1), where b is the
+    basis phases for "paper" (the paper's half-argument ratios) and ``cb.coefficients``,
+    phase_i / ||k_{eta_i}||, for "general": kernel norms that differ set them apart.
+    The s6 test, the counterexample sweep and the SO(3) search all read this K.  For a
+    stack of bases (``ClarkRows``) K has shape (N, 3, 3).  ValueError for another variant.
     """
-    c4, c5 = relation_coefficients(cb, variant)
-    k = np.zeros(np.shape(c4) + (3, 3), dtype=complex)
-    k[..., 1, 2] = cb.etas[..., 2] - cb.etas[..., 1]
-    k[..., 0, 1] = -c4
-    k[..., 0, 2] = -c5
+    eta1, eta2, eta3 = cb.etas.T
+    b = (cb.phases if relation_variant(variant) == "paper" else cb.coefficients).T
+    k = np.zeros(np.shape(eta1) + (3, 3), dtype=complex)
+    k[..., 1, 2] = eta3 - eta2
+    k[..., 0, 1] = -(np.conj(b[2] / b[0]) * (eta1 - eta2))
+    k[..., 0, 2] = -(np.conj(b[1] / b[0]) * (eta3 - eta1))
     return k
 
 
@@ -370,13 +349,14 @@ def counterexample_report(
     is expected to fail every time; the report records how often it did and
     the smallest relative gap gap / ||S||_F, the quantity the test compares
     with its tolerance, so a trial is rejected exactly when it exceeds
-    REP_TOL.  `seed` must be an integer >= 0 (ValueError).
+    REP_TOL.  `seed` must be an integer >= 0 and `variant` one of ``config.VARIANTS``
+    (ValueError, before any basis is drawn).
 
     Family 3 has s4 = s5 = 0, so the predicted s6 is 0 and the gap is |s6| on
     every basis: with a zero diagonal (the f1-corollary fixture) the relative
     gap is 1/sqrt(2) for each trial, a structural fact that the sweep confirms.
     """
-    seed = integer(seed, 0, "seed")
+    seed, variant = integer(seed, 0, "seed"), relation_variant(variant)
     matrix = counterexample_family(family, a, b, c)
     s, _ = matrix.normalized()
     m = s.array

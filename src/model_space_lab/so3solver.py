@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, rep_tol, sequence
+from .config import (ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, relation_variant, rep_tol,
+                     sequence)
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -75,16 +76,15 @@ class SolverConfig(Checked, namedtuple("SolverConfig", "starts tol seed variant"
     """Options of a run, the CLI's four options, checked here once.
 
     ValueError unless ``starts`` >= 1 and ``seed`` >= 0 are integers (stored as int),
-    ``tol`` is a finite number > 0 (stored as float) and ``variant`` "paper" or "general".
+    ``tol`` is a finite number > 0 (stored as float) and ``variant`` names a relation
+    (``config.relation_variant``: "paper" or "general", see ``relation_weight``).
     """
 
     __slots__ = ()
 
     def __new__(cls, starts=100, tol=REP_TOL, seed=0, variant="general"):
         starts, seed, tol = integer(starts, 1, "starts"), integer(seed, 0, "seed"), rep_tol(tol)
-        if variant not in ("paper", "general"):
-            raise ValueError(f"variant: expected 'paper' or 'general', got {variant!r}")
-        return cls._make((starts, tol, seed, variant))
+        return cls._make((starts, tol, seed, relation_variant(variant)))
 
 
 class SolveReport(NamedTuple):

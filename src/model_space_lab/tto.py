@@ -95,7 +95,7 @@ def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
     pc = default_points(b) if points is None else PointConfig(*points)
+    rng = np.random.default_rng(integer(seed, 0, "seed"))  # invalid input before indeterminacy
     cols = build_columns(basis, pc).columns
-    rng = np.random.default_rng(integer(seed, 0, "seed"))
     mu = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     return mu, Sym3._make((cols @ mu).tolist())

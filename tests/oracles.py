@@ -3,13 +3,13 @@
 The library is array-first and keeps only what its CLI, its README and its
 benchmark call.  The tests also need scalar random draws, the element view of
 a basis, a Gram-Schmidt basis, the conjugation in numerator form, the cleared
-level-set cubic and the solver's two defects; they live here, next to the
-quadrature and mpmath oracles of ``conftest.py``.
+level-set cubic, the paper's printed relation and the solver's two defects;
+they live here, next to the quadrature and mpmath oracles of ``conftest.py``.
 """
 
 import numpy as np
 
-from model_space_lab.blaschke import BlaschkeProduct
+from model_space_lab.blaschke import BlaschkeProduct, circle_angle
 from model_space_lab.clark import ClarkParams
 from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, _tmw_numerators, coordinates
 from model_space_lab.repcheck import relation_weight
@@ -98,6 +98,17 @@ def cubic_coefficients(b: BlaschkeProduct):
     e2 = w1 * w2 + w1 * w3 + w2 * w3
     e3 = w1 * w2 * w3
     return complex(e3 + 1.0), complex(e2 + np.conj(e1)), complex(e1 + np.conj(e2)), complex(1.0 + np.conj(e3))
+
+
+def paper_relation_coefficients(cb):
+    """(c4, c5) as the paper prints them, from half-argument roots of conj(eta_i).
+
+    c4 = r(conj eta1) / r(conj eta3) (eta1 - eta2) and c5 = r(conj eta1) / r(conj eta2) (eta3 - eta1),
+    with r(w) = exp(i gamma / 2), gamma = arg w taken by ``circle_angle``; shape (N,) for a stack.
+    """
+    eta1, eta2, eta3 = cb.etas.T
+    r1, r2, r3 = np.exp(0.5j * circle_angle(np.conj(cb.etas))).T
+    return r1 / r3 * (eta1 - eta2), r1 / r2 * (eta3 - eta1)
 
 
 def residuals(s, u, cb, variant: str = "general"):

@@ -23,7 +23,7 @@ from model_space_lab.repcheck import (
     counterexample_family,
     default_points,
     detthm_test,
-    relation_coefficients,
+    relation_weight,
 )
 from model_space_lab.sampling import random_clark_basis
 from model_space_lab.so3solver import (
@@ -109,7 +109,7 @@ def test_criterion_03_f1_golden_values():
     np.testing.assert_allclose(s.vector, golden, atol=1e-10)
 
     # At the cube roots of unity the predicted entry is literally s4 - s5.
-    c4, c5 = relation_coefficients(cb, "paper")
+    c4, c5 = -relation_weight(cb, "paper")[0, 1:]
     predicted = (c4 * s.s4 + c5 * s.s5) / (cb.etas[2] - cb.etas[1])
     assert predicted == pytest.approx(s.s4 - s.s5, abs=1e-12)
     assert predicted == pytest.approx(s.s6, abs=1e-10)
@@ -208,8 +208,8 @@ def test_criterion_06_cross_procedure_agreement(basis_pool_small):
             ),
         )
         np.testing.assert_allclose(
-            relation_coefficients(cb, "paper"),
-            relation_coefficients(cb, "general"),
+            -relation_weight(cb, "paper")[0, 1:],
+            -relation_weight(cb, "general")[0, 1:],
             atol=1e-12,
         )
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from model_space_lab import blaschke, cli
-from model_space_lab.blaschke import BlaschkeProduct, level_set, product_stack
+from model_space_lab.blaschke import BlaschkeProduct, circle_angle, level_set, product_stack
 from model_space_lab.clark import (
     ClarkParams,
     ClarkTargetError,
     clark_operator_matrix,
     clark_rows,
     clark_targets,
-    half_arg_root,
     modified_clark_basis,
 )
 from model_space_lab.config import BASIS_TOL
@@ -29,18 +28,18 @@ W3 = np.exp(2j * np.pi / 3)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
-def test_half_arg_root_convention():
-    assert half_arg_root(1.0) == pytest.approx(1.0)
-    # arg(-i) taken in [0, 2*pi) is 3*pi/2, so the root is exp(3i*pi/4).
-    assert half_arg_root(-1j) == pytest.approx(np.exp(0.75j * np.pi))
-    assert half_arg_root(np.conj(W3)) == pytest.approx(W3)
+def test_circle_angle_convention():
+    # The argument is taken in [0, 2*pi): the branch of every Clark-basis phase,
+    # exp(i * circle_angle(w) / 2), and so of the paper's half-argument roots.
+    assert circle_angle(-1j) == pytest.approx(1.5 * np.pi)
+    assert circle_angle(np.conj(W3)) == pytest.approx(4 * np.pi / 3)
 
 
-def test_half_arg_root_continuous_at_branch_cut():
+def test_circle_angle_continuous_at_branch_cut():
     # A level-set point computed as 1 - 1e-16i is the point 1, not the end of
-    # [0, 2*pi): its root is 1, as on the other side of the axis, not -1.
-    assert half_arg_root(1 - 1e-16j) == pytest.approx(1.0)
-    assert half_arg_root(1 + 1e-16j) == pytest.approx(1.0)
+    # [0, 2*pi): its angle is 0, as on the other side of the axis, not 2*pi.
+    assert abs(circle_angle(1 - 1e-16j)) <= 1e-15
+    assert abs(circle_angle(1 + 1e-16j)) <= 1e-15
 
 
 def test_clark_target_trivial(f1):

@@ -212,10 +212,19 @@ def no_computation(monkeypatch):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--starts=0", "--starts=-3", "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf", "--seed=-1"],
+    ["--starts=0", "--starts=-3", "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf", "--seed=-1",
+     "--variant=bogus"],
 )
 def test_invalid_flag_exits_2_before_computation(tmp_path, no_computation, flag):
     code, report, _ = run_cli(tmp_path, shift_problem("solve-so3", FAMILY3), extra=(flag,))
+    assert code == 2 and report is None
+
+
+def test_invalid_problem_option_exits_2_before_computation(tmp_path, no_computation):
+    # The problem's options go through the same SolverConfig check as the flags.
+    problem = shift_problem("check-clark-s6", FAMILY3)
+    problem["options"] = {"variant": "bogus"}
+    code, report, _ = run_cli(tmp_path, problem)
     assert code == 2 and report is None
 
 

@@ -24,13 +24,16 @@ from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.config import Indeterminate
 from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, kernel_element
 from model_space_lab.repcheck import (
+    IndeterminateError,
     PointConfig,
     Sym3,
+    build_columns,
     clark_s6_test,
     counterexample_family,
     counterexample_report,
     default_points,
     detthm_test,
+    relation_weight,
 )
 from model_space_lab.so3solver import (OrthMatrix3, SolverConfig, creal_basis_from_orthogonal, solve,
                                       spectral_shortcut)
@@ -69,7 +72,7 @@ INF = float("inf")
 HUGE = complex(1.7e308, 1.7e308)  # abs() raises OverflowError; its modulus is inf
 F1 = BlaschkeProduct((0.1, 0.0, 0.0))
 BAD_TOLS = {"nan": NAN, "inf": INF, "0": 0.0, "-1": -1.0, "True": True}
-BAD_SEEDS = {"True": True, "None": None, "1.5": 1.5, "str": "3"}
+BAD_SEEDS = {"True": True, "None": None, "1.5": 1.5, "str": "3", "-1": -1}
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +166,11 @@ CASES = {
     "product-replace": lambda cb: F1._replace(front_constant=2),
     "points-replace": lambda cb: default_points(cb.theta)._replace(interior=(0, 0)),
     "config-replace": lambda cb: SolverConfig()._replace(tol=-1),
+    # the relation's name has one check, config.relation_variant
+    "config-variant-str": lambda cb: SolverConfig(variant="bogus"),
+    "config-variant-bool": lambda cb: SolverConfig(variant=True),
+    "relation-weight-variant": lambda cb: relation_weight(cb, "bogus"),
+    "report-variant": lambda cb: counterexample_report(3, 0.0, 0.0, 0.0, variant="bogus"),
     "symbol-replace": lambda cb: Symbol.shift()._replace(coeffs=((1.5, 1),)),
     "orthogonal-replace": lambda cb: OrthMatrix3.from_array(np.eye(3))._replace(r=(2,) * 9),
     "element-replace": lambda cb: kernel_element(F1, 0.5)._replace(numerator=(1, 2)),
@@ -200,6 +208,30 @@ def test_nan_input_is_invalid(build, cb):
     # a modulus beyond float range and a bad tol all fail it as invalid input.
     with pytest.raises(ValueError):
         build(cb)
+
+
+@pytest.fixture(scope="module")
+def degenerate_cb():
+    """A triple zero at radius 0.9999 whose default points span too little (sigma5 5.6e-11)."""
+    w = -0.999865027203107 + 0.008362856935884434j
+    params = ClarkParams(0.24828373588094244 - 0.16838998336303265j, 0.43760057914127287 + 0.899169468529277j)
+    cb = modified_clark_basis(BlaschkeProduct((w, w, w)), params)
+    with pytest.raises(IndeterminateError):
+        build_columns(cb.basis, default_points(cb.theta))
+    return cb
+
+
+# the matrix, tol and seed cases of the procedures that build the span or sit beside it
+SPAN_CASES = ("detthm-", "s6-", "solve-", "random-tto-seed-")
+ON_THE_SPAN = {k: build for k, build in CASES.items() if k.startswith(SPAN_CASES)}
+
+
+@pytest.mark.parametrize("build", ON_THE_SPAN.values(), ids=ON_THE_SPAN.keys())
+def test_invalid_input_wins_over_indeterminacy(build, degenerate_cb):
+    # A bad matrix, tol or seed is refused before the generator span is built, so
+    # it is invalid input even where the default points are degenerate.
+    with pytest.raises(ValueError):
+        build(degenerate_cb)
 
 
 def test_one_integer_rule_for_every_count():

@@ -26,7 +26,6 @@ from model_space_lab.repcheck import (
     default_points,
     detthm_test,
     match_counterexample_family,
-    relation_coefficients,
     relation_weight,
 )
 from model_space_lab.sampling import random_clark_basis
@@ -34,8 +33,8 @@ from model_space_lab.so3solver import OrthMatrix3, creal_basis_from_orthogonal
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_inner, oracle_kernel_values
-from oracles import (basis_elements, basis_from_elements, random_special_orthogonal, random_unimodular,
-                     reference_onb, rotate_basis)
+from oracles import (basis_elements, basis_from_elements, paper_relation_coefficients,
+                     random_special_orthogonal, random_unimodular, reference_onb, rotate_basis)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +261,7 @@ def test_f1_relation_reduces_to_difference(f1_clark):
     # At the cube roots of unity the relation collapses to s6 = s4 - s5.
     eta1, eta2, eta3 = f1_clark.etas
     for variant in ("paper", "general"):
-        c4, c5 = relation_coefficients(f1_clark, variant)
+        c4, c5 = -relation_weight(f1_clark, variant)[0, 1:]
         assert c4 / (eta3 - eta2) == pytest.approx(1.0, abs=1e-12)
         assert c5 / (eta3 - eta2) == pytest.approx(-1.0, abs=1e-12)
     rng = np.random.default_rng(5)
@@ -336,9 +335,30 @@ def test_equal_norm_variants_coincide():
                            random_unimodular(rng))
         )
         np.testing.assert_allclose(cb.norms, cb.norms[0] * np.ones(3), atol=1e-10)
-        c_paper = relation_coefficients(cb, "paper")
-        c_general = relation_coefficients(cb, "general")
+        c_paper = -relation_weight(cb, "paper")[0, 1:]
+        c_general = -relation_weight(cb, "general")[0, 1:]
         np.testing.assert_allclose(c_paper, c_general, atol=1e-12)
+
+
+def _paper_gap(cb):
+    """Largest relative gap of (c4, c5) of the "paper" K from the printed half-argument form."""
+    want = np.stack(paper_relation_coefficients(cb), axis=-1)
+    return float((np.abs(-relation_weight(cb, "paper")[..., 0, 1:] - want) / np.abs(want)).max())
+
+
+def test_paper_relation_is_the_printed_formula():
+    # The "paper" K is built from the basis phases; the paper prints its ratios as
+    # half-argument roots of conj(eta_i).  They agree to round-off on random draws,
+    # and across the branch cut of the roots: alpha = e^{+-1e-15 i} puts a level-set
+    # point of z^3 = alpha within 1e-15 of 1.
+    gaps = [_paper_gap(sampling.clark_draws(np.random.default_rng(seed), 200)) for seed in range(10)]
+    rng = np.random.default_rng(31)
+    alphas = [1, -1, 1j, -1j, np.exp(1e-15j), np.exp(-1e-15j)] + [random_unimodular(rng) for _ in range(200)]
+    for zeros in ((0.0, 0.0, 0.0), (0.5, 0.0, -0.5), (0.3j, -0.2, 0.1)):
+        b = BlaschkeProduct(zeros)
+        gaps += [_paper_gap(modified_clark_basis(b, ClarkParams(0.0, alpha))) for alpha in alphas]
+    assert max(gaps) <= 1e-14, max(gaps)
+    print(f"\npaper relation against the printed formula: worst relative gap {max(gaps):.2e}")
 
 
 def test_f2_adjudicates_between_variants(f2, f2_clark):
