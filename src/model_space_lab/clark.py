@@ -109,11 +109,6 @@ class ClarkBasis(NamedTuple):
     def theta(self) -> BlaschkeProduct:
         return self.basis.theta
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The scalars b_i = phases[i] / norms[i] with cb_i = b_i * k_{etas[i]}."""
-        return self.phases / self.norms
-
 
 class ClarkRows(NamedTuple):
     """The Clark chain over N draws: one array per quantity, row i for draw i.
@@ -137,10 +132,6 @@ class ClarkRows(NamedTuple):
     gram: np.ndarray
     conj: np.ndarray
     failures: dict
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.phases / self.norms
 
     def take(self, index) -> "ClarkRows":
         """The rows ``index``, none of which failed."""

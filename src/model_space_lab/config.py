@@ -10,7 +10,6 @@ Invalid input raises ``ValueError`` from the one "accept if" check of its
 domain below, so NaN fails.  A check returns its input (as int or float for
 ``integer`` and ``rep_tol``), takes a huge complex's modulus as inf, and checks
 a number in plain Python, an array (``finite``, ``on_circle``) with numpy.
-The relation's name has one such check too: ``relation_variant``.
 Valid input whose computation misses a threshold raises ``Indeterminate``.
 
 Every record is a named tuple.  One that checks its fields subclasses
@@ -42,8 +41,6 @@ TARGET_FLOOR = 1e-12    # |1 + conj(B(t)) alpha| below which the Clark target is
 REAL_TOL = 1e-12        # largest imaginary part / largest part of a matrix taken as real
 ANGLE_SNAP = 1e-9       # angles this close below 2*pi count as just below 0
 _FLOAT_MAX = sys.float_info.max
-
-VARIANTS = ("paper", "general")  # the Clark relation from the phases b_i, or from b_i = phase_i / norm_i
 
 
 class Indeterminate(ArithmeticError):
@@ -127,8 +124,3 @@ def rep_tol(tol) -> float:
     """float(tol) if the representability threshold tol is a finite number > 0 (no bool)."""
     ok = isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol <= _FLOAT_MAX
     return float(tol) if ok else _refuse(tol, "tol", "a finite number > 0")
-
-
-def relation_variant(v) -> str:
-    """v if it names a Clark relation, one of ``VARIANTS``."""
-    return v if isinstance(v, str) and v in VARIANTS else _refuse(v, "variant", f"one of {VARIANTS}")

@@ -29,8 +29,7 @@ import numpy as np
 from .blaschke import level_set
 from .clark import ClarkBasis
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL, Checked,
-                     Indeterminate, finite, integer, number, on_circle, open_disc, real, relation_variant,
-                     rep_tol, sequence)
+                     Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol, sequence)
 from .modelspace import OrthonormalBasis
 from .sampling import clark_draws
 
@@ -108,8 +107,10 @@ class Sym3(Checked, namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
         this matrix and scale their numbers back by 2**e, one exact ``ldexp``, so
         no finite S over- or underflows on the way; a non-finite S is a ValueError.
         """
-        e = math.frexp(finite(float(np.abs(self.vector.view(float)).max()), "largest part of S"))[1]
-        return self.scaled(-e), e
+        parts = self.vector.view(float)
+        e = math.frexp(finite(float(np.abs(parts).max()), "largest part of S"))[1]
+        # Every part ends below 1, so a bare ldexp needs no overflow guard (``_ldexp``'s errstate).
+        return Sym3._make(np.ldexp(parts, -e).view(complex).tolist()), e
 
     def scaled(self, e: int) -> "Sym3":
         """S * 2**e, exact unless an entry over- or underflows."""
@@ -247,17 +248,17 @@ def detthm_test(
     return DetThmResult(is_rep, Certificate(tuple(back[:5]), back[5].real), back[6])
 
 
-def relation_weight(cb: ClarkBasis, variant: str = "general") -> np.ndarray:
+def relation_weight(cb: ClarkBasis) -> np.ndarray:
     """K with sum K o S = (eta3 - eta2) s6 - c4 s4 - c5 s5, zero exactly on the relation.
 
-    c4 = conj(b3/b1) (eta1 - eta2) and c5 = conj(b2/b1) (eta3 - eta1), where b is the
-    basis phases for "paper" (the paper's half-argument ratios) and ``cb.coefficients``,
-    phase_i / ||k_{eta_i}||, for "general": kernel norms that differ set them apart.
-    The s6 test, the counterexample sweep and the SO(3) search all read this K.  For a
-    stack of bases (``ClarkRows``) K has shape (N, 3, 3).  ValueError for another variant.
+    c4 = conj(b3/b1) (eta1 - eta2) and c5 = conj(b2/b1) (eta3 - eta1), b_i = phase_i / ||k_{eta_i}||
+    the scalars with cb_i = b_i k_{eta_i}.  The paper prints the ratios without the kernel
+    norms, which rejects the shift matrix wherever the norms differ (``tests/oracles.py``
+    keeps that form).  The s6 test, the counterexample sweep and the SO(3) search all
+    read this K.  For a stack of bases (``ClarkRows``) K has shape (N, 3, 3).
     """
     eta1, eta2, eta3 = cb.etas.T
-    b = (cb.phases if relation_variant(variant) == "paper" else cb.coefficients).T
+    b = (cb.phases / cb.norms).T
     k = np.zeros(np.shape(eta1) + (3, 3), dtype=complex)
     k[..., 1, 2] = eta3 - eta2
     k[..., 0, 1] = -(np.conj(b[2] / b[0]) * (eta1 - eta2))
@@ -273,9 +274,7 @@ def _s6_prediction(unit: Sym3, k, tol: float):
     return predicted, gap, gap <= tol * np.linalg.norm(unit.array)
 
 
-def clark_s6_test(
-    s: Sym3, cb: ClarkBasis, variant: str = "general", tol: float = REP_TOL
-) -> S6Result:
+def clark_s6_test(s: Sym3, cb: ClarkBasis, tol: float = REP_TOL) -> S6Result:
     """Single-relation representability test for a modified Clark basis.
 
     Declares the input representable when the gap |s6 - predicted| is at
@@ -286,7 +285,7 @@ def clark_s6_test(
     """
     tol = rep_tol(tol)
     unit, e = s.normalized()
-    predicted, gap, is_rep = _s6_prediction(unit, relation_weight(cb, variant), tol)
+    predicted, gap, is_rep = _s6_prediction(unit, relation_weight(cb), tol)
     predicted, gap = _ldexp(np.array([predicted, gap]), e).tolist()
     return S6Result(bool(is_rep), predicted, gap.real)
 
@@ -330,14 +329,7 @@ class CounterexampleReport(NamedTuple):
     min_gap: float  # smallest S6Result.gap / ||S||_F seen over all trials
 
 
-def counterexample_report(
-    family: int,
-    a: float,
-    b: float,
-    c: float,
-    seed: int = 0,
-    variant: str = "general",
-) -> CounterexampleReport:
+def counterexample_report(family: int, a: float, b: float, c: float, seed: int = 0) -> CounterexampleReport:
     """Test one counterexample matrix against ``TRIALS`` (100) random Clark bases.
 
     Records the normality defect of the normalized matrix (zero: a family
@@ -349,20 +341,19 @@ def counterexample_report(
     is expected to fail every time; the report records how often it did and
     the smallest relative gap gap / ||S||_F, the quantity the test compares
     with its tolerance, so a trial is rejected exactly when it exceeds
-    REP_TOL.  `seed` must be an integer >= 0 and `variant` one of ``config.VARIANTS``
-    (ValueError, before any basis is drawn).
+    REP_TOL.  `seed` must be an integer >= 0 (ValueError, before any basis is drawn).
 
     Family 3 has s4 = s5 = 0, so the predicted s6 is 0 and the gap is |s6| on
     every basis: with a zero diagonal (the f1-corollary fixture) the relative
     gap is 1/sqrt(2) for each trial, a structural fact that the sweep confirms.
     """
-    seed, variant = integer(seed, 0, "seed"), relation_variant(variant)
+    seed = integer(seed, 0, "seed")
     matrix = counterexample_family(family, a, b, c)
     s, _ = matrix.normalized()
     m = s.array
     normal_defect = float(np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m))
     bases = clark_draws(np.random.default_rng(seed), TRIALS)
-    _, gaps, is_rep = _s6_prediction(s, relation_weight(bases, variant), REP_TOL)
+    _, gaps, is_rep = _s6_prediction(s, relation_weight(bases), REP_TOL)
     rejections = int(np.count_nonzero(~is_rep))
     return CounterexampleReport(
         family=int(family), a=matrix.s1.real, b=matrix.s2.real, c=matrix.s3.real,

@@ -22,8 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import (ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, relation_variant, rep_tol,
-                     sequence)
+from .config import ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, rep_tol, sequence
 from .modelspace import OrthonormalBasis
 from .repcheck import (
     Certificate,
@@ -72,19 +71,18 @@ class OrthMatrix3(Checked, namedtuple("OrthMatrix3", "r")):
         return cls(tuple(np.asarray(m).reshape(9).tolist()))
 
 
-class SolverConfig(Checked, namedtuple("SolverConfig", "starts tol seed variant")):
-    """Options of a run, the CLI's four options, checked here once.
+class SolverConfig(Checked, namedtuple("SolverConfig", "starts tol seed")):
+    """Options of a run, the CLI's three options, checked here once.
 
-    ValueError unless ``starts`` >= 1 and ``seed`` >= 0 are integers (stored as int),
-    ``tol`` is a finite number > 0 (stored as float) and ``variant`` names a relation
-    (``config.relation_variant``: "paper" or "general", see ``relation_weight``).
+    ValueError unless ``starts`` >= 1 and ``seed`` >= 0 are integers (stored as int)
+    and ``tol`` is a finite number > 0 (stored as float).
     """
 
     __slots__ = ()
 
-    def __new__(cls, starts=100, tol=REP_TOL, seed=0, variant="general"):
+    def __new__(cls, starts=100, tol=REP_TOL, seed=0):
         starts, seed, tol = integer(starts, 1, "starts"), integer(seed, 0, "seed"), rep_tol(tol)
-        return cls._make((starts, tol, seed, relation_variant(variant)))
+        return cls._make((starts, tol, seed))
 
 
 class SolveReport(NamedTuple):
@@ -207,7 +205,7 @@ def solve(
     ``s.normalized()``: the relation is linear in S and the step scale-free.
     """
     unit, e = s.normalized()
-    fun = partial(_relation, relation_weight(cb, config.variant), unit.array)
+    fun = partial(_relation, relation_weight(cb), unit.array)
     target = config.tol * float(np.linalg.norm(unit.array))
 
     def start(index: int) -> np.ndarray:

@@ -111,10 +111,16 @@ def paper_relation_coefficients(cb):
     return r1 / r3 * (eta1 - eta2), r1 / r2 * (eta3 - eta1)
 
 
-def residuals(s, u, cb, variant: str = "general"):
+def paper_prediction(s, cb) -> complex:
+    """s6 = (c4 s4 + c5 s5) / (eta3 - eta2) with the printed (c4, c5) of one basis."""
+    c4, c5 = paper_relation_coefficients(cb)
+    return complex((c4 * s.s4 + c5 * s.s5) / (cb.etas[2] - cb.etas[1]))
+
+
+def residuals(s, u, cb):
     """(||U U^T - I||_F, |sum K o (U S U^T)|) for a candidate conjugator U of S."""
     m = u.array
-    relation = np.sum(relation_weight(cb, variant) * (m @ s.array @ m.T))
+    relation = np.sum(relation_weight(cb) * (m @ s.array @ m.T))
     return float(np.linalg.norm(m @ m.T - np.eye(3))), float(np.linalg.norm([relation.real, relation.imag]))
 
 

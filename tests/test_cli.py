@@ -157,15 +157,17 @@ def test_unknown_option_rejected(tmp_path):
     assert code == 2 and report is None
 
 
-def test_quadrature_points_option_rejected(tmp_path):
-    # Inner products are exact, so there is no grid size to set: both the
-    # problem-file option and the command-line flag are invalid input.
+@pytest.mark.parametrize("option, value", [("quadrature_points", 512), ("variant", "general"), ("variant", "paper")])
+def test_removed_option_rejected(tmp_path, no_computation, option, value):
+    # Inner products are exact, so there is no grid size to set, and there is one
+    # Clark relation, so there is none to choose: the problem-file option and the
+    # command-line flag are unknown input, refused before any computation.
     problem = shift_problem("clark-basis")
-    problem["options"] = {"quadrature_points": 4096}
+    problem["options"] = {option: value}
     code, report, _ = run_cli(tmp_path, problem)
     assert code == 2 and report is None
     with pytest.raises(SystemExit) as exc:
-        run_cli(tmp_path, shift_problem("clark-basis"), extra=("--quadrature-points", "512"))
+        run_cli(tmp_path, shift_problem("clark-basis"), extra=("--" + option.replace("_", "-"), str(value)))
     assert exc.value.code == 2
 
 
@@ -212,8 +214,7 @@ def no_computation(monkeypatch):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--starts=0", "--starts=-3", "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf", "--seed=-1",
-     "--variant=bogus"],
+    ["--starts=0", "--starts=-3", "--tol=0", "--tol=-1", "--tol=nan", "--tol=inf", "--seed=-1"],
 )
 def test_invalid_flag_exits_2_before_computation(tmp_path, no_computation, flag):
     code, report, _ = run_cli(tmp_path, shift_problem("solve-so3", FAMILY3), extra=(flag,))
@@ -223,7 +224,7 @@ def test_invalid_flag_exits_2_before_computation(tmp_path, no_computation, flag)
 def test_invalid_problem_option_exits_2_before_computation(tmp_path, no_computation):
     # The problem's options go through the same SolverConfig check as the flags.
     problem = shift_problem("check-clark-s6", FAMILY3)
-    problem["options"] = {"variant": "bogus"}
+    problem["options"] = {"starts": 0}
     code, report, _ = run_cli(tmp_path, problem)
     assert code == 2 and report is None
 
@@ -247,7 +248,7 @@ def test_invalid_problem_exits_2_before_computation(tmp_path, no_computation):
         assert code == 2 and report is None, (block, field)
 
 
-OPTIONS = ("tol", "seed", "starts", "variant")
+OPTIONS = ("tol", "seed", "starts")
 BAD_VALUES = (
     None, True, False, "x", [], [1.0, 0.0, 2.0], {}, {"a": 1}, 10**400, -(10**400), 1e308, -1e308
 )
@@ -289,7 +290,7 @@ def test_parse_stage_raises_only_value_error(edits, flags):
     # exit 2, and the CLI maps only ValueError there, so no malformed field,
     # option or flag may escape as another exception.
     problem = shift_problem("corollary", FAMILY3)
-    problem["options"] = {"tol": 1e-6, "seed": 1, "starts": 5, "variant": "general"}
+    problem["options"] = {"tol": 1e-6, "seed": 1, "starts": 5}
     problem = json.loads(json.dumps(problem))
     for path, value in edits:
         parent = problem
@@ -554,17 +555,6 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert report["config"]["seed"] == 5
 
 
-def test_variant_flag_echoed(tmp_path, az_matrix):
-    _, report, _ = run_cli(
-        tmp_path,
-        shift_problem("check-clark-s6", az_matrix),
-        extra=("--variant", "paper"),
-    )
-    assert report["config"]["variant"] == "paper"
-    assert report["details"]["variant"] == "paper"
-    assert report["verdict"] is True  # equal norms: variants coincide on this fixture
-
-
 def test_integer_tol_reports_a_float(tmp_path, az_matrix):
     problem = shift_problem("check-clark-s6", az_matrix)
     problem["options"] = {"tol": 1}
@@ -796,13 +786,13 @@ def _verify_sequence():
 
 
 def test_verify_sequence_scales_back_once_per_result(monkeypatch):
-    # The verify-warm sequence: each decision normalizes S with one ldexp and
-    # scales its stacked numbers back with one more, so 2 per test of one S.
+    # The verify-warm sequence: each decision scales its stacked numbers back
+    # with one ldexp, so 1 per test of one S; normalizing S takes a bare np.ldexp.
     calls = []
     ldexp = repcheck._ldexp
     monkeypatch.setattr(repcheck, "_ldexp", lambda x, e: calls.append(e) or ldexp(x, e))
     _verify_sequence()
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_verify_sequence_factors_once_per_decision(monkeypatch):
@@ -830,9 +820,8 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch):
 
 
 def test_solve_scales_back_once(monkeypatch):
-    # solve normalizes S with one ldexp, its certificate's detthm_test takes two
-    # on the unit-size conjugated matrix, and solve scales its own numbers back
-    # with one more: 4 per solve.
+    # Normalizing S takes a bare np.ldexp; the certificate's detthm_test scales
+    # its numbers back with one ldexp, and solve its own with one more: 2 per solve.
     calls = []
     ldexp = repcheck._ldexp
 
@@ -846,7 +835,7 @@ def test_solve_scales_back_once(monkeypatch):
     for s in (Sym3(1, 2, 3, 4, 5, 6j), Sym3(1, 2, 3, 0.5, 0.25, 0.125)):
         calls.clear()
         solve(s, cb, SolverConfig(starts=4))
-        assert len(calls) == 4
+        assert len(calls) == 2
 
 
 # Run in a fresh interpreter where every scipy import fails.

@@ -33,7 +33,6 @@ from model_space_lab.repcheck import (
     counterexample_report,
     default_points,
     detthm_test,
-    relation_weight,
 )
 from model_space_lab.so3solver import (OrthMatrix3, SolverConfig, creal_basis_from_orthogonal, solve,
                                       spectral_shortcut)
@@ -166,11 +165,8 @@ CASES = {
     "product-replace": lambda cb: F1._replace(front_constant=2),
     "points-replace": lambda cb: default_points(cb.theta)._replace(interior=(0, 0)),
     "config-replace": lambda cb: SolverConfig()._replace(tol=-1),
-    # the relation's name has one check, config.relation_variant
-    "config-variant-str": lambda cb: SolverConfig(variant="bogus"),
-    "config-variant-bool": lambda cb: SolverConfig(variant=True),
-    "relation-weight-variant": lambda cb: relation_weight(cb, "bogus"),
-    "report-variant": lambda cb: counterexample_report(3, 0.0, 0.0, 0.0, variant="bogus"),
+    # there is one Clark relation: a relation name passed where it once went reaches tol
+    "s6-stale-variant": lambda cb: clark_s6_test(Sym3(1, 2, 3, 4, 5, 6), cb, "paper"),
     "symbol-replace": lambda cb: Symbol.shift()._replace(coeffs=((1.5, 1),)),
     "orthogonal-replace": lambda cb: OrthMatrix3.from_array(np.eye(3))._replace(r=(2,) * 9),
     "element-replace": lambda cb: kernel_element(F1, 0.5)._replace(numerator=(1, 2)),

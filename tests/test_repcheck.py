@@ -29,11 +29,11 @@ from model_space_lab.repcheck import (
     relation_weight,
 )
 from model_space_lab.sampling import random_clark_basis
-from model_space_lab.so3solver import OrthMatrix3, creal_basis_from_orthogonal
+from model_space_lab.so3solver import OrthMatrix3, SolverConfig, creal_basis_from_orthogonal
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_inner, oracle_kernel_values
-from oracles import (basis_elements, basis_from_elements, paper_relation_coefficients,
+from oracles import (basis_elements, basis_from_elements, paper_prediction, paper_relation_coefficients,
                      random_special_orthogonal, random_unimodular, reference_onb, rotate_basis)
 
 
@@ -260,8 +260,7 @@ def test_detthm_scale_invariance(f1, f1_clark):
 def test_f1_relation_reduces_to_difference(f1_clark):
     # At the cube roots of unity the relation collapses to s6 = s4 - s5.
     eta1, eta2, eta3 = f1_clark.etas
-    for variant in ("paper", "general"):
-        c4, c5 = -relation_weight(f1_clark, variant)[0, 1:]
+    for c4, c5 in (paper_relation_coefficients(f1_clark), -relation_weight(f1_clark)[0, 1:]):
         assert c4 / (eta3 - eta2) == pytest.approx(1.0, abs=1e-12)
         assert c5 / (eta3 - eta2) == pytest.approx(-1.0, abs=1e-12)
     rng = np.random.default_rng(5)
@@ -273,23 +272,26 @@ def test_f1_relation_reduces_to_difference(f1_clark):
 def test_s6_accepts_shift_matrix(f1, f1_clark):
     m = tto_matrix_from_symbol(f1, Symbol.shift(), f1_clark.basis)
     s = Sym3.from_array(m.array, tol=1e-8)
-    for variant in ("paper", "general"):
-        result = clark_s6_test(s, f1_clark, variant=variant)
-        assert result.is_rep
-        assert result.predicted_s6 == pytest.approx(1 / 3, abs=1e-10)
+    result = clark_s6_test(s, f1_clark)
+    assert result.is_rep
+    assert result.predicted_s6 == pytest.approx(1 / 3, abs=1e-10)
 
 
 def test_s6_rejects_counterexample_families(f1_clark):
     rng = np.random.default_rng(11)
     for family in (1, 2, 3):
         s = counterexample_family(family, *rng.standard_normal(3))
-        for variant in ("paper", "general"):
-            assert not clark_s6_test(s, f1_clark, variant=variant).is_rep
+        assert not clark_s6_test(s, f1_clark).is_rep
 
 
 def test_s6_unknown_variant_rejected(f1_clark):
-    with pytest.raises(ValueError):
-        clark_s6_test(Sym3(0, 0, 0, 0, 0, 0), f1_clark, variant="bogus")
+    # There is one Clark relation, so no call names one: ``variant`` is no parameter
+    # (a stale positional name reaches ``tol`` and is invalid input, in test_errors.py).
+    for call in (lambda: clark_s6_test(Sym3(0, 0, 0, 0, 0, 0), f1_clark, variant="general"),
+                 lambda: counterexample_report(3, 0.0, 0.0, 0.0, variant="general"),
+                 lambda: SolverConfig(variant="general")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_proof_intermediates_rederive_prediction():
@@ -299,7 +301,7 @@ def test_proof_intermediates_rederive_prediction():
     for _ in range(5):
         cb = random_clark_basis(rng)
         eta1, eta2, eta3 = cb.etas
-        b = cb.coefficients
+        b = cb.phases / cb.norms
         theta = cb.theta
         lam = 0.5 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()) + 0.05
         b0 = 1 - np.conj(theta(0.0)) * theta(eta1)
@@ -326,7 +328,7 @@ def test_proof_intermediates_rederive_prediction():
 
 def test_equal_norm_variants_coincide():
     # Whenever the three boundary kernels share one norm (true for c*z^3),
-    # the unimodular-ratio and coefficient-ratio forms are the same numbers.
+    # the printed unimodular-ratio form and the coefficient-ratio relation are the same numbers.
     rng = np.random.default_rng(23)
     for _ in range(10):
         b = BlaschkeProduct((0.0, 0.0, 0.0), front_constant=random_unimodular(rng))
@@ -335,20 +337,23 @@ def test_equal_norm_variants_coincide():
                            random_unimodular(rng))
         )
         np.testing.assert_allclose(cb.norms, cb.norms[0] * np.ones(3), atol=1e-10)
-        c_paper = -relation_weight(cb, "paper")[0, 1:]
-        c_general = -relation_weight(cb, "general")[0, 1:]
+        c_paper = paper_relation_coefficients(cb)
+        c_general = -relation_weight(cb)[0, 1:]
         np.testing.assert_allclose(c_paper, c_general, atol=1e-12)
 
 
 def _paper_gap(cb):
-    """Largest relative gap of (c4, c5) of the "paper" K from the printed half-argument form."""
+    """Largest relative gap of (c4, c5) of K, the kernel norms divided out, from the printed form."""
     want = np.stack(paper_relation_coefficients(cb), axis=-1)
-    return float((np.abs(-relation_weight(cb, "paper")[..., 0, 1:] - want) / np.abs(want)).max())
+    n1, n2, n3 = cb.norms.T
+    got = -relation_weight(cb)[..., 0, 1:] * np.stack([n3 / n1, n2 / n1], axis=-1)
+    return float((np.abs(got - want) / np.abs(want)).max())
 
 
 def test_paper_relation_is_the_printed_formula():
-    # The "paper" K is built from the basis phases; the paper prints its ratios as
-    # half-argument roots of conj(eta_i).  They agree to round-off on random draws,
+    # K is built from b_i = phase_i / ||k_{eta_i}||; the paper prints its ratios as
+    # half-argument roots of conj(eta_i), which are the phase ratios alone.  So K with
+    # the norm ratios divided out is the printed form to round-off on random draws,
     # and across the branch cut of the roots: alpha = e^{+-1e-15 i} puts a level-set
     # point of z^3 = alpha within 1e-15 of 1.
     gaps = [_paper_gap(sampling.clark_draws(np.random.default_rng(seed), 200)) for seed in range(10)]
@@ -362,21 +367,20 @@ def test_paper_relation_is_the_printed_formula():
 
 
 def test_f2_adjudicates_between_variants(f2, f2_clark):
-    # Asymmetric fixture: the boundary kernel norms are unequal, so the two
-    # coefficient conventions genuinely disagree.  The determinant test is the
-    # ground truth here (the matrix IS a TTO matrix by construction); the
-    # coefficient-ratio variant agrees with it, the unimodular-ratio variant
-    # does not.  Recorded, not presumed.
+    # Asymmetric fixture: the boundary kernel norms are unequal, so the library's
+    # relation and the printed form (tests/oracles.py) genuinely disagree.  The
+    # determinant test is the ground truth here (the matrix IS a TTO matrix by
+    # construction); the library's coefficient-ratio relation agrees with it, the
+    # printed unimodular-ratio form does not.  Recorded, not presumed.
     assert abs(f2_clark.norms[0] - f2_clark.norms[1]) > 0.1
     m = tto_matrix_from_symbol(f2, Symbol.shift(), f2_clark.basis)
     s = Sym3.from_array(m.array, tol=1e-8)
     oracle = detthm_test(s, f2_clark.basis, default_points(f2))
-    general = clark_s6_test(s, f2_clark, variant="general")
-    paper = clark_s6_test(s, f2_clark, variant="paper")
+    general = clark_s6_test(s, f2_clark)
+    gap = abs(s.s6 - paper_prediction(s, f2_clark))
     assert oracle.is_rep
     assert general.is_rep
-    assert not paper.is_rep
-    gap = abs(s.s6 - paper.predicted_s6)
+    assert gap > REP_TOL * np.linalg.norm(s.array)  # the printed form rejects S
     assert gap > 0.01
     print(
         f"\nvariant adjudication on the asymmetric fixture: general gap "
@@ -486,20 +490,27 @@ def test_detthm_and_s6_agree_on_clark_bases():
         for _ in range(10):
             s = random_sym3(rng)
             det_res = detthm_test(s, cb.basis, pc)
-            s6_res = clark_s6_test(s, cb, variant="general")
+            s6_res = clark_s6_test(s, cb)
             assert det_res.is_rep == s6_res.is_rep
 
 
-def _normal_cosine(cb, u, variant="general"):
+def _printed_weight(cb):
+    """K with the printed (c4, c5) of ``oracles.paper_relation_coefficients`` in place of the theorem's."""
+    k = relation_weight(cb)
+    k[0, 1:] = -np.array(paper_relation_coefficients(cb))
+    return k
+
+
+def _normal_cosine(cb, u, weight_of=relation_weight):
     """1 - |<n, k>| / (|n| |k|) for the C-real basis V with coordinates X U, X those of cb.
 
     n = conj(u6), u6 the sixth left singular vector of V's generator columns at
     the default points, is the functional that vanishes on the span.  k is the
-    relation carried to V: U^T K U, K the relation weight, flattened in the row
+    relation carried to V: U^T K U, K = weight_of(cb), flattened in the row
     order of ``ROW_INDEX`` with each off-diagonal pair summed, since the matrix
     of an operator in V is U^T S U when S is its matrix in cb.
     """
-    weight = relation_weight(cb, variant)
+    weight = weight_of(cb)
     assert not np.diag(weight).any()  # the relation has no diagonal part
     basis = creal_basis_from_orthogonal(cb, OrthMatrix3.from_array(u))
     n = np.conj(build_columns(basis, default_points(cb.theta)).u[:, 5])
@@ -508,7 +519,7 @@ def _normal_cosine(cb, u, variant="general"):
     return 1.0 - abs(np.vdot(n, k)) / (np.linalg.norm(n) * np.linalg.norm(k))
 
 
-def _span_normal_cosines(variant):
+def _span_normal_cosines(weight_of):
     """``_normal_cosine`` on 200 seeded Clark bases, each rotated by a seeded U in SO(3)."""
     rows = sampling.clark_draws(np.random.default_rng(5), 200)
     rng = np.random.default_rng(6)
@@ -516,19 +527,19 @@ def _span_normal_cosines(variant):
     for i in range(200):
         b = BlaschkeProduct(tuple(rows.zeros[i]), rows.constants[i])
         cb = rows.basis(i, b, ClarkParams(rows.t[i], rows.alpha[i]))
-        out.append(_normal_cosine(cb, random_special_orthogonal(rng), variant))
+        out.append(_normal_cosine(cb, random_special_orthogonal(rng), weight_of))
     return np.array(out)
 
 
 def test_span_normal_is_the_clark_relation():
     # An oracle between the two decision procedures: at order 3 the span has
     # codimension 1, so one functional decides membership.  On a modified Clark
-    # basis it is the "general" relation, and on any C-real basis V = X U it is
+    # basis it is the library's relation, and on any C-real basis V = X U it is
     # that relation carried to V, sum (U^T K U) o S (measured worst 2.2e-16).  The
-    # "paper" variant is another functional on some bases (worst about 0.22 on
+    # paper's printed form is another functional on some bases (worst about 0.22 on
     # these), as test_f2_adjudicates_between_variants finds by verdict.
-    assert _span_normal_cosines("general").max() <= 1e-12
-    assert _span_normal_cosines("paper").max() > 1e-3
+    assert _span_normal_cosines(relation_weight).max() <= 1e-12
+    assert _span_normal_cosines(_printed_weight).max() > 1e-3
 
 
 def test_span_normal_is_the_rotated_relation_near_the_circle():
@@ -674,24 +685,23 @@ def test_counterexample_report_other_families():
     assert r1.all_rejected and r2.all_rejected
 
 
-def oracle_counterexample(s, seed, variant):
+def oracle_counterexample(s, seed):
     """(rejections, min relative gap) of ``clark_s6_test`` on one random Clark basis at a time."""
     rng = np.random.default_rng(seed)
     rejections, min_gap = 0, np.inf
     for _ in range(TRIALS):
-        result = clark_s6_test(s, random_clark_basis(rng), variant=variant)
+        result = clark_s6_test(s, random_clark_basis(rng))
         min_gap = min(min_gap, result.gap / np.linalg.norm(s.array))
         rejections += not result.is_rep
     return rejections, min_gap
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2026])
-@pytest.mark.parametrize("variant", ["general", "paper"])
 @pytest.mark.parametrize("family", [1, 2, 3])
-def test_counterexample_sweep_matches_per_trial_loop(family, variant, seed):
+def test_counterexample_sweep_matches_per_trial_loop(family, seed):
     s, _ = counterexample_family(family, 0.3, -0.7, 2.1).normalized()
-    rejections, min_gap = oracle_counterexample(s, seed, variant)
-    report = counterexample_report(family, 0.3, -0.7, 2.1, seed=seed, variant=variant)
+    rejections, min_gap = oracle_counterexample(s, seed)
+    report = counterexample_report(family, 0.3, -0.7, 2.1, seed=seed)
     assert report.rejections == rejections
     assert report.min_gap == pytest.approx(min_gap, rel=1e-12, abs=0)
 

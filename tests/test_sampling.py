@@ -72,7 +72,7 @@ def test_batch_equals_one_basis_at_a_time(forced_failures, failing, seed):
     assert a.bit_generator.state == b.bit_generator.state
     np.testing.assert_allclose(batch.etas, [cb.etas for cb in singles], rtol=0, atol=1e-13)
     np.testing.assert_allclose(
-        batch.coefficients, [cb.coefficients for cb in singles], rtol=0, atol=1e-13
+        batch.phases / batch.norms, [cb.phases / cb.norms for cb in singles], rtol=0, atol=1e-13
     )
 
 

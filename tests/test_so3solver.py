@@ -183,7 +183,7 @@ def test_relation_jacobian_matches_finite_differences(kind):
         s = random_sym3(rng)
     else:
         s = counterexample_family(2, *rng.standard_normal(3))
-    weight = relation_weight(cb, "general")
+    weight = relation_weight(cb)
     h = 1e-6
     for _ in range(3):
         u = random_special_orthogonal(rng)
