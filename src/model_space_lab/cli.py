@@ -8,8 +8,9 @@ and reports are strict JSON with every complex number as a two-element
 ``[re, im]`` array and every float printed to 12 significant digits.  All
 seven subcommands take one path: parse every problem, then ``run_task`` and
 write each report.  A problem's ``options`` and the flags ``--tol``, ``--seed``
-and ``--starts`` set the three fields of ``SolverConfig``; the report's
-``config`` echoes them with the name of the one Clark relation.
+and ``--starts`` (read by ``_parse_argv`` from a table; no argparse is imported)
+set the three fields of ``SolverConfig``; the report's ``config`` echoes them
+with the name of the one Clark relation.
 
 Exit codes: 0 = a decision was made (whatever the verdict), 2 = the input was
 invalid (no report written), 3 = the computation was numerically indeterminate
@@ -20,7 +21,6 @@ runs before any computation, and exit 3 only from ``run_task`` catching
 ``Indeterminate``.  Any other error is a bug and crashes with a traceback.
 """
 
-import argparse
 import json
 import math
 import sys
@@ -158,10 +158,9 @@ def parse_problem(obj) -> Problem:
     return Problem(task, theta, clark, matrix, SolverConfig(**options))
 
 
-def merge_config(config: SolverConfig, args) -> SolverConfig:
-    """The problem's config, then the flags set in ``args``."""
-    flags = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None}
-    return config._replace(**flags)
+def merge_config(config: SolverConfig, flags: dict) -> SolverConfig:
+    """The problem's config, then the options among ``flags`` (``_parse_argv``'s dict)."""
+    return config._replace(**{key: flags[key] for key in _OPTIONS if key in flags})
 
 
 # -- report assembly -----------------------------------------------------------
@@ -306,22 +305,29 @@ def validate_report(obj) -> None:
 # -- entry point ----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="model-space-lab",
-        description="Decision procedures for matrix representations on 3-dimensional model spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in TASKS:
-        p = sub.add_parser(name)
-        p.add_argument("--in", dest="infile", required=True, help="problem JSON file")
-        p.add_argument("--out", dest="outfile", required=True, help="report JSON file")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--starts", type=int)
-    fx = sub.add_parser("fixtures")
-    fx.add_argument("--dir", default="fixtures")
-    return parser
+_USAGE = (f"usage: model-space-lab {{{','.join(TASKS)}}} --in F --out F [--tol X] [--seed N] [--starts N]"
+          " | fixtures [--dir D]")
+_FLAGS = {f"--{name}": kind for name, kind in zip(("in", "out") + _OPTIONS, (str, str, float, int, int))}
+
+
+def _parse_argv(argv) -> tuple:
+    """(command, flags) of argv read by ``_USAGE``: ``--flag value`` or ``--flag=value``, the last
+    repeat winning, no prefixes.  ``-h`` prints the usage and exits 0; any other argv exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        raise SystemExit(0)
+    command, *rest = argv or [""]
+    types, flags = ({"--dir": str}, {"dir": "fixtures"}) if command == "fixtures" else (_FLAGS, {})
+    try:
+        while rest:
+            flag, eq, value = rest.pop(0).partition("=")
+            flags[flag[2:]] = types[flag](value if eq else rest.pop(0))
+        if command == "fixtures" or command in TASKS and {"in", "out"} <= flags.keys():
+            return command, flags
+    except (KeyError, IndexError, ValueError):
+        pass
+    print(_USAGE, file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _read_problem(path) -> Problem:
@@ -333,22 +339,22 @@ def _read_problem(path) -> Problem:
     return parse_problem(obj)
 
 
-def _jobs(args) -> list:
+def _jobs(command: str, flags: dict) -> list:
     """The parse stage: (problem, config, report path) for each report to write.
 
     ``fixtures`` gives one job per ``<name>.problem.json`` in its directory,
     with the problem's own config, writing ``<name>.report.json`` next to it.
     """
-    if args.command != "fixtures":
-        problem = _read_problem(args.infile)
-        if problem.task != args.command:
+    if command != "fixtures":
+        problem = _read_problem(flags["in"])
+        if problem.task != command:
             raise ProblemError(
-                f"problem file task {problem.task!r} does not match subcommand {args.command!r}"
+                f"problem file task {problem.task!r} does not match subcommand {command!r}"
             )
-        return [(problem, merge_config(problem.config, args), args.outfile)]
-    paths = sorted(Path(args.dir).glob("*.problem.json"))
+        return [(problem, merge_config(problem.config, flags), flags["out"])]
+    paths = sorted(Path(flags["dir"]).glob("*.problem.json"))
     if not paths:
-        raise ProblemError(f"no *.problem.json files in {args.dir}")
+        raise ProblemError(f"no *.problem.json files in {flags['dir']}")
     jobs = []
     for path in paths:
         try:
@@ -361,9 +367,9 @@ def _jobs(args) -> list:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, flags = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
-        jobs = _jobs(args)
+        jobs = _jobs(command, flags)
     except (ValueError, OSError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .clark import ClarkBasis
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL, Checked,
                      Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol, sequence)
 from .modelspace import OrthonormalBasis
-from .sampling import clark_draws
+from .sampling import clark_draws, stdlib_uniforms
 
 __all__ = [
     "IndeterminateError",
@@ -111,10 +111,6 @@ class Sym3(Checked, namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
         e = math.frexp(finite(float(np.abs(parts).max()), "largest part of S"))[1]
         # Every part ends below 1, so a bare ldexp needs no overflow guard (``_ldexp``'s errstate).
         return Sym3._make(np.ldexp(parts, -e).view(complex).tolist()), e
-
-    def scaled(self, e: int) -> "Sym3":
-        """S * 2**e, exact unless an entry over- or underflows."""
-        return Sym3._make(_ldexp(self.vector, e).tolist())
 
     @classmethod
     def from_array(cls, m, tol: float = SYM_TOL) -> "Sym3":
@@ -220,8 +216,9 @@ def detthm_test(
     """Determinant membership test for the span of the five generators.
 
     Forms the 6x6 matrix [c1..c5, S] and declares the input representable when
-    |det| <= tol * (product of all six column norms), which makes the verdict
-    invariant under rescaling of S; the zero matrix passes (both sides vanish).
+    |det| <= tol * (product of all six column norms) and the certificate's residual
+    <= tol * ||S||_F (ill-conditioned columns shrink |det| far below the norm product),
+    so the verdict is invariant under rescaling of S and the zero matrix passes.
     The certificate (mu, residual) is read from the SVD of ``build_columns``: with
     u6 the sixth left singular vector (the span is the kernel of u6^H) and the Frobenius
     weights w, fit = S - (u6^H S) / ||u6/w||^2 * u6/w^2 = columns @ mu is the weighted
@@ -238,13 +235,14 @@ def detthm_test(
     square = np.column_stack([cols, v])
     det_value = complex(np.linalg.det(square))
     norm_product = float(np.prod(np.linalg.norm(square, axis=0)))
-    is_rep = abs(det_value) <= tol * norm_product
 
     normal = u[:, 5] / _FROBENIUS_WEIGHTS  # the span's normal in the weighted norm
     along, norm_sq = np.vdot(u[:, 5], v), np.vdot(normal, normal).real
+    residual = abs(along) / math.sqrt(norm_sq)
+    is_rep = bool(abs(det_value) <= tol * norm_product and residual <= tol * np.linalg.norm(unit.array))
     fit = v - along / norm_sq * normal / _FROBENIUS_WEIGHTS
     mu = np.conj(vh.T) @ (np.conj(u[:, :5].T) @ fit / sv)
-    back = _ldexp(np.concatenate([mu, [abs(along) / math.sqrt(norm_sq), det_value]]), e).tolist()
+    back = _ldexp(np.concatenate([mu, [residual, det_value]]), e).tolist()
     return DetThmResult(is_rep, Certificate(tuple(back[:5]), back[5].real), back[6])
 
 
@@ -335,8 +333,8 @@ def counterexample_report(family: int, a: float, b: float, c: float, seed: int =
     Records the normality defect of the normalized matrix (zero: a family
     matrix is real symmetric), then draws the random modified Clark bases
     (random order-3 product, random interior point and target) as one batch
-    from ``numpy.random.default_rng(seed)`` (``sampling.clark_draws``: ten
-    uniforms per attempt, failed attempts skipped, eight in a row raise) and
+    from ``random.Random(seed)`` (``sampling.clark_draws`` on ``stdlib_uniforms``: ten
+    consecutive uniforms per attempt, failed attempts skipped, eight in a row raise) and
     runs the s6 relation test against each, on the stacked bases.  The matrix
     is expected to fail every time; the report records how often it did and
     the smallest relative gap gap / ||S||_F, the quantity the test compares
@@ -352,7 +350,7 @@ def counterexample_report(family: int, a: float, b: float, c: float, seed: int =
     s, _ = matrix.normalized()
     m = s.array
     normal_defect = float(np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m))
-    bases = clark_draws(np.random.default_rng(seed), TRIALS)
+    bases = clark_draws(stdlib_uniforms(seed), TRIALS)
     _, gaps, is_rep = _s6_prediction(s, relation_weight(bases), REP_TOL)
     rejections = int(np.count_nonzero(~is_rep))
     return CounterexampleReport(

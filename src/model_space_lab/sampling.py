@@ -3,12 +3,15 @@
 Zeros lie in the disc of radius ``ZERO_RADIUS`` and Clark anchor points t in
 that of ``ANCHOR_RADIUS``, away from the circle so level sets stay well separated.
 
-A random Clark basis is one attempt of ``CLARK_DRAW`` uniforms, decoded by
-``decode_clark_draws``; ``clark_draws`` runs the Clark chain on blocks of
-attempts and ``random_clark_basis`` is its batch of 1.
+A random Clark basis is one attempt of ``CLARK_DRAW`` uniforms, decoded by ``decode_clark_draws``;
+``clark_draws`` runs the Clark chain on blocks of attempts, ``random_clark_basis`` is its batch of 1,
+and the sweep draws from ``stdlib_uniforms``, so a CLI call never imports ``numpy.random``.
 """
 
 from __future__ import annotations
+
+import random
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .clark import ClarkBasis, ClarkParams, ClarkRows, ClarkTargetError, clark_r
 
 __all__ = [
     "CLARK_DRAW",
+    "stdlib_uniforms",
     "decode_clark_draws",
     "clark_draws",
     "random_clark_basis",
@@ -28,6 +32,12 @@ CLARK_DRAW = 10
 RETRIES = 8  # consecutive failed attempts before the last error is raised
 ZERO_RADIUS = 0.85  # zeros of a random product
 ANCHOR_RADIUS = 0.6  # anchor point t of random Clark parameters
+
+
+def stdlib_uniforms(seed: int) -> SimpleNamespace:
+    """``random.Random(seed)`` with a ``Generator``'s ``random(shape)``: its stream in row-major order."""
+    draw = random.Random(seed).random
+    return SimpleNamespace(random=lambda shape: np.reshape([draw() for _ in range(np.prod(shape))], shape))
 
 
 def _disc(radius, angle, rmax):

@@ -12,7 +12,7 @@ import numpy as np
 from model_space_lab.blaschke import BlaschkeProduct, circle_angle
 from model_space_lab.clark import ClarkParams
 from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, _tmw_numerators, coordinates
-from model_space_lab.repcheck import relation_weight
+from model_space_lab.repcheck import Sym3, relation_weight
 from model_space_lab.sampling import ANCHOR_RADIUS, ZERO_RADIUS
 
 
@@ -35,6 +35,11 @@ def random_blaschke(rng, unit_constant: bool = False) -> BlaschkeProduct:
 def random_clark_params(rng) -> ClarkParams:
     """t, then alpha: the last three uniforms of a Clark draw."""
     return ClarkParams(t=_disc(rng, ANCHOR_RADIUS), alpha=random_unimodular(rng))
+
+
+def scaled(s: Sym3, e: int) -> Sym3:
+    """S * 2**e by ``np.ldexp`` on the float view: exact unless a part over- or underflows."""
+    return Sym3._make(np.ldexp(s.vector.view(float), e).view(complex).tolist())
 
 
 def random_special_orthogonal(rng) -> np.ndarray:

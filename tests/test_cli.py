@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -297,10 +296,9 @@ def test_parse_stage_raises_only_value_error(edits, flags):
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-    args = argparse.Namespace(**{key: flags.get(key) for key in OPTIONS})
     try:
         problem = cli.parse_problem(json.loads(json.dumps(problem)))
-        config = cli.merge_config(problem.config, args)
+        config = cli.merge_config(problem.config, flags)
     except ValueError:
         return
     assert isinstance(config, SolverConfig)
@@ -485,7 +483,7 @@ def _pair(z):
 
 
 @st.composite
-def edge_problems(draw):
+def edge_problems(draw, tasks=cli.TASKS):
     """Valid problems at the edges: zeros and t near the circle, entries from
     10^-300 up to parts near the float maximum, whose modulus overflows."""
 
@@ -495,7 +493,7 @@ def edge_problems(draw):
     def disc(rmax):
         return draw(st.floats(0, rmax)) * unimodular()
 
-    task = draw(st.sampled_from(cli.TASKS))
+    task = draw(st.sampled_from(tasks))
     w = disc(0.9999)
     layout = draw(st.sampled_from(("triple", "near-pair", "random")))
     if layout == "triple":
@@ -535,6 +533,19 @@ def test_edge_sweep_valid_input_is_decided_or_indeterminate(problem):
         assert report["details"]["reason"]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=edge_problems(tasks=("check-detthm",)))
+def test_edge_sweep_decided_verdicts_agree(problem):
+    # On a Clark basis the two procedures decide one question, so on the same
+    # draw their verdicts agree wherever both decide.
+    verdicts = []
+    for task in ("check-detthm", "check-clark-s6"):
+        parsed = cli.parse_problem(json.loads(json.dumps({**problem, "task": task})))
+        verdicts.append(cli.run_task(parsed, parsed.config)["verdict"])
+    if "indeterminate" not in verdicts:
+        assert verdicts[0] is verdicts[1]
+
+
 # -- option precedence ---------------------------------------------------------
 
 
@@ -553,6 +564,27 @@ def test_seed_precedence(tmp_path, monkeypatch):
     code, report, _ = run_cli(tmp_path, problem, name="c")
     assert code == 0
     assert report["config"]["seed"] == 5
+
+
+def test_flag_grammar(tmp_path, capsys):
+    # --flag value and --flag=value, the last repeat winning; no prefix abbreviations.
+    problem = shift_problem("clark-basis")
+    _, report, _ = run_cli(tmp_path, problem, extra=("--seed=3", "--starts", "2", "--seed", "9"))
+    assert (report["config"]["seed"], report["config"]["starts"]) == (9, 2)
+    for extra in (("--st", "4"), ("--seed", "1.5"), ("--tol",), ("stray",), ("--dir", "x"), ("-s", "1")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, problem, extra=extra, name="bad")
+        assert exc.value.code == 2, extra
+        assert capsys.readouterr().err.startswith("usage: model-space-lab {clark-basis,"), extra
+    for argv in ([], ["clark-basis"], ["clark-basis", "--in", "p.json"], ["fixtures", "--tol", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            run(["corollary", flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: model-space-lab ")
 
 
 def test_integer_tol_reports_a_float(tmp_path, az_matrix):
@@ -838,11 +870,11 @@ def test_solve_scales_back_once(monkeypatch):
         assert len(calls) == 2
 
 
-# Run in a fresh interpreter where every scipy import fails.
+# Run in a fresh interpreter where every scipy, numpy.random and argparse import fails.
 _NO_SCIPY = """
 import json, sys
 from pathlib import Path
-sys.modules["scipy"] = None
+sys.modules["scipy"] = sys.modules["numpy.random"] = sys.modules["argparse"] = None
 from model_space_lab.cli import run
 out = Path(sys.argv[1])
 for path in map(Path, sys.argv[2:]):
@@ -853,19 +885,36 @@ for path in map(Path, sys.argv[2:]):
 """
 
 
-def test_runs_without_scipy(tmp_path):
-    # numpy is the only runtime dependency: every committed problem, which
-    # together cover all six tasks, still reaches a decision.
-    root = Path(__file__).resolve().parents[1]
-    problems = sorted(str(p) for p in (root / "fixtures").glob("*.problem.json"))
-    tasks = {json.loads(Path(p).read_text())["task"] for p in problems}
-    assert len(tasks) == 6
+def _child_env():
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(COMMITTED.parent / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency, and a cold call imports neither
+    # numpy.random nor argparse: every committed problem, which together cover
+    # all six tasks, still reaches a decision.
+    problems = sorted(str(p) for p in COMMITTED.glob("*.problem.json"))
+    tasks = {json.loads(Path(p).read_text())["task"] for p in problems}
+    assert len(problems) == 9 and len(tasks) == 6
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY, str(tmp_path), *problems],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.problem.json"))) == 9
+
+
+def test_main_module_writes_the_golden_report(tmp_path):
+    # ``python -m model_space_lab``, the path a cold CLI call takes, runs the
+    # sweep and the solver and writes the committed report within 1e-10.
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "model_space_lab", "corollary",
+         "--in", str(COMMITTED / "f1-corollary.problem.json"), "--out", str(out)],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads((COMMITTED / "f1-corollary.report.json").read_text())
+    assert_tree_close(golden, json.loads(out.read_text()), where="f1-corollary.report")
