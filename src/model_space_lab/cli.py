@@ -16,11 +16,17 @@ Exit codes: 0 = a decision was made (whatever the verdict), 2 = the input was
 invalid (no report written), 3 = the computation was numerically indeterminate
 (report written with verdict "indeterminate").  Each has one source: exit 2
 comes only from the parse stage (reading the files, ``parse_problem`` and
-``merge_config``; for ``fixtures`` also a DIR without problem files), which
+``merge_config``; an ``--out`` that is a directory, lies in a missing one or
+is the ``--in`` file; for ``fixtures`` also a DIR without problem files), which
 runs before any computation, and exit 3 only from ``run_task`` catching
 ``Indeterminate``.  Any other error is a bug and crashes with a traceback.
+
+``main``, the process entry point, freezes the imported heap (``gc.freeze()``)
+before ``run``, so interpreter shutdown does not walk numpy's objects; ``run``,
+which in-process callers use, freezes nothing.
 """
 
+import gc
 import json
 import math
 import sys
@@ -351,7 +357,10 @@ def _jobs(command: str, flags: dict) -> list:
             raise ProblemError(
                 f"problem file task {problem.task!r} does not match subcommand {command!r}"
             )
-        return [(problem, merge_config(problem.config, flags), flags["out"])]
+        out = Path(flags["out"])
+        if out.is_dir() or not out.parent.is_dir() or out.exists() and out.samefile(flags["in"]):
+            raise ProblemError(f"--out {out}: must name a file in an existing directory, not the --in file")
+        return [(problem, merge_config(problem.config, flags), out)]
     paths = sorted(Path(flags["dir"]).glob("*.problem.json"))
     if not paths:
         raise ProblemError(f"no *.problem.json files in {flags['dir']}")
@@ -387,6 +396,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    gc.freeze()  # the imported modules live until exit, so no collection needs to walk them
     sys.exit(run())
 
 

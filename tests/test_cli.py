@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -218,6 +219,20 @@ def no_computation(monkeypatch):
 def test_invalid_flag_exits_2_before_computation(tmp_path, no_computation, flag):
     code, report, _ = run_cli(tmp_path, shift_problem("solve-so3", FAMILY3), extra=(flag,))
     assert code == 2 and report is None
+
+
+@pytest.mark.parametrize(
+    "out", ["{dir}/./problem.json", "{dir}", "{dir}/missing/report.json"], ids=["in-file", "directory", "missing-dir"]
+)
+def test_unwritable_out_exits_2_before_computation(tmp_path, no_computation, out):
+    # The --in file itself, a directory and a path in a missing directory are
+    # refused with the input, so no problem file is overwritten and no run
+    # ends in a traceback after its computation.
+    infile, text = tmp_path / "problem.json", json.dumps(shift_problem("check-detthm", FAMILY3))
+    infile.write_text(text)
+    assert run(["check-detthm", "--in", str(infile), "--out", out.format(dir=tmp_path)]) == 2
+    assert infile.read_text() == text
+    assert list(tmp_path.iterdir()) == [infile]
 
 
 def test_invalid_problem_option_exits_2_before_computation(tmp_path, no_computation):
@@ -907,14 +922,69 @@ def test_runs_without_scipy(tmp_path):
 
 
 def test_main_module_writes_the_golden_report(tmp_path):
-    # ``python -m model_space_lab``, the path a cold CLI call takes, runs the
-    # sweep and the solver and writes the committed report within 1e-10.
-    out = tmp_path / "report.json"
+    # ``python -m model_space_lab``, the path a cold CLI call takes, writes
+    # every committed report, which together cover all six tasks, within 1e-10.
+    copy_problems(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "model_space_lab", "corollary",
-         "--in", str(COMMITTED / "f1-corollary.problem.json"), "--out", str(out)],
+        [sys.executable, "-m", "model_space_lab", "fixtures", "--dir", str(tmp_path)],
         env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    golden = json.loads((COMMITTED / "f1-corollary.report.json").read_text())
-    assert_tree_close(golden, json.loads(out.read_text()), where="f1-corollary.report")
+    for name in ALL_FIXTURES:
+        golden = json.loads((COMMITTED / f"{name}.report.json").read_text())
+        fresh = json.loads((tmp_path / f"{name}.report.json").read_text())
+        assert_tree_close(golden, fresh, where=f"{name}.report")
+
+
+def test_main_module_exits_3_with_report(tmp_path):
+    # A triple zero at 0.999999 leaves a level-set residual just above
+    # ROOT_TOL.  The child's report and its stderr line outlive the frozen
+    # heap at exit.
+    problem = shift_problem("clark-basis")
+    problem["theta"] = {"zeros": [[0.999999, 0.0]] * 3, "constant": [1.0, 0.0]}
+    problem["clark"] = {"t": [0.3, 0.0], "alpha": [0.0, 1.0]}
+    infile, out = tmp_path / "problem.json", tmp_path / "report.json"
+    infile.write_text(json.dumps(problem))
+    proc = subprocess.run(
+        [sys.executable, "-m", "model_space_lab", "clark-basis", "--in", str(infile), "--out", str(out)],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "error: indeterminate:" in proc.stderr
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "indeterminate"
+    validate_report(report)
+
+
+# cli.main() as the process entry point, with an atexit hook that prints the frozen count.
+_FREEZE_COUNT_AT_EXIT = """
+import atexit, gc
+from model_space_lab import cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+cli.main()
+"""
+
+
+def test_main_freezes_the_import_heap(tmp_path):
+    # main() freezes the objects the imports left (about 21,500), so the
+    # collections of interpreter shutdown skip them; atexit hooks still run.
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_COUNT_AT_EXIT, "check-detthm",
+         "--in", str(COMMITTED / "f1-check-detthm.problem.json"), "--out", str(out)],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    label, count = proc.stdout.split()
+    assert label == "frozen" and int(count) > 10_000
+    golden = json.loads((COMMITTED / "f1-check-detthm.report.json").read_text())
+    assert_tree_close(golden, json.loads(out.read_text()), where="f1-check-detthm.report")
+
+
+def test_run_freezes_nothing(tmp_path):
+    # In-process callers (tests, the benchmark's traced pass) keep every
+    # object they make collectable.
+    before = gc.get_freeze_count()
+    code, report, _ = run_cli(tmp_path, shift_problem("clark-basis"))
+    assert code == 0 and report["verdict"] is True
+    assert gc.get_freeze_count() == before
