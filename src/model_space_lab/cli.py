@@ -6,20 +6,22 @@ seventh, ``fixtures --dir DIR``, rewrites ``<name>.report.json`` for every
 ``<name>.problem.json`` in DIR and never writes a problem file.  Problems
 and reports are strict JSON with every complex number as a two-element
 ``[re, im]`` array and every float printed to 12 significant digits.  All
-seven subcommands take one path: parse every problem, then ``run_task`` and
-write each report.  A problem's ``options`` and the flags ``--tol``, ``--seed``
-and ``--starts`` (read by ``_parse_argv`` from a table; no argparse is imported)
-set the three fields of ``SolverConfig``; the report's ``config`` echoes them
-with the name of the one Clark relation.
+seven subcommands take one path: turn each (problem file, report path) pair
+into a job, then ``run_task`` and write each report.  A problem's ``options``
+and the flags ``--tol``, ``--seed`` and ``--starts`` (read by ``_parse_argv``
+from a table; no argparse is imported) set the three fields of its
+``SolverConfig``; the report's ``config`` echoes them with the name of the one
+Clark relation.
 
 Exit codes: 0 = a decision was made (whatever the verdict), 2 = the input was
 invalid (no report written), 3 = the computation was numerically indeterminate
 (report written with verdict "indeterminate").  Each has one source: exit 2
-comes only from the parse stage (reading the files, ``parse_problem`` and
-``merge_config``; an ``--out`` that is a directory, lies in a missing one or
-is the ``--in`` file; for ``fixtures`` also a DIR without problem files), which
-runs before any computation, and exit 3 only from ``run_task`` catching
-``Indeterminate``.  Any other error is a bug and crashes with a traceback.
+comes only from the parse stage ``_jobs``, which runs before any computation
+(a problem file that cannot be read, fails ``parse_problem`` or names another
+task, a flag that fails ``merge_config``, a report path that resolves to a
+directory, into a missing one or to the problem file, a DIR without problem
+files), and exit 3 only from ``run_task`` catching ``Indeterminate``.  Any
+other error is a bug and crashes with a traceback.
 
 ``main``, the process entry point, freezes the imported heap (``gc.freeze()``)
 before ``run``, so interpreter shutdown does not walk numpy's objects; ``run``,
@@ -119,7 +121,7 @@ class Problem(NamedTuple):
     theta: BlaschkeProduct
     clark: ClarkParams
     matrix: Optional[Sym3]
-    config: SolverConfig  # defaults updated by the problem's options
+    config: SolverConfig  # defaults updated by the problem's options, then the flags (merge_config)
 
 
 def parse_problem(obj) -> Problem:
@@ -164,18 +166,19 @@ def parse_problem(obj) -> Problem:
     return Problem(task, theta, clark, matrix, SolverConfig(**options))
 
 
-def merge_config(config: SolverConfig, flags: dict) -> SolverConfig:
-    """The problem's config, then the options among ``flags`` (``_parse_argv``'s dict)."""
-    return config._replace(**{key: flags[key] for key in _OPTIONS if key in flags})
+def merge_config(problem: Problem, flags: dict) -> Problem:
+    """The problem with the options among ``flags`` (``_parse_argv``'s dict) set in its config."""
+    options = {key: flags[key] for key in _OPTIONS if key in flags}
+    return problem._replace(config=problem.config._replace(**options))
 
 
 # -- report assembly -----------------------------------------------------------
 
-# Each runner takes (problem, config, cb), cb the Clark basis that run_task
-# builds, and returns the report fields it decides, as library values.
+# Each runner takes (problem, cb), cb the Clark basis that run_task builds,
+# and returns the report fields it decides, as library values.
 
 
-def _run_clark_basis(problem, config, cb):
+def _run_clark_basis(problem, cb):
     residuals = {
         "gram": cb.basis.gram_residual,
         "conjugation": cb.basis.conj_residual,
@@ -184,16 +187,16 @@ def _run_clark_basis(problem, config, cb):
     return {"verdict": True, "residuals": residuals, "details": {"omega": cb.omega}}
 
 
-def _run_tto_matrix(problem, config, cb):
+def _run_tto_matrix(problem, cb):
     m = tto_matrix_from_symbol(problem.theta, Symbol.shift(), cb.basis)
     s = Sym3.from_array(m.array, tol=TTO_SYM_TOL)
     residuals = {"symmetry": m.symmetry_defect()}
     return {"verdict": True, "residuals": residuals, "details": {"s": s.vector}}
 
 
-def _run_check_detthm(problem, config, cb):
+def _run_check_detthm(problem, cb):
     pc = default_points(problem.theta)
-    result = detthm_test(problem.matrix, cb.basis, pc, tol=config.tol)
+    result = detthm_test(problem.matrix, cb.basis, pc, tol=problem.config.tol)
     cert = result.certificate
     # np.abs gives inf where abs() of a huge complex raises OverflowError.
     residuals = {"determinant": np.abs(result.det_value), "certificate": cert.residual}
@@ -205,8 +208,8 @@ def _run_check_detthm(problem, config, cb):
     }
 
 
-def _run_check_clark_s6(problem, config, cb):
-    result = clark_s6_test(problem.matrix, cb, tol=config.tol)
+def _run_check_clark_s6(problem, cb):
+    result = clark_s6_test(problem.matrix, cb, tol=problem.config.tol)
     return {
         "verdict": result.is_rep,
         "residuals": {"gap": result.gap},
@@ -214,8 +217,8 @@ def _run_check_clark_s6(problem, config, cb):
     }
 
 
-def _run_solve_so3(problem, config, cb):
-    rep = solve(problem.matrix, cb, config)
+def _run_solve_so3(problem, cb):
+    rep = solve(problem.matrix, cb, problem.config)
     return {
         "verdict": True if rep.found else "not-found-within-budget",
         "residuals": {"relation": rep.best_residual, "certificate": rep.certificate.residual},
@@ -228,10 +231,10 @@ def _run_solve_so3(problem, config, cb):
     }
 
 
-def _run_corollary(problem, config, cb):
+def _run_corollary(problem, cb):
     family, a, b, c = match_counterexample_family(problem.matrix)
-    co = counterexample_report(family, a, b, c, seed=config.seed)
-    rep = solve(problem.matrix, cb, config)
+    co = counterexample_report(family, a, b, c, seed=problem.config.seed)
+    rep = solve(problem.matrix, cb, problem.config)
     return {
         "verdict": co.all_rejected and rep.found,
         "residuals": {"normality": co.normal_defect, "relation": rep.best_residual},
@@ -260,8 +263,8 @@ _RUNNERS = {
 TASKS = tuple(_RUNNERS)
 
 
-def run_task(problem: Problem, config: SolverConfig) -> dict:
-    """Run one task and build its report, each block encoded by ``_encode``.
+def run_task(problem: Problem) -> dict:
+    """Run one task with ``problem.config`` and build its report, each block encoded by ``_encode``.
 
     ``Indeterminate`` from any stage, the encoding included, gives verdict
     "indeterminate" with ``details.reason``; the report keeps its timing,
@@ -270,12 +273,12 @@ def run_task(problem: Problem, config: SolverConfig) -> dict:
     start = time.perf_counter()
     report = {key: {} for key in _REPORT_KEYS}
     report.update(task=problem.task, verdict="indeterminate",
-                  config=_encode({key: getattr(config, key) for key in _OPTIONS} | _RELATION))
+                  config=_encode({key: getattr(problem.config, key) for key in _OPTIONS} | _RELATION))
     try:
         cb = modified_clark_basis(problem.theta, problem.clark)
         report["basis"] = _encode({"etas": cb.etas, "phases": cb.phases, "norms": cb.norms})
         # Encoded before the update, so a non-finite value leaves the report undecided.
-        report.update(_encode(_RUNNERS[problem.task](problem, config, cb)))
+        report.update(_encode(_RUNNERS[problem.task](problem, cb)))
     except Indeterminate as exc:
         report["details"] = {"reason": str(exc)}
     report["timing"]["seconds"] = _encode(time.perf_counter() - start)
@@ -336,42 +339,34 @@ def _parse_argv(argv) -> tuple:
     raise SystemExit(2)
 
 
-def _read_problem(path) -> Problem:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ProblemError("problem file is nested too deeply") from None
-    return parse_problem(obj)
-
-
 def _jobs(command: str, flags: dict) -> list:
-    """The parse stage: (problem, config, report path) for each report to write.
+    """The parse stage: (problem, report path) for each report to write.
 
-    ``fixtures`` gives one job per ``<name>.problem.json`` in its directory,
-    with the problem's own config, writing ``<name>.report.json`` next to it.
+    Each pair of files, ``--in`` and ``--out`` or every ``<name>.problem.json`` of
+    ``fixtures``' DIR and its ``<name>.report.json``, goes one way: read the problem
+    (an error names the file), match its task to a task subcommand, merge the flags,
+    and refuse a report path that resolves to a directory, into a missing one or to the problem.
     """
-    if command != "fixtures":
-        problem = _read_problem(flags["in"])
-        if problem.task != command:
-            raise ProblemError(
-                f"problem file task {problem.task!r} does not match subcommand {command!r}"
-            )
-        out = Path(flags["out"])
-        if out.is_dir() or not out.parent.is_dir() or out.exists() and out.samefile(flags["in"]):
-            raise ProblemError(f"--out {out}: must name a file in an existing directory, not the --in file")
-        return [(problem, merge_config(problem.config, flags), out)]
-    paths = sorted(Path(flags["dir"]).glob("*.problem.json"))
-    if not paths:
-        raise ProblemError(f"no *.problem.json files in {flags['dir']}")
+    if command == "fixtures":
+        paths = sorted(Path(flags["dir"]).glob("*.problem.json"))
+        if not paths:
+            raise ProblemError(f"no *.problem.json files in {flags['dir']}")
+        pairs = [(p, p.with_name(p.name.removesuffix(".problem.json") + ".report.json")) for p in paths]
+    else:
+        pairs = [(Path(flags["in"]), Path(flags["out"]))]
     jobs = []
-    for path in paths:
+    for infile, outfile in pairs:
         try:
-            problem = _read_problem(path)
-        except ValueError as exc:
-            raise ProblemError(f"{path}: {exc}") from None
-        report_name = path.name.removesuffix(".problem.json") + ".report.json"
-        jobs.append((problem, problem.config, path.with_name(report_name)))
+            with open(infile) as fh:
+                problem = parse_problem(json.load(fh))
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
+            raise ProblemError(f"{infile}: {exc}") from None
+        if command not in ("fixtures", problem.task):
+            raise ProblemError(f"{infile}: task {problem.task!r} does not match subcommand {command!r}")
+        out = outfile.resolve()
+        if out.is_dir() or not out.parent.is_dir() or out.exists() and out.samefile(infile):
+            raise ProblemError(f"{outfile}: must name a file in an existing directory, not the problem file")
+        jobs.append((merge_config(problem, flags), outfile))
     return jobs
 
 
@@ -384,8 +379,8 @@ def run(argv=None) -> int:
         return 2
 
     code = 0
-    for problem, config, outfile in jobs:
-        report = run_task(problem, config)
+    for problem, outfile in jobs:
+        report = run_task(problem)
         with open(outfile, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")

@@ -121,7 +121,7 @@ def test_no_production_path_builds_j(f2, monkeypatch):
             monkeypatch.setattr(module, "conjugation_matrix", counted)
     for path in sorted(FIXTURES.glob("*.problem.json")):
         problem = cli.parse_problem(json.loads(path.read_text()))
-        assert cli.run_task(problem, problem.config)["verdict"] is True
+        assert cli.run_task(problem)["verdict"] is True
     params = ClarkParams(0.1 + 0.2j, 1.0)
     level_set(f2, np.exp(0.4j))
     cb = modified_clark_basis(f2, params)

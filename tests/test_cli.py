@@ -1,7 +1,11 @@
 import gc
+import importlib
+import itertools
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +19,13 @@ from model_space_lab import blaschke, cli, repcheck, sampling, so3solver
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, clark_operator_matrix, modified_clark_basis
 from model_space_lab.cli import run, validate_report
-from model_space_lab.config import BASIS_TOL, ROOT_TOL
+from model_space_lab.config import BASIS_TOL, ROOT_TOL, Indeterminate
 from model_space_lab.modelspace import BasisError
 from model_space_lab.repcheck import IndeterminateError, Sym3, clark_s6_test, default_points, detthm_test
 from model_space_lab.so3solver import SolverConfig, solve
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
+
+from oracles import random_blaschke, random_clark_params
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -222,17 +228,20 @@ def test_invalid_flag_exits_2_before_computation(tmp_path, no_computation, flag)
 
 
 @pytest.mark.parametrize(
-    "out", ["{dir}/./problem.json", "{dir}", "{dir}/missing/report.json"], ids=["in-file", "directory", "missing-dir"]
+    "out",
+    ["{dir}/./problem.json", "{dir}", "{dir}/missing/report.json", "{dir}/link.json"],
+    ids=["in-file", "directory", "missing-dir", "dangling-link"],
 )
 def test_unwritable_out_exits_2_before_computation(tmp_path, no_computation, out):
-    # The --in file itself, a directory and a path in a missing directory are
-    # refused with the input, so no problem file is overwritten and no run
-    # ends in a traceback after its computation.
+    # The --in file itself, a directory, a path in a missing directory and a
+    # link into one are refused with the input, so no problem file is
+    # overwritten and no run ends in a traceback after its computation.
     infile, text = tmp_path / "problem.json", json.dumps(shift_problem("check-detthm", FAMILY3))
     infile.write_text(text)
+    (tmp_path / "link.json").symlink_to(tmp_path / "missing" / "report.json")
     assert run(["check-detthm", "--in", str(infile), "--out", out.format(dir=tmp_path)]) == 2
     assert infile.read_text() == text
-    assert list(tmp_path.iterdir()) == [infile]
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == [infile]
 
 
 def test_invalid_problem_option_exits_2_before_computation(tmp_path, no_computation):
@@ -312,11 +321,10 @@ def test_parse_stage_raises_only_value_error(edits, flags):
             parent = parent[key]
         parent[path[-1]] = value
     try:
-        problem = cli.parse_problem(json.loads(json.dumps(problem)))
-        config = cli.merge_config(problem.config, flags)
+        problem = cli.merge_config(cli.parse_problem(json.loads(json.dumps(problem))), flags)
     except ValueError:
         return
-    assert isinstance(config, SolverConfig)
+    assert isinstance(problem.config, SolverConfig)
 
 
 def test_indeterminate_exits_3_with_report(tmp_path):
@@ -542,7 +550,7 @@ def test_edge_sweep_valid_input_is_decided_or_indeterminate(problem):
     # Valid input always parses, and every run ends in a report that
     # validates: a decision, or "indeterminate" with the reason.
     parsed = cli.parse_problem(json.loads(json.dumps(problem)))
-    report = cli.run_task(parsed, parsed.config)
+    report = cli.run_task(parsed)
     validate_report(report)
     if report["verdict"] == "indeterminate":
         assert report["details"]["reason"]
@@ -556,9 +564,47 @@ def test_edge_sweep_decided_verdicts_agree(problem):
     verdicts = []
     for task in ("check-detthm", "check-clark-s6"):
         parsed = cli.parse_problem(json.loads(json.dumps({**problem, "task": task})))
-        verdicts.append(cli.run_task(parsed, parsed.config)["verdict"])
+        verdicts.append(cli.run_task(parsed)["verdict"])
     if "indeterminate" not in verdicts:
         assert verdicts[0] is verdicts[1]
+
+
+# -- symmetries ------------------------------------------------------------------
+
+
+def test_zero_order_leaves_every_report_unchanged():
+    # Permuting the zeros leaves the product unchanged, so its level sets, its
+    # Clark basis and each report are the same: every order gives the identity
+    # order's verdict and report within the 1e-10 rule, on an accepted TTO and
+    # on a random S for the two checks.  A report prints 12 significant digits,
+    # so a value above 10 whose orders differ by 4e-13 can still print 1e-10
+    # apart: rel=1e-11, one unit in the last printed digit, admits that step.
+    rng = np.random.default_rng(29)
+    orders = list(itertools.permutations(range(3)))
+    decided = 0
+    for draw in range(40):
+        b, params = random_blaschke(rng), random_clark_params(rng)
+        random_s = Sym3(*(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+        try:
+            accepted = random_tto(b, modified_clark_basis(b, params).basis, seed=draw)[1]
+        except Indeterminate:
+            continue
+        decided += 1
+        problem = {"clark": {"t": _pair(params.t), "alpha": _pair(params.alpha)}, "options": {}}
+        cases = [("clark-basis", None), ("tto-matrix", None)]
+        cases += [(task, s) for task in ("check-detthm", "check-clark-s6") for s in (accepted, random_s)]
+        for task, s in cases:
+            if s is not None:
+                problem["matrix"] = {"s": [_pair(x) for x in s]}
+            reports = []
+            for order in orders:
+                zeros = [_pair(b.zeros[i]) for i in order]
+                problem.update(task=task, theta={"zeros": zeros, "constant": _pair(b.front_constant)})
+                reports.append(cli.run_task(cli.parse_problem(problem)))
+            for order, report in zip(orders[1:], reports[1:]):
+                assert_tree_close(reports[0], report, f"draw {draw} {task} {order}", rel=1e-11)
+    assert decided >= 30
+    print(f"zero order: {decided} of 40 draws x 6 problems x 5 orders agree")
 
 
 # -- option precedence ---------------------------------------------------------
@@ -652,20 +698,20 @@ ALL_FIXTURES = (
 )
 
 
-def assert_tree_close(a, b, where="root"):
+def assert_tree_close(a, b, where="root", rel=0.0):
     assert type(a) is type(b), f"{where}: {type(a)} vs {type(b)}"
     if isinstance(a, dict):
         assert sorted(a) == sorted(b), where
         for k in a:
             if k == "timing":
                 continue
-            assert_tree_close(a[k], b[k], f"{where}.{k}")
+            assert_tree_close(a[k], b[k], f"{where}.{k}", rel)
     elif isinstance(a, list):
         assert len(a) == len(b), where
         for i, (x, y) in enumerate(zip(a, b)):
-            assert_tree_close(x, y, f"{where}[{i}]")
+            assert_tree_close(x, y, f"{where}[{i}]", rel)
     elif isinstance(a, float):
-        assert a == pytest.approx(b, abs=1e-10), where
+        assert a == pytest.approx(b, abs=1e-10, rel=rel), where
     else:
         assert a == b, where
 
@@ -754,11 +800,21 @@ def test_fixtures_without_problem_files_exit_2(tmp_path, no_computation):
 
 
 def test_fixtures_malformed_problem_exits_2_before_computation(tmp_path, no_computation):
-    # One bad problem file refuses the whole directory: no report is written.
-    copy_problems(tmp_path)
-    (tmp_path / "f1-zz-broken.problem.json").write_text("{ not json")
-    assert run(["fixtures", "--dir", str(tmp_path)]) == 2
-    assert not list(tmp_path.glob("*.report.json"))
+    # One bad pair refuses the whole directory, as in the task form: a problem
+    # file that is not JSON, or a report path that is a directory.  No report
+    # file is written and no problem file changes.
+    for k, bad in enumerate(("f1-zz-broken.problem.json", "f2-tto-matrix.report.json")):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        copy_problems(directory)
+        if bad.endswith(".problem.json"):
+            (directory / bad).write_text("{ not json")
+        else:
+            (directory / bad).mkdir()
+        problems = {path.name: path.read_bytes() for path in directory.glob("*.problem.json")}
+        assert run(["fixtures", "--dir", str(directory)]) == 2, bad
+        assert not [path for path in directory.glob("*.report.json") if path.is_file()], bad
+        assert {path.name: path.read_bytes() for path in directory.glob("*.problem.json")} == problems, bad
 
 
 # -- work counts ------------------------------------------------------------------
@@ -795,7 +851,7 @@ def test_fixture_builds_product_pieces_once(name, piece_builds):
     # One product per problem, its pieces built once at construction; the
     # sampler of the corollary task builds them once per block of draws.
     parsed = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
-    assert cli.run_task(parsed, parsed.config)["verdict"] is True
+    assert cli.run_task(parsed)["verdict"] is True
     assert piece_builds["products"] == 1
     assert piece_builds["blocks"] == (name == "f1-corollary")
     assert piece_builds["product_stack"] == piece_builds["compressed_shifts"] == 1 + piece_builds["blocks"]
@@ -934,6 +990,18 @@ def test_main_module_writes_the_golden_report(tmp_path):
         golden = json.loads((COMMITTED / f"{name}.report.json").read_text())
         fresh = json.loads((tmp_path / f"{name}.report.json").read_text())
         assert_tree_close(golden, fresh, where=f"{name}.report")
+
+
+def test_console_scripts_resolve_to_callables():
+    # Each ``module:attr`` of pyproject's [project.scripts] names a callable, so
+    # an installed ``model-space-lab`` reaches ``cli.main``.  A regex reads the
+    # table: Python 3.10 has no tomllib.
+    text = (COMMITTED.parent / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    scripts = re.findall(r'^([\w.-]+)\s*=\s*"([\w.]+):([\w.]+)"', table, re.M)
+    assert [name for name, _, _ in scripts] == ["model-space-lab"]
+    for name, module, attr in scripts:
+        assert callable(operator.attrgetter(attr)(importlib.import_module(module))), name
 
 
 def test_main_module_exits_3_with_report(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from model_space_lab import repcheck, sampling
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, modified_clark_basis
-from model_space_lab.config import REP_TOL
+from model_space_lab.config import REP_TOL, Indeterminate
 from model_space_lab.modelspace import KThetaElement
 from model_space_lab.repcheck import (
     IndeterminateError,
@@ -34,7 +34,8 @@ from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_inner, oracle_kernel_values
 from oracles import (basis_elements, basis_from_elements, paper_prediction, paper_relation_coefficients,
-                     random_special_orthogonal, random_unimodular, reference_onb, rotate_basis, scaled)
+                     random_blaschke, random_clark_params, random_special_orthogonal, random_unimodular,
+                     reference_onb, rotate_basis, scaled)
 
 
 @pytest.fixture(scope="module")
@@ -652,6 +653,64 @@ def test_certificate_matches_weighted_lstsq(e):
             _agree(result.certificate.mu, mu, np.abs(mu.view(float)[np.isfinite(mu.view(float))]).max())
             _agree(repcheck._ldexp(cols @ unit.certificate.mu, e), fit, size)
             _agree([result.certificate.residual], residual, size)
+
+
+# -- symmetries -----------------------------------------------------------------
+
+
+def reflected(cb):
+    """The Clark basis of the reflected problem and the signed permutation (perm, d) onto it.
+
+    f -> conj(f(conj z)) maps K_B antiunitarily onto K_B~, B~ with the zeros and the
+    constant conjugated, and the kernel at eta to the kernel at conj(eta).  So it maps
+    the Clark basis of (t, alpha) to that of (conj t, conj alpha) up to a signed
+    permutation: element i goes to d_i times element perm[i], where perm[i] matches
+    eta_i to conj(eta_i) and d_i = conj(phase_i) / phase~_perm[i] is +-1.  The
+    half-argument roots make d_i = -1 exactly when one of eta_i and omega is 1.
+    """
+    b, params = cb.theta, cb.params
+    b_bar = BlaschkeProduct(tuple(np.conj(b.zeros)), np.conj(b.front_constant))
+    cb_bar = modified_clark_basis(b_bar, ClarkParams(np.conj(params.t), np.conj(params.alpha)))
+    perm = np.abs(cb_bar.etas[None, :] - np.conj(cb.etas)[:, None]).argmin(axis=1)
+    assert sorted(perm) == [0, 1, 2]
+    np.testing.assert_allclose(cb_bar.etas[perm], np.conj(cb.etas), atol=1e-12)
+    d = np.conj(cb.phases) / cb_bar.phases[perm]
+    np.testing.assert_allclose(d, np.sign(d.real), atol=1e-12)
+    return cb_bar, perm, np.sign(d.real)
+
+
+def test_reflection_keeps_both_verdicts():
+    # An operator S on K_B becomes the operator with S~[perm[i], perm[j]] =
+    # d_i d_j conj(S[i, j]) on K_B~, a TTO exactly when S is one, so each
+    # procedure gives S and S~ the same verdict: on random TTOs and random S.
+    # Every fourth draw has real zeros, constant 1, real t and alpha = 1, so
+    # omega = 1 lies on its level set and d = (1, -1, -1) is not a sign flip of S.
+    rng = np.random.default_rng(31)
+    verdicts, mixed_signs = [], 0
+    for draw in range(200):
+        if draw % 4:
+            b, params = random_blaschke(rng), random_clark_params(rng)
+        else:
+            b = BlaschkeProduct(tuple(rng.uniform(-0.8, 0.8, 3)), 1.0)
+            params = ClarkParams(rng.uniform(-0.5, 0.5), 1.0)
+        try:
+            cb = modified_clark_basis(b, params)
+            cb_bar, perm, d = reflected(cb)
+        except Indeterminate:
+            continue
+        mixed_signs += len(set(d)) > 1
+        for s in (random_tto(b, cb.basis, seed=draw)[1], random_sym3(rng)):
+            m = np.empty((3, 3), dtype=complex)
+            m[np.ix_(perm, perm)] = np.outer(d, d) * np.conj(s.array)
+            s_bar = Sym3.from_array(m)
+            det = detthm_test(s, cb.basis, default_points(b)).is_rep
+            assert detthm_test(s_bar, cb_bar.basis, default_points(cb_bar.theta)).is_rep is det
+            s6 = clark_s6_test(s, cb).is_rep
+            assert clark_s6_test(s_bar, cb_bar).is_rep is s6
+            verdicts.append((det, s6))
+    assert len(verdicts) >= 300 and mixed_signs >= 40
+    assert (True, True) in verdicts and (False, False) in verdicts
+    print(f"reflection: {len(verdicts)} of 400 cases keep both verdicts, {mixed_signs} with mixed signs d")
 
 
 # -- counterexample corollary -------------------------------------------------
