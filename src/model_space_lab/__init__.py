@@ -49,11 +49,8 @@ from .repcheck import (
     relation_weight,
 )
 from .so3solver import (
-    OrthMatrix3,
     SolveReport,
     SolverConfig,
-    conjugate_representation,
-    creal_basis_from_orthogonal,
     solve,
     spectral_shortcut,
 )

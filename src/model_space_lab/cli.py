@@ -18,10 +18,10 @@ invalid (no report written), 3 = the computation was numerically indeterminate
 (report written with verdict "indeterminate").  Each has one source: exit 2
 comes only from the parse stage ``_jobs``, which runs before any computation
 (a problem file that cannot be read, fails ``parse_problem`` or names another
-task, a flag that fails ``merge_config``, a report path that resolves to a
-directory, into a missing one or to the problem file, a DIR without problem
-files), and exit 3 only from ``run_task`` catching ``Indeterminate``.  Any
-other error is a bug and crashes with a traceback.
+task, a flag that fails ``merge_config``, a report path that does not resolve
+(a symlink loop) or resolves to a directory, into a missing one or to the
+problem file, a DIR without problem files), and exit 3 only from ``run_task``
+catching ``Indeterminate``.  Any other error is a bug and crashes with a traceback.
 
 ``main``, the process entry point, freezes the imported heap (``gc.freeze()``)
 before ``run``, so interpreter shutdown does not walk numpy's objects; ``run``,
@@ -222,7 +222,7 @@ def _run_solve_so3(problem, cb):
     return {
         "verdict": True if rep.found else "not-found-within-budget",
         "residuals": {"relation": rep.best_residual, "certificate": rep.certificate.residual},
-        "certificate": {"orthogonal": rep.best_matrix.r, "mu": rep.certificate.mu},
+        "certificate": {"orthogonal": rep.best_matrix.reshape(9), "mu": rep.certificate.mu},
         "details": {
             "starts_used": rep.starts_used,
             "message": rep.message,
@@ -238,7 +238,7 @@ def _run_corollary(problem, cb):
     return {
         "verdict": co.all_rejected and rep.found,
         "residuals": {"normality": co.normal_defect, "relation": rep.best_residual},
-        "certificate": {"orthogonal": rep.best_matrix.r},
+        "certificate": {"orthogonal": rep.best_matrix.reshape(9)},
         "details": {
             "description": "fails Clark test, representable via SO(3)",
             "family": co.family,
@@ -345,7 +345,9 @@ def _jobs(command: str, flags: dict) -> list:
     Each pair of files, ``--in`` and ``--out`` or every ``<name>.problem.json`` of
     ``fixtures``' DIR and its ``<name>.report.json``, goes one way: read the problem
     (an error names the file), match its task to a task subcommand, merge the flags,
-    and refuse a report path that resolves to a directory, into a missing one or to the problem.
+    and refuse a report path that does not resolve or resolves to a directory, into a missing one
+    or to the problem.  A symlink loop raises ``RuntimeError`` in ``resolve`` before Python 3.13
+    and resolves to a link from 3.13 on; both are refused.
     """
     if command == "fixtures":
         paths = sorted(Path(flags["dir"]).glob("*.problem.json"))
@@ -363,8 +365,12 @@ def _jobs(command: str, flags: dict) -> list:
             raise ProblemError(f"{infile}: {exc}") from None
         if command not in ("fixtures", problem.task):
             raise ProblemError(f"{infile}: task {problem.task!r} does not match subcommand {command!r}")
-        out = outfile.resolve()
-        if out.is_dir() or not out.parent.is_dir() or out.exists() and out.samefile(infile):
+        try:
+            out = outfile.resolve()
+        except RuntimeError as exc:
+            raise ProblemError(f"{outfile}: {exc}") from None
+        if out.is_symlink() or out.is_dir() or not out.parent.is_dir() or (
+                out.exists() and out.samefile(infile)):
             raise ProblemError(f"{outfile}: must name a file in an existing directory, not the problem file")
         jobs.append((merge_config(problem, flags), outfile))
     return jobs

@@ -33,7 +33,6 @@ POLE_TOL = 1e-14        # evaluation this close to a pole is an error
 UNIMODULAR_TOL = 1e-12  # ||z| - 1| of a unimodular input
 CIRCLE_TOL = 1e-10      # ||z| - 1| of an input point on the circle
 DISC_SLACK = 1e-12      # |z| - 1 allowed for an input point of the closed disc
-ORTH_TOL = 1e-10        # ||U U^T - I||_F and ||det U| - 1| of an input orthogonal U
 FAMILY_TOL = 1e-12      # entrywise gap of a matrix read as a counterexample family
 SYM_TOL = 1e-10         # default |m - m^T| / (largest part of m) of a matrix read as symmetric
 TTO_SYM_TOL = 1e-7      # the same for a computed operator matrix (tto-matrix task)

@@ -4,8 +4,8 @@ Zeros lie in the disc of radius ``ZERO_RADIUS`` and Clark anchor points t in
 that of ``ANCHOR_RADIUS``, away from the circle so level sets stay well separated.
 
 A random Clark basis is one attempt of ``CLARK_DRAW`` uniforms, decoded by ``decode_clark_draws``;
-``clark_draws`` runs the Clark chain on blocks of attempts, ``random_clark_basis`` is its batch of 1,
-and the sweep draws from ``stdlib_uniforms``, so a CLI call never imports ``numpy.random``.
+``clark_draws`` runs the Clark chain on blocks of attempts and returns the bases as stacked rows.
+The counterexample sweep draws from ``stdlib_uniforms``, so a CLI call never imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, LevelSetError, product_stack
-from .clark import ClarkBasis, ClarkParams, ClarkRows, ClarkTargetError, clark_rows
+from .blaschke import LevelSetError, product_stack
+from .clark import ClarkRows, ClarkTargetError, clark_rows
 
 __all__ = [
     "CLARK_DRAW",
     "stdlib_uniforms",
     "decode_clark_draws",
     "clark_draws",
-    "random_clark_basis",
 ]
 
 # Uniforms per Clark-basis attempt, in this order: three zeros (radius, angle),
@@ -92,10 +91,3 @@ def clark_draws(rng, count: int) -> ClarkRows:
         parts.append(rows.take(good))
         kept += len(good)
     return ClarkRows(*map(np.concatenate, zip(*(part[:-1] for part in parts))), {})
-
-
-def random_clark_basis(rng) -> ClarkBasis:
-    """Clark basis of a random order-3 product; after 8 bad draws the last error is raised."""
-    rows = clark_draws(rng, 1)
-    b = BlaschkeProduct(tuple(rows.zeros[0]), rows.constants[0])
-    return rows.basis(0, b, ClarkParams(rows.t[0], rows.alpha[0]))

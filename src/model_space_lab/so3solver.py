@@ -10,7 +10,8 @@ rotation, and the derivative of r along each generator G is
 sum K o (G A - A G) with A = U M U^T.  A seeded multistart Gauss-Newton
 iteration with minimum-norm steps (two real equations, three unknowns)
 drives r to zero.  Negating U leaves U M U^T unchanged, so searching the
-rotation group alone loses nothing.
+rotation group alone loses nothing.  The report hands back the rotation
+found as a read-only (3, 3) float array, row-major.
 
 A miss is a budget statement, not a proof: the report says so explicitly.
 """
@@ -22,8 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clark import ClarkBasis
-from .config import ORTH_TOL, REAL_TOL, REP_TOL, Checked, finite, integer, real, rep_tol, sequence
-from .modelspace import OrthonormalBasis
+from .config import REAL_TOL, REP_TOL, Checked, finite, integer, rep_tol
 from .repcheck import (
     Certificate,
     Sym3,
@@ -34,41 +34,13 @@ from .repcheck import (
 )
 
 __all__ = [
-    "OrthMatrix3",
     "SolverConfig",
     "SolveReport",
-    "creal_basis_from_orthogonal",
-    "conjugate_representation",
     "solve",
     "spectral_shortcut",
 ]
 
 MAX_EVALS = 500  # evaluations of the relation and its Jacobian per start
-
-
-class OrthMatrix3(Checked, namedtuple("OrthMatrix3", "r")):
-    """Real orthogonal 3x3 matrix stored row-major as nine finite real numbers (bools refused)."""
-
-    __slots__ = ()
-
-    def __new__(cls, r):
-        r = tuple(real(x, "OrthMatrix3 entry") for x in sequence(r, "OrthMatrix3 entries"))
-        if len(r) != 9:
-            raise ValueError("need exactly 9 entries")
-        m = np.array(r).reshape(3, 3)
-        if not np.linalg.norm(m @ m.T - np.eye(3)) <= ORTH_TOL:
-            raise ValueError("rows are not orthonormal")
-        if not abs(abs(np.linalg.det(m)) - 1.0) <= ORTH_TOL:
-            raise ValueError("determinant is not +-1")
-        return cls._make((r,))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.r).reshape(3, 3)
-
-    @classmethod
-    def from_array(cls, m) -> "OrthMatrix3":
-        return cls(tuple(np.asarray(m).reshape(9).tolist()))
 
 
 class SolverConfig(Checked, namedtuple("SolverConfig", "starts tol seed")):
@@ -87,28 +59,12 @@ class SolverConfig(Checked, namedtuple("SolverConfig", "starts tol seed")):
 
 class SolveReport(NamedTuple):
     found: bool
-    best_matrix: OrthMatrix3
+    best_matrix: np.ndarray  # the best rotation U, (3, 3) float, read-only
     best_residual: float
     conjugated: Sym3
     certificate: Certificate
     starts_used: int
     message: str
-
-
-def creal_basis_from_orthogonal(cb: ClarkBasis, u: OrthMatrix3) -> OrthonormalBasis:
-    """Real-orthogonal recombination v_i = sum_j U[j,i] cb_j.
-
-    Real coefficients keep every element conjugation-fixed, and orthogonality
-    of U keeps the family orthonormal; this parametrizes all conjugation-fixed
-    bases once one Clark basis is in hand.
-    """
-    return OrthonormalBasis(cb.theta, cb.basis.coords @ u.array)
-
-
-def conjugate_representation(s: Sym3, u: OrthMatrix3) -> Sym3:
-    """U S U^T, symmetrized by ``Sym3.from_array``."""
-    m = u.array
-    return Sym3.from_array(m @ s.array @ m.T)
 
 
 def _hat(w) -> np.ndarray:
@@ -167,8 +123,8 @@ def least_squares(fun, u0: np.ndarray):
     return u, float(np.linalg.norm(f))
 
 
-def spectral_shortcut(s: Sym3) -> Optional[OrthMatrix3]:
-    """Orthogonal diagonalizer for a real symmetric input, else None.
+def spectral_shortcut(s: Sym3) -> Optional[np.ndarray]:
+    """Rotation U that diagonalizes a real symmetric input, else None.
 
     Real symmetric matrices are exactly the easy case: the spectral theorem
     hands us U with U S U^T diagonal, which satisfies the relation trivially.
@@ -178,10 +134,8 @@ def spectral_shortcut(s: Sym3) -> Optional[OrthMatrix3]:
     if not np.abs(m.imag).max() <= REAL_TOL * np.abs(m.view(float)).max():
         return None
     _, vecs = np.linalg.eigh(m.real)
-    u = vecs.T
-    if np.linalg.det(u) < 0:
-        u = -u
-    return OrthMatrix3.from_array(u)
+    u = np.ascontiguousarray(vecs.T)  # row-major, as every other start
+    return -u if np.linalg.det(u) < 0 else u
 
 
 def solve(
@@ -214,7 +168,7 @@ def solve(
         if index == 1:
             shortcut = spectral_shortcut(unit)
             if shortcut is not None:
-                return shortcut.array
+                return shortcut
         rng = np.random.default_rng((config.seed, index))
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
@@ -231,9 +185,9 @@ def solve(
         if res <= target:
             break
 
-    residual, u_mat = best
-    u = OrthMatrix3.from_array(u_mat)
-    conjugated = conjugate_representation(unit, u)
+    residual, u = best
+    u.flags.writeable = False
+    conjugated = Sym3.from_array(u @ unit.array @ u.T)
     cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual <= target
     message = "solution found" if found else "no solution found within budget (not a proof of non-existence)"

@@ -56,9 +56,9 @@ def oracle_clark_mp(b, t, alpha, z, dps=50):
     set is the roots of c prod(z - w) - omega prod(1 - conj(w) z), sorted by
     argument in [0, 2*pi); the kernel norms are sqrt(sum (1 - |w|^2) /
     |1 - conj(w) eta|^2); and row i of the values is b_i k_{eta_i}(z) with
-    b_i = exp(i (arg conj(eta_i) + arg omega) / 2) / ||k_{eta_i}|| and
+    b_i = phase_i / ||k_{eta_i}||, phase_i = exp(i (arg conj(eta_i) + arg omega) / 2), and
     k_eta(z) = (1 - conj(omega) B(z)) / (1 - conj(eta) z).  Returns
-    (etas, norms, values) as complex/float numpy arrays.
+    (etas, phases, norms, values) as complex/float numpy arrays.
     """
     with mpmath.workdps(dps):
         zeros = [mpmath.mpc(w) for w in b.zeros]
@@ -86,17 +86,19 @@ def oracle_clark_mp(b, t, alpha, z, dps=50):
             mpmath.sqrt(sum((1 - abs(w) ** 2) / abs(1 - mpmath.conj(w) * e) ** 2 for w in zeros))
             for e in etas
         ]
+        phases = [mpmath.exp(0.5j * (arg(mpmath.conj(e)) + arg(omega))) for e in etas]
         values = [
             [
-                mpmath.exp(0.5j * (arg(mpmath.conj(e)) + arg(omega))) / n
+                p / n
                 * (1 - mpmath.conj(omega) * blaschke(mpmath.mpc(x)))
                 / (1 - mpmath.conj(e) * mpmath.mpc(x))
                 for x in np.ravel(z)
             ]
-            for e, n in zip(etas, norms)
+            for e, p, n in zip(etas, phases, norms)
         ]
         return (
             np.array([complex(e) for e in etas]),
+            np.array([complex(p) for p in phases]),
             np.array([float(n) for n in norms]),
             np.array([[complex(v) for v in row] for row in values]),
         )

@@ -1,19 +1,20 @@
 """Scalar references that the library does not carry: test inputs and hand-derived formulas.
 
 The library is array-first and keeps only what its CLI, its README and its
-benchmark call.  The tests also need scalar random draws, the element view of
-a basis, a Gram-Schmidt basis, the conjugation in numerator form, the cleared
-level-set cubic, the paper's printed relation and the solver's two defects;
-they live here, next to the quadrature and mpmath oracles of ``conftest.py``.
+benchmark call.  The tests also need scalar random draws, one random Clark
+basis, the element view of a basis, a Gram-Schmidt basis, the conjugation in
+numerator form, the cleared level-set cubic, the paper's printed relation, the
+paper's basis V = cb U and U S U^T for a rotation array U, and the solver's two
+defects; they live here, next to the quadrature and mpmath oracles of ``conftest.py``.
 """
 
 import numpy as np
 
 from model_space_lab.blaschke import BlaschkeProduct, circle_angle
-from model_space_lab.clark import ClarkParams
+from model_space_lab.clark import ClarkBasis, ClarkParams
 from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, _tmw_numerators, coordinates
 from model_space_lab.repcheck import Sym3, relation_weight
-from model_space_lab.sampling import ANCHOR_RADIUS, ZERO_RADIUS
+from model_space_lab.sampling import ANCHOR_RADIUS, ZERO_RADIUS, clark_draws
 
 
 def _disc(rng, rmax):
@@ -37,6 +38,16 @@ def random_clark_params(rng) -> ClarkParams:
     return ClarkParams(t=_disc(rng, ANCHOR_RADIUS), alpha=random_unimodular(rng))
 
 
+def random_clark_basis(rng) -> ClarkBasis:
+    """Clark basis of a random order-3 product, the first row of ``clark_draws``.
+
+    It takes ``CLARK_DRAW`` uniforms per attempt; after 8 bad attempts in a row the last error is raised.
+    """
+    rows = clark_draws(rng, 1)
+    b = BlaschkeProduct(tuple(rows.zeros[0]), rows.constants[0])
+    return rows.basis(0, b, ClarkParams(rows.t[0], rows.alpha[0]))
+
+
 def scaled(s: Sym3, e: int) -> Sym3:
     """S * 2**e by ``np.ldexp`` on the float view: exact unless a part over- or underflows."""
     return Sym3._make(np.ldexp(s.vector.view(float), e).view(complex).tolist())
@@ -49,6 +60,20 @@ def random_special_orthogonal(rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def creal_basis_from_orthogonal(cb: ClarkBasis, u: np.ndarray) -> OrthonormalBasis:
+    """The paper's basis V = cb U: v_i = sum_j U[j, i] cb_j for a real orthogonal (3, 3) array U.
+
+    Real coefficients keep every element conjugation-fixed, and orthogonality
+    of U keeps the family orthonormal.
+    """
+    return OrthonormalBasis(cb.theta, cb.basis.coords @ u)
+
+
+def congruence(s: Sym3, u: np.ndarray) -> Sym3:
+    """U S U^T for a (3, 3) array U, symmetrized by ``Sym3.from_array``: the arithmetic of ``solve``."""
+    return Sym3.from_array(u @ s.array @ u.T)
 
 
 def basis_from_elements(elements) -> OrthonormalBasis:
@@ -123,10 +148,9 @@ def paper_prediction(s, cb) -> complex:
 
 
 def residuals(s, u, cb):
-    """(||U U^T - I||_F, |sum K o (U S U^T)|) for a candidate conjugator U of S."""
-    m = u.array
-    relation = np.sum(relation_weight(cb) * (m @ s.array @ m.T))
-    return float(np.linalg.norm(m @ m.T - np.eye(3))), float(np.linalg.norm([relation.real, relation.imag]))
+    """(||U U^T - I||_F, |sum K o (U S U^T)|) for a candidate conjugator U of S, a (3, 3) array."""
+    relation = np.sum(relation_weight(cb) * (u @ s.array @ u.T))
+    return float(np.linalg.norm(u @ u.T - np.eye(3))), float(np.linalg.norm([relation.real, relation.imag]))
 
 
 def rotate_basis(basis: OrthonormalBasis, q) -> OrthonormalBasis:

@@ -25,6 +25,7 @@ from model_space_lab.repcheck import IndeterminateError, Sym3, clark_s6_test, de
 from model_space_lab.so3solver import SolverConfig, solve
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
+from conftest import oracle_clark_mp
 from oracles import random_blaschke, random_clark_params
 
 W3 = np.exp(2j * np.pi / 3)
@@ -229,16 +230,18 @@ def test_invalid_flag_exits_2_before_computation(tmp_path, no_computation, flag)
 
 @pytest.mark.parametrize(
     "out",
-    ["{dir}/./problem.json", "{dir}", "{dir}/missing/report.json", "{dir}/link.json"],
-    ids=["in-file", "directory", "missing-dir", "dangling-link"],
+    ["{dir}/./problem.json", "{dir}", "{dir}/missing/report.json", "{dir}/link.json", "{dir}/loop.json"],
+    ids=["in-file", "directory", "missing-dir", "dangling-link", "symlink-loop"],
 )
 def test_unwritable_out_exits_2_before_computation(tmp_path, no_computation, out):
-    # The --in file itself, a directory, a path in a missing directory and a
-    # link into one are refused with the input, so no problem file is
-    # overwritten and no run ends in a traceback after its computation.
+    # The --in file itself, a directory, a path in a missing directory, a
+    # link into one and a link to itself are refused with the input, so no
+    # problem file is overwritten and no run ends in a traceback after its
+    # computation.  Python < 3.13 raises RuntimeError on the loop, 3.13 resolves it to the link.
     infile, text = tmp_path / "problem.json", json.dumps(shift_problem("check-detthm", FAMILY3))
     infile.write_text(text)
     (tmp_path / "link.json").symlink_to(tmp_path / "missing" / "report.json")
+    (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")
     assert run(["check-detthm", "--in", str(infile), "--out", out.format(dir=tmp_path)]) == 2
     assert infile.read_text() == text
     assert [path for path in tmp_path.rglob("*") if path.is_file()] == [infile]
@@ -766,6 +769,23 @@ def test_fixture_golden_values(generated_fixtures):
     ):
         report = json.loads((generated_fixtures / f"{name}.report.json").read_text())
         assert report["verdict"] is expected, name
+
+
+def test_committed_basis_blocks_match_mpmath():
+    # The basis block of every committed report against the 50-digit Clark
+    # basis of its problem's theta and (t, alpha): etas, phases and norms.
+    worst = {}
+    for name in ALL_FIXTURES:
+        problem = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
+        basis = json.loads((COMMITTED / f"{name}.report.json").read_text())["basis"]
+        etas, phases, norms, _ = oracle_clark_mp(problem.theta, problem.clark.t, problem.clark.alpha, ())
+        gaps = (np.abs([cpx(e) for e in basis["etas"]] - etas),
+                np.abs([cpx(p) for p in basis["phases"]] - phases),
+                np.abs(np.array(basis["norms"]) - norms))
+        worst[name] = max(gap.max() for gap in gaps)
+    print(f"committed basis blocks against mpmath: worst gap {max(worst.values()):.2g} "
+          f"({max(worst, key=worst.get)})")
+    assert max(worst.values()) <= 1e-10, worst
 
 
 def test_fixture_regeneration_idempotent(generated_fixtures, tmp_path):

@@ -34,8 +34,7 @@ from model_space_lab.repcheck import (
     default_points,
     detthm_test,
 )
-from model_space_lab.so3solver import (OrthMatrix3, SolverConfig, creal_basis_from_orthogonal, solve,
-                                      spectral_shortcut)
+from model_space_lab.so3solver import SolverConfig, solve, spectral_shortcut
 from model_space_lab.tto import Symbol, random_tto
 
 
@@ -128,10 +127,9 @@ CASES = {
     "random-tto-other-space": lambda cb: random_tto(F1, cb.basis, 3),
     "symbol-frequency-float": lambda cb: Symbol(((1.5, 1.0),)),
     "symbol-frequency-bool": lambda cb: Symbol(((True, 1.0),)),
-    # bases given by coordinates or by an orthogonal matrix
+    # bases given by coordinates
     "basis-nan-coords": lambda cb: OrthonormalBasis(cb.theta, np.full((3, 3), NAN)),
     "basis-inf-coords": lambda cb: OrthonormalBasis(cb.theta, np.full((3, 3), INF)),
-    "orthogonal-nan": lambda cb: creal_basis_from_orthogonal(cb, OrthMatrix3((NAN,) * 9)),
     # other inputs: NaN, and a huge complex whose abs() overflows
     "from-array-nan": lambda cb: Sym3.from_array(np.diag([1.0, 1.0, NAN])),
     "kernel-point-nan": lambda cb: kernel_element(F1, complex(NAN, 0.0)),
@@ -168,15 +166,9 @@ CASES = {
     # there is one Clark relation: a relation name passed where it once went reaches tol
     "s6-stale-variant": lambda cb: clark_s6_test(Sym3(1, 2, 3, 4, 5, 6), cb, "paper"),
     "symbol-replace": lambda cb: Symbol.shift()._replace(coeffs=((1.5, 1),)),
-    "orthogonal-replace": lambda cb: OrthMatrix3.from_array(np.eye(3))._replace(r=(2,) * 9),
     "element-replace": lambda cb: kernel_element(F1, 0.5)._replace(numerator=(1, 2)),
     "basis-replace-nan": lambda cb: cb.basis._replace(coords=np.full((3, 3), NAN)),
-    "orthogonal-bool": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, True)),
-    "orthogonal-str": lambda cb: OrthMatrix3(("1", "0", "0", "0", "1", "0", "0", "0", "1")),
-    "orthogonal-complex": lambda cb: OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0, 1 + 0j)),
-    "orthogonal-nested": lambda cb: OrthMatrix3(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-    "orthogonal-scalar": lambda cb: OrthMatrix3(1.0),
-    # a number where a sequence belongs, as for OrthMatrix3
+    # a number where a sequence belongs
     "product-scalar": lambda cb: BlaschkeProduct(5),
     "points-scalar": lambda cb: PointConfig(5, (0, 0.5)),
     "points-none": lambda cb: PointConfig((1, 1j, -1), None),
@@ -187,7 +179,6 @@ CASES = {
     "symbol-term-triple": lambda cb: Symbol(((1, 2, 3),)),
     "element-numerator-bool": lambda cb: KThetaElement(F1, (True, 0, 0)),
     "element-numerator-str": lambda cb: KThetaElement(F1, ("1", 0, 0)),
-    "orthogonal-complex-array": lambda cb: OrthMatrix3.from_array(np.eye(3) + 0j),
     "family-bool": lambda cb: counterexample_family(True, 0.0, 0.0, 0.0),
     "family-float": lambda cb: counterexample_family(1.0, 0.0, 0.0, 0.0),
     "family-diagonal-bool": lambda cb: counterexample_family(1, True, 0, 0),
@@ -287,7 +278,7 @@ def test_records_are_named_tuples_not_dataclasses():
                         assert issubclass(obj, (BaseException, tuple)), f"{path.stem}.{name}"
                         classes.add(name)
     assert classes >= {"BlaschkeProduct", "ClarkParams", "KThetaElement", "OrthonormalBasis",
-                       "PointConfig", "Symbol", "TTOMatrix", "OrthMatrix3", "SolverConfig"}
+                       "PointConfig", "Symbol", "TTOMatrix", "SolverConfig"}
 
 
 EXPONENT_FORM = re.compile(r"[\d_.]+[eE][-+]?[\d_]+[jJ]?")

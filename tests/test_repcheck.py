@@ -28,14 +28,13 @@ from model_space_lab.repcheck import (
     match_counterexample_family,
     relation_weight,
 )
-from model_space_lab.sampling import random_clark_basis
-from model_space_lab.so3solver import OrthMatrix3, SolverConfig, creal_basis_from_orthogonal
+from model_space_lab.so3solver import SolverConfig
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_inner, oracle_kernel_values
-from oracles import (basis_elements, basis_from_elements, paper_prediction, paper_relation_coefficients,
-                     random_blaschke, random_clark_params, random_special_orthogonal, random_unimodular,
-                     reference_onb, rotate_basis, scaled)
+from oracles import (basis_elements, basis_from_elements, creal_basis_from_orthogonal, paper_prediction,
+                     paper_relation_coefficients, random_blaschke, random_clark_basis, random_clark_params,
+                     random_special_orthogonal, random_unimodular, reference_onb, rotate_basis, scaled)
 
 
 @pytest.fixture(scope="module")
@@ -537,7 +536,7 @@ def _normal_cosine(cb, u, weight_of=relation_weight):
     """
     weight = weight_of(cb)
     assert not np.diag(weight).any()  # the relation has no diagonal part
-    basis = creal_basis_from_orthogonal(cb, OrthMatrix3.from_array(u))
+    basis = creal_basis_from_orthogonal(cb, u)
     n = np.conj(build_columns(basis, default_points(cb.theta)).u[:, 5])
     w = u.T @ weight @ u
     k = (w + w.T - np.diag(np.diag(w)))[repcheck._ROWS_A, repcheck._ROWS_B]
@@ -794,7 +793,6 @@ def test_counterexample_sweep_has_no_per_trial_loop(monkeypatch):
         pytest.fail("the sweep built or tested one basis at a time")
 
     monkeypatch.setattr(repcheck, "clark_s6_test", refuse)
-    monkeypatch.setattr(sampling, "random_clark_basis", refuse)
     assert counterexample_report(3, 0, 0, 0, seed=0).min_gap == pytest.approx(
         1 / np.sqrt(2), rel=1e-15
     )

@@ -1,7 +1,7 @@
 """The draw layout of random Clark bases: one decoder, blocks of attempts, skips and retries.
 
 ``clark_draws`` runs the Clark chain on blocks of attempts and
-``random_clark_basis`` is its batch of 1; both must consume the generator
+``oracles.random_clark_basis`` is its batch of 1; both must consume the generator
 exactly as the scalar draws ``oracles.random_blaschke`` then ``random_clark_params``
 do, attempt by attempt.
 """
@@ -14,14 +14,9 @@ from model_space_lab.blaschke import LevelSetError
 from model_space_lab.config import BASIS_TOL
 from model_space_lab.modelspace import BasisError, basis_residuals
 from model_space_lab.repcheck import counterexample_report
-from model_space_lab.sampling import (
-    CLARK_DRAW,
-    clark_draws,
-    decode_clark_draws,
-    random_clark_basis,
-)
+from model_space_lab.sampling import CLARK_DRAW, clark_draws, decode_clark_draws
 
-from oracles import random_blaschke, random_clark_params
+from oracles import random_blaschke, random_clark_basis, random_clark_params
 
 
 def test_decoder_matches_scalar_draws():

@@ -4,21 +4,13 @@ import pytest
 from model_space_lab import so3solver
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.modelspace import conjugation_residual
-from model_space_lab.repcheck import Sym3, clark_s6_test, counterexample_family, relation_weight
-from model_space_lab.sampling import random_clark_basis
-from model_space_lab.so3solver import (
-    OrthMatrix3,
-    SolverConfig,
-    _relation,
-    _rotation,
-    conjugate_representation,
-    creal_basis_from_orthogonal,
-    solve,
-    spectral_shortcut,
-)
+from model_space_lab.repcheck import (Sym3, clark_s6_test, counterexample_family, default_points, detthm_test,
+                                      relation_weight)
+from model_space_lab.so3solver import SolverConfig, _relation, _rotation, solve, spectral_shortcut
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
-from oracles import basis_elements, random_special_orthogonal, residuals
+from oracles import (basis_elements, congruence, creal_basis_from_orthogonal, random_clark_basis,
+                     random_special_orthogonal, residuals)
 
 
 @pytest.fixture(scope="module")
@@ -31,18 +23,7 @@ def random_sym3(rng, scale=1.0):
     return Sym3(*vals)
 
 
-IDENTITY = OrthMatrix3.from_array(np.eye(3))
-
-
-# -- OrthMatrix3 --------------------------------------------------------------
-
-
-def test_orth_matrix_validation():
-    OrthMatrix3.from_array(np.diag([1.0, -1.0, 1.0]))  # reflection allowed
-    with pytest.raises(ValueError):
-        OrthMatrix3.from_array(np.eye(3) * 1.001)
-    with pytest.raises(ValueError):
-        OrthMatrix3((1, 0, 0, 0, 1, 0, 0, 0))  # wrong length
+IDENTITY = np.eye(3)
 
 
 # -- basis generation ---------------------------------------------------------
@@ -56,7 +37,7 @@ def test_identity_returns_clark_basis(f1_clark):
 
 def test_rotation_gives_creal_basis(f1_clark):
     c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
-    u = OrthMatrix3.from_array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    u = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
     basis = creal_basis_from_orthogonal(f1_clark, u)
     assert basis.gram_residual < 1e-10
     assert conjugation_residual(basis) < 1e-8
@@ -66,7 +47,7 @@ def test_random_rotations_stay_creal():
     rng = np.random.default_rng(3)
     cb = random_clark_basis(rng)
     for _ in range(3):
-        u = OrthMatrix3.from_array(random_special_orthogonal(rng))
+        u = random_special_orthogonal(rng)
         basis = creal_basis_from_orthogonal(cb, u)
         assert conjugation_residual(basis) < 1e-8
 
@@ -75,11 +56,11 @@ def test_representation_transforms_contravariantly():
     # Same operator, two bases: matrices must differ by U^T [.] U.
     rng = np.random.default_rng(5)
     cb = random_clark_basis(rng)
-    u = OrthMatrix3.from_array(random_special_orthogonal(rng))
+    u = random_special_orthogonal(rng)
     rotated = creal_basis_from_orthogonal(cb, u)
     _, m_cb = random_tto(cb.theta, cb.basis, seed=77)
     _, m_rot = random_tto(cb.theta, rotated, seed=77)
-    expected = u.array.T @ m_cb.array @ u.array
+    expected = u.T @ m_cb.array @ u
     np.testing.assert_allclose(m_rot.array, expected, atol=1e-8)
 
 
@@ -90,22 +71,24 @@ def test_conjugation_identity_and_permutation():
     rng = np.random.default_rng(7)
     s = random_sym3(rng)
     np.testing.assert_allclose(
-        conjugate_representation(s, IDENTITY).array, s.array, atol=1e-14
+        congruence(s, IDENTITY).array, s.array, atol=1e-14
     )
-    perm = OrthMatrix3.from_array([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    out = conjugate_representation(Sym3(1, 2, 3, 0, 0, 0), perm)
+    perm = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    out = congruence(Sym3(1, 2, 3, 0, 0, 0), perm)
     np.testing.assert_allclose(out.array, np.diag([2.0, 1.0, 3.0]), atol=1e-14)
 
 
 def test_off_diagonal_entries_match_literal_polynomials():
     # The three off-diagonal entries of U S U^T written out monomial by
-    # monomial.  This pins the row-major variable layout.
+    # monomial, U being solve's rotation.  This pins the row-major layout of
+    # best_matrix.reshape(9), the nine numbers a report's certificate holds.
     rng = np.random.default_rng(11)
+    cb = random_clark_basis(rng)
     for _ in range(20):
         s = random_sym3(rng)
-        u = OrthMatrix3.from_array(random_special_orthogonal(rng))
+        report = solve(s, cb, SolverConfig(starts=5))
         m1, m2, m3, m4, m5, m6 = s.vector
-        r1, r2, r3, r4, r5, r6, r7, r8, r9 = u.r
+        r1, r2, r3, r4, r5, r6, r7, r8, r9 = report.best_matrix.reshape(9)
         a4 = (
             m1 * r1 * r4 + m4 * r2 * r4 + m5 * r3 * r4
             + m4 * r1 * r5 + m2 * r2 * r5 + m6 * r3 * r5
@@ -121,7 +104,7 @@ def test_off_diagonal_entries_match_literal_polynomials():
             + m4 * r4 * r8 + m2 * r5 * r8 + m6 * r6 * r8
             + m5 * r4 * r9 + m6 * r5 * r9 + m3 * r6 * r9
         )
-        out = conjugate_representation(s, u)
+        out = report.conjugated
         assert out.s4 == pytest.approx(a4, abs=1e-12)
         assert out.s5 == pytest.approx(a5, abs=1e-12)
         assert out.s6 == pytest.approx(a6, abs=1e-12)
@@ -131,8 +114,7 @@ def test_conjugation_preserves_symmetry_exactly():
     rng = np.random.default_rng(13)
     for _ in range(5):
         s = random_sym3(rng)
-        u = OrthMatrix3.from_array(random_special_orthogonal(rng))
-        m = conjugate_representation(s, u).array
+        m = congruence(s, random_special_orthogonal(rng)).array
         assert np.abs(m - m.T).max() < 1e-14
 
 
@@ -235,7 +217,7 @@ def test_solve_refines_through_module_least_squares(f1_clark, monkeypatch):
 
 def test_spectral_shortcut_diagonal():
     u = spectral_shortcut(Sym3(1, 2, 3, 0, 0, 0))
-    out = conjugate_representation(Sym3(1, 2, 3, 0, 0, 0), u)
+    out = congruence(Sym3(1, 2, 3, 0, 0, 0), u)
     np.testing.assert_allclose(
         sorted((out.s1.real, out.s2.real, out.s3.real)), [1, 2, 3], atol=1e-10
     )
@@ -245,11 +227,11 @@ def test_spectral_shortcut_diagonal():
 def test_spectral_shortcut_family_three():
     s = counterexample_family(3, 0, 0, 0)
     u = spectral_shortcut(s)
-    out = conjugate_representation(s, u)
+    out = congruence(s, u)
     np.testing.assert_allclose(
         sorted((out.s1.real, out.s2.real, out.s3.real)), [-1, 0, 1], atol=1e-10
     )
-    assert np.linalg.det(u.array) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_spectral_shortcut_random_real_symmetric():
@@ -257,7 +239,7 @@ def test_spectral_shortcut_random_real_symmetric():
     for _ in range(5):
         m = rng.standard_normal((3, 3))
         s = Sym3.from_array(m + m.T)
-        out = conjugate_representation(s, spectral_shortcut(s)).array
+        out = congruence(s, spectral_shortcut(s)).array
         assert np.abs(out - np.diag(np.diag(out))).max() < 1e-10
 
 
@@ -272,7 +254,7 @@ def test_solve_diagonal_found_at_identity(f1_clark):
     report = solve(Sym3(1 + 1j, -2, 0.5j, 0, 0, 0), f1_clark)
     assert report.found
     assert report.starts_used == 1
-    np.testing.assert_allclose(report.best_matrix.array, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(report.best_matrix, np.eye(3), atol=1e-12)
 
 
 def test_solve_tiny_matrix_meets_relative_tolerance(f1_clark):
@@ -313,8 +295,7 @@ def test_solve_round_trip_recovery():
     for k in range(3):
         _, m = random_tto(cb.theta, cb.basis, seed=500 + k)
         s0 = Sym3.from_array(m.array, tol=1e-7)
-        q = OrthMatrix3.from_array(random_special_orthogonal(rng))
-        s = conjugate_representation(s0, q)  # representable by construction
+        s = congruence(s0, random_special_orthogonal(rng))  # representable by construction
         report = solve(s, cb, SolverConfig(seed=k))
         assert report.found
         assert report.best_residual < 1e-8
@@ -350,7 +331,7 @@ def test_solve_deterministic(f1_clark):
     s = random_sym3(rng)
     a = solve(s, f1_clark, SolverConfig(seed=42, starts=30))
     b = solve(s, f1_clark, SolverConfig(seed=42, starts=30))
-    assert a == b
+    np.testing.assert_equal(a, b)  # field by field, best_matrix as an array
 
 
 def test_solve_basis_independent():
@@ -360,7 +341,25 @@ def test_solve_basis_independent():
     cb2 = modified_clark_basis(theta, ClarkParams(0.21 - 0.13j, np.exp(0.9j)))
     _, m = random_tto(theta, cb1.basis, seed=901)
     s0 = Sym3.from_array(m.array, tol=1e-7)
-    q = OrthMatrix3.from_array(random_special_orthogonal(rng))
-    s = conjugate_representation(s0, q)
+    s = congruence(s0, random_special_orthogonal(rng))
     assert solve(s, cb1, SolverConfig(seed=1)).found
     assert solve(s, cb2, SolverConfig(seed=2)).found
+
+
+def test_solved_rotation_is_the_papers_witness_basis():
+    # The paper's last theorem: S is representable in the basis cb U that the
+    # solver's U names, so the determinant test accepts S there; in cb U^T it
+    # rejects.  U itself is a rotation to 1e-12 and cannot be written to.
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        cb = random_clark_basis(rng)
+        s = random_sym3(rng)
+        report = solve(s, cb, SolverConfig(starts=20))
+        u = report.best_matrix
+        assert report.found
+        assert np.linalg.norm(u @ u.T - np.eye(3)) <= 1e-12
+        assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+        assert not u.flags.writeable
+        points = default_points(cb.theta)
+        assert detthm_test(s, creal_basis_from_orthogonal(cb, u), points).is_rep
+        assert not detthm_test(s, creal_basis_from_orthogonal(cb, u.T), points).is_rep

@@ -17,12 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = ROOT / "src" / "model_space_lab"
 
-# Exported on purpose with no caller in src/, perfbench/ or the README sketch:
-UNCALLED = {
-    "creal_basis_from_orthogonal",  # the paper's C-real basis from an orthogonal U
-    "random_clark_basis",  # one seeded Clark basis; the README defines the sweep's draws by it
-}
-
 
 def _traced_pairs():
     tree = ast.parse(TRACING.read_text())
@@ -85,7 +79,7 @@ def test_every_export_has_a_caller():
         tree = ast.parse(path.read_text())
         reads[path.stem] = [(getattr(node, "name", None), _loads(node)) for node in tree.body]
         imports[path.stem] = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    outside = _outside_callers() | UNCALLED
+    outside = _outside_callers()
     exports = {(stem, name) for stem in reads if stem != "__main__"
                for name in getattr(importlib.import_module(f"model_space_lab.{stem}"), "__all__", ())}
 

@@ -3,11 +3,10 @@ import pytest
 
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.repcheck import PointConfig, Sym3, build_columns, default_points
-from model_space_lab.sampling import random_clark_basis
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_circle_mean
-from oracles import basis_elements, conjugate, reference_onb
+from oracles import basis_elements, conjugate, random_clark_basis, reference_onb
 
 W3 = np.exp(2j * np.pi / 3)
 
