@@ -53,18 +53,9 @@ class Symbol(Checked, namedtuple("Symbol", "coeffs")):
 
 
 class TTOMatrix(NamedTuple):
-    """Matrix of a truncated Toeplitz operator given by its symbol."""
+    """Matrix of a truncated Toeplitz operator given by its symbol, a read-only complex array."""
 
     array: np.ndarray
-
-    @classmethod
-    def from_array(cls, m) -> "TTOMatrix":
-        m = np.array(m, dtype=complex)
-        m.setflags(write=False)
-        return cls(m)
-
-    def symmetry_defect(self) -> float:
-        return float(np.linalg.norm(self.array - self.array.T))
 
 
 def tto_matrix_from_symbol(b: BlaschkeProduct, phi: Symbol, basis: OrthonormalBasis) -> TTOMatrix:
@@ -80,7 +71,9 @@ def tto_matrix_from_symbol(b: BlaschkeProduct, phi: Symbol, basis: OrthonormalBa
     for k, c in phi.coeffs:
         op += c * np.linalg.matrix_power(z if k >= 0 else np.conj(z.T), abs(k))
     x = basis.coords
-    return TTOMatrix.from_array(np.conj(x.T) @ op @ x)
+    m = np.conj(x.T) @ op @ x
+    m.setflags(write=False)
+    return TTOMatrix(m)
 
 
 def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points=None):

@@ -9,11 +9,17 @@ formulas.  Tests compare library output against these, never the other way
 round.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
 from model_space_lab.blaschke import BlaschkeProduct
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +32,19 @@ def f1():
 def f2():
     """Asymmetric order-3 product with zeros 0.5, 0, -0.5 and constant 1."""
     return BlaschkeProduct(zeros=(0.5, 0.0, -0.5))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, imported by path and left unchanged."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 def oracle_circle_mean(func, n=4096):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,15 +18,15 @@ from hypothesis import strategies as st
 
 from model_space_lab import blaschke, cli, repcheck, sampling, so3solver
 from model_space_lab.blaschke import BlaschkeProduct
-from model_space_lab.clark import ClarkParams, clark_operator_matrix, modified_clark_basis
+from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.cli import run, validate_report
 from model_space_lab.config import BASIS_TOL, ROOT_TOL, Indeterminate
 from model_space_lab.modelspace import BasisError
-from model_space_lab.repcheck import IndeterminateError, Sym3, clark_s6_test, default_points, detthm_test
+from model_space_lab.repcheck import IndeterminateError, Sym3
 from model_space_lab.so3solver import SolverConfig, solve
-from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
+from model_space_lab.tto import random_tto
 
-from conftest import oracle_clark_mp
+from conftest import ROOT, oracle_clark_mp
 from oracles import random_blaschke, random_clark_params
 
 W3 = np.exp(2j * np.pi / 3)
@@ -788,6 +789,30 @@ def test_committed_basis_blocks_match_mpmath():
     assert max(worst.values()) <= 1e-10, worst
 
 
+def test_committed_s6_numbers_match_mpmath():
+    # predicted_s6 and the gap of the committed s6 reports against the relation
+    # (c4, c5, eta3 - eta2) evaluated at 50 digits on the 50-digit Clark basis:
+    # c4 = conj(b3/b1)(eta1 - eta2), c5 = conj(b2/b1)(eta3 - eta1), b_i = phase_i / norm_i.
+    worst = {}
+    for name in ("f1-check-clark-s6", "f2-check-clark-s6"):
+        problem = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
+        report = json.loads((COMMITTED / f"{name}.report.json").read_text())
+        etas, phases, norms, _ = oracle_clark_mp(problem.theta, problem.clark.t, problem.clark.alpha, ())
+        with mpmath.workdps(50):
+            eta1, eta2, eta3 = (mpmath.mpc(complex(e)) for e in etas)
+            b1, b2, b3 = (mpmath.mpc(complex(p)) / mpmath.mpf(float(n)) for p, n in zip(phases, norms))
+            s4, s5, s6 = (mpmath.mpc(complex(v)) for v in problem.matrix.vector[3:])
+            c4 = mpmath.conj(b3 / b1) * (eta1 - eta2)
+            c5 = mpmath.conj(b2 / b1) * (eta3 - eta1)
+            predicted = (c4 * s4 + c5 * s5) / (eta3 - eta2)
+            gap = abs(s6 - predicted)
+        worst[name] = max(abs(cpx(report["details"]["predicted_s6"]) - complex(predicted)),
+                          abs(report["residuals"]["gap"] - float(gap)))
+    print(f"committed s6 numbers against mpmath: worst gap {max(worst.values()):.2g} "
+          f"({max(worst, key=worst.get)})")
+    assert max(worst.values()) <= 1e-10, worst
+
+
 def test_fixture_regeneration_idempotent(generated_fixtures, tmp_path):
     copy_problems(tmp_path)
     assert run(["fixtures", "--dir", str(tmp_path)]) == 0
@@ -877,48 +902,39 @@ def test_fixture_builds_product_pieces_once(name, piece_builds):
     assert piece_builds["product_stack"] == piece_builds["compressed_shifts"] == 1 + piece_builds["blocks"]
 
 
-def test_verify_sequence_builds_no_pieces(piece_builds):
+# One problem of the verify-warm workload (perfbench/workloads.py), as its spec.
+VERIFY_SPEC = {"zeros": [[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]], "constant": [0.0, 1.0],
+               "t": [0.1, 0.2], "alpha": [1.0, 0.0], "tto_seed": 7,
+               "reject": [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0], [0, 6]]}
+
+
+def test_verify_sequence_builds_no_pieces(piece_builds, workloads, tmp_path):
     # The verify-warm sequence on a fresh product: every level set, the
     # operator matrix and the shift TTO read the pieces built at construction.
-    b = BlaschkeProduct((0.5, 0.0, -0.5), 1j)
+    workload = workloads.VerifyWarm(ROOT, tmp_path)
+    prepared = workload.prepare(VERIFY_SPEC, 0)
     assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
-    params = ClarkParams(0.1 + 0.2j, 1.0)
-    cb = modified_clark_basis(b, params)
-    clark_operator_matrix(b, params, cb.basis)
-    tto_matrix_from_symbol(b, Symbol.shift(), cb.basis)
-    pc = default_points(b)
-    _, m = random_tto(b, cb.basis, 7, points=(pc.boundary, pc.interior))
-    assert detthm_test(m, cb.basis, pc).is_rep
-    assert not detthm_test(Sym3(1, 2, 3, 4, 5, 6j), cb.basis, pc).is_rep
+    workload.run(prepared)
     assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
 
 
-def _verify_sequence():
-    """The verify-warm sequence on one problem: Clark basis, Clark unitary, shift, both tests."""
-    b = BlaschkeProduct((0.5, 0.0, -0.5), 1j)
-    params = ClarkParams(0.1 + 0.2j, 1.0)
-    cb = modified_clark_basis(b, params)
-    clark_operator_matrix(b, params, cb.basis)
-    tto_matrix_from_symbol(b, Symbol.shift(), cb.basis)
-    pc = default_points(b)
-    _, m = random_tto(b, cb.basis, 7, points=(pc.boundary, pc.interior))
-    accept = Sym3.from_array(m.array, tol=1e-7)
-    for s, expected in ((accept, True), (Sym3(1, 2, 3, 4, 5, 6j), False)):
-        assert detthm_test(s, cb.basis, pc).is_rep is expected
-        assert clark_s6_test(s, cb).is_rep is expected
+def _verify_sequence(workloads, tmp_path):
+    """The verify-warm workload's own run on one problem: Clark basis, Clark unitary, shift, both tests."""
+    workload = workloads.VerifyWarm(ROOT, tmp_path)
+    workload.run(workload.prepare(VERIFY_SPEC, 0))
 
 
-def test_verify_sequence_scales_back_once_per_result(monkeypatch):
+def test_verify_sequence_scales_back_once_per_result(monkeypatch, workloads, tmp_path):
     # The verify-warm sequence: each decision scales its stacked numbers back
     # with one ldexp, so 1 per test of one S; normalizing S takes a bare np.ldexp.
     calls = []
     ldexp = repcheck._ldexp
     monkeypatch.setattr(repcheck, "_ldexp", lambda x, e: calls.append(e) or ldexp(x, e))
-    _verify_sequence()
+    _verify_sequence(workloads, tmp_path)
     assert len(calls) == 4
 
 
-def test_verify_sequence_factors_once_per_decision(monkeypatch):
+def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_path):
     # One SVD per set of generator columns (random_tto and each detthm_test),
     # whose certificate comes from that SVD, not from a second factorization by
     # lstsq; each span is built by build_columns, the one span function, which
@@ -938,7 +954,7 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch):
                 monkeypatch.setattr(module, name, counted(name, fn))
     for name in ("lstsq", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    _verify_sequence()
+    _verify_sequence(workloads, tmp_path)
     assert calls == {"tmw_rows": 5, "lstsq": 0, "svd": 3, "build_columns": 3}
 
 

@@ -39,7 +39,7 @@ from model_space_lab.tto import Symbol, random_tto
 
 
 def test_exported_exceptions_are_invalid_input_or_indeterminate():
-    modules = [model_space_lab] + [
+    modules = [
         importlib.import_module(f"model_space_lab.{info.name}")
         for info in pkgutil.iter_modules(model_space_lab.__path__)
         if info.name != "__main__"  # runs the CLI on import

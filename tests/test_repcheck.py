@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_space_lab import repcheck, sampling
-from model_space_lab.blaschke import BlaschkeProduct
+from model_space_lab.blaschke import BlaschkeProduct, circle_angle
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.config import REP_TOL, Indeterminate
 from model_space_lab.modelspace import KThetaElement
@@ -710,6 +710,65 @@ def test_reflection_keeps_both_verdicts():
     assert len(verdicts) >= 300 and mixed_signs >= 40
     assert (True, True) in verdicts and (False, False) in verdicts
     print(f"reflection: {len(verdicts)} of 400 cases keep both verdicts, {mixed_signs} with mixed signs d")
+
+
+def rotated(cb, lam):
+    """The Clark basis of the rotated problem and the signed permutation (perm, d) onto it.
+
+    f -> f(lam z), lam unimodular, maps K_B unitarily onto K_B~, B~(z) = B(lam z) with
+    the zeros conj(lam) w and the constant c lam^3, and the kernel at eta to the kernel
+    at conj(lam) eta.  With t~ = conj(lam) t and the same alpha, B~(t~) = B(t), so omega
+    stays and the level set turns by conj(lam).  Both halves of the map are predicted
+    from the angles theta = circle_angle alone: perm sorts the turned etas, and the
+    half-argument root of conj(eta~) = lam conj(eta) is exp(i theta(lam) / 2) times that
+    of conj(eta), times d = -1 exactly when theta(conj(eta)) + theta(lam) reaches 2 pi.
+    So element i of the rotated basis is the image of element perm[i] times
+    exp(i theta(lam) / 2) d_i, with the same norm.
+    """
+    b, params = cb.theta, cb.params
+    b_rot = BlaschkeProduct(tuple(np.conj(lam) * np.array(b.zeros)), b.front_constant * lam**3)
+    cb_rot = modified_clark_basis(b_rot, ClarkParams(np.conj(lam) * params.t, params.alpha))
+    perm = np.argsort(circle_angle(np.conj(lam) * cb.etas))
+    d = np.where(circle_angle(np.conj(cb.etas[perm])) + circle_angle(lam) >= 2 * np.pi, -1.0, 1.0)
+    np.testing.assert_allclose(cb_rot.etas, np.conj(lam) * cb.etas[perm], atol=1e-12)
+    np.testing.assert_allclose(cb_rot.phases, np.exp(0.5j * circle_angle(lam)) * d * cb.phases[perm], atol=1e-12)
+    np.testing.assert_allclose(cb_rot.norms, cb.norms[perm], rtol=1e-12)
+    return cb_rot, perm, d
+
+
+def test_disc_rotation_keeps_both_verdicts():
+    # f -> f(lam z) takes A_phi to A_phi(lam z), so an operator S on K_B becomes
+    # M^T S M on K_B~ with M = I[:, perm] diag(d), a TTO exactly when S is one, and
+    # each procedure gives S and M^T S M the same verdict: on random TTOs and random S.
+    # Every fourth draw has real zeros, constant 1, real t and alpha = 1, so omega = 1
+    # lies on its level set.  Most draws have some d_i = -1, which a sign flip of all
+    # of M would not undo.
+    rng = np.random.default_rng(37)
+    verdicts, signed = [], 0
+    for draw in range(200):
+        if draw % 4:
+            b, params = random_blaschke(rng), random_clark_params(rng)
+        else:
+            b = BlaschkeProduct(tuple(rng.uniform(-0.8, 0.8, 3)), 1.0)
+            params = ClarkParams(rng.uniform(-0.5, 0.5), 1.0)
+        lam = random_unimodular(rng)
+        try:
+            cb = modified_clark_basis(b, params)
+            cb_rot, perm, d = rotated(cb, lam)
+        except Indeterminate:
+            continue
+        signed += len(set(d)) > 1
+        m = np.eye(3)[:, perm] * d
+        for s in (random_tto(b, cb.basis, seed=draw)[1], random_sym3(rng)):
+            s_rot = Sym3.from_array(m.T @ s.array @ m)
+            det = detthm_test(s, cb.basis, default_points(b)).is_rep
+            assert detthm_test(s_rot, cb_rot.basis, default_points(cb_rot.theta)).is_rep is det
+            s6 = clark_s6_test(s, cb).is_rep
+            assert clark_s6_test(s_rot, cb_rot).is_rep is s6
+            verdicts.append((det, s6))
+    assert len(verdicts) >= 300 and signed >= 100
+    assert (True, True) in verdicts and (False, False) in verdicts
+    print(f"disc rotation: {len(verdicts)} of 400 cases keep both verdicts, {signed} draws with mixed signs d")
 
 
 # -- counterexample corollary -------------------------------------------------

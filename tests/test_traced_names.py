@@ -98,14 +98,19 @@ def test_every_export_has_a_caller():
 
 
 def test_no_unused_imports():
-    # No linter is installed, so this is the unused-import check.  __init__.py re-exports.
+    # No linter is installed, so this is the unused-import check.
     unused = []
     for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         used = _loads(tree)
         unused += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
                    for name in (a.asname or a.name.split(".")[0] for a in node.names) if name not in used]
     assert unused == []
+
+
+def test_package_holds_only_its_docstring():
+    # One way to reach each name: from its defining module.  The package
+    # re-exports nothing, so importing it loads no module of the library.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1, ast.dump(tree)
