@@ -41,7 +41,6 @@ __all__ = [
     "level_set",
     "level_sets",
     "kernel_norms_sq",
-    "polynomial_pair",
     "circle_angle",
     "products_at",
     "tmw_values",
@@ -135,26 +134,22 @@ def products_at(w, c, z) -> np.ndarray:
 
 def _products_over(w, c, z):
     """(``products_at``, its denominators 1 - conj(w_k) z of shape (N, n, m)), one guard."""
+    den = _denominators(w, z)
+    return c[:, None] * np.multiply.reduce((z[:, None, :] - w[:, :, None]) / den, axis=1), den
+
+
+def _denominators(w, z):
+    """1 - conj(w_k) z for zeros w (N, n) at points z (N, m), shape (N, n, m): the one pole guard.
+
+    A point with |1 - conj(w_k) z| < POLE_TOL for any row and zero raises
+    ``PoleEvaluationError`` naming that zero.
+    """
     den = 1.0 - np.conj(w)[:, :, None] * z[:, None, :]
     near = np.abs(den) < POLE_TOL
     if near.any():
         row, k, _ = np.argwhere(near)[0]
         raise PoleEvaluationError("evaluation point too close to the pole 1/conj(%r)" % complex(w[row, k]))
-    return c[:, None] * np.multiply.reduce((z[:, None, :] - w[:, :, None]) / den, axis=1), den
-
-
-def polynomial_pair(b: BlaschkeProduct):
-    """Ascending coefficient arrays (num, den) of prod(z - w_i), prod(1 - conj(w_i) z).
-
-    Both arrays have length order+1, so B = c * num(z) / den(z) after
-    clearing, and den is the common denominator of every model-space element.
-    """
-    num = np.array([1.0 + 0.0j])
-    den = np.array([1.0 + 0.0j])
-    for w in b.zeros:
-        num = np.convolve(num, np.array([-w, 1.0]))
-        den = np.convolve(den, np.array([1.0, -np.conj(w)]))
-    return num, den
+    return den
 
 
 def circle_angle(z):
@@ -178,8 +173,8 @@ def tmw_values(b: BlaschkeProduct, z) -> np.ndarray:
 
 
 def tmw_rows(w, z) -> np.ndarray:
-    """``tmw_values`` for zeros w (N, n) at points z (N, m): shape (N, n, m)."""
-    den = 1.0 - np.conj(w)[:, :, None] * z[:, None, :]
+    """``tmw_values`` for zeros w (N, n) at points z (N, m): shape (N, n, m), pole guarded."""
+    den = _denominators(w, z)
     values = np.sqrt(1.0 - np.abs(w) ** 2)[:, :, None] / den
     values[:, 1:] *= np.cumprod((z[:, None, :] - w[:, :-1, None]) / den[:, :-1], axis=1)
     return values

@@ -32,7 +32,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, conjugation_matrix, polynomial_pair, tmw_values
+from .blaschke import BlaschkeProduct, _denominators, conjugation_matrix, tmw_values
 from .config import BASIS_TOL, Checked, Indeterminate, closed_disc, finite, number, sequence
 
 __all__ = [
@@ -57,12 +57,11 @@ class KThetaElement(Checked, namedtuple("KThetaElement", "theta numerator")):
     """Model-space element stored as numerator coefficients over the fixed denominator.
 
     ``numerator[k]`` multiplies z^k, each a ``config.number``; the length always
-    equals the order of ``theta``.  Elements are immutable; arithmetic returns new instances.
+    equals the order of ``theta``.  Elements are immutable.  Calling an element divides by the
+    factors 1 - conj(w_k) z, each through the pole guard of ``blaschke.products_at``.
     """
 
     __slots__ = ()
-    __array_ufunc__ = None  # numpy defers to __rmul__, so np.float64(2) * f scales f
-    __mul__ = None  # f * 2 is a TypeError, not a repeated tuple
 
     def __new__(cls, theta, numerator):
         coeffs = tuple(number(a, "numerator entry") for a in sequence(numerator, "numerator"))
@@ -72,21 +71,9 @@ class KThetaElement(Checked, namedtuple("KThetaElement", "theta numerator")):
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        _, den = polynomial_pair(self.theta)
-        out = np.polyval(self.numerator[::-1], z) / np.polyval(den[::-1], z)
+        den = _denominators(self.theta.stack.zeros, z.reshape(1, -1))[0]
+        out = (np.polyval(self.numerator[::-1], z.reshape(-1)) / np.multiply.reduce(den)).reshape(z.shape)
         return out if out.shape else complex(out)
-
-    def __add__(self, other: "KThetaElement") -> "KThetaElement":
-        if self.theta != other.theta:
-            raise ValueError("elements live in different model spaces")
-        return KThetaElement(
-            self.theta,
-            tuple(a + b for a, b in zip(self.numerator, other.numerator)),
-        )
-
-    def __rmul__(self, scalar) -> "KThetaElement":
-        s = complex(scalar)
-        return KThetaElement(self.theta, tuple(s * a for a in self.numerator))
 
 
 def _tmw_numerators(b: BlaschkeProduct) -> np.ndarray:

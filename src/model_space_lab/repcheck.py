@@ -17,7 +17,8 @@ test reads its certificate (mu and the residual) from its SVD.
 
 The module also packages the family of normal matrices that always fail the
 Clark-basis relation while still being unitarily equivalent to such an
-operator.
+operator, and ``counterexample_report``, which sweeps a matrix over ``TRIALS``
+random Clark bases (``clark.clark_draws``).
 """
 
 import math
@@ -27,11 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import level_set
-from .clark import ClarkBasis
+from .clark import ClarkBasis, clark_draws, stdlib_uniforms
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL, Checked,
                      Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol, sequence)
 from .modelspace import OrthonormalBasis
-from .sampling import clark_draws, stdlib_uniforms
 
 __all__ = [
     "IndeterminateError",
@@ -315,47 +315,35 @@ def match_counterexample_family(s: Sym3):
 
 
 class CounterexampleReport(NamedTuple):
-    family: int
-    a: float
-    b: float
-    c: float
     normal_defect: float  # ||[M, M*]||_F of the matrix scaled to unit size
-    trials: int
-    seed: int
-    rejections: int
-    all_rejected: bool
+    rejections: int  # of the TRIALS random Clark bases, by the s6 relation at REP_TOL
     min_gap: float  # smallest S6Result.gap / ||S||_F seen over all trials
 
 
-def counterexample_report(family: int, a: float, b: float, c: float, seed: int = 0) -> CounterexampleReport:
-    """Test one counterexample matrix against ``TRIALS`` (100) random Clark bases.
+def counterexample_report(s: Sym3, seed: int = 0) -> CounterexampleReport:
+    """Test s against ``TRIALS`` (100) random Clark bases.
 
-    Records the normality defect of the normalized matrix (zero: a family
-    matrix is real symmetric), then draws the random modified Clark bases
+    Records the normality defect of the normalized matrix (zero for a family
+    matrix, which is real symmetric), then draws the random modified Clark bases
     (random order-3 product, random interior point and target) as one batch
-    from ``random.Random(seed)`` (``sampling.clark_draws`` on ``stdlib_uniforms``: ten
+    from ``random.Random(seed)`` (``clark.clark_draws`` on ``stdlib_uniforms``: ten
     consecutive uniforms per attempt, failed attempts skipped, eight in a row raise) and
-    runs the s6 relation test against each, on the stacked bases.  The matrix
-    is expected to fail every time; the report records how often it did and
+    runs the s6 relation test against each, on the stacked bases.  A family
+    matrix is expected to fail every time; the report records how often s did and
     the smallest relative gap gap / ||S||_F, the quantity the test compares
     with its tolerance, so a trial is rejected exactly when it exceeds
-    REP_TOL.  `seed` must be an integer >= 0 (ValueError, before any basis is drawn).
+    REP_TOL.  `seed` must be an integer >= 0 and s finite (ValueError, before any
+    basis is drawn).
 
     Family 3 has s4 = s5 = 0, so the predicted s6 is 0 and the gap is |s6| on
     every basis: with a zero diagonal (the f1-corollary fixture) the relative
     gap is 1/sqrt(2) for each trial, a structural fact that the sweep confirms.
     """
     seed = integer(seed, 0, "seed")
-    matrix = counterexample_family(family, a, b, c)
-    s, _ = matrix.normalized()
-    m = s.array
+    unit, _ = s.normalized()
+    m = unit.array
     normal_defect = float(np.linalg.norm(m @ np.conj(m.T) - np.conj(m.T) @ m))
     bases = clark_draws(stdlib_uniforms(seed), TRIALS)
-    _, gaps, is_rep = _s6_prediction(s, relation_weight(bases), REP_TOL)
-    rejections = int(np.count_nonzero(~is_rep))
-    return CounterexampleReport(
-        family=int(family), a=matrix.s1.real, b=matrix.s2.real, c=matrix.s3.real,
-        normal_defect=normal_defect, trials=TRIALS, seed=seed,
-        rejections=rejections, all_rejected=rejections == TRIALS,
-        min_gap=float((gaps / np.linalg.norm(m)).min()),
-    )
+    _, gaps, is_rep = _s6_prediction(unit, relation_weight(bases), REP_TOL)
+    return CounterexampleReport(normal_defect, int(np.count_nonzero(~is_rep)),
+                                float((gaps / np.linalg.norm(m)).min()))

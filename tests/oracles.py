@@ -11,10 +11,9 @@ defects; they live here, next to the quadrature and mpmath oracles of ``conftest
 import numpy as np
 
 from model_space_lab.blaschke import BlaschkeProduct, circle_angle
-from model_space_lab.clark import ClarkBasis, ClarkParams
+from model_space_lab.clark import ANCHOR_RADIUS, ZERO_RADIUS, ClarkBasis, ClarkParams, clark_draws
 from model_space_lab.modelspace import KThetaElement, OrthonormalBasis, _tmw_numerators, coordinates
 from model_space_lab.repcheck import Sym3, relation_weight
-from model_space_lab.sampling import ANCHOR_RADIUS, ZERO_RADIUS, clark_draws
 
 
 def _disc(rng, rmax):
@@ -155,5 +154,5 @@ def residuals(s, u, cb):
 
 def rotate_basis(basis: OrthonormalBasis, q) -> OrthonormalBasis:
     """Real-orthogonal recombination of the elements; stays orthonormal and conjugation-fixed."""
-    v = basis_elements(basis)
-    return basis_from_elements(q[0, i] * v[0] + q[1, i] * v[1] + q[2, i] * v[2] for i in range(3))
+    v = np.array([e.numerator for e in basis_elements(basis)])
+    return basis_from_elements(KThetaElement(basis.theta, tuple(q[:, i] @ v)) for i in range(3))

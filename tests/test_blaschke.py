@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from model_space_lab.blaschke import (
     kernel_norms_sq,
     kernel_pairs,
     level_set,
-    polynomial_pair,
     products_at,
     tmw_values,
 )
+
+from model_space_lab.modelspace import KThetaElement, OrthonormalBasis
 
 from conftest import (
     oracle_circle_mean,
@@ -50,6 +52,18 @@ def test_eval_vectorized_matches_scalar(f2):
 def test_pole_evaluation_rejected(f2):
     with pytest.raises(PoleEvaluationError):
         f2(2.0)  # pole at 1/conj(0.5)
+
+
+def test_every_point_evaluation_guards_the_poles(f2):
+    # The product, the TMW values (so a basis) and an element all divide by the
+    # factors 1 - conj(w_k) z: each refuses the pole instead of returning inf or NaN.
+    message = re.escape("1/conj(%r)" % complex(0.5))
+    evaluations = (f2, lambda z: tmw_values(f2, z), OrthonormalBasis(f2, np.eye(3)), KThetaElement(f2, (1, 0, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in evaluations:
+            with pytest.raises(PoleEvaluationError, match=message):
+                evaluate(2.0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -87,15 +101,6 @@ def test_unimodular_on_circle(phis, radii, arg):
     b = BlaschkeProduct(zeros=zeros)
     z = np.exp(1j * arg)
     assert abs(abs(b(z)) - 1.0) < 1e-10
-
-
-def test_polynomial_pair_reproduces_product(f2):
-    num, den = polynomial_pair(f2)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        z = 0.7 * (rng.random() + 1j * rng.random())
-        ratio = np.polyval(num[::-1], z) / np.polyval(den[::-1], z)
-        assert ratio == pytest.approx(f2(z))
 
 
 def test_tmw_values_orthonormal_and_reproducing(f2):

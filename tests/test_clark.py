@@ -17,7 +17,7 @@ from model_space_lab.clark import (
 )
 from model_space_lab.config import BASIS_TOL
 from model_space_lab.modelspace import conjugation_residual, inner_product, kernel_element
-from model_space_lab.repcheck import counterexample_report, default_points
+from model_space_lab.repcheck import counterexample_family, counterexample_report, default_points
 from model_space_lab.tto import random_tto
 
 from conftest import oracle_clark_mp
@@ -127,7 +127,7 @@ def test_no_production_path_builds_j(f2, monkeypatch):
     clark_operator_matrix(f2, params, cb.basis)
     default_points(f2)
     random_tto(f2, cb.basis, seed=3)
-    counterexample_report(1, 0.3, -0.2, 0.5)
+    counterexample_report(counterexample_family(1, 0.3, -0.2, 0.5))
     assert len(list(FIXTURES.glob("*.problem.json"))) == 9
     assert built == []
     assert cb.basis.conj_residual < 1e-14

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_space_lab import blaschke, cli, repcheck, sampling, so3solver
+from model_space_lab import blaschke, clark, cli, repcheck, so3solver
 from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.cli import run, validate_report
@@ -813,6 +813,42 @@ def test_committed_s6_numbers_match_mpmath():
     assert max(worst.values()) <= 1e-10, worst
 
 
+def test_committed_tto_matrices_match_mpmath():
+    # details.s of the committed tto-matrix reports against <A_z v_j, v_i> at 50 digits,
+    # v_i = b_i k_{eta_i} on the 50-digit Clark basis, b_i = phase_i / norm_i.  Both
+    # are in K_B, so <A_z v_j, v_i> is the circle mean of z v_j conj(v_i): a trapezoid
+    # rule on nodes offset by half a step (no node at an eta), exact for B = z^3 and
+    # converging as 2^-N for zeros of modulus 0.5, whose reflected poles sit at radius 2.
+    nodes = 200
+    worst = {}
+    for name in ("f1-tto-matrix", "f2-tto-matrix"):
+        problem = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
+        report = json.loads((COMMITTED / f"{name}.report.json").read_text())
+        etas, phases, norms, _ = oracle_clark_mp(problem.theta, problem.clark.t, problem.clark.alpha, ())
+        with mpmath.workdps(50):
+            zeros = [mpmath.mpc(complex(w)) for w in problem.theta.zeros]
+            c = mpmath.mpc(complex(problem.theta.front_constant))
+
+            def blaschke(x):
+                return c * mpmath.fprod((x - w) / (1 - mpmath.conj(w) * x) for w in zeros)
+
+            etas = [mpmath.mpc(complex(e)) for e in etas]
+            coefs = [mpmath.mpc(complex(p)) / mpmath.mpf(float(n)) for p, n in zip(phases, norms)]
+            m = mpmath.matrix(3, 3)
+            for k in range(nodes):
+                z = mpmath.expjpi(mpmath.mpf(2 * k + 1) / nodes)
+                bz = blaschke(z)
+                v = [b * (1 - mpmath.conj(blaschke(e)) * bz) / (1 - mpmath.conj(e) * z)
+                     for b, e in zip(coefs, etas)]
+                for i, j in itertools.product(range(3), repeat=2):
+                    m[i, j] += z * v[j] * mpmath.conj(v[i]) / nodes
+            expected = [complex((m[i, j] + m[j, i]) / 2) for i, j in repcheck.ROW_INDEX]
+        worst[name] = max(abs(cpx(v) - e) for v, e in zip(report["details"]["s"], expected))
+    print(f"committed TTO matrices against mpmath: worst gap {max(worst.values()):.2g} "
+          f"({max(worst, key=worst.get)})")
+    assert max(worst.values()) <= 1e-10, worst
+
+
 def test_fixture_regeneration_idempotent(generated_fixtures, tmp_path):
     copy_problems(tmp_path)
     assert run(["fixtures", "--dir", str(tmp_path)]) == 0
@@ -867,12 +903,13 @@ def test_fixtures_malformed_problem_exits_2_before_computation(tmp_path, no_comp
 
 @pytest.fixture
 def piece_builds(monkeypatch):
-    """Counts of product constructions, Clark-chain blocks of the sampler and piece builds.
+    """Counts of product constructions, Clark-chain runs and piece builds.
 
     ``product_stack`` and ``compressed_shifts`` are counted wherever a library
-    module binds them, so a call from any module is seen.
+    module binds them, so a call from any module is seen.  A chain run is one
+    ``clark_rows`` call: one per Clark basis, and one per block of the sampler.
     """
-    counts = dict.fromkeys(("products", "blocks", "product_stack", "compressed_shifts"), 0)
+    counts = dict.fromkeys(("products", "chains", "product_stack", "compressed_shifts"), 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -885,7 +922,7 @@ def piece_builds(monkeypatch):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("model_space_lab") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
-    monkeypatch.setattr(sampling, "clark_rows", counting("blocks", sampling.clark_rows))
+    monkeypatch.setattr(clark, "clark_rows", counting("chains", clark.clark_rows))
     monkeypatch.setattr(BlaschkeProduct, "__new__",
                         staticmethod(counting("products", BlaschkeProduct.__new__)))
     return counts
@@ -893,13 +930,15 @@ def piece_builds(monkeypatch):
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_fixture_builds_product_pieces_once(name, piece_builds):
-    # One product per problem, its pieces built once at construction; the
-    # sampler of the corollary task builds them once per block of draws.
+    # One product per problem, its pieces built once at construction, and one
+    # chain for its basis; the sampler of the corollary task runs one more chain
+    # per block of draws and builds the pieces once per block.
     parsed = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
     assert cli.run_task(parsed)["verdict"] is True
+    blocks = name == "f1-corollary"
     assert piece_builds["products"] == 1
-    assert piece_builds["blocks"] == (name == "f1-corollary")
-    assert piece_builds["product_stack"] == piece_builds["compressed_shifts"] == 1 + piece_builds["blocks"]
+    assert piece_builds["chains"] == 1 + blocks
+    assert piece_builds["product_stack"] == piece_builds["compressed_shifts"] == 1 + blocks
 
 
 # One problem of the verify-warm workload (perfbench/workloads.py), as its spec.
@@ -913,9 +952,9 @@ def test_verify_sequence_builds_no_pieces(piece_builds, workloads, tmp_path):
     # operator matrix and the shift TTO read the pieces built at construction.
     workload = workloads.VerifyWarm(ROOT, tmp_path)
     prepared = workload.prepare(VERIFY_SPEC, 0)
-    assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
+    assert piece_builds == {"products": 1, "chains": 0, "product_stack": 1, "compressed_shifts": 1}
     workload.run(prepared)
-    assert piece_builds == {"products": 1, "blocks": 0, "product_stack": 1, "compressed_shifts": 1}
+    assert piece_builds == {"products": 1, "chains": 1, "product_stack": 1, "compressed_shifts": 1}
 
 
 def _verify_sequence(workloads, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_space_lab import repcheck, sampling
+from model_space_lab import clark, repcheck
 from model_space_lab.blaschke import BlaschkeProduct, circle_angle
 from model_space_lab.clark import ClarkParams, modified_clark_basis
 from model_space_lab.config import REP_TOL, Indeterminate
@@ -288,7 +288,7 @@ def test_s6_unknown_variant_rejected(f1_clark):
     # There is one Clark relation, so no call names one: ``variant`` is no parameter
     # (a stale positional name reaches ``tol`` and is invalid input, in test_errors.py).
     for call in (lambda: clark_s6_test(Sym3(0, 0, 0, 0, 0, 0), f1_clark, variant="general"),
-                 lambda: counterexample_report(3, 0.0, 0.0, 0.0, variant="general"),
+                 lambda: counterexample_report(Sym3(0, 0, 0, 0, 0, 1), variant="general"),
                  lambda: SolverConfig(variant="general")):
         with pytest.raises(TypeError):
             call()
@@ -356,7 +356,7 @@ def test_paper_relation_is_the_printed_formula():
     # the norm ratios divided out is the printed form to round-off on random draws,
     # and across the branch cut of the roots: alpha = e^{+-1e-15 i} puts a level-set
     # point of z^3 = alpha within 1e-15 of 1.
-    gaps = [_paper_gap(sampling.clark_draws(np.random.default_rng(seed), 200)) for seed in range(10)]
+    gaps = [_paper_gap(clark.clark_draws(np.random.default_rng(seed), 200)) for seed in range(10)]
     rng = np.random.default_rng(31)
     alphas = [1, -1, 1j, -1j, np.exp(1e-15j), np.exp(-1e-15j)] + [random_unimodular(rng) for _ in range(200)]
     for zeros in ((0.0, 0.0, 0.0), (0.5, 0.0, -0.5), (0.3j, -0.2, 0.1)):
@@ -545,7 +545,7 @@ def _normal_cosine(cb, u, weight_of=relation_weight):
 
 def _span_normal_cosines(weight_of):
     """``_normal_cosine`` on 200 seeded Clark bases, each rotated by a seeded U in SO(3)."""
-    rows = sampling.clark_draws(np.random.default_rng(5), 200)
+    rows = clark.clark_draws(np.random.default_rng(5), 200)
     rng = np.random.default_rng(6)
     out = []
     for i in range(200):
@@ -632,7 +632,7 @@ def test_certificate_matches_weighted_lstsq(e):
     # which at the exact scales is the verdict of S.  The reconstruction
     # columns @ mu is formed from that unit-size certificate and scaled by 2**e:
     # at 2**-1070, mu itself keeps too few bits to be summed there.
-    rows = sampling.clark_draws(np.random.default_rng(13), 40)
+    rows = clark.clark_draws(np.random.default_rng(13), 40)
     rng = np.random.default_rng(17)
     for i in range(40):
         b = BlaschkeProduct(tuple(rows.zeros[i]), rows.constants[i])
@@ -805,10 +805,9 @@ def test_match_counterexample_family_inverts_layouts():
 
 
 def test_counterexample_report_family3():
-    report = counterexample_report(3, 0, 0, 0, seed=7)
+    report = counterexample_report(counterexample_family(3, 0, 0, 0), seed=7)
     assert report.normal_defect < 1e-12
-    assert report.all_rejected
-    assert report.rejections == report.trials == 100
+    assert report.rejections == TRIALS == 100
     assert report.min_gap > 1e-6
 
 
@@ -816,19 +815,19 @@ def test_counterexample_report_family3():
 def test_counterexample_min_gap_explains_verdict(a):
     # The reported gap is the quantity clark_s6_test compares with REP_TOL,
     # so every trial is rejected exactly when even the smallest gap exceeds it.
-    report = counterexample_report(1, a, 0.5, -0.25, seed=0)
-    assert report.all_rejected == (report.min_gap > REP_TOL)
+    report = counterexample_report(counterexample_family(1, a, 0.5, -0.25), seed=0)
+    assert (report.rejections == TRIALS) == (report.min_gap > REP_TOL)
 
 
 def test_counterexample_report_other_families():
-    r1 = counterexample_report(1, 1, 2, 3, seed=11)
-    r2 = counterexample_report(2, 0.3, -0.7, 2.1, seed=13)
-    assert r1.all_rejected and r2.all_rejected
+    r1 = counterexample_report(counterexample_family(1, 1, 2, 3), seed=11)
+    r2 = counterexample_report(counterexample_family(2, 0.3, -0.7, 2.1), seed=13)
+    assert r1.rejections == r2.rejections == TRIALS
 
 
 def oracle_counterexample(s, seed):
     """(rejections, min relative gap) of ``clark_s6_test`` on one random Clark basis at a time."""
-    rng = sampling.stdlib_uniforms(seed)
+    rng = clark.stdlib_uniforms(seed)
     rejections, min_gap = 0, np.inf
     for _ in range(TRIALS):
         result = clark_s6_test(s, random_clark_basis(rng))
@@ -838,11 +837,18 @@ def oracle_counterexample(s, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2026])
-@pytest.mark.parametrize("family", [1, 2, 3])
+@pytest.mark.parametrize("family", [1, 2, 3, "complex"])
 def test_counterexample_sweep_matches_per_trial_loop(family, seed):
-    s, _ = counterexample_family(family, 0.3, -0.7, 2.1).normalized()
-    rejections, min_gap = oracle_counterexample(s, seed)
-    report = counterexample_report(family, 0.3, -0.7, 2.1, seed=seed)
+    # The sweep takes any Sym3: a seeded complex S off every family is one more input.
+    if family == "complex":
+        rng = np.random.default_rng(seed)
+        s = Sym3(*(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+        with pytest.raises(ValueError):
+            match_counterexample_family(s)
+    else:
+        s = counterexample_family(family, 0.3, -0.7, 2.1)
+    rejections, min_gap = oracle_counterexample(s.normalized()[0], seed)
+    report = counterexample_report(s, seed=seed)
     assert report.rejections == rejections
     assert report.min_gap == pytest.approx(min_gap, rel=1e-12, abs=0)
 
@@ -852,12 +858,12 @@ def test_counterexample_sweep_has_no_per_trial_loop(monkeypatch):
         pytest.fail("the sweep built or tested one basis at a time")
 
     monkeypatch.setattr(repcheck, "clark_s6_test", refuse)
-    assert counterexample_report(3, 0, 0, 0, seed=0).min_gap == pytest.approx(
+    assert counterexample_report(counterexample_family(3, 0, 0, 0), seed=0).min_gap == pytest.approx(
         1 / np.sqrt(2), rel=1e-15
     )
 
 
 def test_counterexample_report_deterministic():
-    a = counterexample_report(3, 0, 0, 0, seed=5)
-    b = counterexample_report(3, 0, 0, 0, seed=5)
+    a = counterexample_report(counterexample_family(3, 0, 0, 0), seed=5)
+    b = counterexample_report(counterexample_family(3, 0, 0, 0), seed=5)
     assert a == b

@@ -1,20 +1,20 @@
 """The draw layout of random Clark bases: one decoder, blocks of attempts, skips and retries.
 
-``clark_draws`` runs the Clark chain on blocks of attempts and
-``oracles.random_clark_basis`` is its batch of 1; both must consume the generator
-exactly as the scalar draws ``oracles.random_blaschke`` then ``random_clark_params``
-do, attempt by attempt.
+``clark.clark_draws`` runs the Clark chain (``clark.clark_rows``) on blocks of
+attempts and ``oracles.random_clark_basis`` is its batch of 1; both must consume
+the generator exactly as the scalar draws ``oracles.random_blaschke`` then
+``random_clark_params`` do, attempt by attempt.
 """
 
 import numpy as np
 import pytest
 
-from model_space_lab import clark, sampling
+from model_space_lab import clark
 from model_space_lab.blaschke import LevelSetError
 from model_space_lab.config import BASIS_TOL
 from model_space_lab.modelspace import BasisError, basis_residuals
-from model_space_lab.repcheck import counterexample_report
-from model_space_lab.sampling import CLARK_DRAW, clark_draws, decode_clark_draws
+from model_space_lab.clark import CLARK_DRAW, clark_draws, decode_clark_draws
+from model_space_lab.repcheck import counterexample_family, counterexample_report
 
 from oracles import random_blaschke, random_clark_basis, random_clark_params
 
@@ -36,18 +36,20 @@ def test_decoder_matches_scalar_draws():
 def forced_failures(monkeypatch):
     """Make the attempts with the given indices, counted over all draws, fail their level set."""
 
+    clark_rows = clark.clark_rows  # the original: the patch below replaces the module's name
+
     def force(failing):
         attempts = [0]
 
         def rows_with_failures(*draws):
-            rows = clark.clark_rows(*draws)
+            rows = clark_rows(*draws)
             for i in range(len(rows.omega)):
                 if attempts[0] + i in failing:
                     rows.failures[i] = LevelSetError("forced failure of attempt %d" % (attempts[0] + i))
             attempts[0] += len(rows.omega)
             return rows
 
-        monkeypatch.setattr(sampling, "clark_rows", rows_with_failures)
+        monkeypatch.setattr(clark, "clark_rows", rows_with_failures)
         return attempts
 
     return force
@@ -98,4 +100,4 @@ def test_basis_failure_is_raised_not_skipped(monkeypatch, residual):
     with pytest.raises(BasisError):
         clark_draws(np.random.default_rng(0), 5)
     with pytest.raises(BasisError):
-        counterexample_report(1, 0.5, 1.0, -1.0, seed=0)
+        counterexample_report(counterexample_family(1, 0.5, 1.0, -1.0), seed=0)
