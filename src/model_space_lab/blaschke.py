@@ -43,11 +43,9 @@ __all__ = [
     "kernel_norms_sq",
     "circle_angle",
     "products_at",
-    "tmw_values",
     "tmw_rows",
     "conjugation_matrix",
     "kernel_pairs",
-    "compressed_shift",
     "compressed_shifts",
     "clark_unitaries",
 ]
@@ -162,18 +160,12 @@ def circle_angle(z):
     return np.where(angle >= 2.0 * np.pi - ANGLE_SNAP, angle - 2.0 * np.pi, angle)
 
 
-def tmw_values(b: BlaschkeProduct, z) -> np.ndarray:
-    """e(z): the n values e_k(z) of the orthonormal TMW basis, shape ``(n,) + np.shape(z)``.
-
-    e_k(z) = sqrt(1 - |w_k|^2) / (1 - conj(w_k) z) * prod_{j<k} (z - w_j) / (1 - conj(w_j) z).
-    The kernel k_lam = sum_k conj(e_k(lam)) e_k has coordinates conj(e(lam)).
-    """
-    z = np.asarray(z, dtype=complex)
-    return tmw_rows(b.stack.zeros, z.reshape(1, -1))[0].reshape((b.order,) + z.shape)
-
-
 def tmw_rows(w, z) -> np.ndarray:
-    """``tmw_values`` for zeros w (N, n) at points z (N, m): shape (N, n, m), pole guarded."""
+    """e(z), the values of the orthonormal TMW basis, for zeros w (N, n) at points z (N, m): (N, n, m).
+
+    e_k(z) = sqrt(1 - |w_k|^2) / (1 - conj(w_k) z) * prod_{j<k} (z - w_j) / (1 - conj(w_j) z),
+    pole guarded.  The kernel k_lam = sum_k conj(e_k(lam)) e_k has coordinates conj(e(lam)).
+    """
     den = _denominators(w, z)
     values = np.sqrt(1.0 - np.abs(w) ** 2)[:, :, None] / den
     values[:, 1:] *= np.cumprod((z[:, None, :] - w[:, :-1, None]) / den[:, :-1], axis=1)
@@ -217,17 +209,13 @@ def kernel_pairs(w, c, z):
     return values[: len(w)], c[:, None, None] * values[len(w) :, ::-1]
 
 
-def compressed_shift(b: BlaschkeProduct) -> np.ndarray:
-    """Matrix of A_z f = P(z f) in TMW coordinates.
-
-    It is lower triangular: entry (i, i) is w_i and, for i > j, entry (i, j) is
-    sqrt(1 - |w_i|^2) sqrt(1 - |w_j|^2) prod_{j<k<i} (-conj(w_k)).
-    """
-    return b.stack.shift[0]
-
-
 def compressed_shifts(w) -> np.ndarray:
-    """``compressed_shift`` for zeros w (N, n): shape (N, n, n)."""
+    """Matrices of A_z f = P(z f) in TMW coordinates for zeros w (N, n): shape (N, n, n).
+
+    Each is lower triangular: entry (i, i) is w_i and, for i > j, entry (i, j) is
+    sqrt(1 - |w_i|^2) sqrt(1 - |w_j|^2) prod_{j<k<i} (-conj(w_k)).
+    ``BlaschkeProduct.stack.shift[0]`` is the one of a product.
+    """
     n = w.shape[1]
     r = np.sqrt(1.0 - np.abs(w) ** 2)
     q = -np.conj(w)

@@ -28,7 +28,7 @@ and the Gram and conjugation residuals, with no J (``blaschke.kernel_pairs``)
 Random Clark bases are seeded draws of ``CLARK_DRAW`` uniforms per attempt,
 decoded by ``decode_clark_draws``: zeros within ``ZERO_RADIUS`` and t within
 ``ANCHOR_RADIUS``, away from the circle so level sets stay well separated.
-``clark_draws`` runs ``clark_rows`` on blocks of attempts.  The counterexample
+``clark_draws`` runs ``clark_rows`` on one block of attempts.  The counterexample
 sweep draws from ``stdlib_uniforms``, so a CLI call never imports ``numpy.random``.
 """
 
@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blaschke import (BlaschkeProduct, LevelSetError, circle_angle, compressed_shift, kernel_norms_sq,
-                       kernel_pairs, level_sets, product_stack, products_at)
+from .blaschke import (BlaschkeProduct, circle_angle, kernel_norms_sq, kernel_pairs, level_sets,
+                       product_stack, products_at)
 from .config import BASIS_TOL, TARGET_FLOOR, Checked, Indeterminate, number, open_disc, unimodular
 from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
@@ -64,7 +64,6 @@ __all__ = [
 # Uniforms per Clark-basis attempt, in this order: three zeros (radius, angle),
 # the front constant, t (radius, angle) and alpha.
 CLARK_DRAW = 10
-RETRIES = 8  # consecutive failed attempts before the last error is raised
 ZERO_RADIUS = 0.85  # zeros of a random product
 ANCHOR_RADIUS = 0.6  # anchor point t of random Clark parameters
 
@@ -234,7 +233,7 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     t, alpha = params.t, params.alpha
     bt = b(t)
 
-    z = compressed_shift(b)
+    z = b.stack.shift[0]
     eye = np.eye(len(z))
     mobius = np.linalg.solve(eye - np.conj(t) * z, z - t * eye)
     kernel_norm_sq = (1.0 - abs(bt) ** 2) / (1.0 - abs(t) ** 2)
@@ -282,31 +281,15 @@ def decode_clark_draws(u):
 
 
 def clark_draws(rng, count: int) -> ClarkRows:
-    """The first ``count`` random Clark bases, as rows in draw order.
+    """The first ``count`` random Clark bases, as rows in draw order: one ``clark_rows`` block.
 
-    Each attempt takes ``CLARK_DRAW`` uniforms.  Blocks of as many attempts as bases
-    are still missing run through ``clark_rows`` on one ``product_stack``, so no
-    uniform is drawn beyond the last attempt used.  An attempt whose target or level
-    set fails is skipped; after ``RETRIES`` consecutive skips the last error is
-    raised.  Any other failure (``BasisError``) is raised at its row.  After an
-    error the generator stands at the end of the failing row's block.
+    Each attempt takes ``CLARK_DRAW`` uniforms, and none can fail a check.  With zeros within
+    ZERO_RADIUS and t within ANCHOR_RADIUS, each factor of B is at most 1.45/1.51 at t, so
+    |1 + conj(B(t)) alpha| >= 1 - 0.886 = 0.114; |B'| <= 3 * 1.85/0.15 = 37 on the circle, so level-set
+    points are 2 pi/37 apart in argument, a chord >= 0.169.  A failed row would raise its error.
     """
-    parts, kept, skipped = [], 0, 0
-    while kept < count:
-        zeros, constants, t, alpha = decode_clark_draws(rng.random((count - kept, CLARK_DRAW)))
-        rows = clark_rows(product_stack(zeros, constants), t, alpha)
-        good = []
-        for i in range(len(rows.omega)):
-            error = rows.failures.get(i)
-            if error is None:
-                good.append(i)
-                skipped = 0
-            elif isinstance(error, (LevelSetError, ClarkTargetError)):
-                skipped += 1
-                if skipped == RETRIES:
-                    raise error
-            else:
-                raise error
-        parts.append([column[good] for column in rows[:-1]])
-        kept += len(good)
-    return ClarkRows(*map(np.concatenate, zip(*parts)), {})
+    zeros, constants, t, alpha = decode_clark_draws(rng.random((count, CLARK_DRAW)))
+    rows = clark_rows(product_stack(zeros, constants), t, alpha)
+    if rows.failures:
+        raise rows.failures[min(rows.failures)]
+    return rows

@@ -50,6 +50,7 @@ class Checked:
     """Mixin of a named tuple whose ``__new__`` checks its fields: ``_replace`` checks too."""
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # not a sequence to join or repeat: r + r, r * 2, 2 * r raise
 
     def _replace(self, **fields):
         """The record with ``fields`` changed, built by ``__new__`` from ``__getnewargs__``."""

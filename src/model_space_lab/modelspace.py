@@ -1,7 +1,7 @@
 """Order-n model space attached to a finite Blaschke product.
 
 The space is represented by coordinates in its orthonormal
-Takenaka-Malmquist-Walsh basis e_0, ..., e_{n-1} (``blaschke.tmw_values``):
+Takenaka-Malmquist-Walsh basis e_0, ..., e_{n-1} (``blaschke.tmw_rows``):
 an orthonormal basis is its (n, k) coordinate matrix, so every inner product
 is a dot product, and its values at z are coords^T e(z).  The two structural
 players have closed-form coordinates: the reproducing kernel
@@ -32,7 +32,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _denominators, conjugation_matrix, tmw_values
+from .blaschke import BlaschkeProduct, _denominators, conjugation_matrix, tmw_rows
 from .config import BASIS_TOL, Checked, Indeterminate, closed_disc, finite, number, sequence
 
 __all__ = [
@@ -115,7 +115,8 @@ def kernel_element(b: BlaschkeProduct, lam) -> KThetaElement:
     Its coordinates are conj(e(lam)); the numerator is T times them.
     """
     lam = closed_disc(complex(lam), "kernel point")
-    return KThetaElement(b, tuple(_tmw_numerators(b) @ np.conj(tmw_values(b, lam))))
+    e = tmw_rows(b.stack.zeros, np.array([[lam]]))[0, :, 0]
+    return KThetaElement(b, tuple(_tmw_numerators(b) @ np.conj(e)))
 
 
 def gram_matrix(elements):
@@ -157,7 +158,9 @@ class OrthonormalBasis(Checked, namedtuple("OrthonormalBasis", "theta coords gra
 
     def __call__(self, z) -> np.ndarray:
         """Values of every element at a point or 1-D array z, shape ``(len(elements),) + np.shape(z)``."""
-        return self.coords.T @ tmw_values(self.theta, z)
+        z = np.asarray(z, dtype=complex)
+        values = tmw_rows(self.theta.stack.zeros, z.reshape(1, -1))[0]
+        return self.coords.T @ values.reshape((len(values),) + z.shape)
 
 
 def conjugation_residual(basis: OrthonormalBasis) -> float:

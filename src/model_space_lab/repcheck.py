@@ -64,16 +64,14 @@ class IndeterminateError(Indeterminate):
 
 
 def _ldexp(x, e: int):
-    """x * 2**e for a float or complex number or array: ``np.ldexp`` on its float view.
+    """x * 2**e for a complex array x: ``np.ldexp`` on its float view.
 
     One rounding, exact (signed zeros too) unless a part over- or underflows.
     Verdicts are decided before a value is scaled back; an overflow gives inf
     without a warning, for the report to refuse as non-finite.
     """
-    a = np.array(x, ndmin=1)
     with np.errstate(over="ignore"):
-        out = np.ldexp(a.view(float), e).view(a.dtype)
-    return out if np.ndim(x) else out.item()
+        return np.ldexp(x.view(float), e).view(complex)
 
 
 class Sym3(Checked, namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
@@ -327,7 +325,7 @@ def counterexample_report(s: Sym3, seed: int = 0) -> CounterexampleReport:
     matrix, which is real symmetric), then draws the random modified Clark bases
     (random order-3 product, random interior point and target) as one batch
     from ``random.Random(seed)`` (``clark.clark_draws`` on ``stdlib_uniforms``: ten
-    consecutive uniforms per attempt, failed attempts skipped, eight in a row raise) and
+    consecutive uniforms per attempt, and no attempt fails) and
     runs the s6 relation test against each, on the stacked bases.  A family
     matrix is expected to fail every time; the report records how often s did and
     the smallest relative gap gap / ||S||_F, the quantity the test compares

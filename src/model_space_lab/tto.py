@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, compressed_shift
+from .blaschke import BlaschkeProduct
 from .config import Checked, finite, integer, sequence
 from .modelspace import OrthonormalBasis
 from .repcheck import PointConfig, Sym3, build_columns, default_points
@@ -66,7 +66,7 @@ def tto_matrix_from_symbol(b: BlaschkeProduct, phi: Symbol, basis: OrthonormalBa
     """
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
-    z = compressed_shift(b)
+    z = b.stack.shift[0]
     op = np.zeros_like(z)
     for k, c in phi.coeffs:
         op += c * np.linalg.matrix_power(z if k >= 0 else np.conj(z.T), abs(k))

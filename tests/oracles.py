@@ -40,7 +40,7 @@ def random_clark_params(rng) -> ClarkParams:
 def random_clark_basis(rng) -> ClarkBasis:
     """Clark basis of a random order-3 product, the first row of ``clark_draws``.
 
-    It takes ``CLARK_DRAW`` uniforms per attempt; after 8 bad attempts in a row the last error is raised.
+    It takes the ``CLARK_DRAW`` uniforms of one attempt; a failed check is raised.
     """
     rows = clark_draws(rng, 1)
     b = BlaschkeProduct(tuple(rows.zeros[0]), rows.constants[0])

@@ -10,13 +10,12 @@ from model_space_lab.blaschke import (
     BlaschkeProduct,
     PoleEvaluationError,
     clark_unitaries,
-    compressed_shift,
     conjugation_matrix,
     kernel_norms_sq,
     kernel_pairs,
     level_set,
     products_at,
-    tmw_values,
+    tmw_rows,
 )
 
 from model_space_lab.modelspace import KThetaElement, OrthonormalBasis
@@ -28,6 +27,12 @@ from conftest import (
     oracle_kernel_values,
 )
 from oracles import cubic_coefficients
+
+
+def tmw_values(b, z):
+    """e(z) of b's TMW basis, shape ``(n,) + np.shape(z)``: ``tmw_rows`` on the product's zeros."""
+    z = np.asarray(z, dtype=complex)
+    return tmw_rows(b.stack.zeros, z.reshape(1, -1))[0].reshape((b.order,) + z.shape)
 
 
 def test_f1_point_values(f1):
@@ -166,7 +171,7 @@ def test_conjugation_matrix_structure(order):
     rng = np.random.default_rng(order)
     for _ in range(20):
         b = random_product(rng, order, 0.9999)
-        j, z = conjugation_matrix(b), compressed_shift(b)
+        j, z = conjugation_matrix(b), b.stack.shift[0]
         np.testing.assert_allclose(j @ np.conj(j), np.eye(order), rtol=0, atol=1e-12)
         np.testing.assert_allclose(j, j.T, rtol=0, atol=1e-12)
         np.testing.assert_allclose(j @ np.conj(z), np.conj(z.T) @ j, rtol=0, atol=1e-12)
@@ -186,7 +191,7 @@ def test_clark_unitary_closed_forms_at_the_origin(order):
         e0 = tmw_values(b, 0.0)
         closed_form = kernel_pairs(*b.stack[:2], np.zeros((1, 1), complex))[1][0, :, 0]
         for ck0 in (conjugation_matrix(b) @ e0, closed_form):
-            expected = compressed_shift(b) + np.outer(np.conj(e0), np.conj(ck0)) / np.conj(
+            expected = b.stack.shift[0] + np.outer(np.conj(e0), np.conj(ck0)) / np.conj(
                 omega - b(0.0)
             )
             got = clark_unitaries(b.stack, np.array([complex(omega)]))[0]

@@ -849,6 +849,49 @@ def test_committed_tto_matrices_match_mpmath():
     assert max(worst.values()) <= 1e-10, worst
 
 
+def test_committed_detthm_numbers_match_mpmath():
+    # det_value, mu and both residuals of the committed check-detthm report at 50 digits.
+    # The columns are the generators at default_points -- the cube roots of unity, which
+    # are also the etas here, and the interior points 0 and 0.41+0.13j -- in the basis
+    # v_i = b_i k_{eta_i}, b_i = phase_i / norm_i.  For B = z^3 the TMW basis is 1, z, z^2,
+    # so k_eta(z) = sum_k (conj(eta) z)^k, with no 0/0 at z = eta.  mu solves the normal
+    # equations of the Frobenius norm (row weights 1, 1, 1, 2, 2, 2 on |.|^2).  det, mu and
+    # the residual are homogeneous in S, so the library's scaling by 2**-e cancels (e = 0).
+    name = "f1-check-detthm"
+    problem = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
+    report = json.loads((COMMITTED / f"{name}.report.json").read_text())
+    assert problem.theta == BlaschkeProduct((0.0, 0.0, 0.0))
+    etas, phases, norms, _ = oracle_clark_mp(problem.theta, problem.clark.t, problem.clark.alpha, ())
+    with mpmath.workdps(50):
+        etas = [mpmath.mpc(complex(e)) for e in etas]
+        coefs = [mpmath.mpc(complex(p)) / mpmath.mpf(float(n)) for p, n in zip(phases, norms)]
+        points = [mpmath.expjpi(mpmath.mpf(2 * k) / 3) for k in range(3)]
+        points += [mpmath.mpc(0), mpmath.mpc(0.41, 0.13)]
+        vals = [[b * mpmath.fsum((mpmath.conj(e) * p) ** k for k in range(3)) for p in points]
+                for b, e in zip(coefs, etas)]
+        left = [[v if j < 3 else mpmath.conj(v) for j, v in enumerate(row)] for row in vals]
+        cols = mpmath.matrix([[left[a][j] * mpmath.conj(vals[b][j]) for j in range(5)]
+                              for a, b in repcheck.ROW_INDEX])
+        s = mpmath.matrix([mpmath.mpc(complex(v)) for v in problem.matrix.vector])
+        square = mpmath.matrix(6, 6)
+        for r, j in itertools.product(range(6), range(6)):
+            square[r, j] = cols[r, j] if j < 5 else s[r]
+        det = mpmath.det(square)
+        weights = mpmath.diag([1, 1, 1, 2, 2, 2])
+        mu = mpmath.lu_solve(cols.H * weights * cols, cols.H * weights * s)
+        misfit = s - cols * mu
+        residual = mpmath.sqrt(mpmath.fsum(w * abs(m) ** 2 for w, m in zip((1, 1, 1, 2, 2, 2), misfit)))
+        gaps = {
+            "det_value": abs(cpx(report["details"]["det_value"]) - complex(det)),
+            "residuals.determinant": abs(report["residuals"]["determinant"] - float(abs(det))),
+            "certificate.mu": max(abs(cpx(v) - complex(m)) for v, m in zip(report["certificate"]["mu"], mu)),
+            "residuals.certificate": abs(report["residuals"]["certificate"] - float(residual)),
+        }
+    print(f"committed check-detthm numbers against mpmath: worst gap {max(gaps.values()):.2g} "
+          f"({max(gaps, key=gaps.get)})")
+    assert max(gaps.values()) <= 1e-10, gaps
+
+
 def test_fixture_regeneration_idempotent(generated_fixtures, tmp_path):
     copy_problems(tmp_path)
     assert run(["fixtures", "--dir", str(tmp_path)]) == 0
@@ -907,7 +950,7 @@ def piece_builds(monkeypatch):
 
     ``product_stack`` and ``compressed_shifts`` are counted wherever a library
     module binds them, so a call from any module is seen.  A chain run is one
-    ``clark_rows`` call: one per Clark basis, and one per block of the sampler.
+    ``clark_rows`` call: one per Clark basis, and one for the sampler's one block.
     """
     counts = dict.fromkeys(("products", "chains", "product_stack", "compressed_shifts"), 0)
 
@@ -932,13 +975,13 @@ def piece_builds(monkeypatch):
 def test_fixture_builds_product_pieces_once(name, piece_builds):
     # One product per problem, its pieces built once at construction, and one
     # chain for its basis; the sampler of the corollary task runs one more chain
-    # per block of draws and builds the pieces once per block.
+    # on its one block of draws and builds the pieces once for it.
     parsed = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
     assert cli.run_task(parsed)["verdict"] is True
-    blocks = name == "f1-corollary"
+    sweep = name == "f1-corollary"
     assert piece_builds["products"] == 1
-    assert piece_builds["chains"] == 1 + blocks
-    assert piece_builds["product_stack"] == piece_builds["compressed_shifts"] == 1 + blocks
+    assert piece_builds["chains"] == 1 + sweep
+    assert piece_builds["product_stack"] == piece_builds["compressed_shifts"] == 1 + sweep
 
 
 # One problem of the verify-warm workload (perfbench/workloads.py), as its spec.

@@ -234,6 +234,32 @@ def test_replace_rebuilds_the_product_stack_and_elements_are_not_sequences():
     assert b == BlaschkeProduct((0.1, 0.2, 0.3)) and F1.stack.zeros.tolist() == [[0.1, 0.0, 0.0]]
     np.testing.assert_array_equal(b.stack.shift, BlaschkeProduct((0.1, 0.2, 0.3)).stack.shift)
     assert b.stack.zeros.tolist() == [[0.1, 0.2, 0.3]] and not b.stack.shift.flags.writeable
+    f = kernel_element(BlaschkeProduct((0.5, 0.0, -0.5)), 0.2)
+    for join_or_repeat in (lambda: f + f, lambda: f * 2, lambda: 2 * f):
+        with pytest.raises(TypeError):
+            join_or_repeat()
+
+
+RECORDS = {
+    "Sym3": lambda: Sym3(1, 2, 3, 4, 5, 6),
+    "BlaschkeProduct": lambda: F1,
+    "ClarkParams": lambda: ClarkParams(0.1, 1.0),
+    "PointConfig": lambda: default_points(F1),
+    "SolverConfig": lambda: SolverConfig(),
+    "Symbol": lambda: Symbol.shift(),
+    "KThetaElement": lambda: kernel_element(F1, 0.2),
+    "OrthonormalBasis": lambda: OrthonormalBasis(F1, np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
+def test_checked_records_do_not_join_or_repeat(record):
+    # A checked record is a named tuple, but not a sequence: tuple's + and *
+    # would return a plain tuple that no check has seen.
+    r = record()
+    for join_or_repeat in (lambda: r + r, lambda: r * 2, lambda: 2 * r):
+        with pytest.raises(TypeError):
+            join_or_repeat()
 
 
 def test_product_stack_cannot_be_rebound_and_survives_copies():
