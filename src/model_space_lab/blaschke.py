@@ -15,8 +15,8 @@ Walsh (TMW) basis; its closed-form primitives live here: the values e(z),
 the conjugate kernels C k_lam, the compressed shift, and Clark's unitary,
 whose eigenvalues are the level set (the one spectrum taken).
 
-The primitives are array-first: ``products_at``, ``tmw_rows``, ``kernel_norms_sq``,
-``kernel_pairs`` (k_z and C k_z from one ``tmw_rows`` pass) and ``compressed_shifts`` take
+The primitives are array-first: ``products_at``, ``tmw_rows``, ``kernel_pairs`` (k_z and
+C k_z from one ``tmw_rows`` pass, whose ||e(z)||^2 is ||k_z||^2) and ``compressed_shifts`` take
 a stack of N products, zeros (N, n) and front constants (N,), with points (N, m).  ``clark_unitaries`` and
 ``level_sets`` take a ``product_stack``, which adds A_z, k_0 (x) C k_0 and B(0), built
 once.  The scalar functions run on the stack of one built at construction, ``BlaschkeProduct.stack``.
@@ -40,7 +40,6 @@ __all__ = [
     "LevelSetError",
     "level_set",
     "level_sets",
-    "kernel_norms_sq",
     "circle_angle",
     "products_at",
     "tmw_rows",
@@ -144,7 +143,7 @@ def _denominators(w, z):
     """
     den = 1.0 - np.conj(w)[:, :, None] * z[:, None, :]
     near = np.abs(den) < POLE_TOL
-    if near.any():
+    if np.logical_or.reduce(near, axis=None):
         row, k, _ = np.argwhere(near)[0]
         raise PoleEvaluationError("evaluation point too close to the pole 1/conj(%r)" % complex(w[row, k]))
     return den
@@ -156,7 +155,7 @@ def circle_angle(z):
     This one rule orders level sets and fixes the branch of every Clark-basis
     phase, so a point computed as 1 - 1e-16i is treated as the point 1.
     """
-    angle = np.angle(z) % (2.0 * np.pi)
+    angle = np.arctan2(z.imag, z.real) % (2.0 * np.pi)
     return np.where(angle >= 2.0 * np.pi - ANGLE_SNAP, angle - 2.0 * np.pi, angle)
 
 
@@ -168,7 +167,7 @@ def tmw_rows(w, z) -> np.ndarray:
     """
     den = _denominators(w, z)
     values = np.sqrt(1.0 - np.abs(w) ** 2)[:, :, None] / den
-    values[:, 1:] *= np.cumprod((z[:, None, :] - w[:, :-1, None]) / den[:, :-1], axis=1)
+    values[:, 1:] *= np.multiply.accumulate((z[:, None, :] - w[:, :-1, None]) / den[:, :-1], axis=1)
     return values
 
 
@@ -263,15 +262,19 @@ def level_sets(s: ProductStack, omega):
     ``circle_angle``, and a dict mapping each row that misses the residual or
     separation check to the ``LevelSetError`` it raises (residual first).
     """
-    phi = np.angle(np.linalg.eigvals(clark_unitaries(s, omega)))
+    lam = np.linalg.eigvals(clark_unitaries(s, omega))
+    phi = np.arctan2(lam.imag, lam.real)
     eta = np.exp(1j * phi)
     values, den = _products_over(*s[:2], eta)
-    phi = phi - np.angle(values * np.conj(omega)[:, None]) / _norms_sq(s.zeros, den)
+    moved = values * np.conj(omega)[:, None]
+    speed = np.add.reduce((1.0 - np.abs(s.zeros) ** 2)[:, :, None] / np.abs(den) ** 2, axis=1)  # |B'(eta)|
+    phi = phi - np.arctan2(moved.imag, moved.real) / speed
     eta = np.exp(1j * phi)
     residual = np.abs(products_at(*s[:2], eta) - omega[:, None])
     gaps = np.abs(eta[:, :, None] - eta[:, None, :])
     gaps.reshape(len(eta), -1)[:, :: eta.shape[1] + 1] = np.inf  # a point is not its own neighbour
-    bad = (residual > ROOT_TOL).any(axis=1) | (gaps <= DISTINCT_TOL).any(axis=(1, 2))
+    bad = np.logical_or.reduce(residual > ROOT_TOL, axis=1)
+    bad |= np.logical_or.reduce(gaps <= DISTINCT_TOL, axis=(1, 2))
     failures = {row: _level_set_error(residual[row], eta[row]) for row in bad.nonzero()[0]}
     order = np.argsort(circle_angle(eta), axis=1)
     return eta[np.arange(len(eta))[:, None], order], failures
@@ -283,19 +286,5 @@ def _level_set_error(residual, eta) -> LevelSetError:
         return LevelSetError("level-set residuals %s exceed %.1e" % (residual.tolist(), ROOT_TOL))
     i, k = next((i, k) for i in range(len(eta)) for k in range(i + 1, len(eta))
                 if abs(eta[i] - eta[k]) <= DISTINCT_TOL)
-    return LevelSetError(
-        "level-set points %r and %r are numerically coincident" % (eta[i], eta[k])
-    )
+    return LevelSetError("level-set points %r and %r are numerically coincident" % (eta[i], eta[k]))
 
-
-def kernel_norms_sq(w, zeta) -> np.ndarray:
-    """||k_zeta||^2 = |B'(zeta)| for zeros w (N, n) at circle points zeta (N, m), unchecked: (N, m).
-
-    |B'| is the angular speed of B on the circle: sum (1 - |w_i|^2) / |1 - conj(w_i) zeta|^2 > 0.
-    """
-    return _norms_sq(w, 1.0 - np.conj(w)[:, :, None] * zeta[:, None, :])
-
-
-def _norms_sq(w, den) -> np.ndarray:
-    """``kernel_norms_sq`` from the denominators den = 1 - conj(w_k) zeta, shape (N, n, m)."""
-    return np.add.reduce((1.0 - np.abs(w) ** 2)[:, :, None] / np.abs(den) ** 2, axis=1)

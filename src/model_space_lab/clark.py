@@ -41,8 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blaschke import (BlaschkeProduct, circle_angle, kernel_norms_sq, kernel_pairs, level_sets,
-                       product_stack, products_at)
+from .blaschke import BlaschkeProduct, circle_angle, kernel_pairs, level_sets, product_stack, products_at
 from .config import BASIS_TOL, TARGET_FLOOR, Checked, Indeterminate, number, open_disc, unimodular
 from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
 
@@ -175,7 +174,8 @@ def clark_rows(s, t, alpha) -> ClarkRows:
     the level set's residual and separation (``LevelSetError``), and the Gram
     and conjugation residuals of the basis against BASIS_TOL (``BasisError``);
     a row's failure is the first check it missed.  No J is built: element i is b_i k_{eta_i},
-    so its conjugate is conj(b_i) C k_{eta_i}; one TMW pass gives both (``kernel_pairs``).
+    so its conjugate is conj(b_i) C k_{eta_i}; one TMW pass gives both (``kernel_pairs``)
+    and the norms ||k_eta||^2 = ||e(eta)||^2.
     A point that hits a pole raises ``PoleEvaluationError`` for the whole call.
     """
     if s.zeros.shape[1] != 3:
@@ -184,9 +184,9 @@ def clark_rows(s, t, alpha) -> ClarkRows:
     etas, level_failures = level_sets(s, omega)
     angles = circle_angle(np.concatenate([np.conj(etas), omega[:, None]], axis=1))
     phases = np.exp(0.5j * (angles[:, :3] + angles[:, 3:]))
-    norms = np.sqrt(kernel_norms_sq(s.zeros, etas))
-    coef = (phases / norms)[:, None, :]
     values, conj_kernels = kernel_pairs(*s[:2], etas)
+    norms = np.sqrt(np.add.reduce(np.abs(values) ** 2, axis=1))
+    coef = (phases / norms)[:, None, :]
     coords = np.conj(values) * coef
     gram, conj = basis_residuals(coords, np.conj(coef) * conj_kernels)
     basis_failures = {row: gram_error(gram[row]) for row in (~(gram < BASIS_TOL)).nonzero()[0]}
@@ -217,10 +217,11 @@ def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
 def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: OrthonormalBasis):
     """Matrix of the unitary U = S_t + (alpha + B(t)) (k^_t (x) C k^_t) w.r.t. ``basis``.
 
-    Here k^_t is the NORMALIZED kernel at t: writing the perturbation with
-    the raw kernel requires dividing by ||k_t||^2 = (1-|B(t)|^2)/(1-|t|^2),
-    otherwise the operator fails to be unitary whenever the kernel norm
-    differs from 1.
+    Here k^_t is the NORMALIZED kernel at t: the raw kernel's term is divided by
+    ||k_t||^2 = ||e(t)||^2, a sum of positive terms from the one pole-guarded TMW pass
+    at t (``kernel_pairs``), which also gives B(t) = c e_{n-1}(t) (t - w_{n-1}) / sqrt(1 - |w_{n-1}|^2).
+    The closed form (1 - |B(t)|^2) / (1 - |t|^2) cancels near the circle (relative error
+    7e-8 at 1 - |t| = 1e-8), enough to fail the unitarity check on valid input.
 
     Entry (i, j) is <U v_j, v_i>.  The compressed-multiplier part is
     (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus; the
@@ -231,18 +232,20 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
     t, alpha = params.t, params.alpha
-    bt = b(t)
+    kernel, conj_kernel = kernel_pairs(*b.stack[:2], np.array([[t]]))
+    e, w = kernel[0, :, 0], b.zeros[-1]
+    bt = b.front_constant * e[-1] * (t - w) / (1.0 - abs(w) ** 2) ** 0.5
 
     z = b.stack.shift[0]
     eye = np.eye(len(z))
     mobius = np.linalg.solve(eye - np.conj(t) * z, z - t * eye)
-    kernel_norm_sq = (1.0 - abs(bt) ** 2) / (1.0 - abs(t) ** 2)
-    kernel, conj_kernel = kernel_pairs(*b.stack[:2], np.array([[t]]))
-    rank_one = np.outer(np.conj(kernel), np.conj(conj_kernel))
+    rank_one = np.conj(kernel[0]) * np.conj(conj_kernel[0].T)
     x = basis.coords
-    u = np.conj(x.T) @ (mobius + (alpha + bt) / kernel_norm_sq * rank_one) @ x
+    u = np.conj(x.T) @ (mobius + (alpha + bt) / np.vdot(e, e).real * rank_one) @ x
 
-    defect = np.linalg.norm(np.conj(u.T) @ u - np.eye(x.shape[1]))
+    g = np.conj(u.T) @ u
+    g.reshape(-1)[:: len(g) + 1] -= 1.0  # u^H u - I, for a basis of any number of elements
+    defect = np.sqrt(np.vdot(g, g).real)
     if not defect <= BASIS_TOL:
         raise BasisError(
             "operator matrix is not unitary (defect %.3e); the basis is not "

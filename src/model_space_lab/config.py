@@ -50,7 +50,8 @@ class Checked:
     """Mixin of a named tuple whose ``__new__`` checks its fields: ``_replace`` checks too."""
 
     __slots__ = ()
-    __add__ = __mul__ = __rmul__ = None  # not a sequence to join or repeat: r + r, r * 2, 2 * r raise
+    # Not a sequence to join or repeat, nor a numpy operand: r + r, (1,) + r, 2 * r, np.float64(2) * r raise.
+    __add__ = __radd__ = __mul__ = __rmul__ = __array_ufunc__ = None
 
     def _replace(self, **fields):
         """The record with ``fields`` changed, built by ``__new__`` from ``__getnewargs__``."""

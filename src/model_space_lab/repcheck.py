@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blaschke import level_set
+from .blaschke import level_set, tmw_rows
 from .clark import ClarkBasis, clark_draws, stdlib_uniforms
 from .config import (BASIS_TOL, DISTINCT_TOL, FAMILY_TOL, REP_TOL, SV_FLOOR, SYM_TOL, Checked,
                      Indeterminate, finite, integer, number, on_circle, open_disc, real, rep_tol, sequence)
@@ -106,7 +106,7 @@ class Sym3(Checked, namedtuple("Sym3", "s1 s2 s3 s4 s5 s6")):
         no finite S over- or underflows on the way; a non-finite S is a ValueError.
         """
         parts = self.vector.view(float)
-        e = math.frexp(finite(float(np.abs(parts).max()), "largest part of S"))[1]
+        e = math.frexp(finite(float(np.maximum.reduce(np.abs(parts))), "largest part of S"))[1]
         # Every part ends below 1, so a bare ldexp needs no overflow guard (``_ldexp``'s errstate).
         return Sym3._make(np.ldexp(parts, -e).view(complex).tolist()), e
 
@@ -149,8 +149,8 @@ class PointConfig(Checked, namedtuple("PointConfig", "boundary interior")):
 
 
 def default_points(b) -> PointConfig:
-    """Level set of 1 on the boundary plus two fixed interior points."""
-    return PointConfig(tuple(level_set(b, 1.0)), (0.0, 0.41 + 0.13j))
+    """Level set of 1 on the boundary plus two fixed interior points, all checked by now (``_make``)."""
+    return PointConfig._make((tuple(level_set(b, 1.0).tolist()), (0j, 0.41 + 0.13j)))
 
 
 # The 6x5 generator columns and their full SVD (``build_columns``).
@@ -195,7 +195,7 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> GeneratorSpan:
     if not basis.conj_residual <= BASIS_TOL:
         raise ValueError(f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
                          "the determinant test is only valid for conjugation-fixed bases")
-    vals = basis(np.array(pc.boundary + pc.interior))  # (3 elements, 5 points)
+    vals = basis.coords.T @ tmw_rows(basis.theta.stack.zeros, np.array([pc.boundary + pc.interior]))[0]
     cols = np.concatenate([vals[:, :3], np.conj(vals[:, 3:])], axis=1)[_ROWS_A] * np.conj(vals[_ROWS_B])
     u, sv, vh = np.linalg.svd(cols)
     if sv[4] < SV_FLOOR:
@@ -206,6 +206,12 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> GeneratorSpan:
 
 # Off-diagonal rows count twice in the Frobenius norm of a symmetric matrix.
 _FROBENIUS_WEIGHTS = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
+
+
+def _frobenius(v) -> float:
+    """||S||_F of the symmetric S with 6-vector v: the 2-norm of v weighted by ``_FROBENIUS_WEIGHTS``."""
+    x = v * _FROBENIUS_WEIGHTS
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def detthm_test(
@@ -230,14 +236,14 @@ def detthm_test(
     unit, e = s.normalized()
     cols, u, sv, vh = build_columns(basis, pc)
     v = unit.vector
-    square = np.column_stack([cols, v])
+    square = np.concatenate([cols, v[:, None]], axis=1)
     det_value = complex(np.linalg.det(square))
-    norm_product = float(np.prod(np.linalg.norm(square, axis=0)))
+    norm_product = float(np.multiply.reduce(np.sqrt(np.add.reduce((np.conj(square) * square).real, axis=0))))
 
     normal = u[:, 5] / _FROBENIUS_WEIGHTS  # the span's normal in the weighted norm
     along, norm_sq = np.vdot(u[:, 5], v), np.vdot(normal, normal).real
     residual = abs(along) / math.sqrt(norm_sq)
-    is_rep = bool(abs(det_value) <= tol * norm_product and residual <= tol * np.linalg.norm(unit.array))
+    is_rep = bool(abs(det_value) <= tol * norm_product and residual <= tol * _frobenius(v))
     fit = v - along / norm_sq * normal / _FROBENIUS_WEIGHTS
     mu = np.conj(vh.T) @ (np.conj(u[:, :5].T) @ fit / sv)
     back = _ldexp(np.concatenate([mu, [residual, det_value]]), e).tolist()
@@ -267,7 +273,7 @@ def _s6_prediction(unit: Sym3, k, tol: float):
     c4, c5 = -k[..., 0, 1], -k[..., 0, 2]
     predicted = (c4 * unit.s4 + c5 * unit.s5) / k[..., 1, 2]
     gap = np.abs(unit.s6 - predicted)
-    return predicted, gap, gap <= tol * np.linalg.norm(unit.array)
+    return predicted, gap, gap <= tol * _frobenius(unit.vector)
 
 
 def clark_s6_test(s: Sym3, cb: ClarkBasis, tol: float = REP_TOL) -> S6Result:
@@ -344,4 +350,4 @@ def counterexample_report(s: Sym3, seed: int = 0) -> CounterexampleReport:
     bases = clark_draws(stdlib_uniforms(seed), TRIALS)
     _, gaps, is_rep = _s6_prediction(unit, relation_weight(bases), REP_TOL)
     return CounterexampleReport(normal_defect, int(np.count_nonzero(~is_rep)),
-                                float((gaps / np.linalg.norm(m)).min()))
+                                float((gaps / _frobenius(unit.vector)).min()))

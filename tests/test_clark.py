@@ -2,6 +2,7 @@ import json
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -244,6 +245,32 @@ def test_basis_diagonalizes_operator():
         off = u - np.diag(np.diag(u))
         assert np.linalg.norm(off) < 1e-8
         np.testing.assert_allclose(np.abs(np.diag(u)), 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("distance", [1e-7, 1e-8, 1e-9, 1e-10])
+def test_operator_near_the_circle_is_unitary_and_diagonal(distance):
+    # With t at 1 - |t| = distance, ||k_t||^2 = (1 - |B(t)|^2) / (1 - |t|^2) in
+    # closed form cancels to a relative error near 1e-16 / distance, enough to
+    # fail the unitarity check; the sum ||e(t)||^2 of the TMW values at t, which
+    # the operator divides by, has no cancellation.  It is compared with the closed
+    # form in 50-digit mpmath, where |c| = 1 exactly (c's own round-off would dominate).
+    rng = np.random.default_rng(int(-np.log10(distance)) + 200)
+    for _ in range(40):
+        zeros = 0.85 * np.sqrt(rng.random(3)) * np.exp(2j * np.pi * rng.random(3))
+        b = BlaschkeProduct(tuple(zeros), np.exp(2j * np.pi * rng.random()))
+        params = ClarkParams((1.0 - distance) * np.exp(2j * np.pi * rng.random()),
+                             np.exp(2j * np.pi * rng.random()))
+        cb = modified_clark_basis(b, params)
+        u = clark_operator_matrix(b, params, cb.basis)
+        np.testing.assert_allclose(np.conj(u.T) @ u, np.eye(3), rtol=0, atol=1e-8)
+        assert np.linalg.norm(u - np.diag(np.diag(u))) < 1e-8
+
+        e = blaschke.tmw_rows(b.stack.zeros, np.array([[params.t]]))[0, :, 0]
+        with mpmath.workdps(50):
+            t = mpmath.mpc(params.t)
+            bt_sq = mpmath.fprod(abs((t - w) / (1 - mpmath.conj(w) * t)) ** 2 for w in map(mpmath.mpc, b.zeros))
+            exact = (1 - bt_sq) / (1 - abs(t) ** 2)
+        assert abs(float(np.vdot(e, e).real / exact) - 1.0) <= 1e-14
 
 
 def test_eigen_residual_in_reference_basis():

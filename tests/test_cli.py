@@ -1022,7 +1022,9 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_p
     # lstsq; each span is built by build_columns, the one span function, which
     # the benchmark tracer sees; and one TMW pass per point set: the Clark basis
     # at its level set, Clark's unitary at t, and the columns at the default points.
-    calls = {"tmw_rows": 0, "lstsq": 0, "svd": 0, "build_columns": 0}
+    # Pole-guarded passes (_denominators) are a ratchet: Clark's unitary takes B(t)
+    # from its TMW pass at t, so 10, down from 11.
+    calls = {"tmw_rows": 0, "lstsq": 0, "svd": 0, "build_columns": 0, "_denominators": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1030,14 +1032,15 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_p
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, fn in (("tmw_rows", blaschke.tmw_rows), ("build_columns", repcheck.build_columns)):
+    for name, fn in (("tmw_rows", blaschke.tmw_rows), ("build_columns", repcheck.build_columns),
+                     ("_denominators", blaschke._denominators)):
         for module in list(sys.modules.values()):
             if module.__name__.startswith("model_space_lab") and vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
     for name in ("lstsq", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     _verify_sequence(workloads, tmp_path)
-    assert calls == {"tmw_rows": 5, "lstsq": 0, "svd": 3, "build_columns": 3}
+    assert calls == {"tmw_rows": 5, "lstsq": 0, "svd": 3, "build_columns": 3, "_denominators": 10}
 
 
 def test_solve_scales_back_once(monkeypatch):

@@ -255,11 +255,14 @@ RECORDS = {
 @pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
 def test_checked_records_do_not_join_or_repeat(record):
     # A checked record is a named tuple, but not a sequence: tuple's + and *
-    # would return a plain tuple that no check has seen.
+    # would return a plain tuple that no check has seen.  Nor is it an array
+    # operand: a numpy scalar on the left would return an unchecked ndarray.
     r = record()
-    for join_or_repeat in (lambda: r + r, lambda: r * 2, lambda: 2 * r):
+    for join_or_repeat in (lambda: r + r, lambda: (1,) + r, lambda: r * 2, lambda: 2 * r,
+                           lambda: np.float64(2) * r):
         with pytest.raises(TypeError):
             join_or_repeat()
+    assert len(np.array(r, dtype=object)) == len(r)
 
 
 def test_product_stack_cannot_be_rebound_and_survives_copies():
