@@ -249,18 +249,15 @@ def level_set(b: BlaschkeProduct, omega):
     and be pairwise separated by more than ``DISTINCT_TOL``.
     """
     omega = unimodular(number(omega, "level-set target"), "level-set target")
-    etas, failures = level_sets(b.stack, np.array([omega]))
-    if failures:
-        raise failures[0]
-    return etas[0]
+    return level_sets(b.stack, np.array([omega]))[0]
 
 
 def level_sets(s: ProductStack, omega):
     """``level_set`` for the products of a stack and unimodular targets omega (N,).
 
-    Returns (etas, failures): etas of shape (N, n), each row sorted by
-    ``circle_angle``, and a dict mapping each row that misses the residual or
-    separation check to the ``LevelSetError`` it raises (residual first).
+    Returns the etas, shape (N, n), each row sorted by ``circle_angle``.  The
+    first row that misses the residual or separation check raises its
+    ``LevelSetError`` (``_level_set_error``: residual first).
     """
     lam = np.linalg.eigvals(clark_unitaries(s, omega))
     phi = np.arctan2(lam.imag, lam.real)
@@ -275,9 +272,10 @@ def level_sets(s: ProductStack, omega):
     gaps.reshape(len(eta), -1)[:, :: eta.shape[1] + 1] = np.inf  # a point is not its own neighbour
     bad = np.logical_or.reduce(residual > ROOT_TOL, axis=1)
     bad |= np.logical_or.reduce(gaps <= DISTINCT_TOL, axis=(1, 2))
-    failures = {row: _level_set_error(residual[row], eta[row]) for row in bad.nonzero()[0]}
+    if np.logical_or.reduce(bad):
+        raise _level_set_error(residual[bad.argmax()], eta[bad.argmax()])
     order = np.argsort(circle_angle(eta), axis=1)
-    return eta[np.arange(len(eta))[:, None], order], failures
+    return eta[np.arange(len(eta))[:, None], order]
 
 
 def _level_set_error(residual, eta) -> LevelSetError:

@@ -24,6 +24,7 @@ The construction is array-first: ``clark_rows`` runs the whole chain -- the
 target, Clark's unitary, the level set, the phases and norms, the coordinates
 and the Gram and conjugation residuals, with no J (``blaschke.kernel_pairs``)
 -- over a leading axis of N draws, and ``modified_clark_basis`` is its batch of 1.
+Each stage of the chain raises its error for its lowest failing row.
 
 Random Clark bases are seeded draws of ``CLARK_DRAW`` uniforms per attempt,
 decoded by ``decode_clark_draws``: zeros within ``ZERO_RADIUS`` and t within
@@ -88,22 +89,19 @@ def clark_targets(zeros, constants, t, alpha):
     """Targets omega = (alpha + B(t)) / (1 + conj(B(t)) alpha) for zeros (N, n), constants, t, alpha (N,).
 
     |omega| = 1 exactly (a Moebius map of the circle); the eps/|den| round-off is divided out.
-    Returns (omega, failures): the targets, shape (N,), and a dict mapping
-    each row whose denominator is below TARGET_FLOOR in modulus to its
-    ``ClarkTargetError``; such a row's omega is a placeholder 1.
+    Returns omega, shape (N,).  The first row whose denominator is below
+    TARGET_FLOOR in modulus raises its ``ClarkTargetError``.
     """
     bt = products_at(zeros, constants, t[:, None])[:, 0]
     den = 1.0 + np.conj(bt) * alpha
-    ok = np.abs(den) >= TARGET_FLOOR
-    failures = {
-        row: ClarkTargetError(
+    bad = ~(np.abs(den) >= TARGET_FLOOR)
+    if np.logical_or.reduce(bad):
+        raise ClarkTargetError(
             "1 + conj(B(t)) * alpha is numerically zero for t=%r, alpha=%r"
-            % (complex(t[row]), complex(alpha[row]))
+            % (complex(t[bad.argmax()]), complex(alpha[bad.argmax()]))
         )
-        for row in (~ok).nonzero()[0]
-    }
-    omega = np.where(ok, (alpha + bt) / np.where(ok, den, 1.0), 1.0)
-    return omega / np.abs(omega), failures
+    omega = (alpha + bt) / den
+    return omega / np.abs(omega)
 
 
 class ClarkBasis(NamedTuple):
@@ -131,10 +129,8 @@ class ClarkRows(NamedTuple):
     """The Clark chain over N draws: one array per quantity, row i for draw i.
 
     The fields of ``ClarkBasis`` stacked (``coords`` holds each row's basis
-    coordinates, ``gram`` and ``conj`` its two residuals), the draws
-    themselves, and ``failures``: each row that missed a check, mapped to the
-    ``Indeterminate`` it raises.  Every other row passed every check of
-    ``modified_clark_basis``.
+    coordinates, ``gram`` and ``conj`` its two residuals) and the draws themselves;
+    every row passed every check of ``modified_clark_basis`` (``clark_rows`` raises otherwise).
     """
 
     zeros: np.ndarray
@@ -148,12 +144,9 @@ class ClarkRows(NamedTuple):
     coords: np.ndarray
     gram: np.ndarray
     conj: np.ndarray
-    failures: dict
 
     def basis(self, i: int, theta: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
-        """Row i as the ``ClarkBasis`` of (theta, params), or the error the row raises."""
-        if i in self.failures:
-            raise self.failures[i]
+        """Row i as the ``ClarkBasis`` of (theta, params), its residuals checked by ``clark_rows``."""
         basis = OrthonormalBasis._recorded(
             theta, self.coords[i], float(self.gram[i]), float(self.conj[i])
         )
@@ -170,18 +163,18 @@ class ClarkRows(NamedTuple):
 def clark_rows(s, t, alpha) -> ClarkRows:
     """The modified Clark basis for each product of a ``ProductStack`` s of order 3 and t, alpha (N,).
 
-    Per row, in this order, the checks are: the target (``ClarkTargetError``),
-    the level set's residual and separation (``LevelSetError``), and the Gram
-    and conjugation residuals of the basis against BASIS_TOL (``BasisError``);
-    a row's failure is the first check it missed.  No J is built: element i is b_i k_{eta_i},
+    The checks run stage by stage: the target (``ClarkTargetError``, from ``clark_targets``),
+    the level set's residual and separation (``LevelSetError``, from ``level_sets``), then
+    the Gram and the conjugation residual of the basis against BASIS_TOL (``BasisError``);
+    the first stage that fails raises for its lowest failing row.  No J is built: element i is b_i k_{eta_i},
     so its conjugate is conj(b_i) C k_{eta_i}; one TMW pass gives both (``kernel_pairs``)
     and the norms ||k_eta||^2 = ||e(eta)||^2.
     A point that hits a pole raises ``PoleEvaluationError`` for the whole call.
     """
     if s.zeros.shape[1] != 3:
         raise ValueError("the Clark basis construction here is order-3 only")
-    omega, failures = clark_targets(*s[:2], t, alpha)
-    etas, level_failures = level_sets(s, omega)
+    omega = clark_targets(*s[:2], t, alpha)
+    etas = level_sets(s, omega)
     angles = circle_angle(np.concatenate([np.conj(etas), omega[:, None]], axis=1))
     phases = np.exp(0.5j * (angles[:, :3] + angles[:, 3:]))
     values, conj_kernels = kernel_pairs(*s[:2], etas)
@@ -189,14 +182,16 @@ def clark_rows(s, t, alpha) -> ClarkRows:
     coef = (phases / norms)[:, None, :]
     coords = np.conj(values) * coef
     gram, conj = basis_residuals(coords, np.conj(coef) * conj_kernels)
-    basis_failures = {row: gram_error(gram[row]) for row in (~(gram < BASIS_TOL)).nonzero()[0]}
-    for row in (~(conj < BASIS_TOL)).nonzero()[0]:
-        basis_failures.setdefault(row, BasisError(
+    bad = ~(gram < BASIS_TOL)
+    if np.logical_or.reduce(bad):
+        raise gram_error(gram[bad.argmax()])
+    bad = ~(conj < BASIS_TOL)
+    if np.logical_or.reduce(bad):
+        raise BasisError(
             "an element moved by %.3e under conjugation; the phase "
-            "convention must square to conj(eta) * omega" % conj[row]
-        ))
-    failures = {**basis_failures, **level_failures, **failures}
-    return ClarkRows(*s[:2], t, alpha, omega, etas, phases, norms, coords, gram, conj, failures)
+            "convention must square to conj(eta) * omega" % conj[bad.argmax()]
+        )
+    return ClarkRows(*s[:2], t, alpha, omega, etas, phases, norms, coords, gram, conj)
 
 
 def modified_clark_basis(b: BlaschkeProduct, params: ClarkParams) -> ClarkBasis:
@@ -289,10 +284,7 @@ def clark_draws(rng, count: int) -> ClarkRows:
     Each attempt takes ``CLARK_DRAW`` uniforms, and none can fail a check.  With zeros within
     ZERO_RADIUS and t within ANCHOR_RADIUS, each factor of B is at most 1.45/1.51 at t, so
     |1 + conj(B(t)) alpha| >= 1 - 0.886 = 0.114; |B'| <= 3 * 1.85/0.15 = 37 on the circle, so level-set
-    points are 2 pi/37 apart in argument, a chord >= 0.169.  A failed row would raise its error.
+    points are 2 pi/37 apart in argument, a chord >= 0.169.  So no stage of ``clark_rows`` raises.
     """
     zeros, constants, t, alpha = decode_clark_draws(rng.random((count, CLARK_DRAW)))
-    rows = clark_rows(product_stack(zeros, constants), t, alpha)
-    if rows.failures:
-        raise rows.failures[min(rows.failures)]
-    return rows
+    return clark_rows(product_stack(zeros, constants), t, alpha)

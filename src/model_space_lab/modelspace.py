@@ -142,6 +142,8 @@ class OrthonormalBasis(Checked, namedtuple("OrthonormalBasis", "theta coords gra
     def __new__(cls, theta, coords):
         x = finite(np.array(coords, dtype=complex), "basis coordinates")
         gram, conj = basis_residuals(x[None], (conjugation_matrix(theta) @ np.conj(x))[None])
+        if not gram[0] < BASIS_TOL:
+            raise gram_error(gram[0])
         return cls._recorded(theta, x, float(gram[0]), float(conj[0]))
 
     def __getnewargs__(self):  # copies and ``_replace`` compute the residuals again
@@ -149,9 +151,7 @@ class OrthonormalBasis(Checked, namedtuple("OrthonormalBasis", "theta coords gra
 
     @classmethod
     def _recorded(cls, theta, coords, gram_residual: float, conj_residual: float):
-        """A basis whose ``basis_residuals`` were taken already: a Clark-chain row, without J."""
-        if not gram_residual < BASIS_TOL:
-            raise gram_error(gram_residual)
+        """A basis whose ``basis_residuals`` were taken and checked already: a Clark-chain row, without J."""
         x = np.array(coords, dtype=complex)
         x.setflags(write=False)
         return cls._make((theta, x, gram_residual, conj_residual))

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from model_space_lab import blaschke, cli
-from model_space_lab.blaschke import BlaschkeProduct, circle_angle, level_set, product_stack
+from model_space_lab import blaschke, clark, cli
+from model_space_lab.blaschke import BlaschkeProduct, LevelSetError, circle_angle, level_set, product_stack
 from model_space_lab.clark import (
     ClarkParams,
     ClarkTargetError,
@@ -17,7 +17,7 @@ from model_space_lab.clark import (
     modified_clark_basis,
 )
 from model_space_lab.config import BASIS_TOL
-from model_space_lab.modelspace import conjugation_residual, inner_product, kernel_element
+from model_space_lab.modelspace import BasisError, conjugation_residual, inner_product, kernel_element
 from model_space_lab.repcheck import counterexample_family, counterexample_report, default_points
 from model_space_lab.tto import random_tto
 
@@ -43,8 +43,8 @@ def test_circle_angle_continuous_at_branch_cut():
 
 
 def test_clark_target_trivial(f1):
-    omega, failures = clark_targets(*f1.stack[:2], np.array([0j]), np.array([1 + 0j]))
-    assert omega[0] == pytest.approx(1.0) and not failures
+    omega = clark_targets(*f1.stack[:2], np.array([0j]), np.array([1 + 0j]))
+    assert omega[0] == pytest.approx(1.0)
 
 
 def test_clark_target_unimodular(f2):
@@ -54,16 +54,16 @@ def test_clark_target_unimodular(f2):
             0.6 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()),
             np.exp(2j * np.pi * rng.random()),
         )
-        omega, failures = clark_targets(*f2.stack[:2], np.array([p.t]), np.array([p.alpha]))
-        assert abs(abs(omega[0]) - 1.0) < 1e-12 and not failures
+        omega = clark_targets(*f2.stack[:2], np.array([p.t]), np.array([p.alpha]))
+        assert abs(abs(omega[0]) - 1.0) < 1e-12
 
 
 def test_clark_target_degenerate_pair_rejected(f1):
     # The denominator 1 + conj(B(t)) alpha can only vanish when |B(t)| -> 1,
     # i.e. t squeezed against the circle with alpha opposing B(t).
     p = ClarkParams(1.0 - 1e-13, -1.0)
-    _, failures = clark_targets(*f1.stack[:2], np.array([p.t]), np.array([p.alpha]))
-    assert isinstance(failures[0], ClarkTargetError)
+    with pytest.raises(ClarkTargetError, match="numerically zero"):
+        clark_targets(*f1.stack[:2], np.array([p.t]), np.array([p.alpha]))
 
 
 # -- the F1 golden basis -----------------------------------------------------
@@ -141,6 +141,7 @@ def test_near_circle_conjugation_residual_with_and_without_j(radius):
     # The chain records conj(b_i) C k_{eta_i} - b_i k_{eta_i} from the closed
     # form; conjugation_residual recomputes it with J.  The draws: a triple
     # zero at a random angle, |t| = 0.3, random constant and alpha, seed 2026.
+    # clark_rows returns only if every row passes every check.
     rng = np.random.default_rng(2026)
     u = rng.random((200, 4))
     w = radius * np.exp(2j * np.pi * u[:, 0])
@@ -149,12 +150,62 @@ def test_near_circle_conjugation_residual_with_and_without_j(radius):
         0.3 * np.exp(2j * np.pi * u[:, 2]),
         np.exp(2j * np.pi * u[:, 3]),
     )
-    assert rows.failures == {}
     assert rows.conj.max() < BASIS_TOL
     for i in range(len(w)):
         theta = BlaschkeProduct((w[i],) * 3, rows.constants[i])
         cb = rows.basis(i, theta, ClarkParams(rows.t[i], rows.alpha[i]))
         assert conjugation_residual(cb.basis) < BASIS_TOL
+
+
+# (zeros, t, alpha) of one row: a valid row, and one that fails each stage of the chain
+GOOD_ROW = ((0.5, 0.0, -0.5), 0.1 + 0.2j, 1.0)
+MARKED_ZERO = 0.3  # the Gram case perturbs the kernel values of the row with this first zero
+FAILING_ROWS = {
+    # 1 - |B(t)| = 3e-13 with alpha opposing B(t): the target's denominator is round-off
+    "target": (((0.0, 0.0, 0.0), 0.9999999999999, -1.0), ClarkTargetError, r"t=\(0\.9999999999999\+0j\)"),
+    # |B'| reaches 6e8 at the level set of a triple zero this close to the circle
+    "level-set": (((0.99999999,) * 3, 0.0, 1.0), LevelSetError, "level-set residuals"),
+    "gram": (((MARKED_ZERO, 0.0, 0.0), 0.0, 1.0), BasisError, "Gram residual"),
+}
+
+
+def _rows(rows):
+    zeros, t, alpha = (np.array(part, dtype=complex) for part in zip(*rows))
+    return clark_rows(product_stack(zeros, np.ones(len(rows), dtype=complex)), t, alpha)
+
+
+@pytest.fixture
+def perturbed_kernels(monkeypatch):
+    """Scale one kernel coordinate of the marked row by 1 + 1e-6: its element 0 leaves orthogonality."""
+    kernel_pairs = clark.kernel_pairs
+
+    def perturbed(w, c, z):
+        values, conj_kernels = kernel_pairs(w, c, z)
+        values[w[:, 0] == MARKED_ZERO, 0, 0] *= 1.0 + 1e-6
+        return values, conj_kernels
+
+    monkeypatch.setattr(clark, "kernel_pairs", perturbed)
+
+
+@pytest.mark.parametrize("stage", FAILING_ROWS)
+def test_stack_raises_its_failing_row_as_that_row_alone(perturbed_kernels, stage):
+    # A stack whose middle row fails one stage raises that row's error, with that
+    # row's numbers in its message; the row alone raises the same message.
+    middle, error, match = FAILING_ROWS[stage]
+    with pytest.raises(error, match=match) as stacked:
+        _rows([GOOD_ROW, middle, GOOD_ROW])
+    with pytest.raises(error) as alone:
+        _rows([middle])
+    assert str(stacked.value) == str(alone.value)
+    _rows([GOOD_ROW, GOOD_ROW])  # the other rows pass every check
+
+
+def test_stack_raises_for_the_first_failing_stage():
+    # The stages run in order over the whole stack: a target failure in the last
+    # row is raised before a level-set failure in the first.
+    level_set_row, target_row = FAILING_ROWS["level-set"][0], FAILING_ROWS["target"][0]
+    with pytest.raises(ClarkTargetError):
+        _rows([level_set_row, GOOD_ROW, target_row])
 
 
 def test_clark_basis_requires_order_three(f2):

@@ -849,38 +849,51 @@ def test_committed_tto_matrices_match_mpmath():
     assert max(worst.values()) <= 1e-10, worst
 
 
+def _mp_columns(problem):
+    """The generator columns at default_points, at the working precision, for a problem with B = z^3.
+
+    The points are the cube roots of unity -- also the etas here -- and the interior
+    points 0 and 0.41+0.13j, in the basis v_i = b_i k_{eta_i}, b_i = phase_i / norm_i.
+    For B = z^3 the TMW basis is 1, z, z^2, so k_eta(z) = sum_k (conj(eta) z)^k, with
+    no 0/0 at z = eta.
+    """
+    assert problem.theta == BlaschkeProduct((0.0, 0.0, 0.0))
+    etas, phases, norms, _ = oracle_clark_mp(problem.theta, problem.clark.t, problem.clark.alpha, ())
+    etas = [mpmath.mpc(complex(e)) for e in etas]
+    coefs = [mpmath.mpc(complex(p)) / mpmath.mpf(float(n)) for p, n in zip(phases, norms)]
+    points = [mpmath.expjpi(mpmath.mpf(2 * k) / 3) for k in range(3)]
+    points += [mpmath.mpc(0), mpmath.mpc(0.41, 0.13)]
+    vals = [[b * mpmath.fsum((mpmath.conj(e) * p) ** k for k in range(3)) for p in points]
+            for b, e in zip(coefs, etas)]
+    left = [[v if j < 3 else mpmath.conj(v) for j, v in enumerate(row)] for row in vals]
+    return mpmath.matrix([[left[a][j] * mpmath.conj(vals[b][j]) for j in range(5)]
+                          for a, b in repcheck.ROW_INDEX])
+
+
+def _mp_certificate(cols, s):
+    """(mu, residual): mu solves the normal equations of the Frobenius norm (row weights
+    1, 1, 1, 2, 2, 2 on |.|^2) for s ~ cols mu, and the residual is that norm of s - cols mu."""
+    weights = mpmath.diag([1, 1, 1, 2, 2, 2])
+    mu = mpmath.lu_solve(cols.H * weights * cols, cols.H * weights * s)
+    misfit = s - cols * mu
+    return mu, mpmath.sqrt(mpmath.fsum(w * abs(m) ** 2 for w, m in zip((1, 1, 1, 2, 2, 2), misfit)))
+
+
 def test_committed_detthm_numbers_match_mpmath():
-    # det_value, mu and both residuals of the committed check-detthm report at 50 digits.
-    # The columns are the generators at default_points -- the cube roots of unity, which
-    # are also the etas here, and the interior points 0 and 0.41+0.13j -- in the basis
-    # v_i = b_i k_{eta_i}, b_i = phase_i / norm_i.  For B = z^3 the TMW basis is 1, z, z^2,
-    # so k_eta(z) = sum_k (conj(eta) z)^k, with no 0/0 at z = eta.  mu solves the normal
-    # equations of the Frobenius norm (row weights 1, 1, 1, 2, 2, 2 on |.|^2).  det, mu and
-    # the residual are homogeneous in S, so the library's scaling by 2**-e cancels (e = 0).
+    # det_value, mu and both residuals of the committed check-detthm report at 50 digits,
+    # from the columns of _mp_columns.  det, mu and the residual are homogeneous in S,
+    # so the library's scaling by 2**-e cancels (e = 0).
     name = "f1-check-detthm"
     problem = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
     report = json.loads((COMMITTED / f"{name}.report.json").read_text())
-    assert problem.theta == BlaschkeProduct((0.0, 0.0, 0.0))
-    etas, phases, norms, _ = oracle_clark_mp(problem.theta, problem.clark.t, problem.clark.alpha, ())
     with mpmath.workdps(50):
-        etas = [mpmath.mpc(complex(e)) for e in etas]
-        coefs = [mpmath.mpc(complex(p)) / mpmath.mpf(float(n)) for p, n in zip(phases, norms)]
-        points = [mpmath.expjpi(mpmath.mpf(2 * k) / 3) for k in range(3)]
-        points += [mpmath.mpc(0), mpmath.mpc(0.41, 0.13)]
-        vals = [[b * mpmath.fsum((mpmath.conj(e) * p) ** k for k in range(3)) for p in points]
-                for b, e in zip(coefs, etas)]
-        left = [[v if j < 3 else mpmath.conj(v) for j, v in enumerate(row)] for row in vals]
-        cols = mpmath.matrix([[left[a][j] * mpmath.conj(vals[b][j]) for j in range(5)]
-                              for a, b in repcheck.ROW_INDEX])
+        cols = _mp_columns(problem)
         s = mpmath.matrix([mpmath.mpc(complex(v)) for v in problem.matrix.vector])
         square = mpmath.matrix(6, 6)
         for r, j in itertools.product(range(6), range(6)):
             square[r, j] = cols[r, j] if j < 5 else s[r]
         det = mpmath.det(square)
-        weights = mpmath.diag([1, 1, 1, 2, 2, 2])
-        mu = mpmath.lu_solve(cols.H * weights * cols, cols.H * weights * s)
-        misfit = s - cols * mu
-        residual = mpmath.sqrt(mpmath.fsum(w * abs(m) ** 2 for w, m in zip((1, 1, 1, 2, 2, 2), misfit)))
+        mu, residual = _mp_certificate(cols, s)
         gaps = {
             "det_value": abs(cpx(report["details"]["det_value"]) - complex(det)),
             "residuals.determinant": abs(report["residuals"]["determinant"] - float(abs(det))),
@@ -888,6 +901,32 @@ def test_committed_detthm_numbers_match_mpmath():
             "residuals.certificate": abs(report["residuals"]["certificate"] - float(residual)),
         }
     print(f"committed check-detthm numbers against mpmath: worst gap {max(gaps.values()):.2g} "
+          f"({max(gaps, key=gaps.get)})")
+    assert max(gaps.values()) <= 1e-10, gaps
+
+
+def test_committed_solve_numbers_match_mpmath():
+    # The committed solve-so3 report's conjugated matrix U S U^T, its certificate mu and
+    # the certificate residual at 50 digits, with U the report's own (printed) rotation
+    # and the columns of _mp_columns.  Both are homogeneous in S, so the scaling cancels.
+    name = "f1-solve-so3"
+    problem = cli.parse_problem(json.loads((COMMITTED / f"{name}.problem.json").read_text()))
+    report = json.loads((COMMITTED / f"{name}.report.json").read_text())
+    with mpmath.workdps(50):
+        cols = _mp_columns(problem)
+        u = mpmath.matrix(3, 3)
+        for k, x in enumerate(report["certificate"]["orthogonal"]):
+            u[k // 3, k % 3] = mpmath.mpf(x)
+        square = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in problem.matrix.array])
+        conjugated = u * square * u.T
+        s = mpmath.matrix([conjugated[a, b] for a, b in repcheck.ROW_INDEX])
+        mu, residual = _mp_certificate(cols, s)
+        gaps = {
+            "details.conjugated": max(abs(cpx(v) - complex(m)) for v, m in zip(report["details"]["conjugated"], s)),
+            "certificate.mu": max(abs(cpx(v) - complex(m)) for v, m in zip(report["certificate"]["mu"], mu)),
+            "residuals.certificate": abs(report["residuals"]["certificate"] - float(residual)),
+        }
+    print(f"committed solve-so3 numbers against mpmath: worst gap {max(gaps.values()):.2g} "
           f"({max(gaps, key=gaps.get)})")
     assert max(gaps.values()) <= 1e-10, gaps
 

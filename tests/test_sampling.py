@@ -35,38 +35,42 @@ def test_decoder_matches_scalar_draws():
 
 @pytest.fixture
 def forced_failures(monkeypatch):
-    """Make the attempts with the given indices, counted over all draws, fail their level set."""
+    """Make the attempts with the given indices, counted over all draws, fail their level set.
 
-    clark_rows = clark.clark_rows  # the original: the patch below replaces the module's name
+    ``clark.level_sets`` is wrapped: it counts the rows it is given, and the first
+    failing attempt among them raises a ``LevelSetError`` naming it.
+    """
+
+    level_sets = clark.level_sets  # the original: the patch below replaces the module's name
 
     def force(failing):
         attempts = [0]
 
-        def rows_with_failures(*draws):
-            rows = clark_rows(*draws)
-            for i in range(len(rows.omega)):
-                if attempts[0] + i in failing:
-                    rows.failures[i] = LevelSetError("forced failure of attempt %d" % (attempts[0] + i))
-            attempts[0] += len(rows.omega)
-            return rows
+        def level_sets_with_failures(s, omega):
+            etas = level_sets(s, omega)
+            first = attempts[0]
+            attempts[0] += len(omega)
+            for attempt in range(first, attempts[0]):
+                if attempt in failing:
+                    raise LevelSetError("forced failure of attempt %d" % attempt)
+            return etas
 
-        monkeypatch.setattr(clark, "clark_rows", rows_with_failures)
+        monkeypatch.setattr(clark, "level_sets", level_sets_with_failures)
         return attempts
 
     return force
 
 
-@pytest.mark.parametrize("failing", [()])
 @pytest.mark.parametrize("seed", [0, 11])
-def test_batch_equals_one_basis_at_a_time(forced_failures, failing, seed):
+def test_batch_equals_one_basis_at_a_time(forced_failures, seed):
     k = 12
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    attempts = forced_failures(set(failing))
+    attempts = forced_failures(set())  # counts the attempts only
     batch = clark_draws(a, k)
     batch_attempts = attempts[0]
     attempts[0] = 0
     singles = [random_clark_basis(b) for _ in range(k)]
-    assert attempts[0] == batch_attempts == k + len(failing)
+    assert attempts[0] == batch_attempts == k
     assert a.bit_generator.state == b.bit_generator.state
     np.testing.assert_allclose(batch.etas, [cb.etas for cb in singles], rtol=0, atol=1e-13)
     np.testing.assert_allclose(
@@ -76,14 +80,13 @@ def test_batch_equals_one_basis_at_a_time(forced_failures, failing, seed):
 
 def test_clark_draws_cannot_fail():
     # 20,000 seeded draws, half from numpy and half from the stdlib stream of the
-    # sweep: no row misses a check, and both margins stay above the bounds that
-    # clark_draws derives from ZERO_RADIUS and ANCHOR_RADIUS.
+    # sweep: no row misses a check (clark_draws would raise), and both margins stay
+    # above the bounds that clark_draws derives from ZERO_RADIUS and ANCHOR_RADIUS.
     streams = [np.random.default_rng(seed) for seed in range(10)]
     streams += [stdlib_uniforms(seed) for seed in range(10)]
     denominators, chords = [], []
     for rng in streams:
         rows = clark_draws(rng, 1000)
-        assert rows.failures == {}
         bt = products_at(rows.zeros, rows.constants, rows.t[:, None])[:, 0]
         denominators.append(np.abs(1.0 + np.conj(bt) * rows.alpha).min())
         chords.append(np.abs(rows.etas - np.roll(rows.etas, 1, axis=1)).min())
