@@ -11,9 +11,8 @@ basis:
 
 ``build_columns`` is the library's one generator span: a ``GeneratorSpan``, the
 columns with the SVD of the rank test that refuses near-degenerate points as
-indeterminate.  ``tto.random_tto`` draws from its columns, and the determinant
-test reads its certificate (mu and the residual) from its SVD.
-``PointConfig`` is the one place where generator points are validated.
+indeterminate; the determinant test reads its certificate (mu and the residual)
+from its SVD.  ``PointConfig`` is the one place where generator points are validated.
 
 The module also packages the family of normal matrices that always fail the
 Clark-basis relation while still being unitarily equivalent to such an
@@ -176,6 +175,13 @@ class S6Result(NamedTuple):
     gap: float  # |s6 - predicted_s6|
 
 
+def _conjugation_fixed(basis: OrthonormalBasis) -> None:
+    """ValueError unless the recorded conjugation residual of the basis is within BASIS_TOL."""
+    if not basis.conj_residual <= BASIS_TOL:
+        raise ValueError(f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
+                         "the determinant test is only valid for conjugation-fixed bases")
+
+
 def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> GeneratorSpan:
     """Vectorize the five rank-one generators as the columns of a 6x5 matrix, with its SVD.
 
@@ -192,9 +198,7 @@ def build_columns(basis: OrthonormalBasis, pc: PointConfig) -> GeneratorSpan:
     takes the full SVD (u, sv, vh), which the returned span keeps for
     ``detthm_test`` to read its certificate from.
     """
-    if not basis.conj_residual <= BASIS_TOL:
-        raise ValueError(f"basis is not conjugation-fixed (defect {basis.conj_residual:.3e}); "
-                         "the determinant test is only valid for conjugation-fixed bases")
+    _conjugation_fixed(basis)
     vals = basis.coords.T @ tmw_rows(basis.theta.stack.zeros, np.array([pc.boundary + pc.interior]))[0]
     cols = np.concatenate([vals[:, :3], np.conj(vals[:, 3:])], axis=1)[_ROWS_A] * np.conj(vals[_ROWS_B])
     u, sv, vh = np.linalg.svd(cols)

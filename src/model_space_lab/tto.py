@@ -1,13 +1,13 @@
-"""Truncated Toeplitz operators: matrices from symbols and random draws from the span.
+"""Truncated Toeplitz operators: matrices from symbols, and seeded random symbols.
 
 A trigonometric-polynomial symbol phi = sum_k c_k z^k acts as
 f -> P(phi * f).  By Sarason's functional calculus A_{z^k} = A_z^k and
 A_{conj(z)^k} = (A_z^*)^k, so its matrix w.r.t. an orthonormal basis, with
 entries <A v_j, v_i>, is exact polynomial arithmetic on the compressed shift.
 
-A seeded random operator of the whole (2n-1 = 5)-dimensional space at order 3
-is a Gaussian combination of the five rank-one generators k_t (x) k_t and
-k_lam (x) C k_lam built by ``repcheck.build_columns``.
+The A_{z^k}, |k| < n, are a basis of the (2n-1)-dimensional operator space, repeated zeros too:
+Z = A_z is lower triangular with a nonzero subdiagonal, so nonderogatory.  If P(Z) = -Q(Z)^H (degrees
+< n, Q(0) = 0), both sides are diagonal, hence scalar (they commute with Z): P = d, Q = -conj(d), d = 0.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .config import Checked, finite, integer, sequence
+from .config import TTO_SYM_TOL, Checked, finite, integer, sequence
 from .modelspace import OrthonormalBasis
-from .repcheck import PointConfig, Sym3, build_columns, default_points
+from .repcheck import PointConfig, Sym3, _conjugation_fixed
 
 __all__ = [
     "Symbol",
@@ -49,7 +49,10 @@ class Symbol(Checked, namedtuple("Symbol", "coeffs")):
 
     @classmethod
     def shift(cls) -> "Symbol":
-        return cls(((1, 1.0),))
+        return _SHIFT
+
+
+_SHIFT = Symbol(((1, 1.0),))
 
 
 class TTOMatrix(NamedTuple):
@@ -77,18 +80,22 @@ def tto_matrix_from_symbol(b: BlaschkeProduct, phi: Symbol, basis: OrthonormalBa
 
 
 def random_tto(b: BlaschkeProduct, basis: OrthonormalBasis, seed: int, *, points=None):
-    """Seeded random element of the operator space: (mu, sum_i mu_i G_i) as a Sym3.
+    """Seeded random element of the operator space: (mu, the Sym3 of phi = sum_k mu_k z^k, |k| < n).
 
-    The generators G_i are the columns of ``build_columns`` at ``points``
-    (boundary, interior), by default ``default_points(b)``, for a basis of b's
-    model space (else ValueError).  The five coefficients are standard complex
-    Gaussians drawn from ``numpy.random.default_rng(seed)``, seed an integer >= 0
-    (ValueError), so the draw is deterministic given the seed and independent of the basis.
+    mu, k ascending, holds standard complex Gaussians from ``numpy.random.default_rng(seed)``; the
+    Sym3 is ``tto_matrix_from_symbol`` read at TTO_SYM_TOL.  The A_{z^k} are a basis of the space
+    (module docstring): every draw is in it, and one seed is one operator in every basis of b.
+    ValueError, in order: seed not an integer >= 0, a basis of another space or not conjugation-fixed,
+    ``points`` not a (boundary, interior) ``PointConfig``; it does not change the draw (ROADMAP item 2).
     """
+    rng = np.random.default_rng(integer(seed, 0, "seed"))
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
-    pc = default_points(b) if points is None else PointConfig(*points)
-    rng = np.random.default_rng(integer(seed, 0, "seed"))  # invalid input before indeterminacy
-    cols = build_columns(basis, pc).columns
-    mu = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    return mu, Sym3._make((cols @ mu).tolist())
+    _conjugation_fixed(basis)
+    if points is not None:
+        if len(pair := tuple(sequence(points, "points"))) != 2:
+            raise ValueError(f"points must be a (boundary, interior) pair, got length {len(pair)}")
+        PointConfig(*pair)
+    mu = rng.standard_normal(2 * b.order - 1) + 1j * rng.standard_normal(2 * b.order - 1)
+    symbol = Symbol._make((tuple(zip(range(1 - b.order, b.order), mu.tolist())),))
+    return mu, Sym3.from_array(tto_matrix_from_symbol(b, symbol, basis).array, tol=TTO_SYM_TOL)

@@ -1056,13 +1056,14 @@ def test_verify_sequence_scales_back_once_per_result(monkeypatch, workloads, tmp
 
 
 def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_path):
-    # One SVD per set of generator columns (random_tto and each detthm_test),
-    # whose certificate comes from that SVD, not from a second factorization by
-    # lstsq; each span is built by build_columns, the one span function, which
-    # the benchmark tracer sees; and one TMW pass per point set: the Clark basis
-    # at its level set, Clark's unitary at t, and the columns at the default points.
+    # One SVD per set of generator columns (each detthm_test; random_tto builds no
+    # span, it reads its symbol through the functional calculus), whose certificate
+    # comes from that SVD, not from a second factorization by lstsq; each span is
+    # built by build_columns, the one span function, which the benchmark tracer
+    # sees; and one TMW pass per point set: the Clark basis at its level set,
+    # Clark's unitary at t, and the columns at the default points, once per test.
     # Pole-guarded passes (_denominators) are a ratchet: Clark's unitary takes B(t)
-    # from its TMW pass at t, so 10, down from 11.
+    # from its TMW pass at t, and random_tto takes none, so 9, down from 10.
     calls = {"tmw_rows": 0, "lstsq": 0, "svd": 0, "build_columns": 0, "_denominators": 0}
 
     def counted(name, fn):
@@ -1079,7 +1080,7 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_p
     for name in ("lstsq", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     _verify_sequence(workloads, tmp_path)
-    assert calls == {"tmw_rows": 5, "lstsq": 0, "svd": 3, "build_columns": 3, "_denominators": 10}
+    assert calls == {"tmw_rows": 4, "lstsq": 0, "svd": 2, "build_columns": 2, "_denominators": 9}
 
 
 def test_solve_scales_back_once(monkeypatch):

@@ -195,6 +195,17 @@ def test_nan_input_is_invalid(build, cb):
         build(cb)
 
 
+MALFORMED_POINTS = {"scalar": 5, "1-tuple": ((1, 1j, -1),), "3-tuple": ((1, 1j, -1), (0, 0.5), (0.25,))}
+
+
+@pytest.mark.parametrize("points", MALFORMED_POINTS.values(), ids=MALFORMED_POINTS.keys())
+def test_malformed_points_are_invalid_input(points, cb):
+    # random_tto's points is a (boundary, interior) pair: a number or a tuple of
+    # another length is invalid input, and the message names it.
+    with pytest.raises(ValueError, match=r"^points must be"):
+        random_tto(cb.theta, cb.basis, 3, points=points)
+
+
 @pytest.fixture(scope="module")
 def degenerate_cb():
     """A triple zero at radius 0.9999 whose default points span too little (sigma5 5.6e-11)."""
@@ -217,6 +228,13 @@ def test_invalid_input_wins_over_indeterminacy(build, degenerate_cb):
     # it is invalid input even where the default points are degenerate.
     with pytest.raises(ValueError):
         build(degenerate_cb)
+
+
+def test_random_tto_decides_where_the_default_points_do_not(degenerate_cb):
+    # The draw reads no generator span, so the points that leave detthm_test
+    # indeterminate do not stop it; the s6 relation accepts what it draws.
+    _, m = random_tto(degenerate_cb.theta, degenerate_cb.basis, seed=5)
+    assert clark_s6_test(m, degenerate_cb).is_rep
 
 
 def test_one_integer_rule_for_every_count():

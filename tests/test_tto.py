@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from model_space_lab.blaschke import BlaschkeProduct
 from model_space_lab.clark import ClarkParams, modified_clark_basis
+from model_space_lab.config import TTO_SYM_TOL
+from model_space_lab.modelspace import OrthonormalBasis
 from model_space_lab.repcheck import PointConfig, Sym3, build_columns, default_points
 from model_space_lab.tto import Symbol, random_tto, tto_matrix_from_symbol
 
 from conftest import oracle_circle_mean
-from oracles import basis_elements, conjugate, random_clark_basis, reference_onb
+from oracles import (basis_elements, conjugate, random_clark_basis, random_special_orthogonal,
+                     reference_onb)
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -149,12 +153,61 @@ def test_random_tto_deterministic_and_symmetric():
     mu2, m2 = random_tto(cb.theta, cb.basis, seed=1234)
     np.testing.assert_array_equal(mu1, mu2)
     np.testing.assert_array_equal(m1.array, m2.array)
-    assert isinstance(m1, Sym3)
+    assert isinstance(m1, Sym3) and mu1.shape == (5,)
     np.testing.assert_array_equal(m1.array, m1.array.T)
-    cols = build_columns(cb.basis, default_points(cb.theta)).columns
-    np.testing.assert_allclose(m1.vector, cols @ mu1, atol=1e-12)
     mu3, _ = random_tto(cb.theta, cb.basis, seed=99)
     assert not np.allclose(mu1, mu3)
+
+
+def _span_ratio(b) -> float:
+    """sigma_min / sigma_max of the 2n-1 flattened Z^k, (Z^H)^|k|, |k| < n, Z = A_z of b."""
+    z, n = b.stack.shift[0], b.order
+    powers = [np.linalg.matrix_power(z, k) for k in range(n)]
+    powers += [np.linalg.matrix_power(np.conj(z.T), k) for k in range(1, n)]
+    sv = np.linalg.svd(np.array([m.reshape(-1) for m in powers]).T, compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+def test_shift_powers_are_a_basis_of_the_operator_space():
+    # Why random_tto needs no rank test: the A_{z^k}, |k| < n, are linearly
+    # independent for every product (tto module docstring), so a random symbol
+    # covers the whole (2n-1)-dimensional space.  Repeated zeros near the circle
+    # are the worst case; a triple zero at the origin is the best.
+    rng = np.random.default_rng(41)
+    ratios = {}
+    for n in range(1, 5):
+        products = [BlaschkeProduct(tuple(0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))))
+                    for _ in range(50)]
+        ratios[f"order {n}, zeros within 0.9"] = min(_span_ratio(b) for b in products)
+    w = 0.9999 * np.exp(2j * np.pi * rng.random())
+    ratios["triple zero at 0.9999"] = _span_ratio(BlaschkeProduct((w, w, w)))
+    ratios["triple zero at 0"] = _span_ratio(BlaschkeProduct((0.0, 0.0, 0.0)))
+    print("shift powers, sigma_min / sigma_max:", ", ".join(f"{k} {v:.2g}" for k, v in ratios.items()))
+    assert min(ratios.values()) > 1e-12
+
+
+def test_random_tto_is_its_symbol_in_every_basis():
+    # The draw is the functional calculus of its own symbol, bit for bit; the
+    # points it is given change nothing; and one seed gives one operator, so in
+    # the basis cb.U (U a real rotation) its matrix is U^T M U.
+    rng = np.random.default_rng(43)
+    for k in range(20):
+        cb = random_clark_basis(rng)
+        b, pc = cb.theta, default_points(cb.theta)
+        mu, m = random_tto(b, cb.basis, seed=k)
+        symbol = Symbol(tuple(zip(range(-2, 3), mu)))
+        reading = Sym3.from_array(tto_matrix_from_symbol(b, symbol, cb.basis).array, tol=TTO_SYM_TOL)
+        np.testing.assert_array_equal(m.vector, reading.vector)
+        _, given = random_tto(b, cb.basis, seed=k, points=(pc.boundary, pc.interior))
+        np.testing.assert_array_equal(given.vector, m.vector)
+        r = random_special_orthogonal(rng)
+        _, rotated = random_tto(b, OrthonormalBasis(b, cb.basis.coords @ r), seed=k)
+        np.testing.assert_allclose(rotated.array, r.T @ m.array @ r, rtol=0, atol=1e-12)
+
+
+def test_shift_symbol_is_one_instance():
+    assert Symbol.shift() is Symbol.shift()
+    assert Symbol.shift() == Symbol(((1, 1.0),))
 
 
 def test_symbol_rejects_duplicate_frequencies():
