@@ -220,14 +220,16 @@ def _run_check_clark_s6(problem, cb):
 
 def _run_solve_so3(problem, cb):
     rep = solve(problem.matrix, cb, problem.config)
+    conjugated = _encode(rep.conjugated.vector)  # an overflowed U S U^T is indeterminate, not certified
+    cert = detthm_test(rep.conjugated, cb.basis, default_points(cb.theta)).certificate
     return {
         "verdict": True if rep.found else "not-found-within-budget",
-        "residuals": {"relation": rep.best_residual, "certificate": rep.certificate.residual},
-        "certificate": {"orthogonal": rep.best_matrix.reshape(9), "mu": rep.certificate.mu},
+        "residuals": {"relation": rep.best_residual, "certificate": cert.residual},
+        "certificate": {"orthogonal": rep.best_matrix.reshape(9), "mu": cert.mu},
         "details": {
             "starts_used": rep.starts_used,
             "message": rep.message,
-            "conjugated": rep.conjugated.vector,
+            "conjugated": conjugated,
         },
     }
 

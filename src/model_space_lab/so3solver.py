@@ -11,7 +11,8 @@ sum K o (G A - A G) with A = U M U^T.  A seeded multistart Gauss-Newton
 iteration with minimum-norm steps (two real equations, three unknowns)
 drives r to zero.  Negating U leaves U M U^T unchanged, so searching the
 rotation group alone loses nothing.  The report hands back the rotation
-found as a read-only (3, 3) float array, row-major.
+found as a read-only (3, 3) float array, row-major, with its residual and
+U M U^T; the determinant-test certificate is the solve-so3 report's own.
 
 A miss is a budget statement, not a proof: the report says so explicitly.
 """
@@ -24,14 +25,7 @@ import numpy as np
 
 from .clark import ClarkBasis
 from .config import REAL_TOL, REP_TOL, Checked, finite, integer, rep_tol
-from .repcheck import (
-    Certificate,
-    Sym3,
-    default_points,
-    detthm_test,
-    relation_weight,
-    _ldexp,
-)
+from .repcheck import Sym3, relation_weight, _frobenius, _ldexp
 
 __all__ = [
     "SolverConfig",
@@ -62,7 +56,6 @@ class SolveReport(NamedTuple):
     best_matrix: np.ndarray  # the best rotation U, (3, 3) float, read-only
     best_residual: float
     conjugated: Sym3
-    certificate: Certificate
     starts_used: int
     message: str
 
@@ -155,12 +148,12 @@ def solve(
 
     The tolerance is config.tol * ||S||_F, the threshold of
     ``clark_s6_test``, so the verdict does not change when S is scaled; the
-    zero matrix is solved at start 0.  The search and the certificate run on
-    ``s.normalized()``: the relation is linear in S and the step scale-free.
+    zero matrix is solved at start 0.  The search runs on ``s.normalized()``:
+    the relation is linear in S and the step scale-free.
     """
     unit, e = s.normalized()
     fun = partial(_relation, relation_weight(cb), unit.array)
-    target = config.tol * float(np.linalg.norm(unit.array))
+    target = config.tol * _frobenius(unit.vector)
 
     def start(index: int) -> np.ndarray:
         if index == 0:
@@ -188,16 +181,14 @@ def solve(
     residual, u = best
     u.flags.writeable = False
     conjugated = Sym3.from_array(u @ unit.array @ u.T)
-    cert = detthm_test(conjugated, cb.basis, default_points(cb.theta)).certificate
     found = residual <= target
     message = "solution found" if found else "no solution found within budget (not a proof of non-existence)"
-    back = _ldexp(np.concatenate([conjugated, cert.mu, [cert.residual, residual]]), e).tolist()
+    back = _ldexp(np.concatenate([conjugated, [residual]]), e).tolist()
     return SolveReport(
         found=found,
         best_matrix=u,
-        best_residual=back[12].real,
+        best_residual=back[6].real,
         conjugated=Sym3._make(back[:6]),
-        certificate=Certificate(tuple(back[6:11]), back[11].real),
         starts_used=index + 1,
         message=message,
     )

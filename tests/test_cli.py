@@ -502,6 +502,44 @@ def test_near_circle_triple_zeros_are_decided(tmp_path, radius):
         assert report["residuals"]["level_set"] < ROOT_TOL
 
 
+def test_near_circle_corollary_needs_no_span(tmp_path):
+    # Triple zeros at 0.99999 and spread zeros at 0.999999 (|t| = 0.3): the span
+    # at default_points is often indeterminate, below the sigma_5 floor or at the
+    # level set of 1.  check-detthm and solve-so3, whose certificate is that span,
+    # exit 3 there; corollary decides by the relation alone, so it exits 0 with
+    # verdict true wherever the Clark basis builds.
+    rng = np.random.default_rng(39)
+    reasons = set()
+    for layout, radius in (("triple", 0.99999), ("spread", 0.999999)):
+        for k in range(10):
+            w = radius * np.exp(2j * np.pi * rng.random())
+            zeros = [w] * 3 if layout == "triple" else [w * W3**j for j in range(3)]
+            t = 0.3 * np.exp(2j * np.pi * rng.random())
+            alpha = np.exp(2j * np.pi * rng.random())
+            diagonal = rng.standard_normal(3)
+            theta = {"zeros": [_pair(z) for z in zeros], "constant": [1.0, 0.0]}
+            s = repcheck.counterexample_family(1 + k % 3, *diagonal.tolist())
+            problem = {"task": "corollary", "theta": theta, "clark": {"t": _pair(t), "alpha": _pair(alpha)},
+                       "matrix": {"s": [_pair(v) for v in s]}, "options": {}}
+            try:
+                modified_clark_basis(BlaschkeProduct(tuple(zeros)), ClarkParams(t, alpha))
+            except Indeterminate:
+                continue
+            code, report, _ = run_cli(tmp_path, problem, name=f"{layout}{k}")
+            assert code == 0 and report["verdict"] is True, report
+            problem["task"] = "check-detthm"
+            code, detthm, _ = run_cli(tmp_path, problem, name=f"{layout}{k}")
+            if code == 0:
+                continue
+            assert code == 3
+            problem["task"] = "solve-so3"
+            code, solved, _ = run_cli(tmp_path, problem, name=f"{layout}{k}")
+            assert code == 3
+            assert solved["details"]["reason"] == detthm["details"]["reason"]
+            reasons.add(detthm["details"]["reason"].split()[0])  # "fifth" (singular value) or "level-set"
+    assert reasons == {"fifth", "level-set"}
+
+
 # -- edge sweep ------------------------------------------------------------------
 
 
@@ -1084,8 +1122,8 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_p
 
 
 def test_solve_scales_back_once(monkeypatch):
-    # Normalizing S takes a bare np.ldexp; the certificate's detthm_test scales
-    # its numbers back with one ldexp, and solve its own with one more: 2 per solve.
+    # Normalizing S takes a bare np.ldexp; solve scales its numbers back with
+    # one ldexp and builds no certificate: 1 per solve.
     calls = []
     ldexp = repcheck._ldexp
 
@@ -1099,7 +1137,7 @@ def test_solve_scales_back_once(monkeypatch):
     for s in (Sym3(1, 2, 3, 4, 5, 6j), Sym3(1, 2, 3, 0.5, 0.25, 0.125)):
         calls.clear()
         solve(s, cb, SolverConfig(starts=4))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 # Run in a fresh interpreter where every scipy, numpy.random and argparse import fails.

@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 
 import model_space_lab
+from model_space_lab.so3solver import SolveReport
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -37,6 +38,16 @@ def test_traced_functions_resolve():
         if not hasattr(importlib.import_module(f"model_space_lab.{module}"), name)
     ]
     assert missing == []
+
+
+def test_observed_solve_fields_exist():
+    # The tracer's solve wrapper reads fields of the report solve returns; a
+    # renamed field would otherwise surface only as a crash of a traced run.
+    tree = ast.parse(TRACING.read_text())
+    observe = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_observe_solve")
+    fields = {n.attr for n in ast.walk(observe)
+              if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "report"}
+    assert fields and fields <= set(SolveReport._fields), fields
 
 
 def test_module_exports_resolve():
