@@ -15,11 +15,11 @@ Walsh (TMW) basis; its closed-form primitives live here: the values e(z),
 the conjugate kernels C k_lam, the compressed shift, and Clark's unitary,
 whose eigenvalues are the level set (the one spectrum taken).
 
-The primitives are array-first: ``products_at``, ``tmw_rows``, ``kernel_pairs`` (k_z and
-C k_z from one ``tmw_rows`` pass, whose ||e(z)||^2 is ||k_z||^2) and ``compressed_shifts`` take
-a stack of N products, zeros (N, n) and front constants (N,), with points (N, m).  ``clark_unitaries`` and
-``level_sets`` take a ``product_stack``, which adds A_z, k_0 (x) C k_0 and B(0), built
-once.  The scalar functions run on the stack of one built at construction, ``BlaschkeProduct.stack``.
+The primitives are array-first over N products, zeros (N, n) and front constants (N,), at points
+(N, m).  A point set is one TMW pass, read as B (``products_at``), e(z) (``tmw_rows``) or e(z), C k_z
+and B (``kernel_pairs``; ||e(z)||^2 is ||k_z||^2).  ``clark_unitaries`` and ``level_sets`` take a
+``product_stack``: A_z, and k_0 (x) C k_0 and B(0) from ``kernel_outer`` at 0, built once.  The
+scalar functions run on the stack of one built at construction, ``BlaschkeProduct.stack``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "tmw_rows",
     "conjugation_matrix",
     "kernel_pairs",
+    "kernel_outer",
     "compressed_shifts",
     "clark_unitaries",
 ]
@@ -63,19 +64,9 @@ ProductStack = namedtuple("ProductStack", "zeros constants shift rank_one b0")
 
 
 def product_stack(w, c) -> ProductStack:
-    """Zeros w (N, n), constants c (N,), A_z (N, n, n), k_0 (x) C k_0 (N, n, n) and B(0) (N,).
-
-    Everything at the origin is a closed form in r_k = sqrt(1 - |w_k|^2):
-    e_k(0) = r_k prod_{l<k} (-w_l), so k_0 has coordinates conj(e(0));
-    C k_0 = (B - B(0)) / z = S* B has coordinates <B, z e_k> = c r_k prod_{l>k} (-w_l);
-    and B(0) = c prod_l (-w_l).
-    """
-    q = -w
-    r = np.sqrt(1.0 - np.abs(w) ** 2)
-    before = np.cumprod(np.concatenate([np.ones_like(q[:, :1]), q[:, :-1]], axis=1), axis=1)
-    after = np.cumprod(np.concatenate([np.ones_like(q[:, :1]), q[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    rank_one = np.conj(r * before)[:, :, None] * np.conj(c[:, None] * r * after)[:, None, :]
-    return ProductStack(w, c, compressed_shifts(w), rank_one, c * before[:, -1] * q[:, -1])
+    """Zeros w (N, n), constants c (N,), A_z (N, n, n), and k_0 (x) C k_0 and B(0) from ``kernel_outer``."""
+    rank_one, b0, _ = kernel_outer(w, c, np.zeros((len(w), 1), dtype=complex))
+    return ProductStack(w, c, compressed_shifts(w), rank_one, b0)
 
 
 class BlaschkeProduct(Checked, namedtuple("BlaschkeProduct", "zeros front_constant")):
@@ -126,13 +117,16 @@ def products_at(w, c, z) -> np.ndarray:
     One guard per call: a point with |1 - conj(w_k) z| < POLE_TOL for any
     row and zero raises ``PoleEvaluationError`` naming that zero.
     """
-    return _products_over(w, c, z)[0]
+    return c[:, None] * _tmw_pass(w, z)[1]
 
 
-def _products_over(w, c, z):
-    """(``products_at``, its denominators 1 - conj(w_k) z of shape (N, n, m)), one guard."""
+def _tmw_pass(w, z):
+    """(e(z), B(z) / c) at points z (N, m): one pole guard, one running product of the n factors."""
     den = _denominators(w, z)
-    return c[:, None] * np.multiply.reduce((z[:, None, :] - w[:, :, None]) / den, axis=1), den
+    running = np.multiply.accumulate((z[:, None, :] - w[:, :, None]) / den, axis=1)
+    values = np.sqrt(1.0 - np.abs(w) ** 2)[:, :, None] / den
+    values[:, 1:] *= running[:, :-1]
+    return values, running[:, -1]
 
 
 def _denominators(w, z):
@@ -165,10 +159,7 @@ def tmw_rows(w, z) -> np.ndarray:
     e_k(z) = sqrt(1 - |w_k|^2) / (1 - conj(w_k) z) * prod_{j<k} (z - w_j) / (1 - conj(w_j) z),
     pole guarded.  The kernel k_lam = sum_k conj(e_k(lam)) e_k has coordinates conj(e(lam)).
     """
-    den = _denominators(w, z)
-    values = np.sqrt(1.0 - np.abs(w) ** 2)[:, :, None] / den
-    values[:, 1:] *= np.multiply.accumulate((z[:, None, :] - w[:, :-1, None]) / den[:, :-1], axis=1)
-    return values
+    return _tmw_pass(w, z)[0]
 
 
 def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
@@ -198,14 +189,20 @@ def conjugation_matrix(b: BlaschkeProduct) -> np.ndarray:
 
 
 def kernel_pairs(w, c, z):
-    """(e(z), coordinates of C k_z) for zeros w (N, n), constants c (N,) at points z (N, m): (N, n, m) each.
+    """(e(z), C k_z, B(z)) for zeros w (N, n), constants c (N,) at points z (N, m): (N, n, m) twice, (N, m).
 
     C is antiunitary, so <C k_z, e_j> = <C e_j, k_z> = (C e_j)(z) = c e~_{n-1-j}(z):
     C k_z has coordinates c e~(z) reversed, e~ the TMW basis of the reversed zeros.
-    One ``tmw_rows`` pass over the zeros stacked on the reversed zeros gives both.
+    One TMW pass over the zeros stacked on the reversed zeros gives all three; B is ``products_at``'s.
     """
-    values = tmw_rows(np.concatenate([w, w[:, ::-1]]), np.concatenate([z, z]))
-    return values[: len(w)], c[:, None, None] * values[len(w) :, ::-1]
+    values, products = _tmw_pass(np.concatenate([w, w[:, ::-1]]), np.concatenate([z, z]))
+    return values[: len(w)], c[:, None, None] * values[len(w) :, ::-1], c[:, None] * products[: len(w)]
+
+
+def kernel_outer(w, c, z):
+    """(k_z (x) C k_z (N, n, n), B(z) (N,), e(z) (N, n)) at one point z (N, 1) per row (``kernel_pairs``)."""
+    e, conj_kernel, bz = kernel_pairs(w, c, z)
+    return np.conj(e) * np.conj(conj_kernel.transpose(0, 2, 1)), bz[:, 0], e[:, :, 0]
 
 
 def compressed_shifts(w) -> np.ndarray:
@@ -244,38 +241,40 @@ def level_set(b: BlaschkeProduct, omega):
     They are the eigenvalues of ``clark_unitaries``, a normal matrix, so each is
     accurate to round-off in position.  |B'| multiplies that error in the
     residual, so one Newton step on the boundary argument of B, which is
-    evaluated to full relative precision, follows; B and |B'| share one
-    denominator.  The points must satisfy |B(eta) - omega| below ``ROOT_TOL``
+    evaluated to full relative precision, follows; B and |B'| = ||e(eta)||^2
+    come from one TMW pass.  The points must satisfy |B(eta) - omega| below ``ROOT_TOL``
     and be pairwise separated by more than ``DISTINCT_TOL``.
     """
     omega = unimodular(number(omega, "level-set target"), "level-set target")
-    return level_sets(b.stack, np.array([omega]))[0]
+    return level_sets(b.stack, np.array([omega]))[0][0]
 
 
 def level_sets(s: ProductStack, omega):
     """``level_set`` for the products of a stack and unimodular targets omega (N,).
 
-    Returns the etas, shape (N, n), each row sorted by ``circle_angle``.  The
-    first row that misses the residual or separation check raises its
-    ``LevelSetError`` (``_level_set_error``: residual first).
+    Returns the etas (N, n), each row sorted by ``circle_angle``, and the ``kernel_pairs`` at them,
+    the pass whose B is checked.  The first row that misses the residual or separation check
+    raises its ``LevelSetError`` (``_level_set_error``: residual first).
     """
     lam = np.linalg.eigvals(clark_unitaries(s, omega))
     phi = np.arctan2(lam.imag, lam.real)
     eta = np.exp(1j * phi)
-    values, den = _products_over(*s[:2], eta)
-    moved = values * np.conj(omega)[:, None]
-    speed = np.add.reduce((1.0 - np.abs(s.zeros) ** 2)[:, :, None] / np.abs(den) ** 2, axis=1)  # |B'(eta)|
+    values, products = _tmw_pass(s.zeros, eta)
+    moved = s.constants[:, None] * products * np.conj(omega)[:, None]
+    speed = np.add.reduce(np.abs(values) ** 2, axis=1)  # |B'(eta)| = ||e(eta)||^2 on the circle
     phi = phi - np.arctan2(moved.imag, moved.real) / speed
     eta = np.exp(1j * phi)
-    residual = np.abs(products_at(*s[:2], eta) - omega[:, None])
+    order = np.argsort(circle_angle(eta), axis=1)
+    eta = eta[np.arange(len(eta))[:, None], order]
+    kernels = kernel_pairs(*s[:2], eta)
+    residual = np.abs(kernels[2] - omega[:, None])
     gaps = np.abs(eta[:, :, None] - eta[:, None, :])
     gaps.reshape(len(eta), -1)[:, :: eta.shape[1] + 1] = np.inf  # a point is not its own neighbour
     bad = np.logical_or.reduce(residual > ROOT_TOL, axis=1)
     bad |= np.logical_or.reduce(gaps <= DISTINCT_TOL, axis=(1, 2))
     if np.logical_or.reduce(bad):
         raise _level_set_error(residual[bad.argmax()], eta[bad.argmax()])
-    order = np.argsort(circle_angle(eta), axis=1)
-    return eta[np.arange(len(eta))[:, None], order]
+    return eta, kernels
 
 
 def _level_set_error(residual, eta) -> LevelSetError:

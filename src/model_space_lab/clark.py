@@ -42,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, circle_angle, kernel_pairs, level_sets, product_stack, products_at
+from .blaschke import BlaschkeProduct, circle_angle, kernel_outer, level_sets, product_stack, products_at
 from .config import BASIS_TOL, TARGET_FLOOR, Checked, Indeterminate, number, open_disc, unimodular
-from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error
+from .modelspace import BasisError, OrthonormalBasis, basis_residuals, gram_error, gram_residuals
 
 __all__ = [
     "ClarkParams",
@@ -167,17 +167,16 @@ def clark_rows(s, t, alpha) -> ClarkRows:
     the level set's residual and separation (``LevelSetError``, from ``level_sets``), then
     the Gram and the conjugation residual of the basis against BASIS_TOL (``BasisError``);
     the first stage that fails raises for its lowest failing row.  No J is built: element i is b_i k_{eta_i},
-    so its conjugate is conj(b_i) C k_{eta_i}; one TMW pass gives both (``kernel_pairs``)
-    and the norms ||k_eta||^2 = ||e(eta)||^2.
+    so its conjugate is conj(b_i) C k_{eta_i}; ``level_sets`` returns both from the pass that
+    checked its residual (``kernel_pairs``), with the norms ||k_eta||^2 = ||e(eta)||^2.
     A point that hits a pole raises ``PoleEvaluationError`` for the whole call.
     """
     if s.zeros.shape[1] != 3:
         raise ValueError("the Clark basis construction here is order-3 only")
     omega = clark_targets(*s[:2], t, alpha)
-    etas = level_sets(s, omega)
+    etas, (values, conj_kernels, _) = level_sets(s, omega)
     angles = circle_angle(np.concatenate([np.conj(etas), omega[:, None]], axis=1))
     phases = np.exp(0.5j * (angles[:, :3] + angles[:, 3:]))
-    values, conj_kernels = kernel_pairs(*s[:2], etas)
     norms = np.sqrt(np.add.reduce(np.abs(values) ** 2, axis=1))
     coef = (phases / norms)[:, None, :]
     coords = np.conj(values) * coef
@@ -214,33 +213,27 @@ def clark_operator_matrix(b: BlaschkeProduct, params: ClarkParams, basis: Orthon
 
     Here k^_t is the NORMALIZED kernel at t: the raw kernel's term is divided by
     ||k_t||^2 = ||e(t)||^2, a sum of positive terms from the one pole-guarded TMW pass
-    at t (``kernel_pairs``), which also gives B(t) = c e_{n-1}(t) (t - w_{n-1}) / sqrt(1 - |w_{n-1}|^2).
+    at t (``kernel_outer``), which also gives B(t) and k_t (x) C k_t.
     The closed form (1 - |B(t)|^2) / (1 - |t|^2) cancels near the circle (relative error
     7e-8 at 1 - |t| = 1e-8), enough to fail the unitarity check on valid input.
 
     Entry (i, j) is <U v_j, v_i>.  The compressed-multiplier part is
-    (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus; the
-    rank-one part is k_t (x) C k_t from the closed-form kernel coordinates.
-    Both are taken between the orthonormal coordinates of the basis.  The
-    result is checked to be unitary within BASIS_TOL (else ``BasisError``).
+    (A_z - t)(I - conj(t) A_z)^-1 by the H^infinity functional calculus.
+    Both parts are taken between the orthonormal coordinates of the basis.  The
+    result is checked to be unitary within BASIS_TOL (``gram_residuals``, else ``BasisError``).
     """
     if basis.theta != b:
         raise ValueError("basis lives in a different model space")
     t, alpha = params.t, params.alpha
-    kernel, conj_kernel = kernel_pairs(*b.stack[:2], np.array([[t]]))
-    e, w = kernel[0, :, 0], b.zeros[-1]
-    bt = b.front_constant * e[-1] * (t - w) / (1.0 - abs(w) ** 2) ** 0.5
+    rank_one, bt, e = kernel_outer(*b.stack[:2], np.array([[t]]))
 
     z = b.stack.shift[0]
     eye = np.eye(len(z))
     mobius = np.linalg.solve(eye - np.conj(t) * z, z - t * eye)
-    rank_one = np.conj(kernel[0]) * np.conj(conj_kernel[0].T)
     x = basis.coords
-    u = np.conj(x.T) @ (mobius + (alpha + bt) / np.vdot(e, e).real * rank_one) @ x
+    u = np.conj(x.T) @ (mobius + (alpha + bt[0]) / np.vdot(e, e).real * rank_one[0]) @ x
 
-    g = np.conj(u.T) @ u
-    g.reshape(-1)[:: len(g) + 1] -= 1.0  # u^H u - I, for a basis of any number of elements
-    defect = np.sqrt(np.vdot(g, g).real)
+    defect = gram_residuals(u[None])[0]
     if not defect <= BASIS_TOL:
         raise BasisError(
             "operator matrix is not unitary (defect %.3e); the basis is not "

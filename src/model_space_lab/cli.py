@@ -183,7 +183,7 @@ def _run_clark_basis(problem, cb):
     residuals = {
         "gram": cb.basis.gram_residual,
         "conjugation": cb.basis.conj_residual,
-        "level_set": max(abs(problem.theta(e) - cb.omega) for e in cb.etas),
+        "level_set": np.abs(problem.theta(cb.etas) - cb.omega).max(),
     }
     return {"verdict": True, "residuals": residuals, "details": {"omega": cb.omega}}
 

@@ -44,6 +44,7 @@ __all__ = [
     "gram_matrix",
     "conjugation_residual",
     "basis_residuals",
+    "gram_residuals",
     "gram_error",
     "coordinates",
 ]
@@ -172,18 +173,17 @@ def conjugation_residual(basis: OrthonormalBasis) -> float:
     return float(basis_residuals(basis.coords[None], cx[None])[1][0])
 
 
-def basis_residuals(x, cx):
-    """(||G - I||_F, max_i ||cx_i - x_i||) for the coordinates x (N, n, k) of v_i and cx of C v_i.
-
-    G = x^T conj(x) is the Gram matrix of the v_i; both residuals have shape (N,).
-    """
+def gram_residuals(x):
+    """||G - I||_F, shape (N,), for the coordinates x (N, n, k) of v_i, G = x^T conj(x) their Gram matrix."""
     gram = x.transpose(0, 2, 1) @ np.conj(x)
     gram.reshape(len(x), -1)[:, :: x.shape[2] + 1] -= 1.0
+    return np.sqrt(np.add.reduce(np.abs(gram.reshape(len(x), -1)) ** 2, axis=1))
+
+
+def basis_residuals(x, cx):
+    """(``gram_residuals``(x), max_i ||cx_i - x_i||), (N,) each, for coordinates x of v_i, cx of C v_i."""
     moved = np.add.reduce(np.abs(cx - x) ** 2, axis=1)
-    return (
-        np.sqrt(np.add.reduce(np.abs(gram.reshape(len(x), -1)) ** 2, axis=1)),
-        np.sqrt(np.maximum.reduce(moved, axis=1)),
-    )
+    return gram_residuals(x), np.sqrt(np.maximum.reduce(moved, axis=1))
 
 
 def gram_error(residual: float) -> BasisError:

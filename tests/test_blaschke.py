@@ -1,6 +1,7 @@
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,11 @@ from model_space_lab.blaschke import (
     PoleEvaluationError,
     clark_unitaries,
     conjugation_matrix,
+    kernel_outer,
     kernel_pairs,
     level_set,
+    level_sets,
+    product_stack,
     products_at,
     tmw_rows,
 )
@@ -178,9 +182,9 @@ def test_conjugation_matrix_structure(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_clark_unitary_closed_forms_at_the_origin(order):
-    # clark_unitaries takes e(0), C k_0 = S*B and B(0) in closed form; they must
-    # agree with k_0 (x) C k_0 built from tmw_values and J e(0), and with the
-    # closed form C k_0 of kernel_pairs.
+    # clark_unitaries takes k_0 (x) C k_0 and B(0) from the kernel pass at 0 of
+    # product_stack; they must agree with k_0 (x) C k_0 built from tmw_values and
+    # J e(0), and from C k_0 of kernel_pairs.
     rng = np.random.default_rng(order)
     products = [random_product(rng, order, 0.95) for _ in range(10)]
     products.append(BlaschkeProduct((0.4 - 0.3j,) * order, np.exp(1.1j)))
@@ -276,6 +280,91 @@ def test_level_set_random_draws():
 def test_level_set_rejects_nonunimodular_target(f1):
     with pytest.raises(ValueError):
         level_set(f1, 0.5)
+
+
+# -- one pass per point set --------------------------------------------------
+
+
+def random_stack(rng, count, order, max_radius):
+    """``product_stack`` of ``count`` random products of one order, zeros within ``max_radius``."""
+    zeros = max_radius * np.sqrt(rng.random((count, order))) * np.exp(2j * np.pi * rng.random((count, order)))
+    return product_stack(zeros, np.exp(2j * np.pi * rng.random(count)))
+
+
+def mp_abs_derivative(zeros, c, eta):
+    """|B'(eta)| in 50-digit arithmetic at the circle point eta / |eta|, from B'/B = sum_k d/dz log(factor_k)."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(eta) / abs(mpmath.mpc(eta))
+        value, log_derivative = mpmath.mpc(c), mpmath.mpc(0)
+        for w in map(mpmath.mpc, zeros):
+            value *= (z - w) / (1 - mpmath.conj(w) * z)
+            log_derivative += (1 - abs(w) ** 2) / ((z - w) * (1 - mpmath.conj(w) * z))
+        return float(abs(value * log_derivative))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_kernel_pairs_product_is_products_at(order):
+    # kernel_pairs reads B from the running product of its TMW pass: the same
+    # factors, multiplied in the same order as products_at, so the same bits,
+    # at interior and circle points, for stacks and point sets of several sizes.
+    rng = np.random.default_rng(order)
+    for count, m in ((1, 1), (2, 3), (5, 8), (3, 17)):
+        s = random_stack(rng, count, order, 0.95)
+        z = np.sqrt(rng.random((count, m))) * np.exp(2j * np.pi * rng.random((count, m)))
+        z[:, ::2] /= np.abs(z[:, ::2])
+        e, _, b = kernel_pairs(*s[:2], z)
+        np.testing.assert_array_equal(b, products_at(*s[:2], z))
+        np.testing.assert_array_equal(e, tmw_rows(s.zeros, z))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_level_sets_return_their_checked_pass(order):
+    # The kernels level_sets returns are the pass whose B passed the residual
+    # check: a fresh kernel_pairs at its etas gives the same bits.
+    rng = np.random.default_rng(10 + order)
+    s = random_stack(rng, 20, order, 0.9)
+    etas, kernels = level_sets(s, np.exp(2j * np.pi * rng.random(20)))
+    for got, fresh in zip(kernels, kernel_pairs(*s[:2], etas)):
+        np.testing.assert_array_equal(got, fresh)
+
+
+def test_kernel_norm_is_the_derivative_on_the_circle():
+    # ||e(eta)||^2 = ||k_eta||^2 = |B'(eta)| on the circle: the level-set Newton
+    # step reads |B'| as ||e||^2.  Checked at the level-set points that level_sets
+    # returns, against 50-digit mpmath.  The relative bound is 1e-14 for zeros
+    # within 0.9 and 1e-12 for zeros at 0.99 and 0.999, where |B'| reaches 1.6e3
+    # and 1 - conj(w) eta loses that factor to cancellation.
+    rng = np.random.default_rng(5)
+    near = np.array([[0.99 * np.exp(0.4j)] * 3, [0.999j, 0.5, -0.999]])
+    cases = [(random_stack(rng, 10, order, 0.9), 1e-14) for order in (1, 2, 3, 4)]
+    cases.append((product_stack(near, np.ones(2, complex)), 1e-12))
+    for s, bound in cases:
+        etas, (e, _, _) = level_sets(s, np.exp(2j * np.pi * rng.random(len(s.zeros))))
+        norm_sq = np.add.reduce(np.abs(e) ** 2, axis=1)
+        for row, eta_row in enumerate(etas):
+            expected = [mp_abs_derivative(s.zeros[row], s.constants[row], eta) for eta in eta_row]
+            np.testing.assert_allclose(norm_sq[row], expected, rtol=bound, atol=0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_product_stack_origin_pieces_match_mpmath(order):
+    # k_0 (x) C k_0 and B(0) are kernel_outer at 0, one kernel_pairs pass; in
+    # 50 digits, e_k(0) = r_k prod_{l<k} (-w_l), C k_0 has coordinates
+    # c r_k prod_{l>k} (-w_l) (C k_0 = S* B) and B(0) = c prod_l (-w_l).
+    rng = np.random.default_rng(20 + order)
+    s = random_stack(rng, 20, order, 0.99)
+    rank_one, b0, _ = kernel_outer(*s[:2], np.zeros((20, 1), complex))
+    np.testing.assert_array_equal(s.rank_one, rank_one)
+    np.testing.assert_array_equal(s.b0, b0)
+    with mpmath.workdps(50):
+        for zeros, c, got_outer, got_b0 in zip(s.zeros, s.constants, s.rank_one, s.b0):
+            q = [-mpmath.mpc(w) for w in zeros]
+            r = [mpmath.sqrt(1 - abs(w) ** 2) for w in q]
+            e0 = [r[k] * mpmath.fprod(q[:k]) for k in range(order)]
+            ck0 = [mpmath.mpc(c) * r[k] * mpmath.fprod(q[k + 1:]) for k in range(order)]
+            expected = [[complex(mpmath.conj(x * y)) for y in ck0] for x in e0]
+            np.testing.assert_allclose(got_outer, expected, rtol=0, atol=1e-15)
+            assert abs(got_b0 - complex(mpmath.mpc(c) * mpmath.fprod(q))) <= 1e-15
 
 
 # -- cubic coefficients ------------------------------------------------------

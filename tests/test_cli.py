@@ -1094,15 +1094,20 @@ def test_verify_sequence_scales_back_once_per_result(monkeypatch, workloads, tmp
 
 
 def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_path):
+    # Counted over VerifyWarm.run alone, the part the benchmark times: prepare
+    # builds the product, whose k_0 (x) C k_0 and B(0) come from a pass at 0.
     # One SVD per set of generator columns (each detthm_test; random_tto builds no
     # span, it reads its symbol through the functional calculus), whose certificate
     # comes from that SVD, not from a second factorization by lstsq; each span is
     # built by build_columns, the one span function, which the benchmark tracer
-    # sees; and one TMW pass per point set: the Clark basis at its level set,
-    # Clark's unitary at t, and the columns at the default points, once per test.
-    # Pole-guarded passes (_denominators) are a ratchet: Clark's unitary takes B(t)
-    # from its TMW pass at t, and random_tto takes none, so 9, down from 10.
-    calls = {"tmw_rows": 0, "lstsq": 0, "svd": 0, "build_columns": 0, "_denominators": 0}
+    # sees.  Every pole-guarded pass (_denominators) is one TMW pass (_tmw_pass) over
+    # one point set: B(t) for the Clark target; for each of the two level sets (the
+    # Clark target's and 1's, in default_points) the Newton step and the checked
+    # kernel pass, which the Clark basis reuses; the kernels at t of the operator
+    # matrix; and the columns at the default points, once per test.  A ratchet: 8, from 9.
+    workload = workloads.VerifyWarm(ROOT, tmp_path)
+    prepared = workload.prepare(VERIFY_SPEC, 0)
+    calls = dict.fromkeys(("tmw_rows", "_tmw_pass", "lstsq", "svd", "build_columns", "_denominators"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1110,15 +1115,15 @@ def test_verify_sequence_factors_once_per_decision(monkeypatch, workloads, tmp_p
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, fn in (("tmw_rows", blaschke.tmw_rows), ("build_columns", repcheck.build_columns),
-                     ("_denominators", blaschke._denominators)):
+    for name, fn in (("tmw_rows", blaschke.tmw_rows), ("_tmw_pass", blaschke._tmw_pass),
+                     ("build_columns", repcheck.build_columns), ("_denominators", blaschke._denominators)):
         for module in list(sys.modules.values()):
             if module.__name__.startswith("model_space_lab") and vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
     for name in ("lstsq", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    _verify_sequence(workloads, tmp_path)
-    assert calls == {"tmw_rows": 4, "lstsq": 0, "svd": 2, "build_columns": 2, "_denominators": 9}
+    workload.run(prepared)
+    assert calls == {"tmw_rows": 2, "_tmw_pass": 8, "lstsq": 0, "svd": 2, "build_columns": 2, "_denominators": 8}
 
 
 def test_solve_scales_back_once(monkeypatch):

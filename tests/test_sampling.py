@@ -47,13 +47,13 @@ def forced_failures(monkeypatch):
         attempts = [0]
 
         def level_sets_with_failures(s, omega):
-            etas = level_sets(s, omega)
+            found = level_sets(s, omega)
             first = attempts[0]
             attempts[0] += len(omega)
             for attempt in range(first, attempts[0]):
                 if attempt in failing:
                     raise LevelSetError("forced failure of attempt %d" % attempt)
-            return etas
+            return found
 
         monkeypatch.setattr(clark, "level_sets", level_sets_with_failures)
         return attempts
